@@ -18,17 +18,23 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses), and guard conjuncts are evaluated at the outermost
-layer where all components they read are bound.  Each conjunct declares
-which components it reads; declarations are pinned by property tests, and
-a small-scope test checks the staged sweep against a naive state-by-state
-sweep.  Reported witnesses are always re-validated through the public rule
-interface before they land in a report.
+then current accesses) and written once, in ``_subtrees``; guard conjuncts
+are evaluated at the outermost layer where all components they read are
+bound.  The strict reading of the *-property is a restriction of state
+generation, not a separate leaf test: write pairs are drawn from classified
+objects only, and read pairs already are (security condition), so the
+strict and per-pair readings agree on every generated state.  Each
+conjunct declares which components it reads; declarations are pinned by
+property tests, and a small-scope test checks the staged sweep against a
+naive state-by-state sweep.  Reported witnesses are always re-validated
+through the public rule interface before they land in a report.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -220,6 +226,8 @@ class _Universe:
         )
         self.fs_options = self._class_maps(self.subjects)
         self.fo_options = self._class_maps(self.objects)
+        # (fs, fo) pairs in flat index order; sweep workers split this list
+        self.combos = tuple(itertools.product(self.fs_options, self.fo_options))
         triples = sorted(
             ((o, s, x) for o in self.objects for s in self.subjects for x in MATRIX_MODES),
             key=core.triple_sort_key,
@@ -249,6 +257,32 @@ class _Universe:
         return cached
 
 
+def _subtrees(u: _Universe, combos, m_options, caps, hypothesis=False, strict_star=False):
+    """Yield one enumeration subtree per (fs, fo) in ``combos`` and (m, dom)
+    in ``m_options``: ``(fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs)``.
+
+    br_subs and bw_subs are the subsets, up to ``caps``, of the (subject,
+    object) pairs whose object the matrix knows, so the type invariants hold
+    by construction.  Under ``hypothesis`` the security condition is fused
+    in as well: read pairs come from the read_ok table.  ``strict_star``
+    then also draws write pairs from classified objects only.  Read objects
+    are classified already, so the strict *-property of a leaf reduces to
+    the weak one, which the caller tests with ``_star_leaf_ok``.  Dropping
+    items keeps the remaining subsets in their relative order.
+    """
+    pairs = u.pairs
+    br_cap, bw_cap = caps
+    for fs, fo in combos:
+        read_ok, star_ok, dom_fo = _class_tables(fs, fo, pairs, u.objects)
+        readable = read_ok if hypothesis else frozenset(pairs)
+        writable = dom_fo if strict_star else frozenset(u.objects)
+        for m, dom in m_options:
+            br_avail = tuple(p for p in pairs if p[1] in dom and p in readable)
+            bw_avail = tuple(p for p in pairs if p[1] in dom and p[1] in writable)
+            yield (fs, fo, m, dom, read_ok, star_ok,
+                   u.subsets_upto(br_avail, br_cap), u.subsets_upto(bw_avail, bw_cap))
+
+
 def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     """Yield every well-formed in-bounds state exactly once.
 
@@ -258,13 +292,11 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     The order is canonical and stable across runs.
     """
     u = _Universe(b)
-    for fs in u.fs_options:
-        for fo in u.fo_options:
-            for m, dom in u.m_options:
-                avail = tuple(p for p in u.pairs if p[1] in dom)
-                for br in u.subsets_upto(avail, b.max_br):
-                    for bw in u.subsets_upto(avail, b.max_bw):
-                        yield SystemState(br, bw, fo, fs, m)
+    subtrees = _subtrees(u, u.combos, u.m_options, (b.max_br, b.max_bw))
+    for fs, fo, m, _dom, _read_ok, _star_ok, br_subs, bw_subs in subtrees:
+        for br in br_subs:
+            for bw in bw_subs:
+                yield SystemState(br, bw, fo, fs, m)
 
 
 def requests_for_rule(rule: str, b: Bounds) -> tuple[Request, ...]:
@@ -274,31 +306,21 @@ def requests_for_rule(rule: str, b: Bounds) -> tuple[Request, ...]:
 
 
 def _requests_for_rule(rule: str, u: _Universe) -> tuple[Request, ...]:
-    S, O, K = u.subjects, u.objects, u.classes
-    if rule == rules.RULE_GET_READ:
-        return tuple(rules.GetRead(s, o) for s in S for o in O)
-    if rule == rules.RULE_GET_WRITE:
-        return tuple(rules.GetWrite(s, o) for s in S for o in O)
-    if rule == rules.RULE_RELEASE_READ:
-        return tuple(rules.ReleaseRead(s, o) for s in S for o in O)
-    if rule == rules.RULE_RELEASE_WRITE:
-        return tuple(rules.ReleaseWrite(s, o) for s in S for o in O)
-    if rule == rules.RULE_GIVE_RW:
-        return tuple(
-            rules.GiveRW(g, r, o, x)
-            for g in S for r in S for o in O for x in MATRIX_MODES
+    """The product of the request type's field domains, in field order."""
+    if rule not in RULE_DEFS:
+        raise ValueError(f"unknown rule: {rule!r}")
+    request_type = RULE_DEFS[rule].request_type
+    domains = {
+        "s": u.subjects, "giver": u.subjects, "receiver": u.subjects,
+        "rescinder": u.subjects, "target": u.subjects,
+        "o": u.objects, "x": MATRIX_MODES, "k": u.classes,
+    }
+    return tuple(
+        request_type(*args)
+        for args in itertools.product(
+            *(domains[f.name] for f in dataclasses.fields(request_type))
         )
-    if rule == rules.RULE_RESCIND_READ:
-        return tuple(rules.RescindRead(rc, t, o) for rc in S for t in S for o in O)
-    if rule == rules.RULE_RESCIND_WRITE:
-        return tuple(rules.RescindWrite(rc, t, o) for rc in S for t in S for o in O)
-    if rule == rules.RULE_CHANGE_CLASS:
-        return tuple(rules.ChangeClass(o, k) for o in O for k in K)
-    if rule == rules.RULE_CREATE_OBJECT:
-        return tuple(rules.CreateObject(s, o, k) for s in S for o in O for k in K)
-    if rule == rules.RULE_DELETE_OBJECT:
-        return tuple(rules.DeleteObject(s, o) for s in S for o in O)
-    raise ValueError(f"unknown rule: {rule!r}")
+    )
 
 
 def enumerate_requests(b: Bounds) -> tuple[Request, ...]:
@@ -324,6 +346,14 @@ def strict_star_prop(st: SystemState) -> bool:
     if st.bw and any(o not in dom_fo for (_s, o) in st.br):
         return False
     return all(o in dom_fo for (_s, o) in st.bw)
+
+
+def _property_table(strict_star: bool) -> dict:
+    """The invariant predicates of one check, by property name."""
+    props = dict(PROPERTY_FUNCS)
+    if strict_star:
+        props[PROPERTY_STARPROP] = strict_star_prop
+    return props
 
 
 # --------------------------------------------------------------------------
@@ -378,14 +408,6 @@ def _star_leaf_ok(br, bw, star_ok) -> bool:
     return True
 
 
-def _strict_leaf_ok(br, bw, star_ok, dom_fo) -> bool:
-    if not _star_leaf_ok(br, bw, star_ok):
-        return False
-    if bw and any(o not in dom_fo for (_s, o) in br):
-        return False
-    return all(o in dom_fo for (_s, o) in bw)
-
-
 def _sweep_range(
     b: Bounds,
     obligations: Sequence[Obligation],
@@ -395,16 +417,16 @@ def _sweep_range(
     hi: int,
 ):
     """Check obligations over the (fs, fo) combinations with flat index in
-    [lo, hi).  Returns per-obligation partial results plus the leaf count.
+    [lo, hi).  Returns one chunk result for ``_merge_chunks``: per-obligation
+    partial verdicts, the leaf count and the per-rule sweep times.
 
     The hypothesis filter (all invariants hold before the step) is fused
-    into generation: type invariants by construction, the security
-    condition by drawing read pairs from the read_ok table, the *-property
-    by the leaf filter.  A small-scope test pins this against literally
-    filtering enumerate_states with the core predicates.
+    into generation (see ``_subtrees``) and the *-property leaf filter.  A
+    small-scope test pins this against literally filtering enumerate_states
+    with the core predicates.
     """
     u = _Universe(b)
-    star_fn = strict_star_prop if strict_star else core.star_prop
+    props = _property_table(strict_star)
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     by_rule: dict[str, list[_ObState]] = {}
     for ob in obs:
@@ -420,132 +442,111 @@ def _sweep_range(
             (rule, rd, subtree_cs, leaf_cs, _requests_for_rule(rule, u), by_rule[rule])
         )
 
-    n_fo = len(u.fo_options)
     leaves = 0
-    max_br, max_bw = b.max_br, b.max_bw
     rule_time = {rule: 0.0 for rule, *_rest in rule_plans}
     clock = time.perf_counter
+    subtrees = _subtrees(u, u.combos[lo:hi], u.m_options, (b.max_br, b.max_bw),
+                         hypothesis=True, strict_star=strict_star)
 
-    for flat in range(lo, hi):
-        fs = u.fs_options[flat // n_fo]
-        fo = u.fo_options[flat % n_fo]
-        read_ok, star_ok, dom_fo = _class_tables(fs, fo, u.pairs, u.objects)
-        for m, dom in u.m_options:
-            proto = SystemState((), (), fo, fs, m)
-            survivors = []
-            for rule, rd, subtree_cs, leaf_cs, reqs, rule_obs in rule_plans:
-                live = [ob for ob in rule_obs if not ob.failed]
-                if not live:
-                    continue
-                t0 = clock()
-                group = []
-                for req in reqs:
-                    try:
-                        for c in subtree_cs:
-                            if not c.holds(proto, req):
-                                break
-                        else:
-                            group.append((req, leaf_cs, rd.effect, live))
-                    except Exception as e:
-                        raise RuntimeError(
-                            f"internal evaluation failure on state={proto!r}, "
-                            f"request={req!r}"
-                        ) from e
-                rule_time[rule] += clock() - t0
-                if group:
-                    survivors.append((rule, group))
-            br_avail = tuple(p for p in u.pairs if p in read_ok and p[1] in dom)
-            bw_avail = tuple(p for p in u.pairs if p[1] in dom)
-            br_subs = u.subsets_upto(br_avail, max_br)
-            bw_subs = u.subsets_upto(bw_avail, max_bw)
-            for br in br_subs:
-                for bw in bw_subs:
-                    if strict_star:
-                        if not _strict_leaf_ok(br, bw, star_ok, dom_fo):
-                            continue
-                    elif br and bw and not _star_leaf_ok(br, bw, star_ok):
-                        continue
-                    leaves += 1
-                    if not survivors:
-                        continue
-                    st = SystemState(br, bw, fo, fs, m)
-                    for rule, group in survivors:
-                        t0 = clock()
-                        req = None
-                        try:
-                            for req, leaf_cs, effect, live in group:
-                                granted = True
-                                for c in leaf_cs:
-                                    if not c.holds(st, req):
-                                        granted = False
-                                        break
-                                if not granted:
-                                    continue
-                                after = effect(st, req)
-                                for ob in live:
-                                    if ob.failed:
-                                        continue
-                                    prop = ob.prop
-                                    holds = _prop_after(
-                                        prop, st, after, fo, fs, m,
-                                        read_ok, star_ok, dom, star_fn,
-                                    )
-                                    if not holds:
-                                        ob.failed = True
-                                        ob.witness = Witness(st, req, after, prop)
-                                        ob.fail_states = leaves
-                        except Exception as e:
-                            raise RuntimeError(
-                                f"internal evaluation failure on state={st!r}, "
-                                f"request={req!r}"
-                            ) from e
-                        rule_time[rule] += clock() - t0
-        # drop rules whose obligations all failed (mutation runs stop fast)
+    for fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs in subtrees:
+        # stop once every obligation has failed (mutation runs stop fast)
         if all(ob.failed for ob in obs):
             break
+        proto = SystemState((), (), fo, fs, m)
+        survivors = []
+        for rule, rd, subtree_cs, leaf_cs, reqs, rule_obs in rule_plans:
+            live = [ob for ob in rule_obs if not ob.failed]
+            if not live:
+                continue
+            t0 = clock()
+            group = []
+            for req in reqs:
+                try:
+                    for c in subtree_cs:
+                        if not c.holds(proto, req):
+                            break
+                    else:
+                        group.append((req, leaf_cs, rd.effect, live))
+                except Exception as e:
+                    raise _evaluation_failure(proto, req) from e
+            rule_time[rule] += clock() - t0
+            if group:
+                survivors.append((rule, group))
+        for br in br_subs:
+            for bw in bw_subs:
+                if br and bw and not _star_leaf_ok(br, bw, star_ok):
+                    continue
+                leaves += 1
+                if not survivors:
+                    continue
+                st = SystemState(br, bw, fo, fs, m)
+                for rule, group in survivors:
+                    t0 = clock()
+                    req = None
+                    try:
+                        for req, leaf_cs, effect, live in group:
+                            granted = True
+                            for c in leaf_cs:
+                                if not c.holds(st, req):
+                                    granted = False
+                                    break
+                            if not granted:
+                                continue
+                            after = effect(st, req)
+                            for ob in live:
+                                if ob.failed:
+                                    continue
+                                prop = ob.prop
+                                holds = _prop_after(
+                                    prop, st, after, read_ok, star_ok, dom, props
+                                )
+                                if not holds:
+                                    ob.failed = True
+                                    ob.witness = Witness(st, req, after, prop)
+                                    ob.fail_states = leaves
+                    except Exception as e:
+                        raise _evaluation_failure(st, req) from e
+                    rule_time[rule] += clock() - t0
 
-    return obs, leaves, rule_time
+    entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_states) for o in obs]
+    return entries, leaves, rule_time
 
 
-def _prop_after(prop, st, after, fo_t, fs_t, m_t, read_ok, star_ok, dom_m, star_fn):
+def _prop_after(prop, st, after, read_ok, star_ok, dom_m, props):
     """Evaluate one invariant on the after state.
 
     If the components the invariant reads are the very objects of the
     hypothesis state, the invariant holds because it held before the step.
-    If the classification maps are untouched, the per-(fs, fo) truth tables
-    apply.  Otherwise fall back to the full predicate.
+    If the classification maps (or the matrix) are the hypothesis state's,
+    the subtree's truth tables apply; the *-property table encodes the
+    per-pair reading only.  Otherwise fall back to the check's predicate.
     """
     if prop == PROPERTY_SECCOND:
-        if after.br is st.br and after.fo is st.fo and after.fs is st.fs:
-            return True
-        if after.fo is fo_t and after.fs is fs_t:
-            return all(p in read_ok for p in after.br)
-        return core.sec_cond(after)
-    if prop == PROPERTY_STARPROP:
-        if after.br is st.br and after.bw is st.bw and after.fo is st.fo:
-            return True
-        if star_fn is core.star_prop:
-            if after.fo is fo_t:
+        if after.fo is st.fo and after.fs is st.fs:
+            return after.br is st.br or all(p in read_ok for p in after.br)
+    elif prop == PROPERTY_STARPROP:
+        if after.fo is st.fo:
+            if after.br is st.br and after.bw is st.bw:
+                return True
+            if props[prop] is core.star_prop:
                 return _star_leaf_ok(after.br, after.bw, star_ok)
-            return core.star_prop(after)
-        return star_fn(after)
-    if prop == PROPERTY_FO_FUNCTIONAL:
-        return after.fo is st.fo or core.fo_functional(after)
-    if prop == PROPERTY_FS_FUNCTIONAL:
-        return after.fs is st.fs or core.fs_functional(after)
-    if prop == PROPERTY_RAN_BR:
-        if after.br is st.br and after.m is st.m:
+    elif prop == PROPERTY_FO_FUNCTIONAL:
+        if after.fo is st.fo:
             return True
-        if after.m is m_t:
-            return all(o in dom_m for (_s, o) in after.br)
-        return core.ran_br_in_dom_m(after)
-    if prop == PROPERTY_RAN_BW:
-        if after.bw is st.bw and after.m is st.m:
+    elif prop == PROPERTY_FS_FUNCTIONAL:
+        if after.fs is st.fs:
             return True
-        if after.m is m_t:
-            return all(o in dom_m for (_s, o) in after.bw)
-        return core.ran_bw_in_dom_m(after)
-    raise ValueError(f"unknown property: {prop!r}")
+    elif prop == PROPERTY_RAN_BR:
+        if after.m is st.m:
+            return after.br is st.br or all(o in dom_m for (_s, o) in after.br)
+    elif prop == PROPERTY_RAN_BW:
+        if after.m is st.m:
+            return after.bw is st.bw or all(o in dom_m for (_s, o) in after.bw)
+    return props[prop](after)
+
+
+def _evaluation_failure(st, req) -> RuntimeError:
+    return RuntimeError(f"internal evaluation failure on state={st!r}, request={req!r}")
 
 
 def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Obligation, ...]:
@@ -562,22 +563,22 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
 def _worker_sweep(args):
     b, obligations, rule_names, strict_star, lo, hi = args
     defs = {name: RULE_DEFS[name] for name in rule_names}
-    obs, leaves, rule_time = _sweep_range(b, obligations, defs, strict_star, lo, hi)
-    return (
-        [(o.rule, o.prop, o.failed, o.witness, o.fail_states) for o in obs],
-        leaves,
-        rule_time,
-    )
+    return _sweep_range(b, obligations, defs, strict_star, lo, hi)
+
+
+def _pool_size(workers: int, n_combo: int) -> int:
+    """Worker processes for a sweep over ``n_combo`` (fs, fo) combinations:
+    no more than asked for, than there are combinations, or than CPUs."""
+    return min(workers, n_combo, os.cpu_count() or 1)
 
 
 def _merge_chunks(obligations, chunk_results):
-    """Fold worker chunk results, in chunk order, into sequential-equivalent
+    """Fold sweep chunk results, in chunk order, into sequential-equivalent
     verdicts: first witness wins, earlier chunks contribute their full leaf
     counts to the failing obligation's visited-state count.  Per-rule times
     sum over chunks (CPU time, not wall time, under parallelism)."""
     merged = {ob: [False, None, 0] for ob in obligations}
     leaves_before = 0
-    total_leaves = 0
     total_time: dict[str, float] = {}
     for entries, leaves, rule_time in chunk_results:
         for rule, prop, failed, witness, fail_states in entries:
@@ -589,8 +590,7 @@ def _merge_chunks(obligations, chunk_results):
         for rule, secs in rule_time.items():
             total_time[rule] = total_time.get(rule, 0.0) + secs
         leaves_before += leaves
-        total_leaves += leaves
-    return merged, total_leaves, total_time
+    return merged, leaves_before, total_time
 
 
 def check_obligations(
@@ -610,52 +610,47 @@ def check_obligations(
     universe whose state satisfies all invariants.  Random mode draws
     ``samples`` such pairs per obligation from a generator seeded with
     ``seed``; equal seeds give identical reports.  ``rule_defs`` lets tests
-    substitute mutated rule tables.
+    substitute mutated rule tables.  In exhaustive mode each obligation's
+    ``elapsed_ms`` is its rule's measured sweep time, shared by all the
+    obligations of that rule.
     """
     _validate_bounds(b)
     if mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
         raise ValueError(f"unknown mode: {mode!r}")
     if mode == MODE_RANDOM and samples < 1:
         raise ValueError("random mode needs samples >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1: {workers}")
     obligations = _select_obligations(rule, prop)
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
 
     if mode == MODE_RANDOM:
         return _check_random(b, obligations, defs, samples, seed, strict_star)
 
+    if rule_defs is not None and workers > 1:
+        raise ValueError("rule_defs overrides run single-worker only")
     u = _Universe(b)
     n_req = {r: len(_requests_for_rule(r, u)) for r in RULE_ORDER}
-    n_combo = len(u.fs_options) * len(u.fo_options)
-    if workers <= 1 or n_combo < 2:
-        obs, total_leaves, rule_time = _sweep_range(
-            b, obligations, defs, strict_star, 0, n_combo
-        )
-        merged = {
-            Obligation(o.rule, o.prop): [o.failed, o.witness, o.fail_states]
-            for o in obs
-        }
+    n_combo = len(u.combos)
+    n = _pool_size(workers, n_combo)
+    if n <= 1:
+        chunk_results = [_sweep_range(b, obligations, defs, strict_star, 0, n_combo)]
     else:
-        if rule_defs is not None:
-            raise ValueError("rule_defs overrides run single-worker only")
-        n = min(workers, n_combo)
         step = (n_combo + n - 1) // n
-        ranges = [(lo, min(lo + step, n_combo)) for lo in range(0, n_combo, step)]
         args = [
-            (b, obligations, tuple(defs), strict_star, lo, hi) for lo, hi in ranges
+            (b, obligations, tuple(defs), strict_star, lo, min(lo + step, n_combo))
+            for lo in range(0, n_combo, step)
         ]
         with get_context("fork").Pool(n) as pool:
             chunk_results = pool.map(_worker_sweep, args)
-        merged, total_leaves, rule_time = _merge_chunks(obligations, chunk_results)
+    merged, total_leaves, rule_time = _merge_chunks(obligations, chunk_results)
 
-    # obligations of one rule share the rule's measured sweep time equally
-    props_per_rule: dict[str, int] = {}
-    for ob in obligations:
-        props_per_rule[ob.rule] = props_per_rule.get(ob.rule, 0) + 1
+    props = _property_table(strict_star)
     results = []
     for ob in obligations:
         failed, witness, fail_states = merged[ob]
         if failed:
-            _validate_witness(witness, defs, strict_star)
+            _validate_witness(witness, defs, props)
         states = fail_states if failed else total_leaves
         results.append(
             ObligationResult(
@@ -664,25 +659,19 @@ def check_obligations(
                 status="fail" if failed else "pass",
                 states_checked=states,
                 requests_checked=states * n_req[ob.rule],
-                elapsed_ms=rule_time.get(ob.rule, 0.0) * 1000.0
-                / props_per_rule[ob.rule],
+                elapsed_ms=rule_time.get(ob.rule, 0.0) * 1000.0,
                 witness=witness,
             )
         )
     return ObligationReport(bounds=b, mode=MODE_EXHAUSTIVE, results=tuple(results))
 
 
-def _validate_witness(w: Witness, defs: dict[str, RuleDef], strict_star: bool) -> None:
+def _validate_witness(w: Witness, defs: dict[str, RuleDef], props: dict) -> None:
     """Refuse to report a counterexample that does not reproduce."""
     rd = defs[rules.RULE_OF_REQUEST[type(w.request)]]
     out = apply_def(rd, w.state, w.request)
-    star_fn = strict_star_prop if strict_star else core.star_prop
-    prop_fns = dict(PROPERTY_FUNCS)
-    prop_fns[PROPERTY_STARPROP] = star_fn
-    hypothesis = (
-        core.well_formed(w.state) and core.sec_cond(w.state) and star_fn(w.state)
-    )
-    violated = not prop_fns[w.prop](out.after)
+    hypothesis = all(fn(w.state) for fn in props.values())
+    violated = not props[w.prop](out.after)
     if not (hypothesis and out.after == w.after and violated):
         raise AssertionError(f"witness failed self-validation: {w}")
 
@@ -693,30 +682,26 @@ def _random_state(rng: random.Random, u: _Universe, strict_star: bool) -> System
         fs = rng.choice(u.fs_options)
         fo = rng.choice(u.fo_options)
         m, dom = rng.choice(u.m_options)
-        read_ok, star_ok, dom_fo = _class_tables(fs, fo, u.pairs, u.objects)
-        br_avail = tuple(p for p in u.pairs if p in read_ok and p[1] in dom)
-        bw_avail = tuple(p for p in u.pairs if p[1] in dom)
+        *_, star_ok, br_subs, bw_subs = next(_subtrees(
+            u, ((fs, fo),), ((m, dom),), (b.max_br, b.max_bw),
+            hypothesis=True, strict_star=strict_star,
+        ))
         for _ in range(64):
-            br = rng.choice(u.subsets_upto(br_avail, b.max_br))
-            bw = rng.choice(u.subsets_upto(bw_avail, b.max_bw))
-            if strict_star:
-                if _strict_leaf_ok(br, bw, star_ok, dom_fo):
-                    return SystemState(br, bw, fo, fs, m)
-            elif _star_leaf_ok(br, bw, star_ok):
+            br = rng.choice(br_subs)
+            bw = rng.choice(bw_subs)
+            if _star_leaf_ok(br, bw, star_ok):
                 return SystemState(br, bw, fo, fs, m)
 
 
 def _check_random(b, obligations, defs, samples, seed, strict_star) -> ObligationReport:
     u = _Universe(b)
-    star_fn = strict_star_prop if strict_star else core.star_prop
-    prop_fns = dict(PROPERTY_FUNCS)
-    prop_fns[PROPERTY_STARPROP] = star_fn
+    props = _property_table(strict_star)
     results = []
     for ob in obligations:
         rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
         rd = defs[ob.rule]
         reqs = _requests_for_rule(ob.rule, u)
-        prop_fn = prop_fns[ob.prop]
+        prop_fn = props[ob.prop]
         witness = None
         checked = 0
         t0 = time.perf_counter()
@@ -729,16 +714,13 @@ def _check_random(b, obligations, defs, samples, seed, strict_star) -> Obligatio
                     out = apply_def(rd, st, req)
                     violated = out.after is not st and not prop_fn(out.after)
                 except Exception as e:
-                    raise RuntimeError(
-                        f"internal evaluation failure on state={st!r}, "
-                        f"request={req!r}"
-                    ) from e
+                    raise _evaluation_failure(st, req) from e
                 if violated:
                     witness = Witness(st, req, out.after, ob.prop)
                     break
         elapsed = (time.perf_counter() - t0) * 1000.0
         if witness is not None:
-            _validate_witness(witness, defs, strict_star)
+            _validate_witness(witness, defs, props)
         results.append(
             ObligationResult(
                 rule=ob.rule,
@@ -794,14 +776,16 @@ def check_partition(
     behaviour is tabulated once over all conjunct-value combinations.  When
     no combination at all yields a gap or an overlap, the per-input
     evaluation is skipped -- the all-clear verdict already holds for every
-    input, realizable or not -- and only the input census is enumerated.
+    input, realizable or not -- and the input census is counted per
+    subtree from the sizes of its access-set options.
     A small-scope test pins this engine against a naive sweep that calls
     every guard on every input.
     """
     clauses = rule_clauses(rule, variant)
     u = _Universe(b)
     reqs = _requests_for_rule(rule, u)
-    conjuncts = RULE_DEFS[rule].conjuncts
+    rd = RULE_DEFS[rule]
+    conjuncts = rd.conjuncts
     branch = _branching_components(clauses)
 
     # Precompute, for every combination of conjunct truth values, which
@@ -827,14 +811,13 @@ def check_partition(
         else:
             verdicts.append(None)
 
-    subtree_cs = [(i, c.holds) for i, c in enumerate(conjuncts)
-                  if c.reads <= _SUBTREE_COMPONENTS]
-    leaf_cs = [(i, c.holds) for i, c in enumerate(conjuncts)
-               if not (c.reads <= _SUBTREE_COMPONENTS)]
-
+    subtree_cs, leaf_cs = (
+        [(idx[c.name], c.holds) for c in cs] for cs in _split_conjuncts(rd)
+    )
     fs_opts = u.fs_options if "fs" in branch else u.fs_options[:1]
     fo_opts = u.fo_options if "fo" in branch else u.fo_options[:1]
     m_opts = u.m_options if "m" in branch else u.m_options[:1]
+    caps = (b.max_br if "br" in branch else 0, b.max_bw if "bw" in branch else 0)
 
     gap_fams: dict[tuple, list] = {}
     over_fams: dict[tuple[str, str], list] = {}
@@ -842,44 +825,37 @@ def check_partition(
     interesting = any(v is not None for v in verdicts)
     t0 = time.perf_counter()
 
-    for fs in fs_opts:
-        for fo in fo_opts:
-            for m, dom in m_opts:
-                avail = tuple(p for p in u.pairs if p[1] in dom)
-                br_subs = u.subsets_upto(avail, b.max_br) if "br" in branch else [()]
-                bw_subs = u.subsets_upto(avail, b.max_bw) if "bw" in branch else [()]
-                proto = SystemState((), (), fo, fs, m)
-                partials = [
-                    (req, sum(holds(proto, req) << i for i, holds in subtree_cs))
-                    for req in reqs
-                ]
-                for br in br_subs:
-                    for bw in bw_subs:
-                        leaves += 1
-                        if not interesting:
+    subtrees = _subtrees(u, itertools.product(fs_opts, fo_opts), m_opts, caps)
+    for fs, fo, m, _dom, _read_ok, _star_ok, br_subs, bw_subs in subtrees:
+        leaves += len(br_subs) * len(bw_subs)
+        if not interesting:
+            continue
+        proto = SystemState((), (), fo, fs, m)
+        partials = [
+            (req, sum(holds(proto, req) << i for i, holds in subtree_cs))
+            for req in reqs
+        ]
+        for br in br_subs:
+            for bw in bw_subs:
+                st = SystemState(br, bw, fo, fs, m)
+                req = None
+                try:
+                    for req, base in partials:
+                        mask = base
+                        for i, holds in leaf_cs:
+                            if holds(st, req):
+                                mask |= 1 << i
+                        verdict = verdicts[mask]
+                        if verdict is None:
                             continue
-                        st = SystemState(br, bw, fo, fs, m)
-                        req = None
-                        try:
-                            for req, base in partials:
-                                mask = base
-                                for i, holds in leaf_cs:
-                                    if holds(st, req):
-                                        mask |= 1 << i
-                                verdict = verdicts[mask]
-                                if verdict is None:
-                                    continue
-                                kind, payload = verdict
-                                if kind == "gap":
-                                    _record(gap_fams, payload, st, req, witness_cap)
-                                else:
-                                    for pair in payload:
-                                        _record(over_fams, pair, st, req, witness_cap)
-                        except Exception as e:
-                            raise RuntimeError(
-                                f"internal evaluation failure on state={st!r}, "
-                                f"request={req!r}"
-                            ) from e
+                        kind, payload = verdict
+                        if kind == "gap":
+                            _record(gap_fams, payload, st, req, witness_cap)
+                        else:
+                            for pair in payload:
+                                _record(over_fams, pair, st, req, witness_cap)
+                except Exception as e:
+                    raise _evaluation_failure(st, req) from e
     elapsed = (time.perf_counter() - t0) * 1000.0
 
     gap_families = tuple(

@@ -80,7 +80,8 @@ def format_report(report: Report, fmt: str = FORMAT_TEXT, timing: bool = False) 
     ``RULE<TAB>PROPERTY<TAB>pass|fail<TAB>states<TAB>requests<TAB>elapsed-ms``
     followed by witness blocks in scenario syntax.  Text format carries the
     same content plus a summary; witness state blocks in either format can
-    be pasted into .blp files.
+    be pasted into .blp files.  Exhaustive ``elapsed-ms`` is per rule: the
+    rule's measured sweep time, repeated on each of that rule's rows.
     """
     if fmt not in (FORMAT_TEXT, FORMAT_MACHINE):
         raise ValueError(f"unknown format: {fmt!r}")

@@ -3,6 +3,7 @@ verdicts against a naive sweep, partition analysis against a naive guard
 walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
 import itertools
+import os
 
 import pytest
 
@@ -19,7 +20,13 @@ from blpcheck import (
     strict_star_prop,
     well_formed,
 )
-from blpcheck.checker import MODE_RANDOM, P0, requests_for_rule
+from blpcheck.checker import (
+    MODE_RANDOM,
+    P0,
+    _pool_size,
+    _Universe,
+    requests_for_rule,
+)
 from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, PROPERTY_ORDER
 from blpcheck.rules import (
     RULE_DEFS,
@@ -137,12 +144,15 @@ def test_enumeration_is_deterministic():
 
 # --- the obligation runner vs a naive sweep ----------------------------------
 
-def naive_check(b: Bounds, rule_defs=None):
-    """State-by-state reference runner: no staging, no tables."""
+def naive_check(b: Bounds, rule_defs=None, star=star_prop):
+    """State-by-state reference runner: no staging, no tables.  ``star`` is
+    the reading of the *-property, both in the hypothesis and as the
+    obligation's property."""
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
+    prop_fns = {**PROPERTY_FUNCS, "starprop": star}
     states = [
         s for s in enumerate_states(b)
-        if well_formed(s) and sec_cond(s) and star_prop(s)
+        if well_formed(s) and sec_cond(s) and star(s)
     ]
     reqs = {rule: requests_for_rule(rule, b) for rule in RULE_ORDER}
     verdicts = {}
@@ -152,7 +162,7 @@ def naive_check(b: Bounds, rule_defs=None):
             for st in states:
                 for req in reqs[rule]:
                     out = apply_def(defs[rule], st, req)
-                    if not PROPERTY_FUNCS[prop](out.after):
+                    if not prop_fns[prop](out.after):
                         witness = (st, req, out.after)
                         break
                 if witness:
@@ -161,9 +171,17 @@ def naive_check(b: Bounds, rule_defs=None):
     return verdicts, len(states)
 
 
-def test_staged_runner_matches_naive_sweep():
-    report = check_obligations(SMALL)
-    naive, n_states = naive_check(SMALL)
+STAR_READINGS = pytest.mark.parametrize(
+    "strict_star,star",
+    [(False, star_prop), (True, strict_star_prop)],
+    ids=["weak", "strict"],
+)
+
+
+@STAR_READINGS
+def test_staged_runner_matches_naive_sweep(strict_star, star):
+    report = check_obligations(SMALL, strict_star=strict_star)
+    naive, n_states = naive_check(SMALL, star=star)
     assert len(report.results) == 60
     for r in report.results:
         expected = naive[(r.rule, r.prop)]
@@ -173,10 +191,12 @@ def test_staged_runner_matches_naive_sweep():
     assert report.all_pass
 
 
-def test_staged_runner_matches_naive_on_mutant():
+@STAR_READINGS
+def test_staged_runner_matches_naive_on_mutant(strict_star, star):
     mutated = {"getWrite": without_conjunct(RULE_DEFS["getWrite"], "readsBelowObject")}
-    report = check_obligations(SMALL, rule=None, prop=None, rule_defs=mutated)
-    naive, _ = naive_check(SMALL, rule_defs=mutated)
+    report = check_obligations(SMALL, rule=None, prop=None, rule_defs=mutated,
+                               strict_star=strict_star)
+    naive, _ = naive_check(SMALL, rule_defs=mutated, star=star)
     for r in report.results:
         expected = naive[(r.rule, r.prop)]
         assert (r.status == "fail") == (expected is not None), (r.rule, r.prop)
@@ -220,6 +240,17 @@ def test_worker_parity_on_failing_obligation():
     # covered by the healthy-rules test above
     with pytest.raises(ValueError):
         check_obligations(SMALL, workers=2, **kw)
+
+
+def test_workers_are_bounded(monkeypatch):
+    n_combo = len(_Universe(P0).combos)
+    assert n_combo == 625
+    for cpus, expected in ((4096, 625), (2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _pool_size(10000, n_combo) == expected
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            check_obligations(TINY, workers=workers)
 
 
 def test_obligation_filter():
@@ -368,6 +399,18 @@ def test_partition_fixed_matches_naive(rule):
     gaps, overlaps = naive_partition(rule, "fixed", TINY)
     assert report.ok == (not gaps and not overlaps)
     assert not report.gap_families and not report.overlap_families
+    # counts refer to the projected space: components no conjunct reads
+    # (and m, when br or bw is read) are held at their first option, ()
+    reads = set().union(*(c.reads for c in RULE_DEFS[rule].conjuncts))
+    if reads & {"br", "bw"}:
+        reads.add("m")
+    unread = {"br", "bw", "fo", "fs", "m"} - reads
+    reduced = [
+        st for st in enumerate_states(TINY)
+        if all(getattr(st, comp) == () for comp in unread)
+    ]
+    assert report.states_checked == len(reduced)
+    assert report.requests_checked == len(reduced) * len(requests_for_rule(rule, TINY))
 
 
 def test_partition_paper_faithful_matches_naive():

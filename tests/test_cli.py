@@ -60,6 +60,12 @@ def test_check_workers_match_sequential(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_check_rejects_nonpositive_workers(capsys):
+    code, out, err = run_cli(capsys, "check", *SMALL, "--workers", "0")
+    assert code == 2 and out == ""
+    assert "workers" in err
+
+
 def test_check_text_format_has_summary(capsys):
     code, out, _ = run_cli(capsys, "check", *SMALL)
     assert code == 0
@@ -263,3 +269,72 @@ def test_timing_flag_reports_elapsed(capsys):
     # at least the run did not crash printing real numbers; values vary
     for ln in out.splitlines():
         assert len(ln.split("\t")) == 6
+    # exhaustive elapsed-ms is the rule's measured sweep time, on each row
+    assert len({ln.split("\t")[5] for ln in out.splitlines()}) == 1
+
+
+# --- pinned report bytes -------------------------------------------------------
+
+# sha256 of machine reports at SMALL_BOUNDS, recorded from the program
+# before the checker's enumeration and strict-star handling were unified.
+_GET_WRITE_MUTANT = {
+    "getWrite": without_conjunct(RULE_DEFS["getWrite"], "readsBelowObject")
+}
+REPORT_DIGESTS = {
+    "check": (
+        lambda: check_obligations(SMALL_BOUNDS),
+        "7e06a8b4b61c4b001880942fd60eec0d3c92bf1f9cf2652b57e2703175beac95"),
+    "check:strict": (
+        lambda: check_obligations(SMALL_BOUNDS, strict_star=True),
+        "3ce24c4fb99b5dc51879e912f7fa0fb0fedf31d3d771c6f9ced8ad1fa18e9178"),
+    "mutant": (
+        lambda: check_obligations(SMALL_BOUNDS, rule_defs=_GET_WRITE_MUTANT),
+        "75978206eba48547b6a56e596bdd0d5c547f4adcbee4b85a998afadfa78ab60d"),
+    "mutant:strict": (
+        lambda: check_obligations(SMALL_BOUNDS, rule_defs=_GET_WRITE_MUTANT,
+                                  strict_star=True),
+        "a56876db8fda63321044cd24e3a25221a79def16af4706fd5551659243ec9daf"),
+    "random": (
+        lambda: check_obligations(SMALL_BOUNDS, mode="random", samples=150,
+                                  seed=31337),
+        "8299a64355af9597e7e346854f671e8c3b30cf9cd812cb745ecebb0f285651fa"),
+    **{
+        f"partition:{rule}:{variant}": (
+            lambda rule=rule, variant=variant:
+                check_partition(rule, variant, SMALL_BOUNDS),
+            digest)
+        for (rule, variant), digest in {
+            ("getRead", "fixed"):
+                "f7130e0eb04f2b8b0b526db314faf5408b53e64dc1bd36ed0605a66c0b155e2d",
+            ("getWrite", "fixed"):
+                "b99b1b16f72f739e681737ab0c2ef4644905f1b319d19146ac2680fa3d54ad64",
+            ("releaseRead", "fixed"):
+                "f8ebbd286b2c9dfb5ea60cab1d5afa167f65aff12f34e024adda3bd11ab910bb",
+            ("releaseWrite", "fixed"):
+                "f0af2ada4fe73c515059734063d3c83fd0351c54405bced090c4908791f2abcf",
+            ("giveRW", "fixed"):
+                "514670e681d137fe378c9da2ce0ada5a7f6664e0bd2906e5a1abbf40b0158448",
+            ("rescindRead", "fixed"):
+                "1bea96c5d8e3639787b7b56b1ad8e4a4ed5e42039d1f6d37760d3812a840f95d",
+            ("rescindWrite", "fixed"):
+                "583d4aa6c2caa40c4617708683862b868f17962977a5747d285ecb30eb358d35",
+            ("changeClass", "fixed"):
+                "964b1f5e70d520735ffcab1715a5245f77563b204c6dd699ebfeb128990ed87f",
+            ("createObject", "fixed"):
+                "651e73b4f98e325b9096e7c910cbdd2dc0901c1195642f80eb12bbe92f4abbc9",
+            ("deleteObject", "fixed"):
+                "ce0941d240d7e440e03c1a31e1a2eaf15a9322a4780842e8bf4fdfd86c4b5768",
+            ("giveRW", "paperFaithful"):
+                "9fac8520b07ef2c1827bc80d94f70216244aee63560f9aeb656017c499d47be7",
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", REPORT_DIGESTS)
+def test_machine_report_bytes_are_pinned(name):
+    import hashlib
+
+    run, digest = REPORT_DIGESTS[name]
+    text = format_report(run(), "machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
