@@ -18,12 +18,23 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses) and written once, in ``_subtrees``; guard conjuncts
-are evaluated at the outermost layer where all components they read are
-bound.  The strict reading of the *-property is a restriction of state
-generation, not a separate leaf test: write pairs are drawn from classified
-objects only, and read pairs already are (security condition), so the
-strict and per-pair readings agree on every generated state.  Each
+then current accesses) and written once, in ``_subtrees``.  Guard
+conjuncts run in three stages, by the components they declare to read:
+once per subtree (classifications and matrix only), once per ``br``
+option (plus ``br``), and once per leaf (the rest).  Within a subtree the
+sweep is rule-major: each rule runs its subtree stage, then walks the
+subtree's leaf states, which are built once and only if some rule has a
+surviving request.  Each rule is compiled once into a plan
+(``_RulePlan``).  Its obligations whose property reads a component the
+rule writes (``RuleDef.writes``) are *checked*, each by a test chosen
+once, a subtree truth table where the frame allows it; the others are
+*framed* and hold because they held before the step.  Every granted
+effect is verified to leave the components outside ``writes`` identical,
+so an undeclared write stops the sweep with an error instead of giving a
+wrong verdict.  The strict reading of the *-property is a restriction of
+state generation, not a separate leaf test: write pairs are drawn from
+classified objects only, and read pairs already are (security condition),
+so the strict and per-pair readings agree on every generated state.  Each
 conjunct declares which components it reads; declarations are pinned by
 property tests, and a small-scope test checks the staged sweep against a
 naive state-by-state sweep.  Reported witnesses are always re-validated
@@ -44,8 +55,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from . import core, rules
 from .core import (
     MATRIX_MODES,
-    PROPERTY_FO_FUNCTIONAL,
-    PROPERTY_FS_FUNCTIONAL,
     PROPERTY_FUNCS,
     PROPERTY_ORDER,
     PROPERTY_RAN_BR,
@@ -360,12 +369,18 @@ def _property_table(strict_star: bool) -> dict:
 # The staged exhaustive sweep.
 
 _SUBTREE_COMPONENTS = frozenset({"fo", "fs", "m"})
+_BR_COMPONENTS = _SUBTREE_COMPONENTS | {"br"}
 
 
 def _split_conjuncts(rd: RuleDef):
+    """A rule's guard conjuncts in three stages, by declared reads: those
+    reading only classifications and the matrix (once per subtree), those
+    also reading ``br`` (once per br option), and the rest (once per leaf)."""
     subtree = tuple(c for c in rd.conjuncts if c.reads <= _SUBTREE_COMPONENTS)
-    leaf = tuple(c for c in rd.conjuncts if not (c.reads <= _SUBTREE_COMPONENTS))
-    return subtree, leaf
+    br = tuple(c for c in rd.conjuncts
+               if c.reads <= _BR_COMPONENTS and not c.reads <= _SUBTREE_COMPONENTS)
+    leaf = tuple(c for c in rd.conjuncts if not c.reads <= _BR_COMPONENTS)
+    return subtree, br, leaf
 
 
 class _ObState:
@@ -408,6 +423,147 @@ def _star_leaf_ok(br, bw, star_ok) -> bool:
     return True
 
 
+def _star_rows(br_subs, bw_subs, star_ok):
+    """Per br option, the bw options whose leaf satisfies the *-property."""
+    for br in br_subs:
+        if br:
+            yield br, [bw for bw in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
+        else:
+            yield br, bw_subs
+
+
+# After-state tests of checked obligations on rules that leave the
+# components the test looks up in a subtree table unchanged (the sweep
+# verifies that on every grant).  Arguments: the after state and the
+# hypothesis subtree's read_ok, star_ok and matrix domain.
+
+def _seccond_by_table(after, read_ok, _star_ok, _dom) -> bool:
+    return read_ok.issuperset(after.br)
+
+
+def _star_by_table(after, _read_ok, star_ok, _dom) -> bool:
+    return _star_leaf_ok(after.br, after.bw, star_ok)
+
+
+def _ran_br_by_dom(after, _read_ok, _star_ok, dom) -> bool:
+    for (_s, o) in after.br:
+        if o not in dom:
+            return False
+    return True
+
+
+def _ran_bw_by_dom(after, _read_ok, _star_ok, dom) -> bool:
+    for (_s, o) in after.bw:
+        if o not in dom:
+            return False
+    return True
+
+
+def _after_test(prop: str, writes: frozenset, props: dict, strict_star: bool):
+    """The after-state test of one checked obligation, chosen once."""
+    if prop == PROPERTY_SECCOND and not writes & {"fo", "fs"}:
+        return _seccond_by_table
+    if prop == PROPERTY_STARPROP and not strict_star and "fo" not in writes:
+        return _star_by_table
+    if prop == PROPERTY_RAN_BR and "m" not in writes:
+        return _ran_br_by_dom
+    if prop == PROPERTY_RAN_BW and "m" not in writes:
+        return _ran_bw_by_dom
+    pred = props[prop]
+    return lambda after, _read_ok, _star_ok, _dom: pred(after)
+
+
+class _FrameViolation(RuntimeError):
+    """A rule effect changed a state component outside its declared writes."""
+
+    def __init__(self, rule, index, st, req):
+        super().__init__(
+            f"rule {rule} changed {SystemState._fields[index]!r}, which its"
+            f" writes do not declare, on state={st!r}, request={req!r}"
+        )
+
+
+def _stage(reqs, holds_all, st) -> list:
+    """The requests for which every conjunct in ``holds_all`` holds on ``st``."""
+    passed = []
+    for req in reqs:
+        try:
+            for holds in holds_all:
+                if not holds(st, req):
+                    break
+            else:
+                passed.append(req)
+        except Exception as e:
+            raise _evaluation_failure(st, req) from e
+    return passed
+
+
+class _RulePlan:
+    """One rule compiled for the sweep: its guard stages, its effect's frame
+    (the state indices outside ``writes``) and its obligations.
+
+    An obligation is *checked* when its property reads a component the rule
+    writes, and *framed* otherwise: the property reads only components the
+    effect leaves as they were, so it holds after the step because it held
+    before.  Every grant verifies the frame by identity before any property
+    test, so neither the framed verdicts nor the table tests rest on the
+    declaration alone.
+    """
+
+    def __init__(self, rd: RuleDef, reqs, obs, props, strict_star):
+        self.rule = rd.name
+        self.reqs = reqs
+        self.obs = obs
+        self.subtree_stage, self.br_stage, self.leaf_stage = (
+            tuple(c.holds for c in cs) for cs in _split_conjuncts(rd)
+        )
+        self.effect = rd.effect
+        self.frame = tuple(
+            i for i, comp in enumerate(SystemState._fields) if comp not in rd.writes
+        )
+        self.checked = tuple(
+            (ob, _after_test(ob.prop, rd.writes, props, strict_star))
+            for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
+        )
+
+    def sweep(self, group, rows, read_ok, star_ok, dom, leaves_before) -> None:
+        """Apply the ``group`` requests to the subtree's leaf ``rows``:
+        br-stage conjuncts once per br option, on its leaf with an empty
+        bw; leaf-stage conjuncts, effect, frame check and checked
+        obligations per leaf.  Failures record the first witness in leaf,
+        then request order."""
+        br_stage = self.br_stage
+        leaf_stage = self.leaf_stage
+        effect = self.effect
+        frame = self.frame
+        live = [(ob, test) for ob, test in self.checked if not ob.failed]
+        for br_st, leaves in rows:
+            reqs = _stage(group, br_stage, br_st) if br_stage else group
+            if not reqs:
+                continue
+            for pos, st in leaves:
+                req = None
+                try:
+                    for req in reqs:
+                        for holds in leaf_stage:
+                            if not holds(st, req):
+                                break
+                        else:
+                            after = effect(st, req)
+                            for i in frame:
+                                if after[i] is not st[i]:
+                                    raise _FrameViolation(self.rule, i, st, req)
+                            for ob, test in live:
+                                if not ob.failed and not test(after, read_ok, star_ok, dom):
+                                    ob.failed = True
+                                    ob.witness = Witness(st, req, after, ob.prop)
+                                    ob.fail_states = leaves_before + pos
+                except _FrameViolation:
+                    raise
+                except Exception as e:
+                    raise _evaluation_failure(st, req) from e
+
+
 def _sweep_range(
     b: Bounds,
     obligations: Sequence[Obligation],
@@ -423,27 +579,20 @@ def _sweep_range(
     The hypothesis filter (all invariants hold before the step) is fused
     into generation (see ``_subtrees``) and the *-property leaf filter.  A
     small-scope test pins this against literally filtering enumerate_states
-    with the core predicates.
+    with the core predicates.  Within a subtree the loop is rule-major: the
+    leaf states are built once, on the first rule with surviving requests.
     """
     u = _Universe(b)
     props = _property_table(strict_star)
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
-    by_rule: dict[str, list[_ObState]] = {}
-    for ob in obs:
-        by_rule.setdefault(ob.rule, []).append(ob)
-
-    rule_plans = []
-    for rule in RULE_ORDER:
-        if rule not in by_rule:
-            continue
-        rd = rule_defs[rule]
-        subtree_cs, leaf_cs = _split_conjuncts(rd)
-        rule_plans.append(
-            (rule, rd, subtree_cs, leaf_cs, _requests_for_rule(rule, u), by_rule[rule])
-        )
+    plans = [
+        _RulePlan(rule_defs[rule], _requests_for_rule(rule, u),
+                  [ob for ob in obs if ob.rule == rule], props, strict_star)
+        for rule in RULE_ORDER if any(ob.rule == rule for ob in obs)
+    ]
 
     leaves = 0
-    rule_time = {rule: 0.0 for rule, *_rest in rule_plans}
+    rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
     subtrees = _subtrees(u, u.combos[lo:hi], u.m_options, (b.max_br, b.max_bw),
                          hypothesis=True, strict_star=strict_star)
@@ -453,96 +602,42 @@ def _sweep_range(
         if all(ob.failed for ob in obs):
             break
         proto = SystemState((), (), fo, fs, m)
-        survivors = []
-        for rule, rd, subtree_cs, leaf_cs, reqs, rule_obs in rule_plans:
-            live = [ob for ob in rule_obs if not ob.failed]
-            if not live:
+        star_rows = list(_star_rows(br_subs, bw_subs, star_ok))
+        rows = None
+        t0 = clock()
+        for plan in plans:
+            if all(ob.failed for ob in plan.obs):
                 continue
-            t0 = clock()
-            group = []
-            for req in reqs:
-                try:
-                    for c in subtree_cs:
-                        if not c.holds(proto, req):
-                            break
-                    else:
-                        group.append((req, leaf_cs, rd.effect, live))
-                except Exception as e:
-                    raise _evaluation_failure(proto, req) from e
-            rule_time[rule] += clock() - t0
+            group = _stage(plan.reqs, plan.subtree_stage, proto)
             if group:
-                survivors.append((rule, group))
-        for br in br_subs:
-            for bw in bw_subs:
-                if br and bw and not _star_leaf_ok(br, bw, star_ok):
-                    continue
-                leaves += 1
-                if not survivors:
-                    continue
-                st = SystemState(br, bw, fo, fs, m)
-                for rule, group in survivors:
-                    t0 = clock()
-                    req = None
-                    try:
-                        for req, leaf_cs, effect, live in group:
-                            granted = True
-                            for c in leaf_cs:
-                                if not c.holds(st, req):
-                                    granted = False
-                                    break
-                            if not granted:
-                                continue
-                            after = effect(st, req)
-                            for ob in live:
-                                if ob.failed:
-                                    continue
-                                prop = ob.prop
-                                holds = _prop_after(
-                                    prop, st, after, read_ok, star_ok, dom, props
-                                )
-                                if not holds:
-                                    ob.failed = True
-                                    ob.witness = Witness(st, req, after, prop)
-                                    ob.fail_states = leaves
-                    except Exception as e:
-                        raise _evaluation_failure(st, req) from e
-                    rule_time[rule] += clock() - t0
+                if rows is None:  # shared work, kept out of the rule's time
+                    t_rows = clock()
+                    rows = _leaf_rows(star_rows, fo, fs, m)
+                    t0 += clock() - t_rows
+                plan.sweep(group, rows, read_ok, star_ok, dom, leaves)
+            t1 = clock()
+            rule_time[plan.rule] += t1 - t0
+            t0 = t1
+        leaves += sum(len(bws) for _br, bws in star_rows)
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_states) for o in obs]
     return entries, leaves, rule_time
 
 
-def _prop_after(prop, st, after, read_ok, star_ok, dom_m, props):
-    """Evaluate one invariant on the after state.
-
-    If the components the invariant reads are the very objects of the
-    hypothesis state, the invariant holds because it held before the step.
-    If the classification maps (or the matrix) are the hypothesis state's,
-    the subtree's truth tables apply; the *-property table encodes the
-    per-pair reading only.  Otherwise fall back to the check's predicate.
-    """
-    if prop == PROPERTY_SECCOND:
-        if after.fo is st.fo and after.fs is st.fs:
-            return after.br is st.br or all(p in read_ok for p in after.br)
-    elif prop == PROPERTY_STARPROP:
-        if after.fo is st.fo:
-            if after.br is st.br and after.bw is st.bw:
-                return True
-            if props[prop] is core.star_prop:
-                return _star_leaf_ok(after.br, after.bw, star_ok)
-    elif prop == PROPERTY_FO_FUNCTIONAL:
-        if after.fo is st.fo:
-            return True
-    elif prop == PROPERTY_FS_FUNCTIONAL:
-        if after.fs is st.fs:
-            return True
-    elif prop == PROPERTY_RAN_BR:
-        if after.m is st.m:
-            return after.br is st.br or all(o in dom_m for (_s, o) in after.br)
-    elif prop == PROPERTY_RAN_BW:
-        if after.m is st.m:
-            return after.bw is st.bw or all(o in dom_m for (_s, o) in after.bw)
-    return props[prop](after)
+def _leaf_rows(star_rows, fo, fs, m):
+    """The subtree's leaf states as ``(br state, [(position, state), ...])``
+    per br option.  Positions count from 1 in enumeration order; the br
+    state is the option's first leaf, whose bw is empty (the empty set is
+    the first bw option and never breaks the *-property)."""
+    rows = []
+    pos = 0
+    for br, bws in star_rows:
+        leaves = []
+        for bw in bws:
+            pos += 1
+            leaves.append((pos, SystemState(br, bw, fo, fs, m)))
+        rows.append((leaves[0][1], leaves))
+    return rows
 
 
 def _evaluation_failure(st, req) -> RuntimeError:
@@ -561,15 +656,23 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
 
 
 def _worker_sweep(args):
-    b, obligations, rule_names, strict_star, lo, hi = args
-    defs = {name: RULE_DEFS[name] for name in rule_names}
-    return _sweep_range(b, obligations, defs, strict_star, lo, hi)
+    b, obligations, strict_star, lo, hi = args
+    return _sweep_range(b, obligations, RULE_DEFS, strict_star, lo, hi)
 
 
-def _pool_size(workers: int, n_combo: int) -> int:
-    """Worker processes for a sweep over ``n_combo`` (fs, fo) combinations:
-    no more than asked for, than there are combinations, or than CPUs."""
-    return min(workers, n_combo, os.cpu_count() or 1)
+def _pool_size(workers: int, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` units of work ((fs, fo) combinations
+    or obligations): no more than asked for, than there are units, or than
+    CPUs."""
+    return min(workers, n_tasks, os.cpu_count() or 1)
+
+
+def _shard_ranges(n_combo: int, n_workers: int) -> list[tuple[int, int]]:
+    """Split [0, n_combo) into about eight contiguous, ordered ranges per
+    worker, so a pool handing them out one at a time stays balanced."""
+    k = min(n_combo, 8 * n_workers)
+    cuts = [n_combo * i // k for i in range(k + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _merge_chunks(obligations, chunk_results):
@@ -621,14 +724,14 @@ def check_obligations(
         raise ValueError("random mode needs samples >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
+    if rule_defs is not None and workers > 1:
+        raise ValueError("rule_defs overrides run single-worker only")
     obligations = _select_obligations(rule, prop)
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
 
     if mode == MODE_RANDOM:
-        return _check_random(b, obligations, defs, samples, seed, strict_star)
+        return _check_random(b, obligations, defs, samples, seed, strict_star, workers)
 
-    if rule_defs is not None and workers > 1:
-        raise ValueError("rule_defs overrides run single-worker only")
     u = _Universe(b)
     n_req = {r: len(_requests_for_rule(r, u)) for r in RULE_ORDER}
     n_combo = len(u.combos)
@@ -636,13 +739,10 @@ def check_obligations(
     if n <= 1:
         chunk_results = [_sweep_range(b, obligations, defs, strict_star, 0, n_combo)]
     else:
-        step = (n_combo + n - 1) // n
-        args = [
-            (b, obligations, tuple(defs), strict_star, lo, min(lo + step, n_combo))
-            for lo in range(0, n_combo, step)
-        ]
+        args = [(b, obligations, strict_star, lo, hi)
+                for lo, hi in _shard_ranges(n_combo, n)]
         with get_context("fork").Pool(n) as pool:
-            chunk_results = pool.map(_worker_sweep, args)
+            chunk_results = pool.map(_worker_sweep, args, chunksize=1)
     merged, total_leaves, rule_time = _merge_chunks(obligations, chunk_results)
 
     props = _property_table(strict_star)
@@ -693,47 +793,61 @@ def _random_state(rng: random.Random, u: _Universe, strict_star: bool) -> System
                 return SystemState(br, bw, fo, fs, m)
 
 
-def _check_random(b, obligations, defs, samples, seed, strict_star) -> ObligationReport:
-    u = _Universe(b)
-    props = _property_table(strict_star)
-    results = []
-    for ob in obligations:
-        rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
-        rd = defs[ob.rule]
-        reqs = _requests_for_rule(ob.rule, u)
-        prop_fn = props[ob.prop]
-        witness = None
-        checked = 0
-        t0 = time.perf_counter()
-        if reqs:
-            for _ in range(samples):
-                st = _random_state(rng, u, strict_star)
-                req = reqs[rng.randrange(len(reqs))]
-                checked += 1
-                try:
-                    out = apply_def(rd, st, req)
-                    violated = out.after is not st and not prop_fn(out.after)
-                except Exception as e:
-                    raise _evaluation_failure(st, req) from e
-                if violated:
-                    witness = Witness(st, req, out.after, ob.prop)
-                    break
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        if witness is not None:
-            _validate_witness(witness, defs, props)
-        results.append(
-            ObligationResult(
-                rule=ob.rule,
-                prop=ob.prop,
-                status="pass" if witness is None else "fail",
-                states_checked=checked,
-                requests_checked=checked,
-                elapsed_ms=elapsed,
-                witness=witness,
-            )
-        )
+def _check_random(b, obligations, defs, samples, seed, strict_star, workers):
+    """Random mode, one pool task per obligation when ``workers`` > 1.  Each
+    obligation seeds its own generator, so sharding cannot change results."""
+    n = _pool_size(workers, len(obligations))
+    if n <= 1:
+        u = _Universe(b)
+        results = [_random_obligation(ob, defs, samples, seed, strict_star, u)
+                   for ob in obligations]
+    else:
+        args = [(b, ob, samples, seed, strict_star) for ob in obligations]
+        with get_context("fork").Pool(n) as pool:
+            results = pool.map(_worker_random, args, chunksize=1)
     return ObligationReport(
         bounds=b, mode=MODE_RANDOM, results=tuple(results), samples=samples, seed=seed
+    )
+
+
+def _worker_random(args):
+    b, ob, samples, seed, strict_star = args
+    return _random_obligation(ob, RULE_DEFS, samples, seed, strict_star, _Universe(b))
+
+
+def _random_obligation(ob, defs, samples, seed, strict_star, u) -> ObligationResult:
+    props = _property_table(strict_star)
+    rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
+    rd = defs[ob.rule]
+    reqs = _requests_for_rule(ob.rule, u)
+    prop_fn = props[ob.prop]
+    witness = None
+    checked = 0
+    t0 = time.perf_counter()
+    if reqs:
+        for _ in range(samples):
+            st = _random_state(rng, u, strict_star)
+            req = reqs[rng.randrange(len(reqs))]
+            checked += 1
+            try:
+                out = apply_def(rd, st, req)
+                violated = out.after is not st and not prop_fn(out.after)
+            except Exception as e:
+                raise _evaluation_failure(st, req) from e
+            if violated:
+                witness = Witness(st, req, out.after, ob.prop)
+                break
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    if witness is not None:
+        _validate_witness(witness, defs, props)
+    return ObligationResult(
+        rule=ob.rule,
+        prop=ob.prop,
+        status="pass" if witness is None else "fail",
+        states_checked=checked,
+        requests_checked=checked,
+        elapsed_ms=elapsed,
+        witness=witness,
     )
 
 
@@ -811,9 +925,10 @@ def check_partition(
         else:
             verdicts.append(None)
 
-    subtree_cs, leaf_cs = (
+    subtree_cs, br_cs, leaf_cs = (
         [(idx[c.name], c.holds) for c in cs] for cs in _split_conjuncts(rd)
     )
+    leaf_cs = br_cs + leaf_cs  # one per-leaf stage: partitions stage no br layer
     fs_opts = u.fs_options if "fs" in branch else u.fs_options[:1]
     fo_opts = u.fo_options if "fo" in branch else u.fo_options[:1]
     m_opts = u.m_options if "m" in branch else u.m_options[:1]

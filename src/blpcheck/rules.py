@@ -168,7 +168,11 @@ class RuleDef:
     request_type: type
     conjuncts: tuple[Conjunct, ...]
     effect: Callable[[SystemState, Request], SystemState]
-    writes: frozenset[str]  # components the normal effect may change
+    # Components the normal effect may change.  After a grant, the checker's
+    # sweep re-tests only the obligations whose property reads one of them,
+    # and verifies every time that the effect left all other components
+    # identical.
+    writes: frozenset[str]
     clause_names: tuple[str, ...]  # Ok first, then E1..En
 
 

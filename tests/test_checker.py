@@ -2,6 +2,7 @@
 verdicts against a naive sweep, partition analysis against a naive guard
 walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
+import dataclasses
 import itertools
 import os
 
@@ -13,6 +14,7 @@ from blpcheck import (
     check_partition,
     enumerate_requests,
     enumerate_states,
+    format_report,
     make_state,
     sec_class,
     sec_cond,
@@ -24,6 +26,7 @@ from blpcheck.checker import (
     MODE_RANDOM,
     P0,
     _pool_size,
+    _shard_ranges,
     _Universe,
     requests_for_rule,
 )
@@ -240,6 +243,25 @@ def test_worker_parity_on_failing_obligation():
     # covered by the healthy-rules test above
     with pytest.raises(ValueError):
         check_obligations(SMALL, workers=2, **kw)
+
+
+def test_shard_ranges_cover_in_order():
+    for n_combo, workers in ((625, 2), (81, 2), (7, 1), (3, 2), (1, 4)):
+        ranges = _shard_ranges(n_combo, workers)
+        assert len(ranges) == min(n_combo, 8 * workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_combo
+        assert all(lo < hi for lo, hi in ranges)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_random_mode_worker_parity():
+    kw = dict(mode=MODE_RANDOM, samples=100, seed=5)
+    seq = check_obligations(SMALL, workers=1, **kw)
+    par = check_obligations(SMALL, workers=2, **kw)
+    assert format_report(par, "machine") == format_report(seq, "machine")
+    with pytest.raises(ValueError):
+        check_obligations(SMALL, workers=2, rule="getRead",
+                          rule_defs={"getRead": RULE_DEFS["getRead"]}, **kw)
 
 
 def test_workers_are_bounded(monkeypatch):
@@ -507,24 +529,40 @@ def test_strict_star_obligations_pass_at_small_bounds():
     assert check_obligations(SMALL, strict_star=True).all_pass
 
 
-def _crashing_def():
-    import dataclasses
-
-    rd = RULE_DEFS["releaseRead"]
-    bad = dataclasses.replace(
-        rd.conjuncts[0],
-        holds=lambda st, r: (_ for _ in ()).throw(ZeroDivisionError("boom")),
-    )
-    return dataclasses.replace(rd, conjuncts=(bad,))
+def _crashing_def(rule="releaseRead", conjunct="currentlyReading"):
+    rd = RULE_DEFS[rule]
+    crash = lambda st, r: (_ for _ in ()).throw(ZeroDivisionError("boom"))
+    return dataclasses.replace(rd, conjuncts=tuple(
+        dataclasses.replace(c, holds=crash) if c.name == conjunct else c
+        for c in rd.conjuncts
+    ))
 
 
 def test_evaluation_failure_identifies_the_pair():
+    cases = (
+        ("releaseRead", "currentlyReading", "ReleaseRead("),  # br stage
+        ("getRead", "readBelowWrites", "GetRead("),  # leaf stage
+    )
+    for rule, conjunct, request_type in cases:
+        with pytest.raises(RuntimeError) as exc:
+            check_obligations(TINY, rule=rule,
+                              rule_defs={rule: _crashing_def(rule, conjunct)})
+        msg = str(exc.value)
+        assert "state=" in msg and "request=" in msg
+        assert request_type in msg and "request=None" not in msg
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+def test_frame_violation_is_reported():
+    # getRead changes br; declaring bw instead must stop the sweep, since
+    # the framed verdicts and table tests rely on the undeclared components
+    # being the hypothesis state's own
+    lying = dataclasses.replace(RULE_DEFS["getRead"], writes=frozenset({"bw"}))
     with pytest.raises(RuntimeError) as exc:
-        check_obligations(TINY, rule="releaseRead",
-                          rule_defs={"releaseRead": _crashing_def()})
+        check_obligations(TINY, rule="getRead", rule_defs={"getRead": lying})
     msg = str(exc.value)
-    assert "state=" in msg and "request=" in msg
-    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    assert "getRead" in msg and "'br'" in msg
+    assert "GetRead(" in msg and "state=SystemState(" in msg
 
 
 def test_random_evaluation_failure_identifies_the_pair():
