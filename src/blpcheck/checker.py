@@ -39,11 +39,18 @@ conjunct declares which components it reads; declarations are pinned by
 property tests, and a small-scope test checks the staged sweep against a
 naive state-by-state sweep.  Reported witnesses are always re-validated
 through the public rule interface before they land in a report.
+
+Each check builds one context when it starts, ``_Universe``: the option
+lists of its bounds, its reading of the *-property, the matching table of
+invariant predicates, every rule's request list, and a per-(fs, fo) memo of
+the security truth tables.  The enumerator, the sweep, the random sampler
+and witness validation all read it, and one task runner (``_run_tasks``)
+runs the work in process or on forked workers: ranges of (fs, fo) pairs in
+exhaustive mode, one obligation per task in random mode.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import random
@@ -212,16 +219,23 @@ def _cat_subsets(categories: Sequence[str]) -> list[frozenset[str]]:
 
 
 class _Universe:
-    """Precomputed option spaces for one Bounds value.
+    """The context of one check: precomputed option spaces for one Bounds
+    value, the reading of the *-property, the invariant predicates and every
+    rule's request list.
 
     Every option list is in canonical order: class maps vary the last entity
     fastest with "unclassified" first; set-valued components run by size,
-    then lexicographically over their sorted element universe.
+    then lexicographically over their sorted element universe.  Request
+    lists are the product of their fields' domains, in field order.
+
+    A universe is built when its check starts, never cached across checks:
+    the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     """
 
-    def __init__(self, b: Bounds):
+    def __init__(self, b: Bounds, strict_star: bool = False):
         _validate_bounds(b)
         self.bounds = b
+        self.strict_star = strict_star
         self.subjects = tuple(sorted(f"s{i + 1}" for i in range(b.num_subjects)))
         self.objects = tuple(sorted(f"o{i + 1}" for i in range(b.num_objects)))
         self.categories = tuple(sorted(f"k{i + 1}" for i in range(b.num_categories)))
@@ -246,7 +260,24 @@ class _Universe:
             for m in itertools.combinations(triples, size):
                 self.m_options.append((m, frozenset(o for (o, _s, _x) in m)))
         self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
+        self.props = dict(PROPERTY_FUNCS)
+        if strict_star:
+            self.props[PROPERTY_STARPROP] = strict_star_prop
+        domains = {
+            rules.FIELD_SUBJECT: self.subjects, rules.FIELD_OBJECT: self.objects,
+            rules.FIELD_MODE: MATRIX_MODES, rules.FIELD_CLASS: self.classes,
+        }
+        self.requests = {
+            rule: tuple(
+                rd.request_type(*args)
+                for args in itertools.product(
+                    *(domains[kind] for _name, kind in rules.request_fields(rd.request_type))
+                )
+            )
+            for rule, rd in RULE_DEFS.items()
+        }
         self._subset_cache: dict = {}
+        self._class_table_cache: dict = {}
 
     def _class_maps(self, entities: Sequence[str]) -> list[tuple]:
         options: list[Optional[SecurityClass]] = [None, *self.classes]
@@ -265,26 +296,50 @@ class _Universe:
             self._subset_cache[key] = cached
         return cached
 
+    def class_tables(self, fs, fo):
+        """Per-(fs, fo) truth tables for the two security invariants,
+        computed once per pair: ``(read_ok, star_ok, dom_fo)``.
 
-def _subtrees(u: _Universe, combos, m_options, caps, hypothesis=False, strict_star=False):
+        read_ok holds the (s, o) pairs allowed as current reads; star_ok
+        holds the (read object, written object) pairs allowed for one
+        subject; dom_fo is the set of classified objects.
+        """
+        key = (fs, fo)
+        tables = self._class_table_cache.get(key)
+        if tables is None:
+            fs_map = dict(fs)
+            fo_map = dict(fo)
+            read_ok = frozenset(
+                (s, o) for (s, o) in self.pairs
+                if s in fs_map and o in fo_map and class_leq(fo_map[o], fs_map[s])
+            )
+            star_ok = frozenset(
+                (o1, o2) for o1 in self.objects for o2 in self.objects
+                if o1 in fo_map and o2 in fo_map and class_leq(fo_map[o1], fo_map[o2])
+            )
+            tables = self._class_table_cache[key] = (read_ok, star_ok, frozenset(fo_map))
+        return tables
+
+
+def _subtrees(u: _Universe, combos, m_options, caps, hypothesis=False):
     """Yield one enumeration subtree per (fs, fo) in ``combos`` and (m, dom)
     in ``m_options``: ``(fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs)``.
 
     br_subs and bw_subs are the subsets, up to ``caps``, of the (subject,
     object) pairs whose object the matrix knows, so the type invariants hold
     by construction.  Under ``hypothesis`` the security condition is fused
-    in as well: read pairs come from the read_ok table.  ``strict_star``
-    then also draws write pairs from classified objects only.  Read objects
-    are classified already, so the strict *-property of a leaf reduces to
-    the weak one, which the caller tests with ``_star_leaf_ok``.  Dropping
-    items keeps the remaining subsets in their relative order.
+    in as well: read pairs come from the read_ok table.  A strict-star
+    universe then also draws write pairs from classified objects only.
+    Read objects are classified already, so the strict *-property of a leaf
+    reduces to the weak one, which the caller tests with ``_star_leaf_ok``.
+    Dropping items keeps the remaining subsets in their relative order.
     """
     pairs = u.pairs
     br_cap, bw_cap = caps
     for fs, fo in combos:
-        read_ok, star_ok, dom_fo = _class_tables(fs, fo, pairs, u.objects)
+        read_ok, star_ok, dom_fo = u.class_tables(fs, fo)
         readable = read_ok if hypothesis else frozenset(pairs)
-        writable = dom_fo if strict_star else frozenset(u.objects)
+        writable = dom_fo if u.strict_star else frozenset(u.objects)
         for m, dom in m_options:
             br_avail = tuple(p for p in pairs if p[1] in dom and p in readable)
             bw_avail = tuple(p for p in pairs if p[1] in dom and p[1] in writable)
@@ -310,35 +365,15 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
 
 def requests_for_rule(rule: str, b: Bounds) -> tuple[Request, ...]:
     """Every in-bounds request of one rule, in canonical order."""
-    u = _Universe(b)
-    return _requests_for_rule(rule, u)
-
-
-def _requests_for_rule(rule: str, u: _Universe) -> tuple[Request, ...]:
-    """The product of the request type's field domains, in field order."""
     if rule not in RULE_DEFS:
         raise ValueError(f"unknown rule: {rule!r}")
-    request_type = RULE_DEFS[rule].request_type
-    domains = {
-        "s": u.subjects, "giver": u.subjects, "receiver": u.subjects,
-        "rescinder": u.subjects, "target": u.subjects,
-        "o": u.objects, "x": MATRIX_MODES, "k": u.classes,
-    }
-    return tuple(
-        request_type(*args)
-        for args in itertools.product(
-            *(domains[f.name] for f in dataclasses.fields(request_type))
-        )
-    )
+    return _Universe(b).requests[rule]
 
 
 def enumerate_requests(b: Bounds) -> tuple[Request, ...]:
     """Every in-bounds request, grouped by rule in canonical rule order."""
     u = _Universe(b)
-    out: list[Request] = []
-    for rule in RULE_ORDER:
-        out.extend(_requests_for_rule(rule, u))
-    return tuple(out)
+    return tuple(req for rule in RULE_ORDER for req in u.requests[rule])
 
 
 def strict_star_prop(st: SystemState) -> bool:
@@ -355,14 +390,6 @@ def strict_star_prop(st: SystemState) -> bool:
     if st.bw and any(o not in dom_fo for (_s, o) in st.br):
         return False
     return all(o in dom_fo for (_s, o) in st.bw)
-
-
-def _property_table(strict_star: bool) -> dict:
-    """The invariant predicates of one check, by property name."""
-    props = dict(PROPERTY_FUNCS)
-    if strict_star:
-        props[PROPERTY_STARPROP] = strict_star_prop
-    return props
 
 
 # --------------------------------------------------------------------------
@@ -394,25 +421,6 @@ class _ObState:
         self.failed = False
         self.witness: Optional[Witness] = None
         self.fail_states = 0
-
-
-def _class_tables(fs, fo, pairs, objects):
-    """Per-(fs, fo) truth tables for the two security invariants.
-
-    read_ok holds the (s, o) pairs allowed as current reads; star_ok holds
-    the (read object, written object) pairs allowed for one subject.
-    """
-    fs_map = dict(fs)
-    fo_map = dict(fo)
-    read_ok = frozenset(
-        (s, o) for (s, o) in pairs
-        if s in fs_map and o in fo_map and class_leq(fo_map[o], fs_map[s])
-    )
-    star_ok = frozenset(
-        (o1, o2) for o1 in objects for o2 in objects
-        if o1 in fo_map and o2 in fo_map and class_leq(fo_map[o1], fo_map[o2])
-    )
-    return read_ok, star_ok, frozenset(fo_map)
 
 
 def _star_leaf_ok(br, bw, star_ok) -> bool:
@@ -459,17 +467,17 @@ def _ran_bw_by_dom(after, _read_ok, _star_ok, dom) -> bool:
     return True
 
 
-def _after_test(prop: str, writes: frozenset, props: dict, strict_star: bool):
+def _after_test(prop: str, writes: frozenset, u: _Universe):
     """The after-state test of one checked obligation, chosen once."""
     if prop == PROPERTY_SECCOND and not writes & {"fo", "fs"}:
         return _seccond_by_table
-    if prop == PROPERTY_STARPROP and not strict_star and "fo" not in writes:
+    if prop == PROPERTY_STARPROP and not u.strict_star and "fo" not in writes:
         return _star_by_table
     if prop == PROPERTY_RAN_BR and "m" not in writes:
         return _ran_br_by_dom
     if prop == PROPERTY_RAN_BW and "m" not in writes:
         return _ran_bw_by_dom
-    pred = props[prop]
+    pred = u.props[prop]
     return lambda after, _read_ok, _star_ok, _dom: pred(after)
 
 
@@ -510,9 +518,9 @@ class _RulePlan:
     declaration alone.
     """
 
-    def __init__(self, rd: RuleDef, reqs, obs, props, strict_star):
+    def __init__(self, rd: RuleDef, obs, u: _Universe):
         self.rule = rd.name
-        self.reqs = reqs
+        self.reqs = u.requests[rd.name]
         self.obs = obs
         self.subtree_stage, self.br_stage, self.leaf_stage = (
             tuple(c.holds for c in cs) for cs in _split_conjuncts(rd)
@@ -522,7 +530,7 @@ class _RulePlan:
             i for i, comp in enumerate(SystemState._fields) if comp not in rd.writes
         )
         self.checked = tuple(
-            (ob, _after_test(ob.prop, rd.writes, props, strict_star))
+            (ob, _after_test(ob.prop, rd.writes, u))
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
 
@@ -565,10 +573,9 @@ class _RulePlan:
 
 
 def _sweep_range(
-    b: Bounds,
+    u: _Universe,
     obligations: Sequence[Obligation],
     rule_defs: dict[str, RuleDef],
-    strict_star: bool,
     lo: int,
     hi: int,
 ):
@@ -582,20 +589,18 @@ def _sweep_range(
     with the core predicates.  Within a subtree the loop is rule-major: the
     leaf states are built once, on the first rule with surviving requests.
     """
-    u = _Universe(b)
-    props = _property_table(strict_star)
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
-        _RulePlan(rule_defs[rule], _requests_for_rule(rule, u),
-                  [ob for ob in obs if ob.rule == rule], props, strict_star)
+        _RulePlan(rule_defs[rule], [ob for ob in obs if ob.rule == rule], u)
         for rule in RULE_ORDER if any(ob.rule == rule for ob in obs)
     ]
 
     leaves = 0
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
+    b = u.bounds
     subtrees = _subtrees(u, u.combos[lo:hi], u.m_options, (b.max_br, b.max_bw),
-                         hypothesis=True, strict_star=strict_star)
+                         hypothesis=True)
 
     for fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs in subtrees:
         # stop once every obligation has failed (mutation runs stop fast)
@@ -655,16 +660,21 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
     )
 
 
-def _worker_sweep(args):
-    b, obligations, strict_star, lo, hi = args
-    return _sweep_range(b, obligations, RULE_DEFS, strict_star, lo, hi)
-
-
 def _pool_size(workers: int, n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` units of work ((fs, fo) combinations
     or obligations): no more than asked for, than there are units, or than
     CPUs."""
     return min(workers, n_tasks, os.cpu_count() or 1)
+
+
+def _run_tasks(fn, tasks: list[tuple], n: int) -> list:
+    """``fn(*task)`` for every task, results in task order: in this process
+    when ``n`` <= 1, otherwise on ``n`` forked workers that take one task at
+    a time."""
+    if n <= 1:
+        return [fn(*task) for task in tasks]
+    with get_context("fork").Pool(n) as pool:
+        return pool.starmap(fn, tasks, chunksize=1)
 
 
 def _shard_ranges(n_combo: int, n_workers: int) -> list[tuple[int, int]]:
@@ -728,29 +738,34 @@ def check_obligations(
         raise ValueError("rule_defs overrides run single-worker only")
     obligations = _select_obligations(rule, prop)
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
+    u = _Universe(b, strict_star)
 
     if mode == MODE_RANDOM:
-        return _check_random(b, obligations, defs, samples, seed, strict_star, workers)
+        # one task per obligation; each seeds its own generator, so sharding
+        # cannot change results
+        results = _run_tasks(
+            _random_obligation,
+            [(u, ob, defs, samples, seed) for ob in obligations],
+            _pool_size(workers, len(obligations)),
+        )
+        return ObligationReport(bounds=b, mode=MODE_RANDOM, results=tuple(results),
+                                samples=samples, seed=seed)
 
-    u = _Universe(b)
-    n_req = {r: len(_requests_for_rule(r, u)) for r in RULE_ORDER}
     n_combo = len(u.combos)
     n = _pool_size(workers, n_combo)
-    if n <= 1:
-        chunk_results = [_sweep_range(b, obligations, defs, strict_star, 0, n_combo)]
-    else:
-        args = [(b, obligations, strict_star, lo, hi)
-                for lo, hi in _shard_ranges(n_combo, n)]
-        with get_context("fork").Pool(n) as pool:
-            chunk_results = pool.map(_worker_sweep, args, chunksize=1)
+    # one process sweeps all of [0, n_combo) as one task, so a fail-fast
+    # search stops at the first failure of every obligation
+    ranges = [(0, n_combo)] if n <= 1 else _shard_ranges(n_combo, n)
+    chunk_results = _run_tasks(
+        _sweep_range, [(u, obligations, defs, lo, hi) for lo, hi in ranges], n
+    )
     merged, total_leaves, rule_time = _merge_chunks(obligations, chunk_results)
 
-    props = _property_table(strict_star)
     results = []
     for ob in obligations:
         failed, witness, fail_states = merged[ob]
         if failed:
-            _validate_witness(witness, defs, props)
+            _validate_witness(witness, defs, u.props)
         states = fail_states if failed else total_leaves
         results.append(
             ObligationResult(
@@ -758,7 +773,7 @@ def check_obligations(
                 prop=ob.prop,
                 status="fail" if failed else "pass",
                 states_checked=states,
-                requests_checked=states * n_req[ob.rule],
+                requests_checked=states * len(u.requests[ob.rule]),
                 elapsed_ms=rule_time.get(ob.rule, 0.0) * 1000.0,
                 witness=witness,
             )
@@ -776,15 +791,14 @@ def _validate_witness(w: Witness, defs: dict[str, RuleDef], props: dict) -> None
         raise AssertionError(f"witness failed self-validation: {w}")
 
 
-def _random_state(rng: random.Random, u: _Universe, strict_star: bool) -> SystemState:
+def _random_state(rng: random.Random, u: _Universe) -> SystemState:
     b = u.bounds
     while True:
         fs = rng.choice(u.fs_options)
         fo = rng.choice(u.fo_options)
         m, dom = rng.choice(u.m_options)
         *_, star_ok, br_subs, bw_subs = next(_subtrees(
-            u, ((fs, fo),), ((m, dom),), (b.max_br, b.max_bw),
-            hypothesis=True, strict_star=strict_star,
+            u, ((fs, fo),), ((m, dom),), (b.max_br, b.max_bw), hypothesis=True,
         ))
         for _ in range(64):
             br = rng.choice(br_subs)
@@ -793,40 +807,17 @@ def _random_state(rng: random.Random, u: _Universe, strict_star: bool) -> System
                 return SystemState(br, bw, fo, fs, m)
 
 
-def _check_random(b, obligations, defs, samples, seed, strict_star, workers):
-    """Random mode, one pool task per obligation when ``workers`` > 1.  Each
-    obligation seeds its own generator, so sharding cannot change results."""
-    n = _pool_size(workers, len(obligations))
-    if n <= 1:
-        u = _Universe(b)
-        results = [_random_obligation(ob, defs, samples, seed, strict_star, u)
-                   for ob in obligations]
-    else:
-        args = [(b, ob, samples, seed, strict_star) for ob in obligations]
-        with get_context("fork").Pool(n) as pool:
-            results = pool.map(_worker_random, args, chunksize=1)
-    return ObligationReport(
-        bounds=b, mode=MODE_RANDOM, results=tuple(results), samples=samples, seed=seed
-    )
-
-
-def _worker_random(args):
-    b, ob, samples, seed, strict_star = args
-    return _random_obligation(ob, RULE_DEFS, samples, seed, strict_star, _Universe(b))
-
-
-def _random_obligation(ob, defs, samples, seed, strict_star, u) -> ObligationResult:
-    props = _property_table(strict_star)
+def _random_obligation(u: _Universe, ob, defs, samples, seed) -> ObligationResult:
     rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
     rd = defs[ob.rule]
-    reqs = _requests_for_rule(ob.rule, u)
-    prop_fn = props[ob.prop]
+    reqs = u.requests[ob.rule]
+    prop_fn = u.props[ob.prop]
     witness = None
     checked = 0
     t0 = time.perf_counter()
     if reqs:
         for _ in range(samples):
-            st = _random_state(rng, u, strict_star)
+            st = _random_state(rng, u)
             req = reqs[rng.randrange(len(reqs))]
             checked += 1
             try:
@@ -839,7 +830,7 @@ def _random_obligation(ob, defs, samples, seed, strict_star, u) -> ObligationRes
                 break
     elapsed = (time.perf_counter() - t0) * 1000.0
     if witness is not None:
-        _validate_witness(witness, defs, props)
+        _validate_witness(witness, defs, u.props)
     return ObligationResult(
         rule=ob.rule,
         prop=ob.prop,
@@ -897,9 +888,8 @@ def check_partition(
     """
     clauses = rule_clauses(rule, variant)
     u = _Universe(b)
-    reqs = _requests_for_rule(rule, u)
-    rd = RULE_DEFS[rule]
-    conjuncts = rd.conjuncts
+    reqs = u.requests[rule]
+    conjuncts = RULE_DEFS[rule].conjuncts
     branch = _branching_components(clauses)
 
     # Precompute, for every combination of conjunct truth values, which
@@ -925,10 +915,7 @@ def check_partition(
         else:
             verdicts.append(None)
 
-    subtree_cs, br_cs, leaf_cs = (
-        [(idx[c.name], c.holds) for c in cs] for cs in _split_conjuncts(rd)
-    )
-    leaf_cs = br_cs + leaf_cs  # one per-leaf stage: partitions stage no br layer
+    holds_all = [c.holds for c in conjuncts]
     fs_opts = u.fs_options if "fs" in branch else u.fs_options[:1]
     fo_opts = u.fo_options if "fo" in branch else u.fo_options[:1]
     m_opts = u.m_options if "m" in branch else u.m_options[:1]
@@ -945,19 +932,14 @@ def check_partition(
         leaves += len(br_subs) * len(bw_subs)
         if not interesting:
             continue
-        proto = SystemState((), (), fo, fs, m)
-        partials = [
-            (req, sum(holds(proto, req) << i for i, holds in subtree_cs))
-            for req in reqs
-        ]
         for br in br_subs:
             for bw in bw_subs:
                 st = SystemState(br, bw, fo, fs, m)
                 req = None
                 try:
-                    for req, base in partials:
-                        mask = base
-                        for i, holds in leaf_cs:
+                    for req in reqs:
+                        mask = 0
+                        for i, holds in enumerate(holds_all):
                             if holds(st, req):
                                 mask |= 1 << i
                         verdict = verdicts[mask]

@@ -7,7 +7,8 @@ Three commands::
     blpcheck run scenario.blp
 
 Exit codes: 0 all-pass / expectations met, 1 obligation failure, partition
-gap or overlap, or failed expectation, 2 usage or parse error.
+gap or overlap, or failed expectation, 2 usage error, unreadable or
+non-UTF-8 scenario file, or parse error.
 
 Output is deterministic for fixed inputs and seed.  The elapsed-ms column
 of reports is 0 unless ``--timing`` is given, so that two identical runs
@@ -280,6 +281,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             source = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"{args.file}: not UTF-8 text: {e}", file=sys.stderr)
         return 2
     try:
         script = parse_scenario(source)

@@ -32,7 +32,6 @@ _MODE_RANK = {READ: 0, WRITE: 1, CTRL: 2}
 
 YES = "yes"
 NO = "no"
-DECISIONS = (YES, NO)
 
 
 class SecurityClass(NamedTuple):
@@ -112,9 +111,6 @@ def make_state(
         fs=tuple(sorted(set(fs_pairs), key=_entry_sort_key)),
         m=tuple(sorted(set(m), key=triple_sort_key)),
     )
-
-
-EMPTY_STATE = make_state()
 
 
 def lookup_class(entries: tuple[ClassEntry, ...], key: str) -> Optional[SecurityClass]:

@@ -17,6 +17,7 @@ Applying that table to an uncovered input raises NoApplicableClause.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -118,6 +119,25 @@ REQUEST_TYPES = (
     GetRead, GetWrite, ReleaseRead, ReleaseWrite, GiveRW,
     RescindRead, RescindWrite, ChangeClass, CreateObject, DeleteObject,
 )
+
+# The kind of value each request field holds.  The checker enumerates a
+# field over its kind's domain; the scenario language parses and prints it
+# by kind.
+FIELD_SUBJECT = "subject"
+FIELD_OBJECT = "object"
+FIELD_MODE = "mode"
+FIELD_CLASS = "class"
+FIELD_KINDS = {
+    "s": FIELD_SUBJECT, "giver": FIELD_SUBJECT, "receiver": FIELD_SUBJECT,
+    "rescinder": FIELD_SUBJECT, "target": FIELD_SUBJECT,
+    "o": FIELD_OBJECT, "x": FIELD_MODE, "k": FIELD_CLASS,
+}
+
+
+def request_fields(request_type: type) -> tuple[tuple[str, str], ...]:
+    """``(field name, kind)`` for each field of a request type, in order."""
+    return tuple((f.name, FIELD_KINDS[f.name]) for f in dataclasses.fields(request_type))
+
 
 RULE_GET_READ = "getRead"
 RULE_GET_WRITE = "getWrite"

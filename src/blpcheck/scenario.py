@@ -228,18 +228,48 @@ def _parse_mode(ln: _Line) -> str:
     return tok
 
 
-_COMMAND_ARITY = {
-    "get-read": "2 arguments: subject object",
-    "get-write": "2 arguments: subject object",
-    "release-read": "2 arguments: subject object",
-    "release-write": "2 arguments: subject object",
-    "give": "4 arguments: giver receiver object mode",
-    "rescind-read": "3 arguments: rescinder target object",
-    "rescind-write": "3 arguments: rescinder target object",
-    "change-class": "object and a class",
-    "create-object": "subject, object and a class",
-    "delete-object": "2 arguments: subject object",
+# The command word of each request type.  A command's arguments are its
+# request's fields in order, parsed and printed by their kind
+# (``rules.FIELD_KINDS``).
+_COMMAND_WORDS = {
+    "get-read": rules.GetRead,
+    "get-write": rules.GetWrite,
+    "release-read": rules.ReleaseRead,
+    "release-write": rules.ReleaseWrite,
+    "give": rules.GiveRW,
+    "rescind-read": rules.RescindRead,
+    "rescind-write": rules.RescindWrite,
+    "change-class": rules.ChangeClass,
+    "create-object": rules.CreateObject,
+    "delete-object": rules.DeleteObject,
 }
+
+
+class _CommandSyntax:
+    """One command word's arguments, derived from its request type's fields:
+    ``fields`` holds ``(name, kind, expected)`` per field, where ``expected``
+    describes an identifier argument in error messages, and ``arity`` is the
+    argument list those messages quote."""
+
+    def __init__(self, word: str, request_type: type):
+        self.word = word
+        self.request_type = request_type
+        fields = rules.request_fields(request_type)
+        # one-letter field names abbreviate their kind
+        nouns = [kind if len(name) == 1 else name for name, kind in fields]
+        if fields[-1][1] == rules.FIELD_CLASS:
+            self.arity = ", ".join(nouns[:-1]) + " and a class"
+        else:
+            self.arity = f"{len(nouns)} arguments: {' '.join(nouns)}"
+        self.fields = tuple(
+            (name, kind,
+             f"{'an' if noun[0] in 'aeiou' else 'a'} {noun} ({word} expects {self.arity})")
+            for (name, kind), noun in zip(fields, nouns)
+        )
+
+
+_COMMANDS = {word: _CommandSyntax(word, rt) for word, rt in _COMMAND_WORDS.items()}
+_COMMAND_OF_TYPE = {c.request_type: c for c in _COMMANDS.values()}
 
 
 class _Parser:
@@ -274,7 +304,7 @@ class _Parser:
                 if not seen_command:
                     ln.fail("'expect' before any command", head, ln.tokens[0][1])
                 statements.append(self._parse_expect(ln))
-            elif head in _COMMAND_ARITY:
+            elif head in _COMMANDS:
                 command = self._parse_command(ln, head)
                 if not seen_state:
                     ln.fail(f"command '{head}' before any state block", head,
@@ -362,41 +392,20 @@ class _Parser:
 
     def _parse_command(self, ln: _Line, head: str) -> Command:
         ln.next(head)
-        arity = _COMMAND_ARITY[head]
-        def an_id(what):
-            return ln.expect_id(f"{what} ({head} expects {arity})")
-        if head == "get-read":
-            req = rules.GetRead(an_id("a subject"), an_id("an object"))
-        elif head == "get-write":
-            req = rules.GetWrite(an_id("a subject"), an_id("an object"))
-        elif head == "release-read":
-            req = rules.ReleaseRead(an_id("a subject"), an_id("an object"))
-        elif head == "release-write":
-            req = rules.ReleaseWrite(an_id("a subject"), an_id("an object"))
-        elif head == "give":
-            giver = an_id("a giver")
-            receiver = an_id("a receiver")
-            o = an_id("an object")
-            if ln.peek() is None:
-                ln.fail(f"give expects {arity}", _END_OF_LINE, ln.end_column)
-            req = rules.GiveRW(giver, receiver, o, _parse_mode(ln))
-        elif head == "rescind-read":
-            req = rules.RescindRead(an_id("a rescinder"), an_id("a target"),
-                                    an_id("an object"))
-        elif head == "rescind-write":
-            req = rules.RescindWrite(an_id("a rescinder"), an_id("a target"),
-                                     an_id("an object"))
-        elif head == "change-class":
-            o = an_id("an object")
-            req = rules.ChangeClass(o, _parse_classpart(ln))
-        elif head == "create-object":
-            s = an_id("a subject")
-            o = an_id("an object")
-            req = rules.CreateObject(s, o, _parse_classpart(ln))
-        else:  # delete-object
-            req = rules.DeleteObject(an_id("a subject"), an_id("an object"))
+        syntax = _COMMANDS[head]
+        args = []
+        for _name, kind, expected in syntax.fields:
+            if kind == rules.FIELD_CLASS:
+                args.append(_parse_classpart(ln))
+            elif kind == rules.FIELD_MODE:
+                if ln.peek() is None:
+                    ln.fail(f"{head} expects {syntax.arity}", _END_OF_LINE,
+                            ln.end_column)
+                args.append(_parse_mode(ln))
+            else:
+                args.append(ln.expect_id(expected))
         ln.expect_end()
-        return Command(req)
+        return Command(syntax.request_type(*args))
 
 
 def parse_scenario(source: str) -> Script:
@@ -556,35 +565,14 @@ def format_state(st: SystemState) -> str:
     return "\n".join(lines)
 
 
-_COMMAND_WORDS = {
-    rules.GetRead: "get-read",
-    rules.GetWrite: "get-write",
-    rules.ReleaseRead: "release-read",
-    rules.ReleaseWrite: "release-write",
-    rules.GiveRW: "give",
-    rules.RescindRead: "rescind-read",
-    rules.RescindWrite: "rescind-write",
-    rules.ChangeClass: "change-class",
-    rules.CreateObject: "create-object",
-    rules.DeleteObject: "delete-object",
-}
-
-
 def format_request(req: Request) -> str:
     """One command line in scenario syntax."""
-    word = _COMMAND_WORDS[type(req)]
-    if isinstance(req, (rules.GetRead, rules.GetWrite,
-                        rules.ReleaseRead, rules.ReleaseWrite)):
-        return f"{word} {req.s} {req.o}"
-    if isinstance(req, rules.GiveRW):
-        return f"{word} {req.giver} {req.receiver} {req.o} {req.x}"
-    if isinstance(req, (rules.RescindRead, rules.RescindWrite)):
-        return f"{word} {req.rescinder} {req.target} {req.o}"
-    if isinstance(req, rules.ChangeClass):
-        return f"{word} {req.o} {_format_class(req.k)}"
-    if isinstance(req, rules.CreateObject):
-        return f"{word} {req.s} {req.o} {_format_class(req.k)}"
-    return f"{word} {req.s} {req.o}"
+    syntax = _COMMAND_OF_TYPE[type(req)]
+    parts = [syntax.word]
+    for name, kind, _expected in syntax.fields:
+        value = getattr(req, name)
+        parts.append(_format_class(value) if kind == rules.FIELD_CLASS else value)
+    return " ".join(parts)
 
 
 def _format_state_block(block: StateBlock) -> str:

@@ -345,14 +345,15 @@ def test_random_sampler_respects_the_hypothesis():
 
     from blpcheck.checker import _Universe, _random_state
 
-    u = _Universe(SMALL)
+    u = _Universe(SMALL, strict_star=False)
     rng = _random.Random(11)
     for _ in range(300):
-        st = _random_state(rng, u, strict_star=False)
+        st = _random_state(rng, u)
         assert well_formed(st) and sec_cond(st) and star_prop(st)
+    u = _Universe(SMALL, strict_star=True)
     rng = _random.Random(12)
     for _ in range(300):
-        st = _random_state(rng, u, strict_star=True)
+        st = _random_state(rng, u)
         assert well_formed(st) and sec_cond(st) and strict_star_prop(st)
 
 

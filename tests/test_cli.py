@@ -165,6 +165,15 @@ def test_run_missing_file_exit_two(capsys):
     assert err
 
 
+def test_run_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.blp"
+    bad.write_bytes(b"state\nend\n# caf\xff\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{bad}: ")
+    assert "Traceback" not in err
+
+
 def test_run_build_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "unbuildable.blp"
     bad.write_text(
@@ -275,8 +284,8 @@ def test_timing_flag_reports_elapsed(capsys):
 
 # --- pinned report bytes -------------------------------------------------------
 
-# sha256 of machine reports at SMALL_BOUNDS, recorded from the program
-# before the checker's enumeration and strict-star handling were unified.
+# sha256 of machine reports at SMALL_BOUNDS, each recorded from the program
+# before the checker refactor it guards was made.
 _GET_WRITE_MUTANT = {
     "getWrite": without_conjunct(RULE_DEFS["getWrite"], "readsBelowObject")
 }
@@ -298,6 +307,18 @@ REPORT_DIGESTS = {
         lambda: check_obligations(SMALL_BOUNDS, mode="random", samples=150,
                                   seed=31337),
         "8299a64355af9597e7e346854f671e8c3b30cf9cd812cb745ecebb0f285651fa"),
+    # enough samples for the mutant's random witness; the strict sampler
+    # draws other states and finds it at another sample
+    "random:strict": (
+        lambda: check_obligations(SMALL_BOUNDS, mode="random", samples=1500,
+                                  seed=31337, rule="getWrite",
+                                  rule_defs=_GET_WRITE_MUTANT, strict_star=True),
+        "36a59940231671bbdda1f3664fc7ec1b94816391659055b62767ce2c5c44914b"),
+    "random:mutant": (
+        lambda: check_obligations(SMALL_BOUNDS, mode="random", samples=1500,
+                                  seed=31337, rule="getWrite",
+                                  rule_defs=_GET_WRITE_MUTANT),
+        "415fefda9d88b017731db7c942258787c48d4f5b5cb2c3e4665fc66dba02c9a8"),
     **{
         f"partition:{rule}:{variant}": (
             lambda rule=rule, variant=variant:

@@ -166,6 +166,53 @@ def test_all_command_forms_parse():
     assert len(commands) == 10
 
 
+# Every command word cut short after each of its arguments, plus a few wrong
+# tokens: (command line, column, message, offending token), all on line 3.
+_COMMAND_ERRORS = [
+    ("get-read", 9, "expected a subject (get-read expects 2 arguments: subject object)"),
+    ("get-read s1", 12, "expected an object (get-read expects 2 arguments: subject object)"),
+    ("get-write", 10, "expected a subject (get-write expects 2 arguments: subject object)"),
+    ("get-write s1", 13, "expected an object (get-write expects 2 arguments: subject object)"),
+    ("release-read", 13, "expected a subject (release-read expects 2 arguments: subject object)"),
+    ("release-read s1", 16, "expected an object (release-read expects 2 arguments: subject object)"),
+    ("release-write", 14, "expected a subject (release-write expects 2 arguments: subject object)"),
+    ("release-write s1", 17, "expected an object (release-write expects 2 arguments: subject object)"),
+    ("give", 5, "expected a giver (give expects 4 arguments: giver receiver object mode)"),
+    ("give s1", 8, "expected a receiver (give expects 4 arguments: giver receiver object mode)"),
+    ("give s1 s2", 11, "expected an object (give expects 4 arguments: giver receiver object mode)"),
+    ("give s1 s2 o1", 14, "give expects 4 arguments: giver receiver object mode"),
+    ("rescind-read", 13, "expected a rescinder (rescind-read expects 3 arguments: rescinder target object)"),
+    ("rescind-read s1", 16, "expected a target (rescind-read expects 3 arguments: rescinder target object)"),
+    ("rescind-read s1 s2", 19, "expected an object (rescind-read expects 3 arguments: rescinder target object)"),
+    ("rescind-write", 14, "expected a rescinder (rescind-write expects 3 arguments: rescinder target object)"),
+    ("rescind-write s1", 17, "expected a target (rescind-write expects 3 arguments: rescinder target object)"),
+    ("rescind-write s1 s2", 20, "expected an object (rescind-write expects 3 arguments: rescinder target object)"),
+    ("change-class", 13, "expected an object (change-class expects object and a class)"),
+    ("change-class o1", 16, "expected 'level'"),
+    ("create-object", 14, "expected a subject (create-object expects subject, object and a class)"),
+    ("create-object s1", 17, "expected an object (create-object expects subject, object and a class)"),
+    ("create-object s1 o3", 20, "expected 'level'"),
+    ("delete-object", 14, "expected a subject (delete-object expects 2 arguments: subject object)"),
+    ("delete-object s1", 17, "expected an object (delete-object expects 2 arguments: subject object)"),
+]
+_COMMAND_ERRORS = [(*case, "<end-of-line>") for case in _COMMAND_ERRORS] + [
+    ("get-read s1 9", 13, "expected an object (get-read expects 2 arguments: subject object)", "9"),
+    ("give s1 s2 o1 sideways", 15, "expected a mode (read, write or ctrl)", "sideways"),
+    ("rescind-write s1 9 o1", 18, "expected a target (rescind-write expects 3 arguments: rescinder target object)", "9"),
+    ("change-class { level 0 cats {}", 14, "expected an object (change-class expects object and a class)", "{"),
+    ("delete-object s1 o3 o4", 18, "unexpected trailing token", "o4"),
+]
+
+
+def test_command_argument_errors_are_pinned():
+    for line, column, message, token in _COMMAND_ERRORS:
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario("state\nend\n" + line + "\n")
+        err = exc.value
+        assert (err.line, err.column, err.message, err.offending_token) == (
+            3, column, message, token), line
+
+
 # --- building ----------------------------------------------------------------
 
 def test_reading_without_grant_names_the_invariant():
