@@ -40,22 +40,48 @@ property tests, and a small-scope test checks the staged sweep against a
 naive state-by-state sweep.  Reported witnesses are always re-validated
 through the public rule interface before they land in a report.
 
+Symmetry reduction: subject, object and category names are
+interchangeable.  Every guard conjunct, effect and invariant commutes with
+the group G = Sym(subjects) x Sym(objects) x Sym(categories) acting on
+states and requests (``_Renaming``; a property test pins this for every
+rule, both clause tables and all invariants, and it holds for every table
+``rules.without_conjunct`` builds, so a ``rule_defs`` override must keep
+it).  So the exhaustive sweep checks one state per G-orbit, its
+lex-leader: the orbit member that comes first in enumeration order, tested
+against *all* requests.  A state is the leader exactly when its (fs, fo)
+pair is the least of its orbit, its matrix is the least under that pair's
+stabiliser, and its (br, bw) is the least under what remains of it; with
+a trivial stabiliser no further test runs.  Counts stay those of the full
+enumeration, because a subtree's hypothesis-leaf count is orbit-invariant:
+a skipped pair or matrix counts the leaves of its earlier image, and leaf
+positions count every leaf.  First witnesses do not change either: an
+obligation's failing (state, request) pairs are closed under G, so the
+first failing state in enumeration order is the least of its orbit, hence
+a leader, and the reduced sweep meets it first.  Enumeration, partition
+analysis and random mode are not reduced.
+
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
-invariant predicates, every rule's request list, and a per-(fs, fo) memo of
-the security truth tables.  The enumerator, the sweep, the random sampler
-and witness validation all read it, and one task runner (``_run_tasks``)
-runs the work in process or on forked workers: ranges of (fs, fo) pairs in
-exhaustive mode, one obligation per task in random mode.
+invariant predicates, every rule's request list, a per-(fs, fo) memo of
+the security truth tables and, for the exhaustive sweep, the group's
+action on (fs, fo) pairs and matrices (``_Orbits``).  The enumerator, the
+sweep, the random sampler and witness validation all read it, and one
+task runner (``_run_tasks``) runs the work in process or on forked
+workers, which receive the context once when they start: ranges of
+representative (fs, fo) pairs in exhaustive mode, one obligation per task
+in random mode.  Bounds whose lists would exceed ``MAX_LIST`` entries are
+refused, from sizes computed in closed form, before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import get_context
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -71,6 +97,7 @@ from .core import (
     SecurityClass,
     SystemState,
     class_leq,
+    make_state,
 )
 from .rules import (
     RULE_DEFS,
@@ -205,9 +232,72 @@ class PartitionReport:
 # --------------------------------------------------------------------------
 # Enumeration universes.
 
+# The longest list a check may build: any option list of a universe, and
+# the symmetry tables of an exhaustive check.  The next profiles the
+# roadmap names, three subjects or three levels on P0's lattice, need at
+# most 3,125 (fs, fo) pairs, 988 matrices and 37,500 (fs, fo) images.
+MAX_LIST = 1_000_000
+# Sizes are computed in closed form and saturate here, so that absurd
+# bounds cost no time to refuse.
+_SIZE_CEILING = 10 ** 30
+
+
+def _saturating_product(factors) -> int:
+    value = 1
+    for f in factors:
+        value *= f
+        if value >= _SIZE_CEILING:
+            return _SIZE_CEILING
+    return value
+
+
+def _saturating_pow(base: int, exp: int) -> int:
+    if base < 2:
+        return base ** min(exp, 1)
+    return _saturating_product(itertools.repeat(base, exp))
+
+
+def _subsets_upto(n: int, cap: int) -> int:
+    """sum(C(n, k) for k <= cap), saturating."""
+    total = 0
+    for k in range(min(n, cap) + 1):
+        total += math.comb(n, k)
+        if total >= _SIZE_CEILING:
+            return _SIZE_CEILING
+    return total
+
+
+def _refuse_oversized(sizes: dict[str, int]) -> None:
+    over = {name: n for name, n in sizes.items() if n > MAX_LIST}
+    if over:
+        shown = ", ".join(
+            f"{n:,} {name}" if n < _SIZE_CEILING else f"more than {_SIZE_CEILING:.0e} {name}"
+            for name, n in over.items()
+        )
+        raise ValueError(f"bounds too large: {shown} (the limit is {MAX_LIST:,} per list)")
+
+
 def _validate_bounds(b: Bounds) -> None:
+    """Refuse negative bounds, and bounds whose universe would build a list
+    longer than MAX_LIST, before anything is built."""
     if any(v < 0 for v in b):
         raise ValueError(f"bounds must be non-negative: {b}")
+    n_s, n_o = b.num_subjects, b.num_objects
+    n_classes = min(b.num_levels * _saturating_pow(2, b.num_categories), _SIZE_CEILING)
+    domain_size = {rules.FIELD_SUBJECT: n_s, rules.FIELD_OBJECT: n_o,
+                   rules.FIELD_MODE: len(MATRIX_MODES), rules.FIELD_CLASS: n_classes}
+    n_requests = sum(
+        math.prod(domain_size[kind] for _name, kind in rules.request_fields(rd.request_type))
+        for rd in RULE_DEFS.values()
+    )
+    _refuse_oversized({
+        "names": n_s + n_o + b.num_categories,
+        "security classes": n_classes,
+        "(fs, fo) pairs": _saturating_pow(n_classes + 1, n_s + n_o),
+        "matrices": _subsets_upto(len(MATRIX_MODES) * n_s * n_o, b.max_matrix),
+        "access sets": _subsets_upto(n_s * n_o, max(b.max_br, b.max_bw)),
+        "requests": min(n_requests, _SIZE_CEILING),
+    })
 
 
 def _cat_subsets(categories: Sequence[str]) -> list[frozenset[str]]:
@@ -216,6 +306,63 @@ def _cat_subsets(categories: Sequence[str]) -> list[frozenset[str]]:
         for combo in itertools.combinations(categories, size):
             out.append(frozenset(combo))
     return out
+
+
+class _Renaming(NamedTuple):
+    """One element of Sym(subjects) x Sym(objects) x Sym(categories): a
+    bijection of each kind of name onto itself."""
+
+    subjects: dict
+    objects: dict
+    categories: dict
+
+    def sec_class(self, c: SecurityClass) -> SecurityClass:
+        return SecurityClass(c.level, frozenset(self.categories[k] for k in c.cats))
+
+    def pairs(self, pairs: tuple) -> tuple:
+        """Renamed (subject, object) pairs, as a sorted tuple."""
+        subjects, objects = self.subjects, self.objects
+        return tuple(sorted((subjects[s], objects[o]) for s, o in pairs))
+
+    def state(self, st: SystemState) -> SystemState:
+        """The renamed state, every component re-sorted into canonical form."""
+        subjects, objects = self.subjects, self.objects
+        return make_state(
+            br=self.pairs(st.br),
+            bw=self.pairs(st.bw),
+            fo=[(objects[o], self.sec_class(c)) for o, c in st.fo],
+            fs=[(subjects[s], self.sec_class(c)) for s, c in st.fs],
+            m=[(objects[o], subjects[s], x) for o, s, x in st.m],
+        )
+
+    def request(self, req: Request) -> Request:
+        """The renamed request: each field renamed by its declared kind."""
+        rename = {
+            rules.FIELD_SUBJECT: self.subjects.__getitem__,
+            rules.FIELD_OBJECT: self.objects.__getitem__,
+            rules.FIELD_MODE: lambda x: x,
+            rules.FIELD_CLASS: self.sec_class,
+        }
+        return type(req)(*(rename[kind](getattr(req, name))
+                           for name, kind in rules.request_fields(type(req))))
+
+
+class _Orbits(NamedTuple):
+    """The universe's (fs, fo) pairs and matrices under the renaming group.
+
+    ``group`` holds every renaming but the identity.  Per (fs, fo) index,
+    ``rep`` is the least index in its orbit; ``reps`` lists the
+    representatives in order and ``stabiliser`` maps each one to the
+    indices into ``group`` of the renamings that fix it.  ``m_image[g]``
+    gives, per ``m_options`` index, the index of its image under
+    ``group[g]``.
+    """
+
+    group: tuple[_Renaming, ...]
+    rep: tuple[int, ...]
+    reps: tuple[int, ...]
+    stabiliser: dict[int, tuple[int, ...]]
+    m_image: tuple[tuple[int, ...], ...]
 
 
 class _Universe:
@@ -230,6 +377,8 @@ class _Universe:
 
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
+    The symmetry tables (``orbits``) are built on first use, which only the
+    exhaustive sweep makes.
     """
 
     def __init__(self, b: Bounds, strict_star: bool = False):
@@ -278,6 +427,43 @@ class _Universe:
         }
         self._subset_cache: dict = {}
         self._class_table_cache: dict = {}
+
+    @cached_property
+    def orbits(self) -> _Orbits:
+        """The renaming group's action on (fs, fo) pairs and on matrices."""
+        b = self.bounds
+        group_size = _saturating_product(itertools.chain(
+            range(2, b.num_subjects + 1), range(2, b.num_objects + 1),
+            range(2, b.num_categories + 1),
+        ))
+        _refuse_oversized({"(fs, fo) images": group_size * len(self.combos),
+                           "matrix images": group_size * len(self.m_options)})
+        group = tuple(
+            _Renaming(dict(zip(self.subjects, s)), dict(zip(self.objects, o)),
+                      dict(zip(self.categories, k)))
+            for s in itertools.permutations(self.subjects)
+            for o in itertools.permutations(self.objects)
+            for k in itertools.permutations(self.categories)
+        )[1:]  # the first of each permutation list is the identity
+        blank = SystemState((), (), (), (), ())
+        fs_index = {fs: i for i, fs in enumerate(self.fs_options)}
+        fo_index = {fo: i for i, fo in enumerate(self.fo_options)}
+        m_index = {m: i for i, (m, _dom) in enumerate(self.m_options)}
+        n_fo = len(self.fo_options)
+        images = []
+        m_image = []
+        for g in group:
+            fs_img = [fs_index[g.state(blank._replace(fs=fs)).fs] for fs in self.fs_options]
+            fo_img = [fo_index[g.state(blank._replace(fo=fo)).fo] for fo in self.fo_options]
+            images.append([f * n_fo + o for f in fs_img for o in fo_img])
+            m_image.append(tuple(m_index[g.state(blank._replace(m=m)).m]
+                                 for m, _dom in self.m_options))
+        rep = tuple(min([i, *(img[i] for img in images)]) for i in range(len(self.combos)))
+        reps = tuple(i for i, r in enumerate(rep) if r == i)
+        stabiliser = {
+            i: tuple(g for g, img in enumerate(images) if img[i] == i) for i in reps
+        }
+        return _Orbits(group, rep, reps, stabiliser, tuple(m_image))
 
     def _class_maps(self, entities: Sequence[str]) -> list[tuple]:
         options: list[Optional[SecurityClass]] = [None, *self.classes]
@@ -413,14 +599,15 @@ def _split_conjuncts(rd: RuleDef):
 class _ObState:
     """Mutable per-obligation bookkeeping during one sweep."""
 
-    __slots__ = ("rule", "prop", "failed", "witness", "fail_states")
+    __slots__ = ("rule", "prop", "failed", "witness", "fail_at")
 
     def __init__(self, rule: str, prop: str):
         self.rule = rule
         self.prop = prop
         self.failed = False
         self.witness: Optional[Witness] = None
-        self.fail_states = 0
+        # (fs, fo) index of the witness, and its leaf position in that pair
+        self.fail_at: Optional[tuple[int, int]] = None
 
 
 def _star_leaf_ok(br, bw, star_ok) -> bool:
@@ -534,12 +721,12 @@ class _RulePlan:
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
 
-    def sweep(self, group, rows, read_ok, star_ok, dom, leaves_before) -> None:
+    def sweep(self, group, rows, read_ok, star_ok, dom, combo, leaves_before) -> None:
         """Apply the ``group`` requests to the subtree's leaf ``rows``:
         br-stage conjuncts once per br option, on its leaf with an empty
         bw; leaf-stage conjuncts, effect, frame check and checked
         obligations per leaf.  Failures record the first witness in leaf,
-        then request order."""
+        then request order, at (``combo``, ``leaves_before`` + position)."""
         br_stage = self.br_stage
         leaf_stage = self.leaf_stage
         effect = self.effect
@@ -565,7 +752,7 @@ class _RulePlan:
                                 if not ob.failed and not test(after, read_ok, star_ok, dom):
                                     ob.failed = True
                                     ob.witness = Witness(st, req, after, ob.prop)
-                                    ob.fail_states = leaves_before + pos
+                                    ob.fail_at = (combo, leaves_before + pos)
                 except _FrameViolation:
                     raise
                 except Exception as e:
@@ -574,20 +761,25 @@ class _RulePlan:
 
 def _sweep_range(
     u: _Universe,
-    obligations: Sequence[Obligation],
     rule_defs: dict[str, RuleDef],
+    obligations: Sequence[Obligation],
     lo: int,
     hi: int,
 ):
-    """Check obligations over the (fs, fo) combinations with flat index in
-    [lo, hi).  Returns one chunk result for ``_merge_chunks``: per-obligation
-    partial verdicts, the leaf count and the per-rule sweep times.
+    """Check obligations over the representative (fs, fo) pairs
+    ``u.orbits.reps[lo:hi]``.  Returns one chunk result for
+    ``_merge_chunks``: per-obligation partial verdicts, the leaf count of
+    each pair swept and the per-rule sweep times.
 
     The hypothesis filter (all invariants hold before the step) is fused
     into generation (see ``_subtrees``) and the *-property leaf filter.  A
     small-scope test pins this against literally filtering enumerate_states
-    with the core predicates.  Within a subtree the loop is rule-major: the
-    leaf states are built once, on the first rule with surviving requests.
+    with the core predicates.  Only orbit representatives are swept: of a
+    pair's matrix options, those no renaming that fixes the pair maps to an
+    earlier option, and of their leaves, those ``_leaf_rows`` keeps.  A
+    skipped matrix option counts the leaves of its earlier image.  Within a
+    subtree the loop is rule-major: the leaf states are built once, on the
+    first rule with surviving requests.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -595,52 +787,85 @@ def _sweep_range(
         for rule in RULE_ORDER if any(ob.rule == rule for ob in obs)
     ]
 
-    leaves = 0
+    orbits = u.orbits
+    counts = {}
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
-    b = u.bounds
-    subtrees = _subtrees(u, u.combos[lo:hi], u.m_options, (b.max_br, b.max_bw),
-                         hypothesis=True)
+    caps = (u.bounds.max_br, u.bounds.max_bw)
 
-    for fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs in subtrees:
+    for combo in orbits.reps[lo:hi]:
         # stop once every obligation has failed (mutation runs stop fast)
         if all(ob.failed for ob in obs):
             break
-        proto = SystemState((), (), fo, fs, m)
-        star_rows = list(_star_rows(br_subs, bw_subs, star_ok))
-        rows = None
-        t0 = clock()
-        for plan in plans:
-            if all(ob.failed for ob in plan.obs):
+        stabiliser = orbits.stabiliser[combo]
+        m_leaves = []  # per matrix option of this pair, its leaf count
+        leaves = 0
+        subtrees = _subtrees(u, (u.combos[combo],), u.m_options, caps, hypothesis=True)
+        for mi, (fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs) in enumerate(subtrees):
+            if all(ob.failed for ob in obs):
+                break
+            images = [orbits.m_image[g][mi] for g in stabiliser]
+            first = min(images, default=mi)
+            if first < mi:
+                m_leaves.append(m_leaves[first])
+                leaves += m_leaves[first]
                 continue
-            group = _stage(plan.reqs, plan.subtree_stage, proto)
-            if group:
-                if rows is None:  # shared work, kept out of the rule's time
-                    t_rows = clock()
-                    rows = _leaf_rows(star_rows, fo, fs, m)
-                    t0 += clock() - t_rows
-                plan.sweep(group, rows, read_ok, star_ok, dom, leaves)
-            t1 = clock()
-            rule_time[plan.rule] += t1 - t0
-            t0 = t1
-        leaves += sum(len(bws) for _br, bws in star_rows)
+            fixing = [orbits.group[g] for g, img in zip(stabiliser, images) if img == mi]
+            proto = SystemState((), (), fo, fs, m)
+            star_rows = list(_star_rows(br_subs, bw_subs, star_ok))
+            rows = None
+            t0 = clock()
+            for plan in plans:
+                if all(ob.failed for ob in plan.obs):
+                    continue
+                group = _stage(plan.reqs, plan.subtree_stage, proto)
+                if group:
+                    if rows is None:  # shared work, kept out of the rule's time
+                        t_rows = clock()
+                        rows = _leaf_rows(star_rows, fo, fs, m, fixing)
+                        t0 += clock() - t_rows
+                    plan.sweep(group, rows, read_ok, star_ok, dom, combo, leaves)
+                t1 = clock()
+                rule_time[plan.rule] += t1 - t0
+                t0 = t1
+            m_leaves.append(sum(len(bws) for _br, bws in star_rows))
+            leaves += m_leaves[-1]
+        else:  # a pair left early has no count, and no merge needs one
+            counts[combo] = leaves
 
-    entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_states) for o in obs]
-    return entries, leaves, rule_time
+    entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
+    return entries, counts, rule_time
 
 
-def _leaf_rows(star_rows, fo, fs, m):
+def _leaf_rows(star_rows, fo, fs, m, fixing):
     """The subtree's leaf states as ``(br state, [(position, state), ...])``
     per br option.  Positions count from 1 in enumeration order; the br
     state is the option's first leaf, whose bw is empty (the empty set is
-    the first bw option and never breaks the *-property)."""
+    the first bw option and never breaks the *-property).
+
+    ``fixing`` holds the renamings that fix the subtree's fs, fo and m.
+    Only leaves that none of them maps to an earlier leaf are kept: a br
+    option goes when one maps it to an earlier option, and a bw option when
+    one that fixes its br maps it to an earlier one.  Positions still count
+    every leaf.  A kept br option always keeps its empty-bw leaf.  A
+    renaming keeps a subset's size, and subsets of one size are enumerated
+    in tuple order, so "earlier" is ``<`` on the sorted tuples.
+    """
     rows = []
     pos = 0
     for br, bws in star_rows:
+        fixing_br = fixing
+        if fixing:
+            images = [h.pairs(br) for h in fixing]
+            if any(img < br for img in images):
+                pos += len(bws)
+                continue
+            fixing_br = [h for h, img in zip(fixing, images) if img == br]
         leaves = []
         for bw in bws:
             pos += 1
-            leaves.append((pos, SystemState(br, bw, fo, fs, m)))
+            if not fixing_br or all(h.pairs(bw) >= bw for h in fixing_br):
+                leaves.append((pos, SystemState(br, bw, fo, fs, m)))
         rows.append((leaves[0][1], leaves))
     return rows
 
@@ -661,49 +886,78 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` units of work ((fs, fo) combinations
-    or obligations): no more than asked for, than there are units, or than
-    CPUs."""
+    """Worker processes for ``n_tasks`` units of work (representative
+    (fs, fo) pairs or obligations): no more than asked for, than there are
+    units, or than CPUs."""
     return min(workers, n_tasks, os.cpu_count() or 1)
 
 
-def _run_tasks(fn, tasks: list[tuple], n: int) -> list:
-    """``fn(*task)`` for every task, results in task order: in this process
-    when ``n`` <= 1, otherwise on ``n`` forked workers that take one task at
-    a time."""
+# A pool worker's share of ``_run_tasks``' context, set once when the worker
+# starts; never set in the process that runs the pool.
+_worker_context: tuple = ()
+
+
+def _start_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_in_worker(fn, task):
+    return fn(*_worker_context, *task)
+
+
+def _run_tasks(fn, context: tuple, tasks: list[tuple], n: int) -> list:
+    """``fn(*context, *task)`` for every task, results in task order: in
+    this process when ``n`` <= 1, otherwise on ``n`` forked workers that
+    receive ``context`` once, when they start, and take one task at a time.
+    So a worker's universe and its memos serve every task it runs."""
     if n <= 1:
-        return [fn(*task) for task in tasks]
-    with get_context("fork").Pool(n) as pool:
-        return pool.starmap(fn, tasks, chunksize=1)
+        return [fn(*context, *task) for task in tasks]
+    with get_context("fork").Pool(n, initializer=_start_worker, initargs=context) as pool:
+        return pool.starmap(_run_in_worker, [(fn, task) for task in tasks], chunksize=1)
 
 
-def _shard_ranges(n_combo: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split [0, n_combo) into about eight contiguous, ordered ranges per
+def _shard_ranges(n_units: int, n_workers: int) -> list[tuple[int, int]]:
+    """Split [0, n_units) into about eight contiguous, ordered ranges per
     worker, so a pool handing them out one at a time stays balanced."""
-    k = min(n_combo, 8 * n_workers)
-    cuts = [n_combo * i // k for i in range(k + 1)]
+    k = min(n_units, 8 * n_workers)
+    cuts = [n_units * i // k for i in range(k + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def _merge_chunks(obligations, chunk_results):
+def _merge_chunks(u: _Universe, obligations, chunk_results):
     """Fold sweep chunk results, in chunk order, into sequential-equivalent
-    verdicts: first witness wins, earlier chunks contribute their full leaf
-    counts to the failing obligation's visited-state count.  Per-rule times
-    sum over chunks (CPU time, not wall time, under parallelism)."""
-    merged = {ob: [False, None, 0] for ob in obligations}
-    leaves_before = 0
+    verdicts: first witness wins.  Every (fs, fo) pair has the leaf count of
+    its orbit's representative, so a failing obligation's visited-state
+    count is the leaves of all pairs before the witness's plus its position
+    there, and a passing one's is the leaves of all pairs.  Per-rule times
+    sum over chunks (CPU time, not wall time, under parallelism).
+
+    Returns ``{obligation: (failed, witness, states)}`` and the times."""
+    first = {}
+    counts: dict[int, int] = {}
     total_time: dict[str, float] = {}
-    for entries, leaves, rule_time in chunk_results:
-        for rule, prop, failed, witness, fail_states in entries:
-            slot = merged[Obligation(rule, prop)]
-            if failed and not slot[0]:
-                slot[0] = True
-                slot[1] = witness
-                slot[2] = leaves_before + fail_states
+    for entries, chunk_counts, rule_time in chunk_results:
+        for rule, prop, failed, witness, fail_at in entries:
+            if failed:
+                first.setdefault(Obligation(rule, prop), (witness, fail_at))
+        counts.update(chunk_counts)
         for rule, secs in rule_time.items():
             total_time[rule] = total_time.get(rule, 0.0) + secs
-        leaves_before += leaves
-    return merged, leaves_before, total_time
+
+    # a sweep stops early only once all its obligations failed, so the
+    # pairs before every witness, and all pairs when one passed, have counts
+    def leaves_before(combo: int) -> int:
+        return sum(counts[rep] for rep in u.orbits.rep[:combo])
+
+    merged = {}
+    for ob in obligations:
+        if ob in first:
+            witness, (combo, pos) = first[ob]
+            merged[ob] = (True, witness, leaves_before(combo) + pos)
+        else:
+            merged[ob] = (False, None, leaves_before(len(u.combos)))
+    return merged, total_time
 
 
 def check_obligations(
@@ -744,29 +998,26 @@ def check_obligations(
         # one task per obligation; each seeds its own generator, so sharding
         # cannot change results
         results = _run_tasks(
-            _random_obligation,
-            [(u, ob, defs, samples, seed) for ob in obligations],
+            _random_obligation, (u, defs),
+            [(ob, samples, seed) for ob in obligations],
             _pool_size(workers, len(obligations)),
         )
         return ObligationReport(bounds=b, mode=MODE_RANDOM, results=tuple(results),
                                 samples=samples, seed=seed)
 
-    n_combo = len(u.combos)
-    n = _pool_size(workers, n_combo)
-    # one process sweeps all of [0, n_combo) as one task, so a fail-fast
+    n_reps = len(u.orbits.reps)
+    n = _pool_size(workers, n_reps)
+    # one process sweeps all representatives as one task, so a fail-fast
     # search stops at the first failure of every obligation
-    ranges = [(0, n_combo)] if n <= 1 else _shard_ranges(n_combo, n)
-    chunk_results = _run_tasks(
-        _sweep_range, [(u, obligations, defs, lo, hi) for lo, hi in ranges], n
-    )
-    merged, total_leaves, rule_time = _merge_chunks(obligations, chunk_results)
+    ranges = [(0, n_reps)] if n <= 1 else _shard_ranges(n_reps, n)
+    chunk_results = _run_tasks(_sweep_range, (u, defs, obligations), ranges, n)
+    merged, rule_time = _merge_chunks(u, obligations, chunk_results)
 
     results = []
     for ob in obligations:
-        failed, witness, fail_states = merged[ob]
+        failed, witness, states = merged[ob]
         if failed:
             _validate_witness(witness, defs, u.props)
-        states = fail_states if failed else total_leaves
         results.append(
             ObligationResult(
                 rule=ob.rule,
@@ -807,7 +1058,7 @@ def _random_state(rng: random.Random, u: _Universe) -> SystemState:
                 return SystemState(br, bw, fo, fs, m)
 
 
-def _random_obligation(u: _Universe, ob, defs, samples, seed) -> ObligationResult:
+def _random_obligation(u: _Universe, defs, ob, samples, seed) -> ObligationResult:
     rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
     rd = defs[ob.rule]
     reqs = u.requests[ob.rule]

@@ -7,8 +7,8 @@ Three commands::
     blpcheck run scenario.blp
 
 Exit codes: 0 all-pass / expectations met, 1 obligation failure, partition
-gap or overlap, or failed expectation, 2 usage error, unreadable or
-non-UTF-8 scenario file, or parse error.
+gap or overlap, or failed expectation, 2 usage error, bounds too large to
+check, unreadable or non-UTF-8 scenario file, or parse error.
 
 Output is deterministic for fixed inputs and seed.  The elapsed-ms column
 of reports is 0 unless ``--timing`` is given, so that two identical runs

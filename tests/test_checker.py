@@ -22,6 +22,7 @@ from blpcheck import (
     strict_star_prop,
     well_formed,
 )
+from blpcheck import checker
 from blpcheck.checker import (
     MODE_RANDOM,
     P0,
@@ -34,6 +35,7 @@ from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, PROPERTY_ORDER
 from blpcheck.rules import (
     RULE_DEFS,
     RULE_ORDER,
+    Conjunct,
     apply_def,
     rule_clauses,
     without_conjunct,
@@ -148,9 +150,10 @@ def test_enumeration_is_deterministic():
 # --- the obligation runner vs a naive sweep ----------------------------------
 
 def naive_check(b: Bounds, rule_defs=None, star=star_prop):
-    """State-by-state reference runner: no staging, no tables.  ``star`` is
-    the reading of the *-property, both in the hypothesis and as the
-    obligation's property."""
+    """State-by-state reference runner: no staging, no tables, no symmetry
+    reduction.  ``star`` is the reading of the *-property, both in the
+    hypothesis and as the obligation's property.  Returns the first witness
+    of each obligation and the hypothesis states in enumeration order."""
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
     prop_fns = {**PROPERTY_FUNCS, "starprop": star}
     states = [
@@ -171,7 +174,7 @@ def naive_check(b: Bounds, rule_defs=None, star=star_prop):
                 if witness:
                     break
             verdicts[(rule, prop)] = witness
-    return verdicts, len(states)
+    return verdicts, states
 
 
 STAR_READINGS = pytest.mark.parametrize(
@@ -184,7 +187,8 @@ STAR_READINGS = pytest.mark.parametrize(
 @STAR_READINGS
 def test_staged_runner_matches_naive_sweep(strict_star, star):
     report = check_obligations(SMALL, strict_star=strict_star)
-    naive, n_states = naive_check(SMALL, star=star)
+    naive, states = naive_check(SMALL, star=star)
+    n_states = len(states)
     assert len(report.results) == 60
     for r in report.results:
         expected = naive[(r.rule, r.prop)]
@@ -205,6 +209,63 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
         assert (r.status == "fail") == (expected is not None), (r.rule, r.prop)
         if expected is not None:
             assert (r.witness.state, r.witness.request, r.witness.after) == expected
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 2, 1, 0, 1, 1, 2),
+                                    Bounds(1, 2, 1, 2, 1, 1, 1)],
+                         ids=["entities", "categories"])
+def test_sweep_visits_exactly_the_orbit_leaders(bounds):
+    """The sweep decides one state per orbit under renaming: the one that
+    comes first in enumeration order.  A leaf-stage conjunct that records
+    every state it is asked about, and holds nowhere, shows which."""
+    seen = set()
+
+    def spy(st, _req):
+        seen.add(st)
+        return False
+
+    rd = dataclasses.replace(RULE_DEFS["releaseWrite"],
+                             conjuncts=(Conjunct("spy", frozenset({"bw"}), spy),))
+    report = check_obligations(bounds, rule="releaseWrite", rule_defs={"releaseWrite": rd})
+    states = [s for s in enumerate_states(bounds) if sec_cond(s) and star_prop(s)]
+    position = {s: i for i, s in enumerate(states)}
+    group = _Universe(bounds).orbits.group
+    assert group  # the bounds have a non-trivial symmetry
+    leaders = {s for s in states if all(position[g.state(s)] >= position[s] for g in group)}
+    assert seen == leaders
+    assert len(leaders) < len(states) == report.results[0].states_checked
+
+
+# Mutants whose failures at these bounds depend on the categories.
+CATEGORY_MUTANTS = {
+    rule: without_conjunct(RULE_DEFS[rule], conjunct)
+    for rule, conjunct in (("getRead", "clearanceDominates"),
+                           ("getWrite", "readsBelowObject"),
+                           ("changeClass", "objectUnaccessed"))
+}
+
+
+@pytest.mark.parametrize("bounds", [Bounds(1, 2, 1, 2, 1, 1, 1),
+                                    Bounds(2, 1, 1, 2, 1, 1, 1)],
+                         ids=["objects", "subjects"])
+@STAR_READINGS
+def test_reduced_sweep_matches_naive_with_categories(bounds, strict_star, star):
+    """Two categories make Sym(categories) non-trivial, which no other
+    exhaustive test's bounds do; the sweep checks one state per renaming
+    orbit, the naive sweep every state.  Verdicts, visited-state counts
+    and first witnesses must agree, for the real rules and for mutants."""
+    for defs in (None, CATEGORY_MUTANTS):
+        report = check_obligations(bounds, rule_defs=defs, strict_star=strict_star)
+        naive, states = naive_check(bounds, rule_defs=defs, star=star)
+        for r in report.results:
+            expected = naive[(r.rule, r.prop)]
+            assert (r.status == "fail") == (expected is not None), (r.rule, r.prop)
+            if expected is None:
+                assert r.states_checked == len(states)
+            else:
+                assert (r.witness.state, r.witness.request, r.witness.after) == expected
+                assert r.states_checked == states.index(expected[0]) + 1
+        assert report.all_pass == (defs is None)
 
 
 def test_hypothesis_filter_is_not_applied_by_enumeration():
@@ -259,6 +320,7 @@ def test_random_mode_worker_parity():
     seq = check_obligations(SMALL, workers=1, **kw)
     par = check_obligations(SMALL, workers=2, **kw)
     assert format_report(par, "machine") == format_report(seq, "machine")
+    assert checker._worker_context == ()  # set in pool workers only
     with pytest.raises(ValueError):
         check_obligations(SMALL, workers=2, rule="getRead",
                           rule_defs={"getRead": RULE_DEFS["getRead"]}, **kw)

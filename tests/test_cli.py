@@ -198,6 +198,35 @@ def test_negative_bounds_exit_two(capsys):
     assert "non-negative" in err
 
 
+def test_oversized_bounds_exit_two():
+    """Bounds whose lists would not fit are refused, with their sizes,
+    before anything is built.  Each case runs in a child process whose
+    address space alone is capped at 400 MB; without the refusal the first
+    case ends in a MemoryError."""
+    import resource, subprocess, sys
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    cases = (
+        (("check", "--subjects", "6", "--objects", "6", "--max-matrix", "1"),
+         "244,140,625 (fs, fo) pairs"),
+        (("partition", "--rule", "getRead", "--categories", "200"),
+         "security classes"),
+        (("check", "--mode", "random", "--subjects", "2000000", "--objects", "0",
+          "--levels", "0"), "names"),
+        # lists that fit, but a symmetry group of 720 * 720 renamings
+        (("check", "--subjects", "6", "--objects", "6", "--levels", "1",
+          "--categories", "0", "--max-matrix", "0"), "(fs, fo) images"),
+    )
+    for args, size in cases:
+        proc = subprocess.run([sys.executable, "-m", "blpcheck", *args],
+                              capture_output=True, text=True, preexec_fn=cap_memory,
+                              timeout=120)
+        assert proc.returncode == 2, (args, proc.stderr[-500:])
+        assert "bounds too large" in proc.stderr and size in proc.stderr, proc.stderr
+
+
 # --- formats and witness round-trip -------------------------------------------
 
 def test_obligation_witness_round_trip(capsys):

@@ -1,8 +1,11 @@
 """The ten transition rules: worked examples, the frame condition, inverse
-pairs, clause tables and the declared guard dependencies."""
+pairs, clause tables, the declared guard dependencies and symmetry under
+renaming."""
+
+import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blpcheck import (
@@ -21,13 +24,21 @@ from blpcheck import (
     rule_clauses,
     run_clauses,
     sec_class,
+    strict_star_prop,
     well_formed,
 )
-from blpcheck.core import READ, WRITE, CTRL
+from blpcheck.checker import _Renaming
+from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, READ, WRITE, CTRL
 from blpcheck.rules import (
+    FIELD_CLASS,
+    FIELD_MODE,
+    FIELD_OBJECT,
+    FIELD_SUBJECT,
     REQUEST_TYPES,
     RULE_DEFS,
+    RULE_OF_REQUEST,
     RULE_ORDER,
+    VARIANTS,
     ChangeClass,
     CreateObject,
     DeleteObject,
@@ -40,10 +51,18 @@ from blpcheck.rules import (
     RescindRead,
     RescindWrite,
     apply_def,
+    request_fields,
     without_conjunct,
 )
 
-from conftest import classes, well_formed_states
+from conftest import (
+    CATEGORIES,
+    OBJECTS,
+    SUBJECTS,
+    classes,
+    raw_states,
+    well_formed_states,
+)
 
 
 def all_requests():
@@ -377,3 +396,69 @@ def test_without_conjunct_mutation_helper():
     req = GetWrite("s1", "o1")
     assert apply_rule(st_, req).decision == NO
     assert apply_def(mutated, st_, req).decision == YES
+
+
+# --- renaming symmetry -------------------------------------------------------
+
+@st.composite
+def renamings(draw):
+    """A random element of Sym(SUBJECTS) x Sym(OBJECTS) x Sym(CATEGORIES)."""
+    return _Renaming(
+        dict(zip(SUBJECTS, draw(st.permutations(SUBJECTS)))),
+        dict(zip(OBJECTS, draw(st.permutations(OBJECTS)))),
+        dict(zip(CATEGORIES, draw(st.permutations(CATEGORIES)))),
+    )
+
+
+_DOMAINS = {
+    FIELD_SUBJECT: SUBJECTS,
+    FIELD_OBJECT: OBJECTS,
+    FIELD_MODE: MATRIX_MODES,
+    FIELD_CLASS: tuple(sec_class(level, cats) for level in range(2)
+                       for cats in ((), ("ka",), ("kb",), ("ka", "kb"))),
+}
+# Every request over the strategies' names, two levels and both categories.
+EVERY_REQUEST = tuple(
+    rt(*args)
+    for rt in REQUEST_TYPES
+    for args in itertools.product(*(_DOMAINS[kind] for _name, kind in request_fields(rt)))
+)
+
+
+def _outcome(clauses, st_, req):
+    try:
+        out = run_clauses(clauses, st_, req)
+    except NoApplicableClause:
+        return None
+    return out.decision, out.clause, out.after
+
+
+@settings(deadline=None)  # each example runs every request
+@given(st.one_of(raw_states(), well_formed_states()), renamings())
+def test_rules_and_invariants_commute_with_renaming(st_, g):
+    """The exhaustive sweep checks one state per renaming orbit, which is
+    sound only if renaming subjects, objects and categories before a step
+    gives the renamed result of the step: for every guard conjunct, every
+    effect (the rule definition and both clause tables) and every
+    invariant."""
+    g_st = g.state(st_)
+    for name, pred in (*PROPERTY_FUNCS.items(), ("strict", strict_star_prop)):
+        assert pred(g_st) == pred(st_), name
+    for req in EVERY_REQUEST:
+        g_req = g.request(req)
+        rule = RULE_OF_REQUEST[type(req)]
+        rd = RULE_DEFS[rule]
+        for c in rd.conjuncts:
+            assert c.holds(g_st, g_req) == c.holds(st_, req), (c.name, req)
+        out = apply_def(rd, st_, req)
+        g_out = apply_def(rd, g_st, g_req)
+        assert (g_out.decision, g_out.clause) == (out.decision, out.clause)
+        assert g_out.after == g.state(out.after)
+        for variant in VARIANTS:
+            clauses = rule_clauses(rule, variant)
+            plain = _outcome(clauses, st_, req)
+            renamed = _outcome(clauses, g_st, g_req)
+            if plain is None:
+                assert renamed is None
+            else:
+                assert renamed == (*plain[:2], g.state(plain[2]))
