@@ -18,27 +18,44 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses) and written once, in ``_subtrees``.  Guard
-conjuncts run in three stages, by the components they declare to read:
-once per subtree (classifications and matrix only), once per ``br``
-option (plus ``br``), and once per leaf (the rest).  Within a subtree the
-sweep is rule-major: each rule runs its subtree stage, then walks the
-subtree's leaf states, which are built once and only if some rule has a
-surviving request.  Each rule is compiled once into a plan
-(``_RulePlan``).  Its obligations whose property reads a component the
-rule writes (``RuleDef.writes``) are *checked*, each by a test chosen
-once, a subtree truth table where the frame allows it; the others are
-*framed* and hold because they held before the step.  Every granted
-effect is verified to leave the components outside ``writes`` identical,
-so an undeclared write stops the sweep with an error instead of giving a
-wrong verdict.  The strict reading of the *-property is a restriction of
-state generation, not a separate leaf test: write pairs are drawn from
-classified objects only, and read pairs already are (security condition),
-so the strict and per-pair readings agree on every generated state.  Each
-conjunct declares which components it reads; declarations are pinned by
-property tests, and a small-scope test checks the staged sweep against a
-naive state-by-state sweep.  Reported witnesses are always re-validated
-through the public rule interface before they land in a report.
+then current accesses) and written once, in ``_subtrees``.  Within a
+subtree the sweep is rule-major, and each rule walks the subtree's leaves
+in enumeration order, each leaf's requests in list order.  Every swept
+leaf carries a small integer id per state component (``_Universe``), and
+every rule callable runs once per distinct value of the components it
+declares to read; the result is memoised under their ids.  A guard
+conjunct's memo maps the ids of its ``reads`` to the bitset of the rule's
+requests it grants, so a leaf's granted requests are an AND of bitsets:
+conjuncts reading neither br nor bw once per subtree, br-only ones once
+per br option, the rest per leaf.  An effect runs once per (request, ids
+of ``RuleDef.writes``).  An invariant runs once per after-state value of
+the components it reads (``core.PROPERTY_READS``), in one memo per
+property shared by all rules.  A rule's obligations whose property reads a
+component the rule writes are *checked* that way; the others are *framed*
+and hold because they held before the step.  A rule whose guards, writes
+and checked properties never read the matrix decides each (br, bw) leaf
+of an (fs, fo) pair once, on its first matrix.  Every effect call verifies
+that the components outside ``writes`` are left identical, so an
+undeclared write stops the sweep with an error instead of giving a wrong
+verdict, and a failing obligation's witness comes from a real effect call
+on its leaf.
+
+The memos rest on three conditions on ``rule_defs``, besides the
+equivariance below, each pinned by a property test for the shipped rules:
+honest conjunct ``reads``; honest ``core.PROPERTY_READS``; and effect
+locality, i.e. an effect's written components depend only on the written
+components of its input and on the request.  They hold for every table
+``rules.without_conjunct`` builds.  Under them every memo answer equals
+the call it stands for, and the order of (leaf, request) pairs is that of
+a state-by-state sweep, so verdicts, counts and first witnesses are too.
+The strict reading of the *-property is a restriction of state generation,
+not a separate leaf test: write pairs are drawn from classified objects
+only, and read pairs already are (security condition), so the strict and
+per-pair readings agree on every generated state.  ``naive_check`` in the
+test suite is the reference: a state-by-state sweep with no memos, held to
+the same verdicts, counts and witnesses.  Reported witnesses are always
+re-validated through the public rule interface before they land in a
+report.
 
 Symmetry reduction: subject, object and category names are
 interchangeable.  Every guard conjunct, effect and invariant commutes with
@@ -62,37 +79,39 @@ analysis and random mode are not reduced.
 
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
-invariant predicates, every rule's request list, a per-(fs, fo) memo of
-the security truth tables and, for the exhaustive sweep, the group's
-action on (fs, fo) pairs and matrices (``_Orbits``).  The enumerator, the
-sweep, the random sampler and witness validation all read it, and one
-task runner (``_run_tasks``) runs the work in process or on forked
-workers, which receive the context once when they start: ranges of
-representative (fs, fo) pairs in exhaustive mode, one obligation per task
-in random mode.  Bounds whose lists would exceed ``MAX_LIST`` entries are
-refused, from sizes computed in closed form, before anything is built.
+invariant predicates, every rule's request list, the component id tables,
+the invariant memos, a per-(fs, fo) memo of the security truth tables and,
+for the exhaustive sweep, the group's action on (fs, fo) pairs and
+matrices (``_Orbits``).  The enumerator, the sweep, the random sampler and
+witness validation all read it, and one task runner (``_run_tasks``) runs
+the work in process or on forked workers, which receive the context once
+when they start: ranges of representative (fs, fo) pairs in exhaustive
+mode, one obligation per task in random mode.  Each worker fills its own
+memos.  An obligation's ``elapsed_ms`` stays its rule's measured sweep
+time, memo hits included: an invariant verdict one rule computed is free
+for the rules after it.  Bounds whose lists would exceed ``MAX_LIST``
+entries are refused, from sizes computed in closed form, before anything
+is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import get_context
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import core, rules
 from .core import (
     MATRIX_MODES,
     PROPERTY_FUNCS,
     PROPERTY_ORDER,
-    PROPERTY_RAN_BR,
-    PROPERTY_RAN_BW,
-    PROPERTY_SECCOND,
     PROPERTY_STARPROP,
     SecurityClass,
     SystemState,
@@ -379,6 +398,17 @@ class _Universe:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     The symmetry tables (``orbits``) are built on first use, which only the
     exhaustive sweep makes.
+
+    The sweep's memos are keyed by component ids (``id_tables``): an (fs,
+    fo) pair's ids are ``divmod`` of its index in ``combos`` by the number
+    of fo options, a matrix's id is its index in ``m_options``, and access
+    sets get ids as the sweep meets them.  After-state values take ids from
+    the same tables.  ``prop_memo`` holds each property's verdicts under the
+    after-state ids of the components it reads (``core.PROPERTY_READS``),
+    for every rule of the check, so its size is bounded by the distinct
+    after-state projections, not by effect entries times states.  The keys
+    are sound only under the conditions on ``rule_defs`` in the module
+    docstring.
     """
 
     def __init__(self, b: Bounds, strict_star: bool = False):
@@ -425,8 +455,30 @@ class _Universe:
             )
             for rule, rd in RULE_DEFS.items()
         }
+        # Per state component, in SystemState field order, a table from value
+        # to a small integer id.  Options get their list index (the access
+        # sets of br and bw share one table, filled as the sweep meets them);
+        # a value first met in an after state gets the next free id.
+        access_ids: dict = {}
+        self.id_tables = (
+            access_ids, access_ids,
+            {fo: i for i, fo in enumerate(self.fo_options)},
+            {fs: i for i, fs in enumerate(self.fs_options)},
+            {m: i for i, (m, _dom) in enumerate(self.m_options)},
+        )
+        # Per property, its verdicts keyed by the ids of the components it
+        # reads (core.PROPERTY_READS), shared by every rule of the sweep.
+        self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
         self._subset_cache: dict = {}
         self._class_table_cache: dict = {}
+
+    def component_id(self, field: int, value) -> int:
+        """The id of ``value`` as state component number ``field``."""
+        table = self.id_tables[field]
+        cid = table.get(value)
+        if cid is None:
+            cid = table[value] = len(table)
+        return cid
 
     @cached_property
     def orbits(self) -> _Orbits:
@@ -446,9 +498,7 @@ class _Universe:
             for k in itertools.permutations(self.categories)
         )[1:]  # the first of each permutation list is the identity
         blank = SystemState((), (), (), (), ())
-        fs_index = {fs: i for i, fs in enumerate(self.fs_options)}
-        fo_index = {fo: i for i, fo in enumerate(self.fo_options)}
-        m_index = {m: i for i, (m, _dom) in enumerate(self.m_options)}
+        _, _, fo_index, fs_index, m_index = self.id_tables
         n_fo = len(self.fo_options)
         images = []
         m_image = []
@@ -579,21 +629,24 @@ def strict_star_prop(st: SystemState) -> bool:
 
 
 # --------------------------------------------------------------------------
-# The staged exhaustive sweep.
+# The memoised exhaustive sweep.
 
-_SUBTREE_COMPONENTS = frozenset({"fo", "fs", "m"})
-_BR_COMPONENTS = _SUBTREE_COMPONENTS | {"br"}
+# A swept leaf carries one id per state component, in SystemState field
+# order (see ``_Universe.id_tables``).
+_FIELDS = SystemState._fields
+_BR, _BW = _FIELDS.index("br"), _FIELDS.index("bw")
 
 
-def _split_conjuncts(rd: RuleDef):
-    """A rule's guard conjuncts in three stages, by declared reads: those
-    reading only classifications and the matrix (once per subtree), those
-    also reading ``br`` (once per br option), and the rest (once per leaf)."""
-    subtree = tuple(c for c in rd.conjuncts if c.reads <= _SUBTREE_COMPONENTS)
-    br = tuple(c for c in rd.conjuncts
-               if c.reads <= _BR_COMPONENTS and not c.reads <= _SUBTREE_COMPONENTS)
-    leaf = tuple(c for c in rd.conjuncts if not c.reads <= _BR_COMPONENTS)
-    return subtree, br, leaf
+def _fields_of(components) -> tuple[int, ...]:
+    return tuple(i for i, name in enumerate(_FIELDS) if name in components)
+
+
+def _projection(fields: tuple[int, ...]) -> Callable:
+    """A memo key: the ids at ``fields`` of an id sequence (a bare id when
+    there is one field)."""
+    if not fields:
+        return lambda _ids: ()
+    return operator.itemgetter(*fields)
 
 
 class _ObState:
@@ -627,47 +680,6 @@ def _star_rows(br_subs, bw_subs, star_ok):
             yield br, bw_subs
 
 
-# After-state tests of checked obligations on rules that leave the
-# components the test looks up in a subtree table unchanged (the sweep
-# verifies that on every grant).  Arguments: the after state and the
-# hypothesis subtree's read_ok, star_ok and matrix domain.
-
-def _seccond_by_table(after, read_ok, _star_ok, _dom) -> bool:
-    return read_ok.issuperset(after.br)
-
-
-def _star_by_table(after, _read_ok, star_ok, _dom) -> bool:
-    return _star_leaf_ok(after.br, after.bw, star_ok)
-
-
-def _ran_br_by_dom(after, _read_ok, _star_ok, dom) -> bool:
-    for (_s, o) in after.br:
-        if o not in dom:
-            return False
-    return True
-
-
-def _ran_bw_by_dom(after, _read_ok, _star_ok, dom) -> bool:
-    for (_s, o) in after.bw:
-        if o not in dom:
-            return False
-    return True
-
-
-def _after_test(prop: str, writes: frozenset, u: _Universe):
-    """The after-state test of one checked obligation, chosen once."""
-    if prop == PROPERTY_SECCOND and not writes & {"fo", "fs"}:
-        return _seccond_by_table
-    if prop == PROPERTY_STARPROP and not u.strict_star and "fo" not in writes:
-        return _star_by_table
-    if prop == PROPERTY_RAN_BR and "m" not in writes:
-        return _ran_br_by_dom
-    if prop == PROPERTY_RAN_BW and "m" not in writes:
-        return _ran_bw_by_dom
-    pred = u.props[prop]
-    return lambda after, _read_ok, _star_ok, _dom: pred(after)
-
-
 class _FrameViolation(RuntimeError):
     """A rule effect changed a state component outside its declared writes."""
 
@@ -678,85 +690,205 @@ class _FrameViolation(RuntimeError):
         )
 
 
-def _stage(reqs, holds_all, st) -> list:
-    """The requests for which every conjunct in ``holds_all`` holds on ``st``."""
-    passed = []
-    for req in reqs:
+def _request_bits(holds, st, reqs) -> int:
+    """The set, as a bitset over ``reqs``, of the requests for which
+    ``holds`` holds on ``st``."""
+    bits = 0
+    for j, req in enumerate(reqs):
         try:
-            for holds in holds_all:
-                if not holds(st, req):
-                    break
-            else:
-                passed.append(req)
+            if holds(st, req):
+                bits |= 1 << j
         except Exception as e:
             raise _evaluation_failure(st, req) from e
-    return passed
+    return bits
+
+
+class _Guard(NamedTuple):
+    """A guard conjunct in the sweep: its memo key, taken from a leaf's ids,
+    the memo from key to request bitset, and the conjunct itself."""
+
+    key: Callable
+    memo: dict
+    holds: Callable
+
+    def bits(self, ids, st, reqs) -> int:
+        key = self.key(ids)
+        bits = self.memo.get(key)
+        if bits is None:
+            bits = self.memo[key] = _request_bits(self.holds, st, reqs)
+        return bits
 
 
 class _RulePlan:
-    """One rule compiled for the sweep: its guard stages, its effect's frame
-    (the state indices outside ``writes``) and its obligations.
+    """One rule compiled for the sweep: its guard conjuncts by stage, its
+    effect's memo and frame, and its obligations.
+
+    A conjunct that reads neither br nor bw is decided once per subtree, one
+    that reads br but not bw once per br option, the others once per leaf.
+    Each is looked up in its own memo under the ids of the components it
+    reads; a miss runs it on every request of the rule, on the state at
+    hand.  So a leaf's granted requests are an AND of bitsets.  The effect
+    runs once per (ids of the written components, request):
+    ``effects[key][j]`` holds the written values and their (field, id)
+    pairs, and every call verifies the frame (the components outside
+    ``writes``) by identity.
 
     An obligation is *checked* when its property reads a component the rule
     writes, and *framed* otherwise: the property reads only components the
     effect leaves as they were, so it holds after the step because it held
-    before.  Every grant verifies the frame by identity before any property
-    test, so neither the framed verdicts nor the table tests rest on the
-    declaration alone.
+    before.  A checked obligation looks its verdict up in the universe's
+    memo of the property, under the after state's ids of the components the
+    property reads.
+
+    When a rule's guards, writes and checked properties leave out the
+    matrix, its verdicts on a leaf do not depend on it: each (br, bw) leaf
+    of an (fs, fo) pair is then decided once, on the first matrix that has
+    it, and skipped on the others.  A failure there would have failed at
+    that earlier leaf first.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
         self.rule = rd.name
         self.reqs = u.requests[rd.name]
         self.obs = obs
-        self.subtree_stage, self.br_stage, self.leaf_stage = (
-            tuple(c.holds for c in cs) for cs in _split_conjuncts(rd)
-        )
+        self.universe = u
+        stages: tuple[list, list, list] = ([], [], [])  # subtree, br option, leaf
+        for c in rd.conjuncts:
+            fields = _fields_of(c.reads)
+            stage = 2 if _BW in fields else 1 if _BR in fields else 0
+            stages[stage].append(_Guard(_projection(fields), {}, c.holds))
+        self.subtree_guards, self.row_guards, self.leaf_guards = stages
         self.effect = rd.effect
-        self.frame = tuple(
-            i for i, comp in enumerate(SystemState._fields) if comp not in rd.writes
-        )
+        self.writes = _fields_of(rd.writes)
+        self.write_key = _projection(self.writes)
+        self.frame = tuple(i for i in range(len(_FIELDS)) if i not in self.writes)
+        self.effects: dict[object, list] = {}
+        self.indices: dict[int, tuple[int, ...]] = {}  # request bitset -> its indices
         self.checked = tuple(
-            (ob, _after_test(ob.prop, rd.writes, u))
+            (ob, _projection(_fields_of(core.PROPERTY_READS[ob.prop])),
+             u.prop_memo[ob.prop], u.props[ob.prop])
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
+        # Everything the rule's verdicts on a leaf depend on.  Without the
+        # matrix in it, ``decided`` holds the footprints of the leaves
+        # decided so far on the (fs, fo) pair ``decided_pair``.
+        footprint = rd.writes.union(
+            *(c.reads for c in rd.conjuncts),
+            *(core.PROPERTY_READS[ob.prop] for ob, *_ in self.checked),
+        )
+        self.footprint = _projection(_fields_of(footprint))
+        self.decided: Optional[set] = None if "m" in footprint else set()
+        self.decided_pair = -1
 
-    def sweep(self, group, rows, read_ok, star_ok, dom, combo, leaves_before) -> None:
-        """Apply the ``group`` requests to the subtree's leaf ``rows``:
-        br-stage conjuncts once per br option, on its leaf with an empty
-        bw; leaf-stage conjuncts, effect, frame check and checked
-        obligations per leaf.  Failures record the first witness in leaf,
-        then request order, at (``combo``, ``leaves_before`` + position)."""
-        br_stage = self.br_stage
-        leaf_stage = self.leaf_stage
-        effect = self.effect
-        frame = self.frame
-        live = [(ob, test) for ob, test in self.checked if not ob.failed]
-        for br_st, leaves in rows:
-            reqs = _stage(group, br_stage, br_st) if br_stage else group
-            if not reqs:
+    def subtree_mask(self, proto: SystemState, ids) -> int:
+        """The requests the subtree-stage conjuncts grant on the subtree
+        whose first leaf is ``proto``, with ids ``ids``."""
+        mask = (1 << len(self.reqs)) - 1
+        for guard in self.subtree_guards:
+            if not mask:
+                break
+            mask &= guard.bits(ids, proto, self.reqs)
+        return mask
+
+    def _apply(self, st: SystemState, j: int) -> SystemState:
+        """The effect of request ``j`` on ``st``, its frame verified."""
+        req = self.reqs[j]
+        try:
+            after = self.effect(st, req)
+        except Exception as e:
+            raise _evaluation_failure(st, req) from e
+        for i in self.frame:
+            if after[i] is not st[i]:
+                raise _FrameViolation(self.rule, i, st, req)
+        return after
+
+    def _written(self, st: SystemState, j: int) -> tuple[tuple, tuple]:
+        """An effect memo entry: the written components' values, and their
+        (field, id) pairs."""
+        after = self._apply(st, j)
+        return (tuple(after[i] for i in self.writes),
+                tuple((i, self.universe.component_id(i, after[i])) for i in self.writes))
+
+    def _indices(self, bits: int) -> tuple[int, ...]:
+        """The indices of the requests in bitset ``bits``, ascending."""
+        js = self.indices[bits] = tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
+        return js
+
+    def _holds_after(self, pred, st: SystemState, j: int, written: tuple) -> bool:
+        """``pred`` on ``st`` with its written components replaced."""
+        after = list(st)
+        for i, value in zip(self.writes, written):
+            after[i] = value
+        try:
+            return bool(pred(SystemState(*after)))
+        except Exception as e:
+            raise _evaluation_failure(st, self.reqs[j]) from e
+
+    def sweep(self, mask: int, rows, combo: int, leaves_before: int) -> None:
+        """Decide the requests in ``mask`` on the subtree's leaf ``rows``,
+        leaf by leaf in enumeration order and each leaf's requests in list
+        order.  Failures record the first witness, its after state from a
+        real effect call, at (``combo``, ``leaves_before`` + position)."""
+        reqs = self.reqs
+        row_guards = self.row_guards
+        leaf_guards = self.leaf_guards
+        effects = self.effects
+        indices = self.indices
+        write_key = self.write_key
+        live = [check for check in self.checked if not check[0].failed]
+        decided = self.decided
+        if decided is not None and self.decided_pair != combo:
+            decided.clear()
+            self.decided_pair = combo
+        footprint = self.footprint
+        for leaves in rows:
+            _pos, br_st, br_ids = leaves[0]
+            row_mask = mask
+            for guard in row_guards:
+                row_mask &= guard.bits(br_ids, br_st, reqs)
+            if not row_mask:
                 continue
-            for pos, st in leaves:
-                req = None
-                try:
-                    for req in reqs:
-                        for holds in leaf_stage:
-                            if not holds(st, req):
-                                break
-                        else:
-                            after = effect(st, req)
-                            for i in frame:
-                                if after[i] is not st[i]:
-                                    raise _FrameViolation(self.rule, i, st, req)
-                            for ob, test in live:
-                                if not ob.failed and not test(after, read_ok, star_ok, dom):
-                                    ob.failed = True
-                                    ob.witness = Witness(st, req, after, ob.prop)
-                                    ob.fail_at = (combo, leaves_before + pos)
-                except _FrameViolation:
-                    raise
-                except Exception as e:
-                    raise _evaluation_failure(st, req) from e
+            for pos, st, ids in leaves:
+                if decided is not None:
+                    k = footprint(ids)
+                    if k in decided:
+                        continue
+                    decided.add(k)
+                granted = row_mask
+                for key, memo, holds in leaf_guards:  # _Guard.bits, inlined
+                    k = key(ids)
+                    bits = memo.get(k)
+                    if bits is None:
+                        bits = memo[k] = _request_bits(holds, st, reqs)
+                    granted &= bits
+                if not granted:
+                    continue
+                wkey = write_key(ids)
+                entries = effects.get(wkey)
+                if entries is None:
+                    entries = effects[wkey] = [None] * len(reqs)
+                js = indices.get(granted) or self._indices(granted)
+                for j in js:
+                    entry = entries[j]
+                    if entry is None:
+                        entry = entries[j] = self._written(st, j)
+                    if not live:
+                        continue
+                    after_ids = list(ids)
+                    for i, cid in entry[1]:
+                        after_ids[i] = cid
+                    failed = False
+                    for ob, key, memo, pred in live:
+                        k = key(after_ids)
+                        ok = memo.get(k)
+                        if ok is None:
+                            ok = memo[k] = self._holds_after(pred, st, j, entry[0])
+                        if not ok:
+                            ob.failed = failed = True
+                            ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
+                            ob.fail_at = (combo, leaves_before + pos)
+                    if failed:
+                        live = [check for check in live if not check[0].failed]
 
 
 def _sweep_range(
@@ -792,16 +924,18 @@ def _sweep_range(
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
     caps = (u.bounds.max_br, u.bounds.max_bw)
+    empty = u.component_id(_BR, ())
 
     for combo in orbits.reps[lo:hi]:
         # stop once every obligation has failed (mutation runs stop fast)
         if all(ob.failed for ob in obs):
             break
+        fs_id, fo_id = divmod(combo, len(u.fo_options))
         stabiliser = orbits.stabiliser[combo]
         m_leaves = []  # per matrix option of this pair, its leaf count
         leaves = 0
         subtrees = _subtrees(u, (u.combos[combo],), u.m_options, caps, hypothesis=True)
-        for mi, (fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs) in enumerate(subtrees):
+        for mi, (fs, fo, m, _dom, _read_ok, star_ok, br_subs, bw_subs) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
                 break
             images = [orbits.m_image[g][mi] for g in stabiliser]
@@ -812,19 +946,20 @@ def _sweep_range(
                 continue
             fixing = [orbits.group[g] for g, img in zip(stabiliser, images) if img == mi]
             proto = SystemState((), (), fo, fs, m)
+            proto_ids = (empty, empty, fo_id, fs_id, mi)
             star_rows = list(_star_rows(br_subs, bw_subs, star_ok))
             rows = None
             t0 = clock()
             for plan in plans:
                 if all(ob.failed for ob in plan.obs):
                     continue
-                group = _stage(plan.reqs, plan.subtree_stage, proto)
-                if group:
+                mask = plan.subtree_mask(proto, proto_ids)
+                if mask:
                     if rows is None:  # shared work, kept out of the rule's time
                         t_rows = clock()
-                        rows = _leaf_rows(star_rows, fo, fs, m, fixing)
+                        rows = _leaf_rows(u, star_rows, proto, proto_ids, fixing)
                         t0 += clock() - t_rows
-                    plan.sweep(group, rows, read_ok, star_ok, dom, combo, leaves)
+                    plan.sweep(mask, rows, combo, leaves)
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
@@ -837,11 +972,12 @@ def _sweep_range(
     return entries, counts, rule_time
 
 
-def _leaf_rows(star_rows, fo, fs, m, fixing):
-    """The subtree's leaf states as ``(br state, [(position, state), ...])``
-    per br option.  Positions count from 1 in enumeration order; the br
-    state is the option's first leaf, whose bw is empty (the empty set is
-    the first bw option and never breaks the *-property).
+def _leaf_rows(u: _Universe, star_rows, proto: SystemState, proto_ids, fixing):
+    """The subtree's leaves, one list per br option, each leaf as
+    ``(position, state, ids)``.  Positions count from 1 in enumeration
+    order; ``proto`` and ``proto_ids`` give the subtree's components and
+    their ids.  A row's first leaf has an empty bw (the empty set is the
+    first bw option and never breaks the *-property).
 
     ``fixing`` holds the renamings that fix the subtree's fs, fo and m.
     Only leaves that none of them maps to an earlier leaf are kept: a br
@@ -851,6 +987,8 @@ def _leaf_rows(star_rows, fo, fs, m, fixing):
     renaming keeps a subset's size, and subsets of one size are enumerated
     in tuple order, so "earlier" is ``<`` on the sorted tuples.
     """
+    _, _, fo, fs, m = proto
+    _, _, fo_id, fs_id, m_id = proto_ids
     rows = []
     pos = 0
     for br, bws in star_rows:
@@ -861,12 +999,14 @@ def _leaf_rows(star_rows, fo, fs, m, fixing):
                 pos += len(bws)
                 continue
             fixing_br = [h for h, img in zip(fixing, images) if img == br]
+        br_id = u.component_id(_BR, br)
         leaves = []
         for bw in bws:
             pos += 1
             if not fixing_br or all(h.pairs(bw) >= bw for h in fixing_br):
-                leaves.append((pos, SystemState(br, bw, fo, fs, m)))
-        rows.append((leaves[0][1], leaves))
+                leaves.append((pos, SystemState(br, bw, fo, fs, m),
+                               (br_id, u.component_id(_BW, bw), fo_id, fs_id, m_id)))
+        rows.append(leaves)
     return rows
 
 

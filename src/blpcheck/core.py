@@ -236,9 +236,11 @@ PROPERTY_FUNCS = {
     PROPERTY_RAN_BW: ran_bw_in_dom_m,
 }
 
-# State components each property actually inspects.  The checker uses this
-# to skip re-evaluation when a transition provably left those components
-# untouched (it verifies identity, never assumes frame conditions).
+# State components each property actually inspects; its verdict depends on
+# nothing else (a property test pins this).  The checker skips a property
+# when a transition left those components untouched (it verifies identity,
+# never assumes frame conditions), and otherwise looks its verdict up in a
+# memo keyed by their values.
 PROPERTY_READS = {
     PROPERTY_SECCOND: frozenset({"br", "fo", "fs"}),
     PROPERTY_STARPROP: frozenset({"br", "bw", "fo"}),

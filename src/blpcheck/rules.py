@@ -174,7 +174,8 @@ class Conjunct:
     """One named guard conjunct of a rule's normal clause.
 
     ``reads`` lists the state components the predicate inspects; the checker
-    relies on it to stage evaluation, and a property test pins it down.
+    evaluates the conjunct once per distinct value of them, and a property
+    test pins it down.
     """
 
     name: str
@@ -188,9 +189,12 @@ class RuleDef:
     request_type: type
     conjuncts: tuple[Conjunct, ...]
     effect: Callable[[SystemState, Request], SystemState]
-    # Components the normal effect may change.  After a grant, the checker's
-    # sweep re-tests only the obligations whose property reads one of them,
-    # and verifies every time that the effect left all other components
+    # The components the effect may change, and the only ones its result
+    # depends on: the written components of the after state are a function
+    # of the same components before and of the request.  The checker's
+    # sweep calls the effect once per (request, written components),
+    # re-tests only the obligations whose property reads one of them, and
+    # verifies on every call that the effect left all other components
     # identical.
     writes: frozenset[str]
     clause_names: tuple[str, ...]  # Ok first, then E1..En

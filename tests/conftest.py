@@ -77,3 +77,19 @@ def well_formed_states(draw):
         fs=draw(class_maps(SUBJECTS)),
         m=m,
     )
+
+
+@st.composite
+def relational_states(draw):
+    """Arbitrary states whose class maps may bind one entity twice (not
+    functional), as a mutated rule can produce."""
+    def relation(keys):
+        return st.frozensets(st.tuples(st.sampled_from(keys), classes()), max_size=4)
+
+    return make_state(
+        br=draw(st.frozensets(access_pairs(), max_size=3)),
+        bw=draw(st.frozensets(access_pairs(), max_size=3)),
+        fo=draw(relation(OBJECTS)),
+        fs=draw(relation(SUBJECTS)),
+        m=draw(st.frozensets(matrix_triples(), max_size=5)),
+    )

@@ -149,20 +149,21 @@ def test_enumeration_is_deterministic():
 
 # --- the obligation runner vs a naive sweep ----------------------------------
 
-def naive_check(b: Bounds, rule_defs=None, star=star_prop):
-    """State-by-state reference runner: no staging, no tables, no symmetry
+def naive_check(b: Bounds, rule_defs=None, star=star_prop, rules=RULE_ORDER):
+    """State-by-state reference runner: no memos, no staging, no symmetry
     reduction.  ``star`` is the reading of the *-property, both in the
     hypothesis and as the obligation's property.  Returns the first witness
-    of each obligation and the hypothesis states in enumeration order."""
+    of each obligation of ``rules`` and the hypothesis states in enumeration
+    order."""
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
     prop_fns = {**PROPERTY_FUNCS, "starprop": star}
     states = [
         s for s in enumerate_states(b)
         if well_formed(s) and sec_cond(s) and star(s)
     ]
-    reqs = {rule: requests_for_rule(rule, b) for rule in RULE_ORDER}
+    reqs = {rule: requests_for_rule(rule, b) for rule in rules}
     verdicts = {}
-    for rule in RULE_ORDER:
+    for rule in rules:
         for prop in PROPERTY_ORDER:
             witness = None
             for st in states:
@@ -217,15 +218,18 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
 def test_sweep_visits_exactly_the_orbit_leaders(bounds):
     """The sweep decides one state per orbit under renaming: the one that
     comes first in enumeration order.  A leaf-stage conjunct that records
-    every state it is asked about, and holds nowhere, shows which."""
+    every state it is asked about, and holds nowhere, shows which.  It
+    declares all five components, so that its memo asks it about every
+    swept state."""
     seen = set()
 
     def spy(st, _req):
         seen.add(st)
         return False
 
+    everything = frozenset({"br", "bw", "fo", "fs", "m"})
     rd = dataclasses.replace(RULE_DEFS["releaseWrite"],
-                             conjuncts=(Conjunct("spy", frozenset({"bw"}), spy),))
+                             conjuncts=(Conjunct("spy", everything, spy),))
     report = check_obligations(bounds, rule="releaseWrite", rule_defs={"releaseWrite": rd})
     states = [s for s in enumerate_states(bounds) if sec_cond(s) and star_prop(s)]
     position = {s: i for i, s in enumerate(states)}
@@ -375,6 +379,62 @@ def test_mutated_get_read_breaks_seccond():
     assert res.status == "fail"
     w = res.witness
     assert sec_cond(w.state) and not sec_cond(w.after)
+
+
+# Per single-conjunct mutant, the obligations it breaks at SMALL, as
+# naive_check finds them (test_mutation_matrix recomputes them).
+MUTATION_MATRIX = {
+    ("getRead", "hasReadPermission"): ("ranBrInDomM",),
+    ("getRead", "notAlreadyReading"): (),
+    ("getRead", "objectClassified"): (),
+    ("getRead", "clearanceDominates"): ("seccond",),
+    ("getRead", "readBelowWrites"): ("starprop",),
+    ("getWrite", "hasWritePermission"): ("ranBwInDomM",),
+    ("getWrite", "notAlreadyWriting"): (),
+    ("getWrite", "objectClassified"): (),
+    ("getWrite", "readsBelowObject"): ("starprop",),
+    ("releaseRead", "currentlyReading"): (),
+    ("releaseWrite", "currentlyWriting"): (),
+    ("giveRW", "modeGivable"): (),
+    ("giveRW", "giverHasMode"): (),
+    ("giveRW", "giverHasCtrl"): (),
+    ("giveRW", "receiverLacksMode"): (),
+    ("rescindRead", "rescinderHasCtrl"): ("ranBwInDomM",),
+    ("rescindRead", "targetHasRead"): (),
+    ("rescindWrite", "rescinderHasCtrl"): ("ranBrInDomM",),
+    ("rescindWrite", "targetHasWrite"): (),
+    ("changeClass", "objectClassified"): (),
+    ("changeClass", "objectUnaccessed"): ("seccond", "starprop"),
+    ("createObject", "objectFresh"): ("seccond", "starprop", "foFunctional"),
+    ("deleteObject", "ownerHasCtrl"): (),
+    ("deleteObject", "objectUnaccessed"):
+        ("seccond", "starprop", "ranBrInDomM", "ranBwInDomM"),
+}
+
+
+def test_mutation_matrix():
+    """Every single-conjunct mutant: the sweep's verdicts, first witnesses
+    and visited-state counts equal the naive sweep's on the mutated rule's
+    six obligations, and the obligations it breaks are the pinned ones.
+    createObject without objectFresh makes fo non-functional after the
+    step, a path no other kernel test reaches."""
+    broken = {}
+    for rule in RULE_ORDER:
+        for conjunct in RULE_DEFS[rule].conjuncts:
+            defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
+            report = check_obligations(SMALL, rule=rule, rule_defs=defs)
+            naive, states = naive_check(SMALL, rule_defs=defs, rules=(rule,))
+            for r in report.results:
+                expected = naive[(r.rule, r.prop)]
+                assert (r.status == "fail") == (expected is not None), (conjunct.name, r.prop)
+                if expected is None:
+                    assert r.states_checked == len(states)
+                else:
+                    assert (r.witness.state, r.witness.request, r.witness.after) == expected
+                    assert r.states_checked == states.index(expected[0]) + 1
+            broken[(rule, conjunct.name)] = tuple(
+                r.prop for r in report.results if r.status == "fail")
+    assert broken == MUTATION_MATRIX
 
 
 def test_unmutated_rules_pass_where_mutants_fail():
@@ -618,8 +678,8 @@ def test_evaluation_failure_identifies_the_pair():
 
 def test_frame_violation_is_reported():
     # getRead changes br; declaring bw instead must stop the sweep, since
-    # the framed verdicts and table tests rely on the undeclared components
-    # being the hypothesis state's own
+    # the framed verdicts and the memo keys rely on the undeclared
+    # components being the hypothesis state's own
     lying = dataclasses.replace(RULE_DEFS["getRead"], writes=frozenset({"bw"}))
     with pytest.raises(RuntimeError) as exc:
         check_obligations(TINY, rule="getRead", rule_defs={"getRead": lying})

@@ -1,6 +1,6 @@
 """The ten transition rules: worked examples, the frame condition, inverse
-pairs, clause tables, the declared guard dependencies and symmetry under
-renaming."""
+pairs, clause tables, the declared dependencies of guards, effects and
+invariants, and symmetry under renaming."""
 
 import itertools
 
@@ -28,7 +28,15 @@ from blpcheck import (
     well_formed,
 )
 from blpcheck.checker import _Renaming
-from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, READ, WRITE, CTRL
+from blpcheck.core import (
+    CTRL,
+    MATRIX_MODES,
+    PROPERTY_FUNCS,
+    PROPERTY_READS,
+    PROPERTY_STARPROP,
+    READ,
+    WRITE,
+)
 from blpcheck.rules import (
     FIELD_CLASS,
     FIELD_MODE,
@@ -61,6 +69,7 @@ from conftest import (
     SUBJECTS,
     classes,
     raw_states,
+    relational_states,
     well_formed_states,
 )
 
@@ -313,24 +322,56 @@ def test_delete_undoes_create(st_, k):
     assert (back.decision, back.after) == (YES, st_)
 
 
-# --- declared guard dependencies ---------------------------------------------
+# --- declared dependencies ---------------------------------------------------
 
 _COMPONENTS = ("br", "bw", "fo", "fs", "m")
+
+
+def _outside(st_a, st_b, comps):
+    """``st_a`` with every component outside ``comps`` taken from ``st_b``."""
+    return st_a._replace(
+        **{comp: getattr(st_b, comp) for comp in _COMPONENTS if comp not in comps}
+    )
 
 
 @given(well_formed_states(), well_formed_states(), all_requests())
 def test_conjunct_reads_are_honest(st_a, st_b, req):
     """Replacing components a conjunct does not read never changes it.
 
-    The checker's staged sweep and the partition projection lean on these
+    The checker's guard memos and the partition projection lean on these
     declarations, so they get pinned here.
     """
     rd = RULE_DEFS[_rule_of(req)]
     for c in rd.conjuncts:
-        merged = st_a._replace(
-            **{comp: getattr(st_b, comp) for comp in _COMPONENTS if comp not in c.reads}
-        )
-        assert c.holds(st_a, req) == c.holds(merged, req)
+        assert c.holds(st_a, req) == c.holds(_outside(st_a, st_b, c.reads), req)
+
+
+@given(relational_states(), relational_states())
+def test_property_reads_are_honest(st_a, st_b):
+    """Replacing the components an invariant does not read never changes
+    its verdict.  The checker keys its memo of invariant verdicts on
+    ``core.PROPERTY_READS``, and decides an obligation whose property reads
+    nothing the rule writes from the frame alone."""
+    preds = {**PROPERTY_FUNCS, "strict": strict_star_prop}
+    reads = {**PROPERTY_READS, "strict": PROPERTY_READS[PROPERTY_STARPROP]}
+    for name, pred in preds.items():
+        assert pred(st_a) == pred(_outside(st_a, st_b, reads[name])), name
+
+
+@settings(deadline=None)  # each example runs every request
+@given(st.one_of(relational_states(), well_formed_states()),
+       st.one_of(relational_states(), well_formed_states()))
+def test_effects_depend_only_on_their_writes(st_a, st_b):
+    """A rule's effect computes the components it writes from those same
+    components and the request alone.  The checker calls each effect once
+    per (request, written components) and reuses the result on every state
+    that shares them."""
+    for req in EVERY_REQUEST:
+        rd = RULE_DEFS[RULE_OF_REQUEST[type(req)]]
+        after = rd.effect(st_a, req)
+        merged_after = rd.effect(_outside(st_a, st_b, rd.writes), req)
+        for comp in rd.writes:
+            assert getattr(merged_after, comp) == getattr(after, comp), (comp, req)
 
 
 # --- clause tables -----------------------------------------------------------
