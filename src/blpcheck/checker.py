@@ -18,27 +18,36 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses) and written once, in ``_subtrees``.  Within a
-subtree the sweep is rule-major, and each rule walks the subtree's leaves
-in enumeration order, each leaf's requests in list order.  Every swept
-leaf carries a small integer id per state component (``_Universe``), and
-every rule callable runs once per distinct value of the components it
-declares to read; the result is memoised under their ids.  A guard
-conjunct's memo maps the ids of its ``reads`` to the bitset of the rule's
-requests it grants, so a leaf's granted requests are an AND of bitsets:
-conjuncts reading neither br nor bw once per subtree, br-only ones once
-per br option, the rest per leaf.  An effect runs once per (request, ids
-of ``RuleDef.writes``).  An invariant runs once per after-state value of
-the components it reads (``core.PROPERTY_READS``), in one memo per
-property shared by all rules.  A rule's obligations whose property reads a
-component the rule writes are *checked* that way; the others are *framed*
-and hold because they held before the step.  A rule whose guards, writes
-and checked properties never read the matrix decides each (br, bw) leaf
-of an (fs, fo) pair once, on its first matrix.  Every effect call verifies
-that the components outside ``writes`` are left identical, so an
-undeclared write stops the sweep with an error instead of giving a wrong
-verdict, and a failing obligation's witness comes from a real effect call
-on its leaf.
+then current accesses) and written once, in ``_subtrees``.  Its access sets
+come from tables of the check's ``_Universe``, keyed by integers: per (fs,
+fo) pair, bitmasks over the universe's (subject, object) pairs of the
+readable and the writable pairs; per matrix, the mask of the pairs whose
+object it knows; and one table from (mask, cap) to the subsets of a mask's
+pairs.  A subtree's access sets are the entries for the ANDs of its
+masks.  The random sampler reads the same tables.  It draws option indices
+with ``rng.randrange(n)``, which makes the same draw as ``rng.choice`` on
+an n-item list, so its states, and the seeded reports and witnesses built
+from them, are those of a sampler drawing the options themselves (a test
+pins this).  Within a subtree the sweep is rule-major, and each rule
+walks the subtree's leaves in enumeration order, each leaf's requests in
+list order.  Every swept leaf carries a small integer id per state
+component (``_Universe``), and every rule callable runs once per distinct
+value of the components it declares to read; the result is memoised under
+their ids.  A guard conjunct's memo maps
+the ids of its ``reads`` to the bitset of the rule's requests it grants,
+so a leaf's granted requests are an AND of bitsets: conjuncts reading
+neither br nor bw once per subtree, br-only ones once per br option, the
+rest per leaf.  An effect runs once per (request, ids of
+``RuleDef.writes``).  An invariant runs once per after-state value of the
+components it reads (``core.PROPERTY_READS``), in one memo per property
+shared by all rules.  A rule's obligations whose property reads a component
+the rule writes are *checked* that way; the others are *framed* and hold
+because they held before the step.  A rule whose guards, writes and checked
+properties never read the matrix decides each (br, bw) leaf of an (fs, fo)
+pair once, on its first matrix.  Every effect call verifies that the
+components outside ``writes`` are left identical, so an undeclared write
+stops the sweep with an error instead of giving a wrong verdict, and a
+failing obligation's witness comes from a real effect call on its leaf.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -80,16 +89,16 @@ analysis and random mode are not reduced.
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
-the invariant memos, a per-(fs, fo) memo of the security truth tables and,
-for the exhaustive sweep, the group's action on (fs, fo) pairs and
-matrices (``_Orbits``).  The enumerator, the sweep, the random sampler and
-witness validation all read it, and one task runner (``_run_tasks``) runs
-the work in process or on forked workers, which receive the context once
-when they start: ranges of representative (fs, fo) pairs in exhaustive
-mode, one obligation per task in random mode.  Each worker fills its own
-memos.  An obligation's ``elapsed_ms`` stays its rule's measured sweep
-time, memo hits included: an invariant verdict one rule computed is free
-for the rules after it.  Bounds whose lists would exceed ``MAX_LIST``
+the invariant memos, every rule's guard and effect memos, the access-set
+tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
+and matrices (``_Orbits``).  The enumerator, the sweep, the random sampler
+and witness validation all read it, and one task runner (``_run_tasks``)
+runs the work in process or on forked workers, which receive the context
+once when they start: ranges of representative (fs, fo) pairs in
+exhaustive mode, one obligation per task in random mode.  Each worker fills
+its own memos.  An obligation's ``elapsed_ms`` stays its rule's measured
+sweep time, memo hits included: an invariant verdict one rule computed is
+free for the rules after it.  Bounds whose lists would exceed ``MAX_LIST``
 entries are refused, from sizes computed in closed form, before anything
 is built.
 """
@@ -394,6 +403,14 @@ class _Universe:
     then lexicographically over their sorted element universe.  Request
     lists are the product of their fields' domains, in field order.
 
+    Access sets are tabulated by bitmask: bit i of a mask stands for
+    ``pairs[i]``.  Each ``m_options`` entry carries the mask of the pairs
+    whose object its matrix knows; ``pair_masks`` gives an (fs, fo) pair's
+    readable and writable masks by its index in ``combos``; and
+    ``access_sets`` lists a mask's subsets up to a cap, once per (mask,
+    cap).  The enumerator and the random sampler both read these tables,
+    and a subtree's access sets cost two ANDs and two lookups.
+
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     The symmetry tables (``orbits``) are built on first use, which only the
@@ -406,9 +423,11 @@ class _Universe:
     the same tables.  ``prop_memo`` holds each property's verdicts under the
     after-state ids of the components it reads (``core.PROPERTY_READS``),
     for every rule of the check, so its size is bounded by the distinct
-    after-state projections, not by effect entries times states.  The keys
-    are sound only under the conditions on ``rule_defs`` in the module
-    docstring.
+    after-state projections, not by effect entries times states.
+    ``rule_memos`` holds each rule definition's guard-conjunct memos, effect
+    memo and request-index table, so every range a pool worker sweeps
+    starts from the entries its earlier ranges filled.  The keys are sound
+    only under the conditions on ``rule_defs`` in the module docstring.
     """
 
     def __init__(self, b: Bounds, strict_star: bool = False):
@@ -430,15 +449,20 @@ class _Universe:
         self.fo_options = self._class_maps(self.objects)
         # (fs, fo) pairs in flat index order; sweep workers split this list
         self.combos = tuple(itertools.product(self.fs_options, self.fo_options))
+        # (subject, object) pairs; an access-set mask has bit i for pairs[i]
+        self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
+        self.every_pair = (1 << len(self.pairs)) - 1
         triples = sorted(
             ((o, s, x) for o in self.objects for s in self.subjects for x in MATRIX_MODES),
             key=core.triple_sort_key,
         )
-        self.m_options: list[tuple[tuple, frozenset]] = []
+        # each matrix with the mask of the pairs whose object it knows
+        self.m_options: list[tuple[tuple, int]] = []
         for size in range(min(b.max_matrix, len(triples)) + 1):
             for m in itertools.combinations(triples, size):
-                self.m_options.append((m, frozenset(o for (o, _s, _x) in m)))
-        self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
+                known = {o for (o, _s, _x) in m}
+                self.m_options.append(
+                    (m, sum(1 << i for i, (_s, o) in enumerate(self.pairs) if o in known)))
         self.props = dict(PROPERTY_FUNCS)
         if strict_star:
             self.props[PROPERTY_STARPROP] = strict_star_prop
@@ -464,13 +488,16 @@ class _Universe:
             access_ids, access_ids,
             {fo: i for i, fo in enumerate(self.fo_options)},
             {fs: i for i, fs in enumerate(self.fs_options)},
-            {m: i for i, (m, _dom) in enumerate(self.m_options)},
+            {m: i for i, (m, _known) in enumerate(self.m_options)},
         )
         # Per property, its verdicts keyed by the ids of the components it
         # reads (core.PROPERTY_READS), shared by every rule of the sweep.
         self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
-        self._subset_cache: dict = {}
-        self._class_table_cache: dict = {}
+        # Per rule definition, the sweep's guard-conjunct memos, effect memo
+        # and index table (see ``_RulePlan``), kept for every range swept.
+        self.rule_memos: dict[RuleDef, tuple[list[dict], dict, dict]] = {}
+        self._pair_masks: dict[int, tuple[int, int, frozenset]] = {}
+        self._access_sets: dict[tuple[int, int], list[tuple]] = {}
 
     def component_id(self, field: int, value) -> int:
         """The id of ``value`` as state component number ``field``."""
@@ -507,7 +534,7 @@ class _Universe:
             fo_img = [fo_index[g.state(blank._replace(fo=fo)).fo] for fo in self.fo_options]
             images.append([f * n_fo + o for f in fs_img for o in fo_img])
             m_image.append(tuple(m_index[g.state(blank._replace(m=m)).m]
-                                 for m, _dom in self.m_options))
+                                 for m, _known in self.m_options))
         rep = tuple(min([i, *(img[i] for img in images)]) for i in range(len(self.combos)))
         reps = tuple(i for i, r in enumerate(rep) if r == i)
         stabiliser = {
@@ -522,65 +549,75 @@ class _Universe:
             maps.append(tuple((e, c) for e, c in zip(entities, vec) if c is not None))
         return maps
 
-    def subsets_upto(self, items: tuple, cap: int) -> list[tuple]:
-        key = (items, cap)
-        cached = self._subset_cache.get(key)
-        if cached is None:
-            cached = []
-            for size in range(min(cap, len(items)) + 1):
-                cached.extend(itertools.combinations(items, size))
-            self._subset_cache[key] = cached
-        return cached
+    def pair_masks(self, combo: int) -> tuple[int, int, frozenset]:
+        """The access tables of (fs, fo) pair number ``combo``, computed once
+        per pair: ``(readable, writable, star_ok)``.
 
-    def class_tables(self, fs, fo):
-        """Per-(fs, fo) truth tables for the two security invariants,
-        computed once per pair: ``(read_ok, star_ok, dom_fo)``.
-
-        read_ok holds the (s, o) pairs allowed as current reads; star_ok
-        holds the (read object, written object) pairs allowed for one
-        subject; dom_fo is the set of classified objects.
+        readable is the mask of the pairs allowed as current reads (the
+        subject cleared for the classified object); writable is the mask of
+        every pair, or under the strict reading of the pairs whose object
+        is classified; star_ok holds the (read object, written object)
+        pairs allowed for one subject.
         """
-        key = (fs, fo)
-        tables = self._class_table_cache.get(key)
+        tables = self._pair_masks.get(combo)
         if tables is None:
+            fs, fo = self.combos[combo]
             fs_map = dict(fs)
             fo_map = dict(fo)
-            read_ok = frozenset(
-                (s, o) for (s, o) in self.pairs
-                if s in fs_map and o in fo_map and class_leq(fo_map[o], fs_map[s])
-            )
+            readable = classified = 0
+            for i, (s, o) in enumerate(self.pairs):
+                if o in fo_map:
+                    classified |= 1 << i
+                    if s in fs_map and class_leq(fo_map[o], fs_map[s]):
+                        readable |= 1 << i
             star_ok = frozenset(
-                (o1, o2) for o1 in self.objects for o2 in self.objects
-                if o1 in fo_map and o2 in fo_map and class_leq(fo_map[o1], fo_map[o2])
+                (o1, o2) for o1 in fo_map for o2 in fo_map
+                if class_leq(fo_map[o1], fo_map[o2])
             )
-            tables = self._class_table_cache[key] = (read_ok, star_ok, frozenset(fo_map))
+            writable = classified if self.strict_star else self.every_pair
+            tables = self._pair_masks[combo] = (readable, writable, star_ok)
         return tables
 
+    def access_sets(self, mask: int, cap: int) -> list[tuple]:
+        """The subsets of at most ``cap`` of the pairs in ``mask``, by size
+        and then lexicographically, each a sorted tuple; built once per
+        (mask, cap)."""
+        key = (mask, cap)
+        subsets = self._access_sets.get(key)
+        if subsets is None:
+            items = [p for i, p in enumerate(self.pairs) if mask >> i & 1]
+            subsets = self._access_sets[key] = [
+                c for size in range(min(cap, len(items)) + 1)
+                for c in itertools.combinations(items, size)
+            ]
+        return subsets
 
-def _subtrees(u: _Universe, combos, m_options, caps, hypothesis=False):
-    """Yield one enumeration subtree per (fs, fo) in ``combos`` and (m, dom)
-    in ``m_options``: ``(fs, fo, m, dom, read_ok, star_ok, br_subs, bw_subs)``.
+
+def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
+    """Yield one enumeration subtree per (fs, fo) pair number in ``combos``
+    and matrix number in ``m_indices``: ``(fs, fo, m, star_ok, br_subs,
+    bw_subs)``.
 
     br_subs and bw_subs are the subsets, up to ``caps``, of the (subject,
     object) pairs whose object the matrix knows, so the type invariants hold
     by construction.  Under ``hypothesis`` the security condition is fused
-    in as well: read pairs come from the read_ok table.  A strict-star
-    universe then also draws write pairs from classified objects only.
-    Read objects are classified already, so the strict *-property of a leaf
+    in as well: read pairs come from the readable mask.  A strict-star
+    universe also draws write pairs from classified objects only.  Read
+    objects are classified already, so the strict *-property of a leaf
     reduces to the weak one, which the caller tests with ``_star_leaf_ok``.
     Dropping items keeps the remaining subsets in their relative order.
     """
-    pairs = u.pairs
     br_cap, bw_cap = caps
-    for fs, fo in combos:
-        read_ok, star_ok, dom_fo = u.class_tables(fs, fo)
-        readable = read_ok if hypothesis else frozenset(pairs)
-        writable = dom_fo if u.strict_star else frozenset(u.objects)
-        for m, dom in m_options:
-            br_avail = tuple(p for p in pairs if p[1] in dom and p in readable)
-            bw_avail = tuple(p for p in pairs if p[1] in dom and p[1] in writable)
-            yield (fs, fo, m, dom, read_ok, star_ok,
-                   u.subsets_upto(br_avail, br_cap), u.subsets_upto(bw_avail, bw_cap))
+    for combo in combos:
+        fs, fo = u.combos[combo]
+        readable, writable, star_ok = u.pair_masks(combo)
+        if not hypothesis:
+            readable = u.every_pair
+        for mi in m_indices:
+            m, known = u.m_options[mi]
+            yield (fs, fo, m, star_ok,
+                   u.access_sets(known & readable, br_cap),
+                   u.access_sets(known & writable, bw_cap))
 
 
 def enumerate_states(b: Bounds) -> Iterator[SystemState]:
@@ -592,8 +629,9 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     The order is canonical and stable across runs.
     """
     u = _Universe(b)
-    subtrees = _subtrees(u, u.combos, u.m_options, (b.max_br, b.max_bw))
-    for fs, fo, m, _dom, _read_ok, _star_ok, br_subs, bw_subs in subtrees:
+    subtrees = _subtrees(u, range(len(u.combos)), range(len(u.m_options)),
+                         (b.max_br, b.max_bw))
+    for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
         for br in br_subs:
             for bw in bw_subs:
                 yield SystemState(br, bw, fo, fs, m)
@@ -740,6 +778,11 @@ class _RulePlan:
     memo of the property, under the after state's ids of the components the
     property reads.
 
+    The conjunct memos, the effect memo and the index table belong to the
+    universe, one set per rule definition (``_Universe.rule_memos``), so a
+    pool worker's later ranges start from what its earlier ones filled.
+    The obligations' bookkeeping and ``decided`` stay per plan.
+
     When a rule's guards, writes and checked properties leave out the
     matrix, its verdicts on a leaf do not depend on it: each (br, bw) leaf
     of an (fs, fo) pair is then decided once, on the first matrix that has
@@ -752,18 +795,20 @@ class _RulePlan:
         self.reqs = u.requests[rd.name]
         self.obs = obs
         self.universe = u
+        memos = u.rule_memos.get(rd)
+        if memos is None:
+            memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {}, {})
+        guard_memos, self.effects, self.indices = memos
         stages: tuple[list, list, list] = ([], [], [])  # subtree, br option, leaf
-        for c in rd.conjuncts:
+        for c, memo in zip(rd.conjuncts, guard_memos):
             fields = _fields_of(c.reads)
             stage = 2 if _BW in fields else 1 if _BR in fields else 0
-            stages[stage].append(_Guard(_projection(fields), {}, c.holds))
+            stages[stage].append(_Guard(_projection(fields), memo, c.holds))
         self.subtree_guards, self.row_guards, self.leaf_guards = stages
         self.effect = rd.effect
         self.writes = _fields_of(rd.writes)
         self.write_key = _projection(self.writes)
         self.frame = tuple(i for i in range(len(_FIELDS)) if i not in self.writes)
-        self.effects: dict[object, list] = {}
-        self.indices: dict[int, tuple[int, ...]] = {}  # request bitset -> its indices
         self.checked = tuple(
             (ob, _projection(_fields_of(core.PROPERTY_READS[ob.prop])),
              u.prop_memo[ob.prop], u.props[ob.prop])
@@ -934,8 +979,8 @@ def _sweep_range(
         stabiliser = orbits.stabiliser[combo]
         m_leaves = []  # per matrix option of this pair, its leaf count
         leaves = 0
-        subtrees = _subtrees(u, (u.combos[combo],), u.m_options, caps, hypothesis=True)
-        for mi, (fs, fo, m, _dom, _read_ok, star_ok, br_subs, bw_subs) in enumerate(subtrees):
+        subtrees = _subtrees(u, (combo,), range(len(u.m_options)), caps, hypothesis=True)
+        for mi, (fs, fo, m, star_ok, br_subs, bw_subs) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
                 break
             images = [orbits.m_image[g][mi] for g in stabiliser]
@@ -1183,18 +1228,26 @@ def _validate_witness(w: Witness, defs: dict[str, RuleDef], props: dict) -> None
 
 
 def _random_state(rng: random.Random, u: _Universe) -> SystemState:
+    """A state drawn from the hypothesis: an (fs, fo) pair and a matrix, then
+    (br, bw) options until one satisfies the *-property (at most 64 tries
+    per subtree).  ``rng.randrange(n)`` makes the draw ``rng.choice`` makes
+    on an n-item list, so the options are drawn by index and their tables
+    looked up by number."""
     b = u.bounds
+    n_fo = len(u.fo_options)
     while True:
-        fs = rng.choice(u.fs_options)
-        fo = rng.choice(u.fo_options)
-        m, dom = rng.choice(u.m_options)
-        *_, star_ok, br_subs, bw_subs = next(_subtrees(
-            u, ((fs, fo),), ((m, dom),), (b.max_br, b.max_bw), hypothesis=True,
-        ))
+        fs_i = rng.randrange(len(u.fs_options))
+        fo_i = rng.randrange(n_fo)
+        m, known = u.m_options[rng.randrange(len(u.m_options))]
+        combo = fs_i * n_fo + fo_i
+        readable, writable, star_ok = u.pair_masks(combo)
+        br_subs = u.access_sets(known & readable, b.max_br)
+        bw_subs = u.access_sets(known & writable, b.max_bw)
         for _ in range(64):
             br = rng.choice(br_subs)
             bw = rng.choice(bw_subs)
             if _star_leaf_ok(br, bw, star_ok):
+                fs, fo = u.combos[combo]
                 return SystemState(br, bw, fo, fs, m)
 
 
@@ -1307,9 +1360,10 @@ def check_partition(
             verdicts.append(None)
 
     holds_all = [c.holds for c in conjuncts]
-    fs_opts = u.fs_options if "fs" in branch else u.fs_options[:1]
-    fo_opts = u.fo_options if "fo" in branch else u.fo_options[:1]
-    m_opts = u.m_options if "m" in branch else u.m_options[:1]
+    n_fo = len(u.fo_options)
+    fs_ids = range(len(u.fs_options) if "fs" in branch else 1)
+    fo_ids = range(n_fo if "fo" in branch else 1)
+    m_ids = range(len(u.m_options) if "m" in branch else 1)
     caps = (b.max_br if "br" in branch else 0, b.max_bw if "bw" in branch else 0)
 
     gap_fams: dict[tuple, list] = {}
@@ -1318,8 +1372,9 @@ def check_partition(
     interesting = any(v is not None for v in verdicts)
     t0 = time.perf_counter()
 
-    subtrees = _subtrees(u, itertools.product(fs_opts, fo_opts), m_opts, caps)
-    for fs, fo, m, _dom, _read_ok, _star_ok, br_subs, bw_subs in subtrees:
+    combos = (f * n_fo + o for f in fs_ids for o in fo_ids)
+    subtrees = _subtrees(u, combos, m_ids, caps)
+    for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
         leaves += len(br_subs) * len(bw_subs)
         if not interesting:
             continue

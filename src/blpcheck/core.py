@@ -11,6 +11,13 @@ sorted, duplicate-free tuples so that two states are equal exactly when
 they are structurally equal, and so that serialized states are canonical.
 All predicates are pure functions; none of them raises on "incomplete"
 states (a missing classification makes a predicate false, never an error).
+
+``lookup_class`` applies a classification relation to one key: a linear
+scan, None for a key unbound or bound twice.  ``class_map`` gives the same
+answer for every key at once, as a dict built in one pass; the security
+condition and the *-property read their classes from it, and the
+*-property groups ``bw`` by subject before it pairs reads with writes, so
+each costs one pass over its components instead of one scan per pair.
 """
 
 from __future__ import annotations
@@ -128,6 +135,19 @@ def lookup_class(entries: tuple[ClassEntry, ...], key: str) -> Optional[Security
     return found
 
 
+def class_map(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
+    """Every bound key's class, built in one pass: ``class_map(e).get(k)``
+    equals ``lookup_class(e, k)`` for every key ``k``, None included for a
+    key bound ambiguously."""
+    found: dict[str, Optional[SecurityClass]] = {}
+    for k, v in entries:
+        if k not in found:
+            found[k] = v
+        elif found[k] != v:
+            found[k] = None
+    return found
+
+
 def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:
     seen: dict[str, SecurityClass] = {}
     for k, v in entries:
@@ -149,11 +169,15 @@ def sec_cond(st: SystemState) -> bool:
     o's class dominated by s's clearance.  Write-only accesses carry no
     clearance requirement.
     """
+    if not st.br:
+        return True
+    fs = class_map(st.fs)
+    fo = class_map(st.fo)
     for (s, o) in st.br:
-        cls_s = lookup_class(st.fs, s)
+        cls_s = fs.get(s)
         if cls_s is None:
             return False
-        cls_o = lookup_class(st.fo, o)
+        cls_o = fo.get(o)
         if cls_o is None or not class_leq(cls_o, cls_s):
             return False
     return True
@@ -166,15 +190,22 @@ def star_prop(st: SystemState) -> bool:
     classified and class(o1) <= class(o2); otherwise the subject could copy
     secret data downward outside the monitor's control.
     """
-    if not st.bw:
+    if not st.bw or not st.br:
         return True
-    for (s1, o1) in st.br:
-        for (s2, o2) in st.bw:
-            if s1 != s2:
-                continue
-            c1 = lookup_class(st.fo, o1)
-            c2 = lookup_class(st.fo, o2)
-            if c1 is None or c2 is None or not class_leq(c1, c2):
+    written: dict[SubjectId, list[ObjectId]] = {}
+    for (s, o) in st.bw:
+        written.setdefault(s, []).append(o)
+    fo = class_map(st.fo)
+    for (s, o1) in st.br:
+        objs = written.get(s)
+        if objs is None:
+            continue
+        c1 = fo.get(o1)
+        if c1 is None:
+            return False
+        for o2 in objs:
+            c2 = fo.get(o2)
+            if c2 is None or not class_leq(c1, c2):
                 return False
     return True
 
@@ -202,12 +233,10 @@ def ran_bw_in_dom_m(st: SystemState) -> bool:
 
 def well_formed(st: SystemState) -> bool:
     """All four type invariants at once."""
-    return (
-        _is_functional(st.fo)
-        and _is_functional(st.fs)
-        and ran_br_in_dom_m(st)
-        and ran_bw_in_dom_m(st)
-    )
+    if not (_is_functional(st.fo) and _is_functional(st.fs)):
+        return False
+    objs = matrix_objects(st)
+    return all(o in objs for (_s, o) in st.br) and all(o in objs for (_s, o) in st.bw)
 
 
 # Named property table shared by the checker and the report formats.

@@ -202,10 +202,21 @@ class RuleDef:
 
 # --------------------------------------------------------------------------
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
+#
+# Effects rely on their input being canonical (``make_state`` form: every
+# component sorted and duplicate-free) and keep it so: one new pair or
+# triple is inserted at its place by bisection on the component's sort key,
+# and removals filter.  A property test pins that every granted after state
+# of a canonical state is canonical.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)
     return pairs[:i] + (pair,) + pairs[i:]
+
+
+def _triple_add(m, triple):
+    i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
+    return m[:i] + (triple,) + m[i:]
 
 
 def _pair_del(pairs, pair):
@@ -307,8 +318,7 @@ def _gv_receiver_lacks_mode(st, r):
 
 
 def _gv_effect(st, r):
-    new = tuple(sorted(st.m + ((r.o, r.receiver, r.x),), key=triple_sort_key))
-    return SystemState(st.br, st.bw, st.fo, st.fs, new)
+    return SystemState(st.br, st.bw, st.fo, st.fs, _triple_add(st.m, (r.o, r.receiver, r.x)))
 
 
 def _rsr_has_ctrl(st, r):
@@ -365,8 +375,7 @@ def _co_obj_fresh(st, r):
 
 def _co_effect(st, r):
     new_fo = tuple(sorted(st.fo + ((r.o, r.k),)))
-    new_m = tuple(sorted(st.m + ((r.o, r.s, CTRL),), key=triple_sort_key))
-    return SystemState(st.br, st.bw, new_fo, st.fs, new_m)
+    return SystemState(st.br, st.bw, new_fo, st.fs, _triple_add(st.m, (r.o, r.s, CTRL)))
 
 
 def _do_has_ctrl(st, r):

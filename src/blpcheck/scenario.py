@@ -152,22 +152,35 @@ _END_OF_LINE = "<end-of-line>"
 
 
 class _Line:
-    """Token stream for one source line."""
+    """Token stream for one source line.
 
-    def __init__(self, number: int, text: str):
+    Only the token strings are kept.  A column is needed only for an error
+    message, so ``column`` finds it by scanning the line again.
+    """
+
+    __slots__ = ("number", "code", "tokens", "pos")
+
+    def __init__(self, number: int, code: str, tokens: list[str]):
         self.number = number
-        code = text.split("#", 1)[0]
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+        self.code = code
+        self.tokens = tokens
         self.pos = 0
-        self.end_column = len(code.rstrip()) + 1
+
+    def column(self, index: int) -> int:
+        """The 1-based column of token ``index``, or of the end of the
+        line when there is no such token."""
+        for i, m in enumerate(_TOKEN_RE.finditer(self.code)):
+            if i == index:
+                return m.start() + 1
+        return len(self.code.rstrip()) + 1
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self, what: str) -> str:
         if self.pos >= len(self.tokens):
-            self.fail(f"expected {what}", _END_OF_LINE, self.end_column)
-        tok, _col = self.tokens[self.pos]
+            self.fail(f"expected {what}", _END_OF_LINE, len(self.tokens))
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -190,14 +203,14 @@ class _Line:
 
     def expect_end(self) -> None:
         if self.pos < len(self.tokens):
-            self.fail("unexpected trailing token", self.tokens[self.pos][0])
+            self.fail("unexpected trailing token", self.tokens[self.pos])
 
-    def fail(self, message: str, token: str, column: Optional[int] = None) -> None:
-        if column is None:
-            back = self.pos - 1 if self.pos > 0 else 0
-            column = (self.tokens[back][1] if back < len(self.tokens)
-                      else self.end_column)
-        raise ScenarioParseError(self.number, column, message, token)
+    def fail(self, message: str, token: str, index: Optional[int] = None) -> None:
+        """Raise at the column of token ``index`` (by default the last token
+        taken; past the last token, the end of the line)."""
+        if index is None:
+            index = self.pos - 1 if self.pos > 0 else 0
+        raise ScenarioParseError(self.number, self.column(index), message, token)
 
 
 def _parse_classpart(ln: _Line) -> SecurityClass:
@@ -274,19 +287,19 @@ _COMMAND_OF_TYPE = {c.request_type: c for c in _COMMANDS.values()}
 
 class _Parser:
     def __init__(self, source: str):
-        self.lines = [
-            _Line(i + 1, text) for i, text in enumerate(source.splitlines())
-        ]
+        self.lines = source.splitlines()
         self.index = 0
         self.subjects: set[str] = set()
         self.objects: set[str] = set()
 
     def _next_line(self) -> Optional[_Line]:
+        """The next line that holds a token, made when it is reached."""
         while self.index < len(self.lines):
-            ln = self.lines[self.index]
+            code = self.lines[self.index].split("#", 1)[0]
             self.index += 1
-            if ln.tokens:
-                return ln
+            tokens = _TOKEN_RE.findall(code)
+            if tokens:
+                return _Line(self.index, code, tokens)
         return None
 
     def parse(self) -> Script:
@@ -302,17 +315,16 @@ class _Parser:
                 statements.append(self._parse_assert(ln))
             elif head == "expect":
                 if not seen_command:
-                    ln.fail("'expect' before any command", head, ln.tokens[0][1])
+                    ln.fail("'expect' before any command", head, 0)
                 statements.append(self._parse_expect(ln))
             elif head in _COMMANDS:
                 command = self._parse_command(ln, head)
                 if not seen_state:
-                    ln.fail(f"command '{head}' before any state block", head,
-                            ln.tokens[0][1])
+                    ln.fail(f"command '{head}' before any state block", head, 0)
                 statements.append(command)
                 seen_command = True
             else:
-                ln.fail("expected a statement", head, ln.tokens[0][1])
+                ln.fail("expected a statement", head, 0)
         return Script(tuple(statements))
 
     def _parse_state_block(self, ln: _Line) -> StateBlock:
@@ -326,7 +338,7 @@ class _Parser:
             body = self._next_line()
             if body is None:
                 ln.fail("state block not closed by 'end'", _END_OF_LINE,
-                        ln.end_column)
+                        len(ln.tokens))
             head = body.peek()
             if head == "end":
                 body.next("'end'")
@@ -363,7 +375,7 @@ class _Parser:
             self._check_declared(ln, s, self.subjects, "subject")
             self._check_declared(ln, o, self.objects, "object")
             return AccessDecl(head, s, o)
-        ln.fail("expected a declaration or 'end'", head, ln.tokens[0][1])
+        ln.fail("expected a declaration or 'end'", head, 0)
 
     def _check_declared(self, ln: _Line, name: str, declared: set, kind: str) -> None:
         if name not in declared:
@@ -379,7 +391,7 @@ class _Parser:
             props.append(tok)
         if not props:
             ln.fail("assert needs at least one property", _END_OF_LINE,
-                    ln.end_column)
+                    len(ln.tokens))
         return Assert(tuple(props))
 
     def _parse_expect(self, ln: _Line) -> Expect:
@@ -400,7 +412,7 @@ class _Parser:
             elif kind == rules.FIELD_MODE:
                 if ln.peek() is None:
                     ln.fail(f"{head} expects {syntax.arity}", _END_OF_LINE,
-                            ln.end_column)
+                            len(ln.tokens))
                 args.append(_parse_mode(ln))
             else:
                 args.append(ln.expect_id(expected))

@@ -10,7 +10,9 @@ import pytest
 
 from blpcheck import (
     Bounds,
+    SystemState,
     check_obligations,
+    class_leq,
     check_partition,
     enumerate_requests,
     enumerate_states,
@@ -477,6 +479,54 @@ def test_random_sampler_respects_the_hypothesis():
     for _ in range(300):
         st = _random_state(rng, u)
         assert well_formed(st) and sec_cond(st) and strict_star_prop(st)
+
+
+def _reference_random_state(rng, u):
+    """The random sampler written out from its definition: (fs, fo) and the
+    matrix drawn with ``rng.choice`` from the universe's option lists, each
+    drawn subtree's access sets listed afresh, and (br, bw) drawn until the
+    leaf satisfies the *-property (at most 64 tries per subtree)."""
+    b = u.bounds
+
+    def subsets(items, cap):
+        return [c for size in range(min(cap, len(items)) + 1)
+                for c in itertools.combinations(items, size)]
+
+    while True:
+        fs = rng.choice(u.fs_options)
+        fo = rng.choice(u.fo_options)
+        m = rng.choice(u.m_options)[0]
+        known = {o for (o, _s, _x) in m}
+        fs_map, fo_map = dict(fs), dict(fo)
+        readable = [(s, o) for (s, o) in u.pairs
+                    if o in known and s in fs_map and o in fo_map
+                    and class_leq(fo_map[o], fs_map[s])]
+        writable = [(s, o) for (s, o) in u.pairs
+                    if o in known and (o in fo_map or not u.strict_star)]
+        br_subs = subsets(readable, b.max_br)
+        bw_subs = subsets(writable, b.max_bw)
+        for _ in range(64):
+            st = SystemState(rng.choice(br_subs), rng.choice(bw_subs), fo, fs, m)
+            if star_prop(st):
+                return st
+
+
+@pytest.mark.parametrize("bounds,strict", [
+    (SMALL, False), (P0, False), (P0, True), (Bounds(2, 2, 1, 2, 2, 2, 2), False),
+])
+def test_random_sampler_draws_are_unchanged(bounds, strict):
+    """``_random_state`` reads its tables by index and mask, but makes the
+    same generator calls as the sampler it replaced, so seeded random
+    reports and their witnesses stay what they were."""
+    import random as _random
+
+    from blpcheck.checker import _random_state
+
+    u = _Universe(bounds, strict_star=strict)
+    rng_ref, rng = _random.Random(2020), _random.Random(2020)
+    expected = [_reference_random_state(rng_ref, u) for _ in range(2000)]
+    assert [_random_state(rng, u) for _ in range(2000)] == expected
+    assert rng.getstate() == rng_ref.getstate()
 
 
 def test_random_mode_finds_mutant():

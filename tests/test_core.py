@@ -3,6 +3,7 @@ type invariants.  The quantified predicates are differential-tested against
 literal double-loop oracles written independently here."""
 
 from hypothesis import given
+from hypothesis import strategies as st
 
 from blpcheck import (
     class_leq,
@@ -14,6 +15,8 @@ from blpcheck import (
 )
 from blpcheck.core import (
     SecurityClass,
+    SystemState,
+    class_map,
     fo_functional,
     fs_functional,
     lookup_class,
@@ -21,7 +24,16 @@ from blpcheck.core import (
     ran_bw_in_dom_m,
 )
 
-from conftest import classes, raw_states, well_formed_states
+from conftest import (
+    OBJECTS,
+    SUBJECTS,
+    access_pairs,
+    classes,
+    matrix_triples,
+    raw_states,
+    relational_states,
+    well_formed_states,
+)
 
 
 # --- dominance order -------------------------------------------------------
@@ -177,3 +189,102 @@ def test_predicates_are_pure(st_):
     results = (sec_cond(st_), star_prop(st_), well_formed(st_))
     assert (sec_cond(st_), star_prop(st_), well_formed(st_)) == results
     assert st_ == before
+
+
+# --- one-pass class maps against the per-pair loops ---------------------------
+
+@st.composite
+def unordered_states(draw):
+    """Component tuples taken as drawn, not through make_state: unsorted,
+    with repeated entries, and with class maps that may bind a key to
+    several classes (the same one repeated, or different ones)."""
+    def listed(elements, size):
+        return st.lists(elements, max_size=size).map(tuple)
+
+    def relation(keys):
+        # few classes, so that a key often gets the same class twice
+        few = st.sampled_from([sec_class(0), sec_class(1), sec_class(1, {"ka"})])
+        return listed(st.tuples(st.sampled_from(keys), st.one_of(few, classes())), 6)
+
+    return SystemState(
+        br=draw(listed(access_pairs(), 4)),
+        bw=draw(listed(access_pairs(), 4)),
+        fo=draw(relation(OBJECTS)),
+        fs=draw(relation(SUBJECTS)),
+        m=draw(listed(matrix_triples(), 5)),
+    )
+
+
+any_states = st.one_of(unordered_states(), relational_states(), raw_states())
+
+
+# The predicates as they were written before class_map: one lookup_class
+# scan per pair, and every (read, write) pair of the *-property visited.
+def _lookup_loop(entries, key):
+    found = None
+    for k, v in entries:
+        if k == key:
+            if found is not None and v != found:
+                return None
+            found = v
+    return found
+
+
+def _sec_cond_loop(st_):
+    for (s, o) in st_.br:
+        cls_s = _lookup_loop(st_.fs, s)
+        if cls_s is None:
+            return False
+        cls_o = _lookup_loop(st_.fo, o)
+        if cls_o is None or not class_leq(cls_o, cls_s):
+            return False
+    return True
+
+
+def _star_prop_loop(st_):
+    if not st_.bw:
+        return True
+    for (s1, o1) in st_.br:
+        for (s2, o2) in st_.bw:
+            if s1 != s2:
+                continue
+            c1 = _lookup_loop(st_.fo, o1)
+            c2 = _lookup_loop(st_.fo, o2)
+            if c1 is None or c2 is None or not class_leq(c1, c2):
+                return False
+    return True
+
+
+def _functional_loop(entries):
+    seen = {}
+    for k, v in entries:
+        if k in seen and seen[k] != v:
+            return False
+        seen[k] = v
+    return True
+
+
+def _well_formed_loop(st_):
+    objs = frozenset(o for (o, _s, _x) in st_.m)
+    return (
+        _functional_loop(st_.fo)
+        and _functional_loop(st_.fs)
+        and all(o in objs for (_s, o) in st_.br)
+        and all(o in objs for (_s, o) in st_.bw)
+    )
+
+
+@given(any_states)
+def test_class_map_agrees_with_lookup_class(st_):
+    for entries, keys in ((st_.fo, OBJECTS), (st_.fs, SUBJECTS)):
+        table = class_map(entries)
+        for key in (*keys, "unknown"):
+            assert table.get(key) == lookup_class(entries, key), (entries, key)
+        assert set(table) == {k for k, _v in entries}
+
+
+@given(any_states)
+def test_invariants_match_the_per_pair_loops(st_):
+    assert sec_cond(st_) == _sec_cond_loop(st_)
+    assert star_prop(st_) == _star_prop_loop(st_)
+    assert well_formed(st_) == _well_formed_loop(st_)

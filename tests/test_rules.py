@@ -374,6 +374,18 @@ def test_effects_depend_only_on_their_writes(st_a, st_b):
             assert getattr(merged_after, comp) == getattr(after, comp), (comp, req)
 
 
+@settings(deadline=None)  # each example runs every request
+@given(st.one_of(raw_states(), well_formed_states()))
+def test_effects_keep_states_canonical(st_):
+    """A granted step maps a canonical state (sorted, duplicate-free
+    components) to a canonical one.  Effects insert into br, bw and m by
+    bisection and never re-sort, so they rely on this."""
+    for req in EVERY_REQUEST:
+        out = apply_rule(st_, req)
+        if out.decision == YES:
+            assert out.after == make_state(*out.after), req
+
+
 # --- clause tables -----------------------------------------------------------
 
 def test_rule_clauses_shapes():

@@ -1,5 +1,8 @@
 """Scenario language: grammar, state construction, execution, round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -431,3 +434,31 @@ def test_generated_script_round_trip(source):
     printed = format_script(script)
     assert parse_scenario(printed) == script
     assert format_script(parse_scenario(printed)) == printed
+
+
+# --- error columns -------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+# the token grammar of the module docstring, written out independently
+_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|[{},]|\S")
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.blp")), ids=lambda p: p.name)
+def test_parse_error_column_at_every_token(path):
+    """The scanner keeps no columns and finds one only for an error.  In a
+    valid script, replacing any one token with ``!`` must give an error at
+    exactly that line and column, naming ``!``."""
+    lines = path.read_text().splitlines()
+    parse_scenario("\n".join(lines))
+    tried = 0
+    for number, text in enumerate(lines, start=1):
+        code, hash_, comment = text.partition("#")
+        for tok in _TOKENS.finditer(code):
+            broken = code[:tok.start()] + "!" + code[tok.end():] + hash_ + comment
+            source = "\n".join(lines[:number - 1] + [broken] + lines[number:])
+            with pytest.raises(ScenarioParseError) as err:
+                parse_scenario(source)
+            where = (err.value.line, err.value.column, err.value.offending_token)
+            assert where == (number, tok.start() + 1, "!"), (broken, err.value)
+            tried += 1
+    assert tried > 20
