@@ -18,15 +18,17 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses) and written once, in ``_subtrees``.  Its access sets
-come from tables of the check's ``_Universe``, keyed by integers: per (fs,
-fo) pair, bitmasks over the universe's (subject, object) pairs of the
-readable and the writable pairs; per matrix, the mask of the pairs whose
-object it knows; and one table from (mask, cap) to the subsets of a mask's
-pairs.  A subtree's access sets are the entries for the ANDs of its
-masks.  The random sampler reads the same tables.  It draws option indices
-with ``rng.randrange(n)``, which makes the same draw as ``rng.choice`` on
-an n-item list, so its states, and the seeded reports and witnesses built
+then current accesses) and written once, in ``_subtrees``.  (fs, fo) pairs
+are numbered, not listed: pair number i is fs option f and fo option o for
+f, o = divmod(i, len(fo_options)).  The access sets come from tables of the
+check's ``_Universe``, keyed by integers: per (fs, fo) pair, bitmasks over
+the universe's (subject, object) pairs of the readable and the writable
+pairs; per matrix, the mask of the pairs whose object it knows; and one
+table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
+access sets are the entries for the ANDs of its masks.  The random
+sampler reads the same tables.  It draws option indices with
+``rng.randrange(n)``, which makes the same draw as ``rng.choice`` on an
+n-item list, so its states, and the seeded reports and witnesses built
 from them, are those of a sampler drawing the options themselves (a test
 pins this).  Within a subtree the sweep is rule-major, and each rule
 walks the subtree's leaves in enumeration order, each leaf's requests in
@@ -84,7 +86,11 @@ positions count every leaf.  First witnesses do not change either: an
 obligation's failing (state, request) pairs are closed under G, so the
 first failing state in enumeration order is the least of its orbit, hence
 a leader, and the reduced sweep meets it first.  Enumeration, partition
-analysis and random mode are not reduced.
+analysis and random mode are not reduced.  The group's action on option
+indices is computed by arithmetic, without building or renaming a state:
+a class-map option is a mixed-radix numeral, one digit per entity, and a
+renaming permutes digit values (classes) and digit places (entities); a
+matrix option is a set of triple indices, which a renaming permutes.
 
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
@@ -384,6 +390,15 @@ class _Orbits(NamedTuple):
     indices into ``group`` of the renamings that fix it.  ``m_image[g]``
     gives, per ``m_options`` index, the index of its image under
     ``group[g]``.
+
+    The tables come from index arithmetic alone.  A class-map option's
+    index is a mixed-radix numeral (``_Universe._class_map_image``): a
+    renaming maps its digits through the renamed classes and moves them to
+    the renamed entities' places.  A matrix option is the ascending tuple
+    of its triples' indices; a renaming permutes the 3*S*O triple indices,
+    and the image is the option whose tuple is the sorted permuted indices,
+    found in one dict.  A (fs, fo) pair's image is the pair of its parts'
+    images.
     """
 
     group: tuple[_Renaming, ...]
@@ -403,10 +418,14 @@ class _Universe:
     then lexicographically over their sorted element universe.  Request
     lists are the product of their fields' domains, in field order.
 
+    The (fs, fo) pairs are not materialised: there are ``n_combos`` of
+    them, and ``fs_fo`` unranks pair number i as ``divmod(i,
+    len(fo_options))``, the order of the product of the two lists.
+
     Access sets are tabulated by bitmask: bit i of a mask stands for
     ``pairs[i]``.  Each ``m_options`` entry carries the mask of the pairs
     whose object its matrix knows; ``pair_masks`` gives an (fs, fo) pair's
-    readable and writable masks by its index in ``combos``; and
+    readable and writable masks by its pair number; and
     ``access_sets`` lists a mask's subsets up to a cap, once per (mask,
     cap).  The enumerator and the random sampler both read these tables,
     and a subtree's access sets cost two ANDs and two lookups.
@@ -414,11 +433,11 @@ class _Universe:
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     The symmetry tables (``orbits``) are built on first use, which only the
-    exhaustive sweep makes.
+    exhaustive sweep makes, by arithmetic on option indices.
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
-    fo) pair's ids are ``divmod`` of its index in ``combos`` by the number
-    of fo options, a matrix's id is its index in ``m_options``, and access
+    fo) pair's ids are ``divmod`` of its pair number by the number of fo
+    options, a matrix's id is its index in ``m_options``, and access
     sets get ids as the sweep meets them.  After-state values take ids from
     the same tables.  ``prop_memo`` holds each property's verdicts under the
     after-state ids of the components it reads (``core.PROPERTY_READS``),
@@ -447,19 +466,20 @@ class _Universe:
         )
         self.fs_options = self._class_maps(self.subjects)
         self.fo_options = self._class_maps(self.objects)
-        # (fs, fo) pairs in flat index order; sweep workers split this list
-        self.combos = tuple(itertools.product(self.fs_options, self.fo_options))
+        # (fs, fo) pair number i is fs option f and fo option o for
+        # f, o = divmod(i, len(fo_options)); sweep workers split this range
+        self.n_combos = len(self.fs_options) * len(self.fo_options)
         # (subject, object) pairs; an access-set mask has bit i for pairs[i]
         self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
         self.every_pair = (1 << len(self.pairs)) - 1
-        triples = sorted(
+        self.triples = tuple(sorted(
             ((o, s, x) for o in self.objects for s in self.subjects for x in MATRIX_MODES),
             key=core.triple_sort_key,
-        )
+        ))
         # each matrix with the mask of the pairs whose object it knows
         self.m_options: list[tuple[tuple, int]] = []
-        for size in range(min(b.max_matrix, len(triples)) + 1):
-            for m in itertools.combinations(triples, size):
+        for size in range(min(b.max_matrix, len(self.triples)) + 1):
+            for m in itertools.combinations(self.triples, size):
                 known = {o for (o, _s, _x) in m}
                 self.m_options.append(
                     (m, sum(1 << i for i, (_s, o) in enumerate(self.pairs) if o in known)))
@@ -509,13 +529,15 @@ class _Universe:
 
     @cached_property
     def orbits(self) -> _Orbits:
-        """The renaming group's action on (fs, fo) pairs and on matrices."""
+        """The renaming group's action on (fs, fo) pairs and on matrices,
+        computed on option indices (see ``_class_map_image``): no state is
+        built or renamed."""
         b = self.bounds
         group_size = _saturating_product(itertools.chain(
             range(2, b.num_subjects + 1), range(2, b.num_objects + 1),
             range(2, b.num_categories + 1),
         ))
-        _refuse_oversized({"(fs, fo) images": group_size * len(self.combos),
+        _refuse_oversized({"(fs, fo) images": group_size * self.n_combos,
                            "matrix images": group_size * len(self.m_options)})
         group = tuple(
             _Renaming(dict(zip(self.subjects, s)), dict(zip(self.objects, o)),
@@ -524,18 +546,22 @@ class _Universe:
             for o in itertools.permutations(self.objects)
             for k in itertools.permutations(self.categories)
         )[1:]  # the first of each permutation list is the identity
-        blank = SystemState((), (), (), (), ())
-        _, _, fo_index, fs_index, m_index = self.id_tables
+        t_index = {t: i for i, t in enumerate(self.triples)}
+        m_indices = [tuple(t_index[t] for t in m) for m, _known in self.m_options]
+        m_of = {ts: mi for mi, ts in enumerate(m_indices)}
+        class_digit = {c: d for d, c in enumerate(self.classes, 1)}
         n_fo = len(self.fo_options)
         images = []
         m_image = []
         for g in group:
-            fs_img = [fs_index[g.state(blank._replace(fs=fs)).fs] for fs in self.fs_options]
-            fo_img = [fo_index[g.state(blank._replace(fo=fo)).fo] for fo in self.fo_options]
+            digit = [0, *(class_digit[g.sec_class(c)] for c in self.classes)]
+            fs_img = self._class_map_image(self.subjects, g.subjects, digit)
+            fo_img = self._class_map_image(self.objects, g.objects, digit)
             images.append([f * n_fo + o for f in fs_img for o in fo_img])
-            m_image.append(tuple(m_index[g.state(blank._replace(m=m)).m]
-                                 for m, _known in self.m_options))
-        rep = tuple(min([i, *(img[i] for img in images)]) for i in range(len(self.combos)))
+            perm = [t_index[(g.objects[o], g.subjects[s], x)] for o, s, x in self.triples]
+            m_image.append(tuple(m_of[tuple(sorted([perm[t] for t in ts]))]
+                                 for ts in m_indices))
+        rep = tuple(min([i, *(img[i] for img in images)]) for i in range(self.n_combos))
         reps = tuple(i for i, r in enumerate(rep) if r == i)
         stabiliser = {
             i: tuple(g for g, img in enumerate(images) if img[i] == i) for i in reps
@@ -549,6 +575,31 @@ class _Universe:
             maps.append(tuple((e, c) for e, c in zip(entities, vec) if c is not None))
         return maps
 
+    def _class_map_image(self, entities: Sequence[str], rename: dict,
+                         digit: list[int]) -> list[int]:
+        """Per option of ``_class_maps(entities)``, the index of its image
+        under a renaming that maps entity e to ``rename[e]`` and digit d to
+        ``digit[d]``.
+
+        An option's index is a numeral in base len(classes) + 1 with one
+        digit per entity, the first entity the most significant: digit 0
+        for unclassified, d for ``classes[d - 1]``.  The renamed option has
+        digit ``digit[d]`` where entity e had d, at the place of
+        ``rename[e]``; its index is the sum of those digits' place values,
+        built here one entity at a time in option order."""
+        radix = len(self.classes) + 1
+        place = {e: radix ** (len(entities) - 1 - p) for p, e in enumerate(entities)}
+        image = [0]
+        for e in entities:
+            w = place[rename[e]]
+            image = [i + d * w for i in image for d in digit]
+        return image
+
+    def fs_fo(self, combo: int) -> tuple[tuple, tuple]:
+        """The fs and fo options of (fs, fo) pair number ``combo``."""
+        f, o = divmod(combo, len(self.fo_options))
+        return self.fs_options[f], self.fo_options[o]
+
     def pair_masks(self, combo: int) -> tuple[int, int, frozenset]:
         """The access tables of (fs, fo) pair number ``combo``, computed once
         per pair: ``(readable, writable, star_ok)``.
@@ -561,7 +612,7 @@ class _Universe:
         """
         tables = self._pair_masks.get(combo)
         if tables is None:
-            fs, fo = self.combos[combo]
+            fs, fo = self.fs_fo(combo)
             fs_map = dict(fs)
             fo_map = dict(fo)
             readable = classified = 0
@@ -609,7 +660,7 @@ def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
     """
     br_cap, bw_cap = caps
     for combo in combos:
-        fs, fo = u.combos[combo]
+        fs, fo = u.fs_fo(combo)
         readable, writable, star_ok = u.pair_masks(combo)
         if not hypothesis:
             readable = u.every_pair
@@ -629,7 +680,7 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     The order is canonical and stable across runs.
     """
     u = _Universe(b)
-    subtrees = _subtrees(u, range(len(u.combos)), range(len(u.m_options)),
+    subtrees = _subtrees(u, range(u.n_combos), range(len(u.m_options)),
                          (b.max_br, b.max_bw))
     for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
         for br in br_subs:
@@ -1141,7 +1192,7 @@ def _merge_chunks(u: _Universe, obligations, chunk_results):
             witness, (combo, pos) = first[ob]
             merged[ob] = (True, witness, leaves_before(combo) + pos)
         else:
-            merged[ob] = (False, None, leaves_before(len(u.combos)))
+            merged[ob] = (False, None, leaves_before(u.n_combos))
     return merged, total_time
 
 
@@ -1247,8 +1298,7 @@ def _random_state(rng: random.Random, u: _Universe) -> SystemState:
             br = rng.choice(br_subs)
             bw = rng.choice(bw_subs)
             if _star_leaf_ok(br, bw, star_ok):
-                fs, fo = u.combos[combo]
-                return SystemState(br, bw, fo, fs, m)
+                return SystemState(br, bw, u.fo_options[fo_i], u.fs_options[fs_i], m)
 
 
 def _random_obligation(u: _Universe, defs, ob, samples, seed) -> ObligationResult:
@@ -1325,8 +1375,16 @@ def check_partition(
     behaviour is tabulated once over all conjunct-value combinations.  When
     no combination at all yields a gap or an overlap, the per-input
     evaluation is skipped -- the all-clear verdict already holds for every
-    input, realizable or not -- and the input census is counted per
-    subtree from the sizes of its access-set options.
+    input, realizable or not.  The input census is computed in closed form
+    either way.  Outside the hypothesis, in a non-strict universe, both
+    access sets of a subtree range over the subsets of its matrix's known
+    pairs, so with k(mi) known pairs and C(k, cap) = sum of C(k, j) for
+    j <= cap it is
+
+        |fs_ids| * |fo_ids| * sum over mi in m_ids of
+            C(k(mi), cap_br) * C(k(mi), cap_bw)
+
+    over the held or enumerated option ranges and caps below.
     A small-scope test pins this engine against a naive sweep that calls
     every guard on every input.
     """
@@ -1368,16 +1426,17 @@ def check_partition(
 
     gap_fams: dict[tuple, list] = {}
     over_fams: dict[tuple[str, str], list] = {}
-    leaves = 0
-    interesting = any(v is not None for v in verdicts)
     t0 = time.perf_counter()
 
+    # the census formula of the docstring
+    leaves = len(fs_ids) * len(fo_ids) * sum(
+        _subsets_upto(n, caps[0]) * _subsets_upto(n, caps[1])
+        for n in (u.m_options[mi][1].bit_count() for mi in m_ids)
+    )
+    interesting = any(v is not None for v in verdicts)
     combos = (f * n_fo + o for f in fs_ids for o in fo_ids)
-    subtrees = _subtrees(u, combos, m_ids, caps)
+    subtrees = _subtrees(u, combos, m_ids, caps) if interesting else ()
     for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
-        leaves += len(br_subs) * len(bw_subs)
-        if not interesting:
-            continue
         for br in br_subs:
             for bw in bw_subs:
                 st = SystemState(br, bw, fo, fs, m)

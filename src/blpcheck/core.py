@@ -71,7 +71,7 @@ def triple_sort_key(t: MatrixTriple):
     return (t[0], t[1], _MODE_RANK[t[2]])
 
 
-def _entry_sort_key(e: ClassEntry):
+def entry_sort_key(e: ClassEntry):
     return (e[0],) + class_sort_key(e[1])
 
 
@@ -114,8 +114,8 @@ def make_state(
     return SystemState(
         br=tuple(sorted(set(br))),
         bw=tuple(sorted(set(bw))),
-        fo=tuple(sorted(set(fo_pairs), key=_entry_sort_key)),
-        fs=tuple(sorted(set(fs_pairs), key=_entry_sort_key)),
+        fo=tuple(sorted(set(fo_pairs), key=entry_sort_key)),
+        fs=tuple(sorted(set(fs_pairs), key=entry_sort_key)),
         m=tuple(sorted(set(m), key=triple_sort_key)),
     )
 

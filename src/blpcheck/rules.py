@@ -33,6 +33,7 @@ from .core import (
     SubjectId,
     SystemState,
     class_leq,
+    entry_sort_key,
     lookup_class,
     triple_sort_key,
 )
@@ -204,10 +205,11 @@ class RuleDef:
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
 #
 # Effects rely on their input being canonical (``make_state`` form: every
-# component sorted and duplicate-free) and keep it so: one new pair or
-# triple is inserted at its place by bisection on the component's sort key,
-# and removals filter.  A property test pins that every granted after state
-# of a canonical state is canonical.
+# component sorted and duplicate-free) and keep it so: one pair, triple or
+# class entry is inserted at its place, or one pair or triple removed from
+# it, by bisection on the component's sort key; deleteObject, which drops
+# every entry of an object, filters.  A property test pins that every
+# granted after state of a canonical state is canonical.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)
@@ -219,8 +221,23 @@ def _triple_add(m, triple):
     return m[:i] + (triple,) + m[i:]
 
 
+def _entry_add(entries, entry):
+    i = bisect.bisect_left(entries, entry_sort_key(entry), key=entry_sort_key)
+    return entries[:i] + (entry,) + entries[i:]
+
+
 def _pair_del(pairs, pair):
-    return tuple(p for p in pairs if p != pair)
+    i = bisect.bisect_left(pairs, pair)
+    if i < len(pairs) and pairs[i] == pair:
+        return pairs[:i] + pairs[i + 1:]
+    return pairs
+
+
+def _triple_del(m, triple):
+    i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
+    if i < len(m) and m[i] == triple:
+        return m[:i] + m[i + 1:]
+    return m
 
 
 def _gr_has_perm(st, r):
@@ -330,8 +347,7 @@ def _rsr_target_has_read(st, r):
 
 
 def _rsr_effect(st, r):
-    gone = (r.o, r.target, READ)
-    new_m = tuple(t for t in st.m if t != gone)
+    new_m = _triple_del(st.m, (r.o, r.target, READ))
     return SystemState(_pair_del(st.br, (r.target, r.o)), st.bw, st.fo, st.fs, new_m)
 
 
@@ -340,8 +356,7 @@ def _rsw_target_has_write(st, r):
 
 
 def _rsw_effect(st, r):
-    gone = (r.o, r.target, WRITE)
-    new_m = tuple(t for t in st.m if t != gone)
+    new_m = _triple_del(st.m, (r.o, r.target, WRITE))
     return SystemState(st.br, _pair_del(st.bw, (r.target, r.o)), st.fo, st.fs, new_m)
 
 
@@ -365,8 +380,10 @@ def _cc_effect(st, r):
 
 
 def _co_obj_fresh(st, r):
-    if lookup_class(st.fo, r.o) is not None:
-        return False
+    # no fo entry binds r.o (lookup_class gives None for an object bound twice)
+    for (o, _c) in st.fo:
+        if o == r.o:
+            return False
     for (o, _s, _x) in st.m:
         if o == r.o:
             return False
@@ -374,7 +391,7 @@ def _co_obj_fresh(st, r):
 
 
 def _co_effect(st, r):
-    new_fo = tuple(sorted(st.fo + ((r.o, r.k),)))
+    new_fo = _entry_add(st.fo, (r.o, r.k))
     return SystemState(st.br, st.bw, new_fo, st.fs, _triple_add(st.m, (r.o, r.s, CTRL)))
 
 

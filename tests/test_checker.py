@@ -4,6 +4,7 @@ walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
 import dataclasses
 import itertools
+import math
 import os
 
 import pytest
@@ -242,6 +243,47 @@ def test_sweep_visits_exactly_the_orbit_leaders(bounds):
     assert len(leaders) < len(states) == report.results[0].states_checked
 
 
+def renamed_orbit_tables(u):
+    """The reference for ``_Universe.orbits``, which works on option
+    indices: every table built by renaming states with ``_Renaming.state``
+    and looking the renamed components up in the option lists."""
+    blank = SystemState((), (), (), (), ())
+    fs_index = {fs: i for i, fs in enumerate(u.fs_options)}
+    fo_index = {fo: i for i, fo in enumerate(u.fo_options)}
+    m_index = {m: i for i, (m, _known) in enumerate(u.m_options)}
+    n_fo = len(u.fo_options)
+    images = []
+    m_image = []
+    for g in u.orbits.group:
+        fs_img = [fs_index[g.state(blank._replace(fs=fs)).fs] for fs in u.fs_options]
+        fo_img = [fo_index[g.state(blank._replace(fo=fo)).fo] for fo in u.fo_options]
+        images.append([f * n_fo + o for f in fs_img for o in fo_img])
+        m_image.append(tuple(m_index[g.state(blank._replace(m=m)).m]
+                             for m, _known in u.m_options))
+    n_pairs = len(u.fs_options) * n_fo
+    rep = tuple(min([i, *(img[i] for img in images)]) for i in range(n_pairs))
+    reps = tuple(i for i, r in enumerate(rep) if r == i)
+    stabiliser = {i: tuple(g for g, img in enumerate(images) if img[i] == i) for i in reps}
+    return rep, reps, stabiliser, tuple(m_image)
+
+
+@pytest.mark.parametrize("bounds", [P0, Bounds(3, 2, 2, 0, 1, 1, 2),
+                                    Bounds(2, 3, 1, 1, 1, 1, 2),
+                                    Bounds(2, 2, 1, 2, 1, 1, 2)],
+                         ids=["P0", "subjects", "objects", "categories"])
+def test_orbit_tables_match_state_renaming(bounds):
+    u = _Universe(bounds)
+    orbits = u.orbits
+    assert len(orbits.group) == math.prod(
+        math.factorial(n) for n in (bounds.num_subjects, bounds.num_objects,
+                                    bounds.num_categories)) - 1
+    rep, reps, stabiliser, m_image = renamed_orbit_tables(u)
+    assert orbits.rep == rep
+    assert orbits.reps == reps
+    assert orbits.stabiliser == stabiliser
+    assert orbits.m_image == m_image
+
+
 # Mutants whose failures at these bounds depend on the categories.
 CATEGORY_MUTANTS = {
     rule: without_conjunct(RULE_DEFS[rule], conjunct)
@@ -333,7 +375,7 @@ def test_random_mode_worker_parity():
 
 
 def test_workers_are_bounded(monkeypatch):
-    n_combo = len(_Universe(P0).combos)
+    n_combo = _Universe(P0).n_combos
     assert n_combo == 625
     for cpus, expected in ((4096, 625), (2, 2), (None, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -588,24 +630,45 @@ def naive_partition(rule, variant, b):
     return gaps, overlaps
 
 
+def projected_states(rule, b):
+    """The enumerated states a partition analysis of ``rule`` covers: the
+    components no conjunct reads (and m, when br or bw is read) held at
+    their first option, ()."""
+    reads = set().union(*(c.reads for c in RULE_DEFS[rule].conjuncts))
+    if reads & {"br", "bw"}:
+        reads.add("m")
+    unread = {"br", "bw", "fo", "fs", "m"} - reads
+    return [
+        st for st in enumerate_states(b)
+        if all(getattr(st, comp) == () for comp in unread)
+    ]
+
+
 @pytest.mark.parametrize("rule", RULE_ORDER)
 def test_partition_fixed_matches_naive(rule):
     report = check_partition(rule, "fixed", TINY)
     gaps, overlaps = naive_partition(rule, "fixed", TINY)
     assert report.ok == (not gaps and not overlaps)
     assert not report.gap_families and not report.overlap_families
-    # counts refer to the projected space: components no conjunct reads
-    # (and m, when br or bw is read) are held at their first option, ()
-    reads = set().union(*(c.reads for c in RULE_DEFS[rule].conjuncts))
-    if reads & {"br", "bw"}:
-        reads.add("m")
-    unread = {"br", "bw", "fo", "fs", "m"} - reads
-    reduced = [
-        st for st in enumerate_states(TINY)
-        if all(getattr(st, comp) == () for comp in unread)
-    ]
+    # counts refer to the projected space
+    reduced = projected_states(rule, TINY)
     assert report.states_checked == len(reduced)
     assert report.requests_checked == len(reduced) * len(requests_for_rule(rule, TINY))
+
+
+@pytest.mark.parametrize("bounds", [SMALL, Bounds(1, 2, 1, 2, 1, 2, 2)],
+                         ids=["small", "categories"])
+def test_partition_census_matches_enumeration(bounds):
+    """``check_partition`` counts its inputs in closed form, from the
+    matrices' known pairs, without enumerating them.  For every clause
+    table the count must be that of the projected enumeration.  The second
+    bound has two categories and unequal br and bw caps."""
+    tables = [(rule, "fixed") for rule in RULE_ORDER] + [("giveRW", "paperFaithful")]
+    for rule, variant in tables:
+        report = check_partition(rule, variant, bounds)
+        n_states = len(projected_states(rule, bounds))
+        assert report.states_checked == n_states, (rule, variant)
+        assert report.requests_checked == n_states * len(requests_for_rule(rule, bounds))
 
 
 def test_partition_paper_faithful_matches_naive():

@@ -375,10 +375,11 @@ def test_effects_depend_only_on_their_writes(st_a, st_b):
 
 
 @settings(deadline=None)  # each example runs every request
-@given(st.one_of(raw_states(), well_formed_states()))
+@given(st.one_of(raw_states(), well_formed_states(), relational_states()))
 def test_effects_keep_states_canonical(st_):
     """A granted step maps a canonical state (sorted, duplicate-free
-    components) to a canonical one.  Effects insert into br, bw and m by
+    components) to a canonical one, also when a class map binds an entity
+    twice.  Effects insert into and remove from br, bw, fo and m by
     bisection and never re-sort, so they rely on this."""
     for req in EVERY_REQUEST:
         out = apply_rule(st_, req)
