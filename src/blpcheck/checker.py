@@ -26,14 +26,11 @@ the universe's (subject, object) pairs of the readable and the writable
 pairs; per matrix, the mask of the pairs whose object it knows; and one
 table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
 access sets are the entries for the ANDs of its masks.  The random
-sampler reads the same tables.  It draws option indices with
-``rng.randrange(n)``, which makes the same draw as ``rng.choice`` on an
-n-item list, so its states, and the seeded reports and witnesses built
-from them, are those of a sampler drawing the options themselves (a test
-pins this).  Within a subtree the sweep is rule-major, and each rule
-walks the subtree's leaves in enumeration order, each leaf's requests in
-list order.  Every swept leaf carries a small integer id per state
-component (``_Universe``), and every rule callable runs once per distinct
+sampler reads the same tables.  Within a subtree the sweep is
+rule-major, and each rule walks the subtree's leaves in enumeration
+order, each leaf's requests in list order.  Every swept leaf carries a
+small integer id per state component (``_Universe``), and every rule
+callable runs once per distinct
 value of the components it declares to read; the result is memoised under
 their ids.  A guard conjunct's memo maps
 the ids of its ``reads`` to the bitset of the rule's requests it grants,
@@ -92,6 +89,21 @@ a class-map option is a mixed-radix numeral, one digit per entity, and a
 renaming permutes digit values (classes) and digit places (entities); a
 matrix option is a set of triple indices, which a renaming permutes.
 
+Random mode gives each obligation its own generator, seeded with the seed
+and the obligation's name, and one loop over its draws (``_random_pairs``):
+an (fs, fo) pair and a matrix by index, their access sets from the
+enumerator's tables, (br, bw) options until the leaf satisfies the
+*-property (at most 64 tries per subtree), then a request.  Every draw is
+one ``rng._randbelow(n)``, the call that ``rng.randrange(n)`` and
+``rng.choice`` on an n-item list both reduce to, so the draws, and the
+seeded reports and witnesses built from them, are those of a sampler that
+calls ``rng.choice`` on the option lists themselves (a test pins this on
+every supported Python).  A draw is decided as the sweep decides a leaf:
+the rule's guard conjuncts in order, then, when all hold, the effect and
+the property on the after state, with no ``rules.Outcome`` built.  The
+first violation stops the obligation and becomes its witness, which is
+re-validated through ``rules.apply_def`` like every reported witness.
+
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
@@ -119,7 +131,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from multiprocessing import get_context
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import core, rules
@@ -476,13 +487,18 @@ class _Universe:
             ((o, s, x) for o in self.objects for s in self.subjects for x in MATRIX_MODES),
             key=core.triple_sort_key,
         ))
-        # each matrix with the mask of the pairs whose object it knows
+        # each matrix with the mask of the pairs whose object it knows: the
+        # OR of its triples' objects' pair masks
+        object_mask = dict.fromkeys(self.objects, 0)
+        for i, (_s, o) in enumerate(self.pairs):
+            object_mask[o] |= 1 << i
         self.m_options: list[tuple[tuple, int]] = []
         for size in range(min(b.max_matrix, len(self.triples)) + 1):
             for m in itertools.combinations(self.triples, size):
-                known = {o for (o, _s, _x) in m}
-                self.m_options.append(
-                    (m, sum(1 << i for i, (_s, o) in enumerate(self.pairs) if o in known)))
+                known = 0
+                for (o, _s, _x) in m:
+                    known |= object_mask[o]
+                self.m_options.append((m, known))
         self.props = dict(PROPERTY_FUNCS)
         if strict_star:
             self.props[PROPERTY_STARPROP] = strict_star_prop
@@ -1149,6 +1165,8 @@ def _run_tasks(fn, context: tuple, tasks: list[tuple], n: int) -> list:
     So a worker's universe and its memos serve every task it runs."""
     if n <= 1:
         return [fn(*context, *task) for task in tasks]
+    from multiprocessing import get_context  # only pooled checks pay its import
+
     with get_context("fork").Pool(n, initializer=_start_worker, initargs=context) as pool:
         return pool.starmap(_run_in_worker, [(fn, task) for task in tasks], chunksize=1)
 
@@ -1278,50 +1296,77 @@ def _validate_witness(w: Witness, defs: dict[str, RuleDef], props: dict) -> None
         raise AssertionError(f"witness failed self-validation: {w}")
 
 
-def _random_state(rng: random.Random, u: _Universe) -> SystemState:
-    """A state drawn from the hypothesis: an (fs, fo) pair and a matrix, then
-    (br, bw) options until one satisfies the *-property (at most 64 tries
-    per subtree).  ``rng.randrange(n)`` makes the draw ``rng.choice`` makes
-    on an n-item list, so the options are drawn by index and their tables
-    looked up by number."""
-    b = u.bounds
-    n_fo = len(u.fo_options)
+def _random_pairs(rng: random.Random, u: _Universe,
+                  reqs: Sequence[Request]) -> Iterator[tuple[SystemState, Request]]:
+    """Endless (state, request) draws for random mode.  The state comes from
+    the hypothesis: an (fs, fo) pair and a matrix, then (br, bw) options
+    until one satisfies the *-property (at most 64 tries per subtree); the
+    request is drawn after its state.
+
+    Every draw is ``rng._randbelow(n)`` on an n-item table, read by index:
+    ``rng.randrange(n)`` and ``rng.choice`` on an n-item list both reduce
+    to that call, so the draws, states and requests are those of a sampler
+    that calls ``rng.choice`` on the option lists themselves (a test pins
+    this).  The universe's tables and the generator's method are looked up
+    once, not per draw, and a mask's access sets once per generator."""
+    randbelow = rng._randbelow
+    fs_options, fo_options, m_options = u.fs_options, u.fo_options, u.m_options
+    n_fs, n_fo, n_m, n_reqs = len(fs_options), len(fo_options), len(m_options), len(reqs)
+    pair_masks, access_sets = u.pair_masks, u.access_sets
+    max_br, max_bw = u.bounds.max_br, u.bounds.max_bw
+    br_table: dict[int, list] = {}
+    bw_table: dict[int, list] = {}
     while True:
-        fs_i = rng.randrange(len(u.fs_options))
-        fo_i = rng.randrange(n_fo)
-        m, known = u.m_options[rng.randrange(len(u.m_options))]
-        combo = fs_i * n_fo + fo_i
-        readable, writable, star_ok = u.pair_masks(combo)
-        br_subs = u.access_sets(known & readable, b.max_br)
-        bw_subs = u.access_sets(known & writable, b.max_bw)
+        fs_i = randbelow(n_fs)
+        fo_i = randbelow(n_fo)
+        m, known = m_options[randbelow(n_m)]
+        readable, writable, star_ok = pair_masks(fs_i * n_fo + fo_i)
+        mask = known & readable
+        br_subs = br_table.get(mask)
+        if br_subs is None:
+            br_subs = br_table[mask] = access_sets(mask, max_br)
+        mask = known & writable
+        bw_subs = bw_table.get(mask)
+        if bw_subs is None:
+            bw_subs = bw_table[mask] = access_sets(mask, max_bw)
+        n_br, n_bw = len(br_subs), len(bw_subs)
         for _ in range(64):
-            br = rng.choice(br_subs)
-            bw = rng.choice(bw_subs)
-            if _star_leaf_ok(br, bw, star_ok):
-                return SystemState(br, bw, u.fo_options[fo_i], u.fs_options[fs_i], m)
+            br = br_subs[randbelow(n_br)]
+            bw = bw_subs[randbelow(n_bw)]
+            if not br or not bw or _star_leaf_ok(br, bw, star_ok):
+                yield (SystemState(br, bw, fo_options[fo_i], fs_options[fs_i], m),
+                       reqs[randbelow(n_reqs)])
+                break
 
 
 def _random_obligation(u: _Universe, defs, ob, samples, seed) -> ObligationResult:
+    """Decide ``samples`` draws of ``_random_pairs`` as the sweep decides a
+    leaf: the guard conjuncts in order, then, if all hold, the effect and
+    the property on its after state.  A violation stops the obligation; its
+    witness is re-validated through the public rule interface."""
     rng = random.Random(f"{seed}:{ob.rule}:{ob.prop}")
     rd = defs[ob.rule]
     reqs = u.requests[ob.rule]
+    guards = tuple(c.holds for c in rd.conjuncts)
+    effect = rd.effect
     prop_fn = u.props[ob.prop]
     witness = None
     checked = 0
     t0 = time.perf_counter()
     if reqs:
-        for _ in range(samples):
-            st = _random_state(rng, u)
-            req = reqs[rng.randrange(len(reqs))]
+        for st, req in itertools.islice(_random_pairs(rng, u, reqs), samples):
             checked += 1
             try:
-                out = apply_def(rd, st, req)
-                violated = out.after is not st and not prop_fn(out.after)
+                for holds in guards:
+                    if not holds(st, req):
+                        break
+                else:  # every guard held: granted
+                    after = effect(st, req)
+                    if after is not st and not prop_fn(after):
+                        witness = Witness(st, req, after, ob.prop)
+                        break  # out of the sample loop
             except Exception as e:
                 raise _evaluation_failure(st, req) from e
-            if violated:
-                witness = Witness(st, req, out.after, ob.prop)
-                break
     elapsed = (time.perf_counter() - t0) * 1000.0
     if witness is not None:
         _validate_witness(witness, defs, u.props)

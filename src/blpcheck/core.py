@@ -14,15 +14,31 @@ states (a missing classification makes a predicate false, never an error).
 
 ``lookup_class`` applies a classification relation to one key: a linear
 scan, None for a key unbound or bound twice.  ``class_map`` gives the same
-answer for every key at once, as a dict built in one pass; the security
-condition and the *-property read their classes from it, and the
-*-property groups ``bw`` by subject before it pairs reads with writes, so
-each costs one pass over its components instead of one scan per pair.
+answer for every key at once, as a dict built in one pass; the *-property
+groups ``bw`` by subject before it pairs reads with writes, so each
+predicate costs one pass over its components instead of one scan per pair.
+
+Indexes kept per component: ``class_index`` (a classification's
+``class_map``), ``matrix_set`` (the matrix's triples as a set) and
+``matrix_objects`` (the objects the matrix knows) build their index once
+and keep it while the component is in use, in one table keyed by the
+identity of the component tuple.  The rule guards
+and the invariants read their classes, triples and objects from them.  A
+reference monitor's step changes at most two components and leaves the
+others the very same objects (in a long scenario the matrix stays the same
+object across most commands, the classifications across nearly all), so
+most steps find their indexes built.  This rests on one condition: a
+component is an immutable tuple of immutable values, as ``SystemState``
+declares; an index is never checked against its component again.  Each
+entry holds its tuple, so the tuple's identity cannot pass to another
+object while the entry lives.  The table keeps at most ``INDEX_BOUND``
+entries and drops the oldest first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+import operator
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 SubjectId = str
 ObjectId = str
@@ -148,18 +164,63 @@ def class_map(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityCla
     return found
 
 
-def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:
-    seen: dict[str, SecurityClass] = {}
-    for k, v in entries:
-        if k in seen and seen[k] != v:
-            return False
-        seen[k] = v
-    return True
+# --------------------------------------------------------------------------
+# Indexes kept per component tuple (see the module docstring).
+
+INDEX_BOUND = 256
+
+# id of a component tuple -> [the tuple, its class map, its triple set, its
+# object set], each index None until first asked for; oldest first
+_indexes: dict[int, list] = {}
+
+_triple_object = operator.itemgetter(0)
+
+
+def _keep(component: tuple, slot: int, build: Callable):
+    """Build ``component``'s index in record slot ``slot``, keep it, and
+    return it."""
+    record = _indexes.get(id(component))
+    if record is None:
+        if len(_indexes) >= INDEX_BOUND:
+            _indexes.pop(next(iter(_indexes)))
+        record = _indexes[id(component)] = [component, None, None, None]
+    index = record[slot] = build(component)
+    return index
+
+
+def class_index(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
+    """``class_map(entries)``, kept while ``entries`` is in use.  Shared by
+    every caller: read it, never change it."""
+    kept = _indexes.get(id(entries))
+    if kept is not None and kept[1] is not None:
+        return kept[1]
+    return _keep(entries, 1, class_map)
+
+
+def matrix_set(m: tuple[MatrixTriple, ...]) -> frozenset[MatrixTriple]:
+    """The triples of matrix ``m`` as a set, kept while ``m`` is in use."""
+    kept = _indexes.get(id(m))
+    if kept is not None and kept[2] is not None:
+        return kept[2]
+    return _keep(m, 2, frozenset)
+
+
+def _objects_of(m: tuple[MatrixTriple, ...]) -> frozenset[ObjectId]:
+    return frozenset(map(_triple_object, m))
 
 
 def matrix_objects(st: SystemState) -> frozenset[ObjectId]:
-    """Objects that own at least one access-matrix triple."""
-    return frozenset(o for (o, _s, _x) in st.m)
+    """Objects that own at least one access-matrix triple, kept while
+    ``st.m`` is in use."""
+    kept = _indexes.get(id(st.m))
+    if kept is not None and kept[3] is not None:
+        return kept[3]
+    return _keep(st.m, 3, _objects_of)
+
+
+def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:
+    # class_map gives None exactly for a key bound to two classes
+    return None not in class_index(entries).values()
 
 
 def sec_cond(st: SystemState) -> bool:
@@ -171,8 +232,8 @@ def sec_cond(st: SystemState) -> bool:
     """
     if not st.br:
         return True
-    fs = class_map(st.fs)
-    fo = class_map(st.fo)
+    fs = class_index(st.fs)
+    fo = class_index(st.fo)
     for (s, o) in st.br:
         cls_s = fs.get(s)
         if cls_s is None:
@@ -195,7 +256,7 @@ def star_prop(st: SystemState) -> bool:
     written: dict[SubjectId, list[ObjectId]] = {}
     for (s, o) in st.bw:
         written.setdefault(s, []).append(o)
-    fo = class_map(st.fo)
+    fo = class_index(st.fo)
     for (s, o1) in st.br:
         objs = written.get(s)
         if objs is None:

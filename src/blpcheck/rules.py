@@ -32,9 +32,11 @@ from .core import (
     SecurityClass,
     SubjectId,
     SystemState,
+    class_index,
     class_leq,
     entry_sort_key,
-    lookup_class,
+    matrix_objects,
+    matrix_set,
     triple_sort_key,
 )
 
@@ -203,6 +205,9 @@ class RuleDef:
 
 # --------------------------------------------------------------------------
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
+# They read classes, matrix triples and matrix objects from the indexes
+# ``core`` keeps per component (``class_index``, ``matrix_set``,
+# ``matrix_objects``) instead of scanning ``fo``, ``fs`` or ``m``.
 #
 # Effects rely on their input being canonical (``make_state`` form: every
 # component sorted and duplicate-free) and keep it so: one pair, triple or
@@ -241,7 +246,7 @@ def _triple_del(m, triple):
 
 
 def _gr_has_perm(st, r):
-    return (r.o, r.s, READ) in st.m
+    return (r.o, r.s, READ) in matrix_set(st.m)
 
 
 def _gr_not_reading(st, r):
@@ -249,24 +254,25 @@ def _gr_not_reading(st, r):
 
 
 def _gr_obj_classified(st, r):
-    return lookup_class(st.fo, r.o) is not None
+    return class_index(st.fo).get(r.o) is not None
 
 
 def _gr_clearance(st, r):
-    cls_o = lookup_class(st.fo, r.o)
-    cls_s = lookup_class(st.fs, r.s)
+    cls_o = class_index(st.fo).get(r.o)
+    cls_s = class_index(st.fs).get(r.s)
     return cls_o is not None and cls_s is not None and class_leq(cls_o, cls_s)
 
 
 def _gr_star_guard(st, r):
     # Reading r.o must not undercut any object the subject is writing.
-    cls_o = lookup_class(st.fo, r.o)
+    fo = class_index(st.fo)
+    cls_o = fo.get(r.o)
     if cls_o is None:
         return False
     for (si, oi) in st.bw:
         if si != r.s:
             continue
-        cls_i = lookup_class(st.fo, oi)
+        cls_i = fo.get(oi)
         if cls_i is None or not class_leq(cls_o, cls_i):
             return False
     return True
@@ -277,7 +283,7 @@ def _gr_effect(st, r):
 
 
 def _gw_has_perm(st, r):
-    return (r.o, r.s, WRITE) in st.m
+    return (r.o, r.s, WRITE) in matrix_set(st.m)
 
 
 def _gw_not_writing(st, r):
@@ -286,13 +292,14 @@ def _gw_not_writing(st, r):
 
 def _gw_star_guard(st, r):
     # Everything the subject currently reads must sit below r.o's class.
-    cls_o = lookup_class(st.fo, r.o)
+    fo = class_index(st.fo)
+    cls_o = fo.get(r.o)
     if cls_o is None:
         return False
     for (si, oi) in st.br:
         if si != r.s:
             continue
-        cls_i = lookup_class(st.fo, oi)
+        cls_i = fo.get(oi)
         if cls_i is None or not class_leq(cls_i, cls_o):
             return False
     return True
@@ -323,15 +330,15 @@ def _gv_mode_givable(st, r):
 
 
 def _gv_giver_has_mode(st, r):
-    return (r.o, r.giver, r.x) in st.m
+    return (r.o, r.giver, r.x) in matrix_set(st.m)
 
 
 def _gv_giver_has_ctrl(st, r):
-    return (r.o, r.giver, CTRL) in st.m
+    return (r.o, r.giver, CTRL) in matrix_set(st.m)
 
 
 def _gv_receiver_lacks_mode(st, r):
-    return (r.o, r.receiver, r.x) not in st.m
+    return (r.o, r.receiver, r.x) not in matrix_set(st.m)
 
 
 def _gv_effect(st, r):
@@ -339,11 +346,11 @@ def _gv_effect(st, r):
 
 
 def _rsr_has_ctrl(st, r):
-    return (r.o, r.rescinder, CTRL) in st.m
+    return (r.o, r.rescinder, CTRL) in matrix_set(st.m)
 
 
 def _rsr_target_has_read(st, r):
-    return (r.o, r.target, READ) in st.m
+    return (r.o, r.target, READ) in matrix_set(st.m)
 
 
 def _rsr_effect(st, r):
@@ -352,7 +359,7 @@ def _rsr_effect(st, r):
 
 
 def _rsw_target_has_write(st, r):
-    return (r.o, r.target, WRITE) in st.m
+    return (r.o, r.target, WRITE) in matrix_set(st.m)
 
 
 def _rsw_effect(st, r):
@@ -361,7 +368,7 @@ def _rsw_effect(st, r):
 
 
 def _cc_obj_classified(st, r):
-    return lookup_class(st.fo, r.o) is not None
+    return class_index(st.fo).get(r.o) is not None
 
 
 def _cc_unaccessed(st, r):
@@ -380,14 +387,9 @@ def _cc_effect(st, r):
 
 
 def _co_obj_fresh(st, r):
-    # no fo entry binds r.o (lookup_class gives None for an object bound twice)
-    for (o, _c) in st.fo:
-        if o == r.o:
-            return False
-    for (o, _s, _x) in st.m:
-        if o == r.o:
-            return False
-    return True
+    # no fo entry binds r.o (class_index has every bound key, also one
+    # bound twice, whose class it gives as None) and no triple names it
+    return r.o not in class_index(st.fo) and r.o not in matrix_objects(st)
 
 
 def _co_effect(st, r):
@@ -396,7 +398,7 @@ def _co_effect(st, r):
 
 
 def _do_has_ctrl(st, r):
-    return (r.o, r.s, CTRL) in st.m
+    return (r.o, r.s, CTRL) in matrix_set(st.m)
 
 
 def _do_unaccessed(st, r):

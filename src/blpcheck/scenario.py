@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import core, rules
 from .core import MATRIX_MODES, NO, SecurityClass, SystemState, YES, sec_class
@@ -465,8 +465,10 @@ def build_state(decls: tuple[Decl, ...]) -> SystemState:
 # --------------------------------------------------------------------------
 # Execution.
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """The record of one executed statement; a run makes one per statement,
+    so it is a plain tuple rather than an object with a ``__dict__``."""
+
     index: int  # statement index within the script
     kind: str  # "state" | "command" | "assert" | "expect"
     request: Optional[Request] = None
@@ -506,9 +508,7 @@ def run_scenario(script: Script) -> Trace:
                 raise ScenarioRunError("command before any state block")
             last_outcome = apply_rule(state, stmt.request)
             state = last_outcome.after
-            entries.append(
-                TraceEntry(i, "command", request=stmt.request, outcome=last_outcome)
-            )
+            entries.append(TraceEntry(i, "command", stmt.request, last_outcome))
         elif isinstance(stmt, Assert):
             checks = []
             bad = None

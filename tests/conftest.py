@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from blpcheck import make_state, sec_class
-from blpcheck.core import MATRIX_MODES
+from blpcheck.core import MATRIX_MODES, SystemState
 
 SUBJECTS = ("s1", "s2")
 OBJECTS = ("o1", "o2", "o3")
@@ -92,4 +92,26 @@ def relational_states(draw):
         fo=draw(relation(OBJECTS)),
         fs=draw(relation(SUBJECTS)),
         m=draw(st.frozensets(matrix_triples(), max_size=5)),
+    )
+
+
+@st.composite
+def unordered_states(draw):
+    """Component tuples taken as drawn, not through make_state: unsorted,
+    with repeated entries, and with class maps that may bind a key to
+    several classes (the same one repeated, or different ones)."""
+    def listed(elements, size):
+        return st.lists(elements, max_size=size).map(tuple)
+
+    def relation(keys):
+        # few classes, so that a key often gets the same class twice
+        few = st.sampled_from([sec_class(0), sec_class(1), sec_class(1, {"ka"})])
+        return listed(st.tuples(st.sampled_from(keys), st.one_of(few, classes())), 6)
+
+    return SystemState(
+        br=draw(listed(access_pairs(), 4)),
+        bw=draw(listed(access_pairs(), 4)),
+        fo=draw(relation(OBJECTS)),
+        fs=draw(relation(SUBJECTS)),
+        m=draw(listed(matrix_triples(), 5)),
     )

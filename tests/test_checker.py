@@ -509,18 +509,15 @@ def test_random_mode_seeds_differ():
 def test_random_sampler_respects_the_hypothesis():
     import random as _random
 
-    from blpcheck.checker import _Universe, _random_state
+    from blpcheck.checker import _Universe, _random_pairs
 
-    u = _Universe(SMALL, strict_star=False)
-    rng = _random.Random(11)
-    for _ in range(300):
-        st = _random_state(rng, u)
-        assert well_formed(st) and sec_cond(st) and star_prop(st)
-    u = _Universe(SMALL, strict_star=True)
-    rng = _random.Random(12)
-    for _ in range(300):
-        st = _random_state(rng, u)
-        assert well_formed(st) and sec_cond(st) and strict_star_prop(st)
+    for strict, star, seed in ((False, star_prop, 11), (True, strict_star_prop, 12)):
+        u = _Universe(SMALL, strict_star=strict)
+        reqs = u.requests["getRead"]
+        draws = _random_pairs(_random.Random(seed), u, reqs)
+        for st, req in itertools.islice(draws, 300):
+            assert well_formed(st) and sec_cond(st) and star(st)
+            assert req in reqs
 
 
 def _reference_random_state(rng, u):
@@ -557,17 +554,23 @@ def _reference_random_state(rng, u):
     (SMALL, False), (P0, False), (P0, True), (Bounds(2, 2, 1, 2, 2, 2, 2), False),
 ])
 def test_random_sampler_draws_are_unchanged(bounds, strict):
-    """``_random_state`` reads its tables by index and mask, but makes the
-    same generator calls as the sampler it replaced, so seeded random
-    reports and their witnesses stay what they were."""
+    """``_random_pairs``, which random mode draws from, reads its tables by
+    index and mask and calls ``rng._randbelow`` directly, but makes the
+    same generator calls as the sampler it replaced: a state, then
+    ``rng.randrange(len(reqs))`` for the request.  So seeded random reports
+    and their witnesses stay what they were."""
     import random as _random
 
-    from blpcheck.checker import _random_state
+    from blpcheck.checker import _random_pairs
 
     u = _Universe(bounds, strict_star=strict)
+    reqs = u.requests["giveRW"]
     rng_ref, rng = _random.Random(2020), _random.Random(2020)
-    expected = [_reference_random_state(rng_ref, u) for _ in range(2000)]
-    assert [_random_state(rng, u) for _ in range(2000)] == expected
+    expected = []
+    for _ in range(2000):
+        st = _reference_random_state(rng_ref, u)
+        expected.append((st, reqs[rng_ref.randrange(len(reqs))]))
+    assert list(itertools.islice(_random_pairs(rng, u, reqs), 2000)) == expected
     assert rng.getstate() == rng_ref.getstate()
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from blpcheck import build_state, parse_scenario
-from blpcheck.checker import Bounds, check_obligations, check_partition
+from blpcheck.checker import P0, Bounds, check_obligations, check_partition
 from blpcheck.cli import format_report, main
 from blpcheck.rules import RULE_DEFS, without_conjunct
 
@@ -313,8 +313,11 @@ def test_timing_flag_reports_elapsed(capsys):
 
 # --- pinned report bytes -------------------------------------------------------
 
-# sha256 of machine reports at SMALL_BOUNDS, each recorded from the program
-# before the checker refactor it guards was made.
+# sha256 of machine reports at SMALL_BOUNDS (and one at P0), each recorded
+# from the program before the checker refactor it guards was made.
+# The CI workflow reads this line to check the same report across worker
+# counts and hash seeds.
+RANDOM_P0_REPORT_SHA256 = "e0bda5c53b58c4291620d65bb8a9e0616c58113bc1172e114e5a9b1da7f85b2b"
 _GET_WRITE_MUTANT = {
     "getWrite": without_conjunct(RULE_DEFS["getWrite"], "readsBelowObject")
 }
@@ -348,6 +351,9 @@ REPORT_DIGESTS = {
                                   seed=31337, rule="getWrite",
                                   rule_defs=_GET_WRITE_MUTANT),
         "415fefda9d88b017731db7c942258787c48d4f5b5cb2c3e4665fc66dba02c9a8"),
+    "random:P0": (
+        lambda: check_obligations(P0, mode="random", samples=2000, seed=1),
+        RANDOM_P0_REPORT_SHA256),
     **{
         f"partition:{rule}:{variant}": (
             lambda rule=rule, variant=variant:

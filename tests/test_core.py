@@ -2,7 +2,7 @@
 type invariants.  The quantified predicates are differential-tested against
 literal double-loop oracles written independently here."""
 
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from blpcheck import (
@@ -13,13 +13,18 @@ from blpcheck import (
     star_prop,
     well_formed,
 )
+from blpcheck import core
 from blpcheck.core import (
+    INDEX_BOUND,
     SecurityClass,
     SystemState,
+    class_index,
     class_map,
     fo_functional,
     fs_functional,
     lookup_class,
+    matrix_objects,
+    matrix_set,
     ran_br_in_dom_m,
     ran_bw_in_dom_m,
 )
@@ -27,11 +32,10 @@ from blpcheck.core import (
 from conftest import (
     OBJECTS,
     SUBJECTS,
-    access_pairs,
     classes,
-    matrix_triples,
     raw_states,
     relational_states,
+    unordered_states,
     well_formed_states,
 )
 
@@ -193,28 +197,6 @@ def test_predicates_are_pure(st_):
 
 # --- one-pass class maps against the per-pair loops ---------------------------
 
-@st.composite
-def unordered_states(draw):
-    """Component tuples taken as drawn, not through make_state: unsorted,
-    with repeated entries, and with class maps that may bind a key to
-    several classes (the same one repeated, or different ones)."""
-    def listed(elements, size):
-        return st.lists(elements, max_size=size).map(tuple)
-
-    def relation(keys):
-        # few classes, so that a key often gets the same class twice
-        few = st.sampled_from([sec_class(0), sec_class(1), sec_class(1, {"ka"})])
-        return listed(st.tuples(st.sampled_from(keys), st.one_of(few, classes())), 6)
-
-    return SystemState(
-        br=draw(listed(access_pairs(), 4)),
-        bw=draw(listed(access_pairs(), 4)),
-        fo=draw(relation(OBJECTS)),
-        fs=draw(relation(SUBJECTS)),
-        m=draw(listed(matrix_triples(), 5)),
-    )
-
-
 any_states = st.one_of(unordered_states(), relational_states(), raw_states())
 
 
@@ -288,3 +270,72 @@ def test_invariants_match_the_per_pair_loops(st_):
     assert sec_cond(st_) == _sec_cond_loop(st_)
     assert star_prop(st_) == _star_prop_loop(st_)
     assert well_formed(st_) == _well_formed_loop(st_)
+    assert fo_functional(st_) == _functional_loop(st_.fo)
+    assert fs_functional(st_) == _functional_loop(st_.fs)
+
+
+# --- indexes kept per component tuple ----------------------------------------
+
+canonical_or_any = st.one_of(any_states, well_formed_states())
+
+
+def _fresh_indexes(st_):
+    return (class_map(st_.fo), class_map(st_.fs), frozenset(st_.m),
+            frozenset(o for (o, _s, _x) in st_.m))
+
+
+def _kept_indexes(st_):
+    return (class_index(st_.fo), class_index(st_.fs), matrix_set(st_.m),
+            matrix_objects(st_))
+
+
+@given(canonical_or_any)
+def test_kept_indexes_equal_a_fresh_build(st_):
+    # first lookup builds, the second finds the kept entry
+    assert _kept_indexes(st_) == _fresh_indexes(st_)
+    assert _kept_indexes(st_) == _fresh_indexes(st_)
+
+
+def _copy(st_):
+    """The same state built from new tuples (an empty one stays ``()``)."""
+    return SystemState(*(tuple(list(c)) for c in st_))
+
+
+@given(canonical_or_any, canonical_or_any)
+def test_an_equal_or_other_tuple_gets_its_own_index(a, b):
+    _kept_indexes(a)
+    assert _kept_indexes(_copy(a)) == _fresh_indexes(a)
+    mixed = a._replace(fo=b.fo, fs=b.fs, m=b.m)
+    assert _kept_indexes(mixed) == _fresh_indexes(mixed)
+
+
+def _push_out_every_entry():
+    for i in range(INDEX_BOUND):
+        class_index((("x", SecurityClass(i, frozenset())),))
+
+
+@given(canonical_or_any, canonical_or_any, st.booleans())
+def test_a_dropped_tuple_leaves_no_stale_index(a, b, push_out):
+    """A tuple dropped by its caller stays alive while its entries do (they
+    hold it); once they are pushed out, it is freed, and a new tuple may
+    take its id (CPython hands a freed tuple's memory to the next tuple of
+    its length).  Either way the new tuple's index is built from itself."""
+    old = _copy(a)
+    old_ids = [id(c) for c in old]
+    _kept_indexes(old)
+    if push_out:
+        _push_out_every_entry()
+    del old
+    new = _copy(b)
+    event(f"an id reused: {any(id(c) in old_ids for c in new)}")
+    assert _kept_indexes(new) == _fresh_indexes(new)
+
+
+@given(st.lists(canonical_or_any, min_size=1, max_size=40))
+def test_the_index_table_stays_within_its_bound(states):
+    for st_ in states:
+        new = _copy(st_)  # new tuples: every lookup misses
+        _kept_indexes(new)
+        for pred in (sec_cond, star_prop, well_formed):
+            pred(new)
+        assert len(core._indexes) <= INDEX_BOUND

@@ -36,6 +36,8 @@ from blpcheck.core import (
     PROPERTY_STARPROP,
     READ,
     WRITE,
+    class_leq,
+    lookup_class,
 )
 from blpcheck.rules import (
     FIELD_CLASS,
@@ -70,6 +72,7 @@ from conftest import (
     classes,
     raw_states,
     relational_states,
+    unordered_states,
     well_formed_states,
 )
 
@@ -516,3 +519,90 @@ def test_rules_and_invariants_commute_with_renaming(st_, g):
                 assert renamed is None
             else:
                 assert renamed == (*plain[:2], g.state(plain[2]))
+
+
+# --- guards against their scanning definitions -------------------------------
+
+# The guard conjuncts as they were written before the per-component indexes:
+# ``fo``/``fs`` scanned by ``lookup_class`` for every key, ``m`` scanned by
+# tuple membership.  Keyed by (rule, conjunct name).
+def _scan_star_read(st_, r):
+    cls_o = lookup_class(st_.fo, r.o)
+    if cls_o is None:
+        return False
+    for (si, oi) in st_.bw:
+        if si == r.s:
+            cls_i = lookup_class(st_.fo, oi)
+            if cls_i is None or not class_leq(cls_o, cls_i):
+                return False
+    return True
+
+
+def _scan_star_write(st_, r):
+    cls_o = lookup_class(st_.fo, r.o)
+    if cls_o is None:
+        return False
+    for (si, oi) in st_.br:
+        if si == r.s:
+            cls_i = lookup_class(st_.fo, oi)
+            if cls_i is None or not class_leq(cls_i, cls_o):
+                return False
+    return True
+
+
+def _scan_clearance(st_, r):
+    cls_o = lookup_class(st_.fo, r.o)
+    cls_s = lookup_class(st_.fs, r.s)
+    return cls_o is not None and cls_s is not None and class_leq(cls_o, cls_s)
+
+
+def _scan_unaccessed(st_, r):
+    return all(o != r.o for (_s, o) in st_.br + st_.bw)
+
+
+def _scan_classified(st_, r):
+    return lookup_class(st_.fo, r.o) is not None
+
+
+SCANNING_GUARDS = {
+    ("getRead", "hasReadPermission"): lambda st_, r: (r.o, r.s, READ) in st_.m,
+    ("getRead", "notAlreadyReading"): lambda st_, r: (r.s, r.o) not in st_.br,
+    ("getRead", "objectClassified"): _scan_classified,
+    ("getRead", "clearanceDominates"): _scan_clearance,
+    ("getRead", "readBelowWrites"): _scan_star_read,
+    ("getWrite", "hasWritePermission"): lambda st_, r: (r.o, r.s, WRITE) in st_.m,
+    ("getWrite", "notAlreadyWriting"): lambda st_, r: (r.s, r.o) not in st_.bw,
+    ("getWrite", "objectClassified"): _scan_classified,
+    ("getWrite", "readsBelowObject"): _scan_star_write,
+    ("releaseRead", "currentlyReading"): lambda st_, r: (r.s, r.o) in st_.br,
+    ("releaseWrite", "currentlyWriting"): lambda st_, r: (r.s, r.o) in st_.bw,
+    ("giveRW", "modeGivable"): lambda st_, r: r.x in (READ, WRITE),
+    ("giveRW", "giverHasMode"): lambda st_, r: (r.o, r.giver, r.x) in st_.m,
+    ("giveRW", "giverHasCtrl"): lambda st_, r: (r.o, r.giver, CTRL) in st_.m,
+    ("giveRW", "receiverLacksMode"): lambda st_, r: (r.o, r.receiver, r.x) not in st_.m,
+    ("rescindRead", "rescinderHasCtrl"): lambda st_, r: (r.o, r.rescinder, CTRL) in st_.m,
+    ("rescindRead", "targetHasRead"): lambda st_, r: (r.o, r.target, READ) in st_.m,
+    ("rescindWrite", "rescinderHasCtrl"): lambda st_, r: (r.o, r.rescinder, CTRL) in st_.m,
+    ("rescindWrite", "targetHasWrite"): lambda st_, r: (r.o, r.target, WRITE) in st_.m,
+    ("changeClass", "objectClassified"): _scan_classified,
+    ("changeClass", "objectUnaccessed"): _scan_unaccessed,
+    ("createObject", "objectFresh"): lambda st_, r: (
+        all(o != r.o for (o, _c) in st_.fo) and all(o != r.o for (o, _s, _x) in st_.m)),
+    ("deleteObject", "ownerHasCtrl"): lambda st_, r: (r.o, r.s, CTRL) in st_.m,
+    ("deleteObject", "objectUnaccessed"): _scan_unaccessed,
+}
+
+
+def test_every_guard_has_a_scanning_definition():
+    assert set(SCANNING_GUARDS) == {
+        (rd.name, c.name) for rd in RULE_DEFS.values() for c in rd.conjuncts}
+
+
+@given(st.one_of(unordered_states(), relational_states(), raw_states(),
+                 well_formed_states()))
+def test_guards_match_their_scanning_definitions(st_):
+    for req in EVERY_REQUEST:
+        rd = RULE_DEFS[RULE_OF_REQUEST[type(req)]]
+        for c in rd.conjuncts:
+            assert c.holds(st_, req) == SCANNING_GUARDS[rd.name, c.name](st_, req), (
+                c.name, req)
