@@ -94,15 +94,16 @@ and the obligation's name, and one loop over its draws (``_random_pairs``):
 an (fs, fo) pair and a matrix by index, their access sets from the
 enumerator's tables, (br, bw) options until the leaf satisfies the
 *-property (at most 64 tries per subtree), then a request.  Every draw is
-one ``rng._randbelow(n)``, the call that ``rng.randrange(n)`` and
-``rng.choice`` on an n-item list both reduce to, so the draws, and the
-seeded reports and witnesses built from them, are those of a sampler that
-calls ``rng.choice`` on the option lists themselves (a test pins this on
-every supported Python).  A draw is decided as the sweep decides a leaf:
-the rule's guard conjuncts in order, then, when all hold, the effect and
-the property on the after state, with no ``rules.Outcome`` built.  The
-first violation stops the obligation and becomes its witness, which is
-re-validated through ``rules.apply_def`` like every reported witness.
+``rng._randbelow(n)``, inlined as its ``getrandbits`` rejection loop: the
+call that ``rng.randrange(n)`` and ``rng.choice`` on an n-item list both
+reduce to.  So the draws, and the seeded reports and witnesses built from
+them, are those of a sampler that calls ``rng.choice`` on the option lists
+themselves (a test pins this on every supported Python).  A draw is
+decided as the sweep decides a leaf: the rule's guard conjuncts in order,
+then, when all hold, the effect and the property on the after state, with
+no ``rules.Outcome`` built.  The first violation stops the obligation and
+becomes its witness, which is re-validated through ``rules.apply_def``
+like every reported witness.
 
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
@@ -111,12 +112,13 @@ the invariant memos, every rule's guard and effect memos, the access-set
 tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
 and matrices (``_Orbits``).  The enumerator, the sweep, the random sampler
 and witness validation all read it, and one task runner (``_run_tasks``)
-runs the work in process or on forked workers, which receive the context
-once when they start: ranges of representative (fs, fo) pairs in
-exhaustive mode, one obligation per task in random mode.  Each worker fills
-its own memos.  An obligation's ``elapsed_ms`` stays its rule's measured
-sweep time, memo hits included: an invariant verdict one rule computed is
-free for the rules after it.  Bounds whose lists would exceed ``MAX_LIST``
+runs the work in process or on workers (forked, or spawned where the
+platform cannot fork), which receive the context once when they start:
+ranges of representative (fs, fo) pairs in exhaustive mode, one
+obligation per task in random mode.  Each worker fills its own memos.  An
+obligation's ``elapsed_ms`` stays its rule's measured sweep time, memo
+hits included: an invariant verdict one rule computed is free for the
+rules after it.  Bounds whose lists would exceed ``MAX_LIST``
 entries are refused, from sizes computed in closed form, before anything
 is built.
 """
@@ -1160,14 +1162,18 @@ def _run_in_worker(fn, task):
 
 def _run_tasks(fn, context: tuple, tasks: list[tuple], n: int) -> list:
     """``fn(*context, *task)`` for every task, results in task order: in
-    this process when ``n`` <= 1, otherwise on ``n`` forked workers that
-    receive ``context`` once, when they start, and take one task at a time.
-    So a worker's universe and its memos serve every task it runs."""
+    this process when ``n`` <= 1, otherwise on ``n`` workers that receive
+    ``context`` once, when they start, and take one task at a time.  So a
+    worker's universe and its memos serve every task it runs.  Workers are
+    forked where the platform can fork, and spawned (``context`` pickled to
+    each) where it cannot."""
     if n <= 1:
         return [fn(*context, *task) for task in tasks]
-    from multiprocessing import get_context  # only pooled checks pay its import
+    # only pooled checks pay the import
+    from multiprocessing import get_all_start_methods, get_context
 
-    with get_context("fork").Pool(n, initializer=_start_worker, initargs=context) as pool:
+    method = "fork" if "fork" in get_all_start_methods() else "spawn"
+    with get_context(method).Pool(n, initializer=_start_worker, initargs=context) as pool:
         return pool.starmap(_run_in_worker, [(fn, task) for task in tasks], chunksize=1)
 
 
@@ -1307,35 +1313,58 @@ def _random_pairs(rng: random.Random, u: _Universe,
     ``rng.randrange(n)`` and ``rng.choice`` on an n-item list both reduce
     to that call, so the draws, states and requests are those of a sampler
     that calls ``rng.choice`` on the option lists themselves (a test pins
-    this).  The universe's tables and the generator's method are looked up
-    once, not per draw, and a mask's access sets once per generator."""
-    randbelow = rng._randbelow
+    this).  The call is inlined as the loop ``Random._randbelow`` runs:
+    ``getrandbits(k)`` with ``k = n.bit_length()`` until the result is
+    below n, ``k`` worked out once per table.  The universe's tables and the
+    generator's method are looked up once, not per draw, and a mask's
+    access sets once per generator."""
+    getrandbits = rng.getrandbits
     fs_options, fo_options, m_options = u.fs_options, u.fo_options, u.m_options
     n_fs, n_fo, n_m, n_reqs = len(fs_options), len(fo_options), len(m_options), len(reqs)
+    k_fs, k_fo, k_m, k_reqs = (n.bit_length() for n in (n_fs, n_fo, n_m, n_reqs))
     pair_masks, access_sets = u.pair_masks, u.access_sets
     max_br, max_bw = u.bounds.max_br, u.bounds.max_bw
-    br_table: dict[int, list] = {}
-    bw_table: dict[int, list] = {}
+    # mask -> (its access sets, their count, the count's bit length)
+    br_table: dict[int, tuple] = {}
+    bw_table: dict[int, tuple] = {}
     while True:
-        fs_i = randbelow(n_fs)
-        fo_i = randbelow(n_fo)
-        m, known = m_options[randbelow(n_m)]
+        fs_i = getrandbits(k_fs)
+        while fs_i >= n_fs:
+            fs_i = getrandbits(k_fs)
+        fo_i = getrandbits(k_fo)
+        while fo_i >= n_fo:
+            fo_i = getrandbits(k_fo)
+        m_i = getrandbits(k_m)
+        while m_i >= n_m:
+            m_i = getrandbits(k_m)
+        m, known = m_options[m_i]
         readable, writable, star_ok = pair_masks(fs_i * n_fo + fo_i)
         mask = known & readable
-        br_subs = br_table.get(mask)
-        if br_subs is None:
-            br_subs = br_table[mask] = access_sets(mask, max_br)
+        br_entry = br_table.get(mask)
+        if br_entry is None:
+            subs = access_sets(mask, max_br)
+            br_entry = br_table[mask] = (subs, len(subs), len(subs).bit_length())
         mask = known & writable
-        bw_subs = bw_table.get(mask)
-        if bw_subs is None:
-            bw_subs = bw_table[mask] = access_sets(mask, max_bw)
-        n_br, n_bw = len(br_subs), len(bw_subs)
+        bw_entry = bw_table.get(mask)
+        if bw_entry is None:
+            subs = access_sets(mask, max_bw)
+            bw_entry = bw_table[mask] = (subs, len(subs), len(subs).bit_length())
+        br_subs, n_br, k_br = br_entry
+        bw_subs, n_bw, k_bw = bw_entry
         for _ in range(64):
-            br = br_subs[randbelow(n_br)]
-            bw = bw_subs[randbelow(n_bw)]
+            i = getrandbits(k_br)
+            while i >= n_br:
+                i = getrandbits(k_br)
+            br = br_subs[i]
+            i = getrandbits(k_bw)
+            while i >= n_bw:
+                i = getrandbits(k_bw)
+            bw = bw_subs[i]
             if not br or not bw or _star_leaf_ok(br, bw, star_ok):
-                yield (SystemState(br, bw, fo_options[fo_i], fs_options[fs_i], m),
-                       reqs[randbelow(n_reqs)])
+                i = getrandbits(k_reqs)
+                while i >= n_reqs:
+                    i = getrandbits(k_reqs)
+                yield (SystemState(br, bw, fo_options[fo_i], fs_options[fs_i], m), reqs[i])
                 break
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .core import (
@@ -32,6 +32,7 @@ from .core import (
     SecurityClass,
     SubjectId,
     SystemState,
+    carry_matrix_indexes,
     class_index,
     class_leq,
     entry_sort_key,
@@ -201,6 +202,14 @@ class RuleDef:
     # identical.
     writes: frozenset[str]
     clause_names: tuple[str, ...]  # Ok first, then E1..En
+    # (conjunct predicate, name of the clause it picks when it fails) in
+    # guard order, built once per definition for ``apply_def``
+    steps: tuple[tuple[Callable[[SystemState, Request], bool], str], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(
+            zip([c.holds for c in self.conjuncts], self.clause_names[1:])))
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +223,9 @@ class RuleDef:
 # class entry is inserted at its place, or one pair or triple removed from
 # it, by bisection on the component's sort key; deleteObject, which drops
 # every entry of an object, filters.  A property test pins that every
-# granted after state of a canonical state is canonical.
+# granted after state of a canonical state is canonical.  Inserting or
+# removing one triple hands the matrix's kept indexes on to the new matrix
+# (``core.carry_matrix_indexes``), so the next step does not rebuild them.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)
@@ -223,7 +234,9 @@ def _pair_add(pairs, pair):
 
 def _triple_add(m, triple):
     i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
-    return m[:i] + (triple,) + m[i:]
+    new = m[:i] + (triple,) + m[i:]
+    carry_matrix_indexes(m, new, i)
+    return new
 
 
 def _entry_add(entries, entry):
@@ -241,7 +254,9 @@ def _pair_del(pairs, pair):
 def _triple_del(m, triple):
     i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
     if i < len(m) and m[i] == triple:
-        return m[:i] + m[i + 1:]
+        new = m[:i] + m[i + 1:]
+        carry_matrix_indexes(m, new, i)
+        return new
     return m
 
 
@@ -519,10 +534,9 @@ RULE_OF_REQUEST: dict[type, str] = {rd.request_type: rd.name for rd in RULE_DEFS
 def apply_def(rd: RuleDef, st: SystemState, r: Request) -> Outcome:
     """Run one rule definition: first failing conjunct picks the abnormal
     clause, otherwise the normal clause fires."""
-    conjuncts = rd.conjuncts
-    for i in range(len(conjuncts)):
-        if not conjuncts[i].holds(st, r):
-            return Outcome(NO, st, rd.clause_names[i + 1])
+    for holds, clause in rd.steps:
+        if not holds(st, r):
+            return Outcome(NO, st, clause)
     return Outcome(YES, rd.effect(st, r), rd.clause_names[0])
 
 

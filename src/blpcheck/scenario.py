@@ -291,6 +291,8 @@ class _Parser:
         self.index = 0
         self.subjects: set[str] = set()
         self.objects: set[str] = set()
+        # command arguments already matched against _ID_RE in this parse
+        self.identifiers: set[str] = set()
 
     def _next_line(self) -> Optional[_Line]:
         """The next line that holds a token, made when it is reached."""
@@ -403,20 +405,35 @@ class _Parser:
         return Expect(tok)
 
     def _parse_command(self, ln: _Line, head: str) -> Command:
-        ln.next(head)
+        """One loop over the line's tokens; an error names the token, and
+        the column of the last token taken, as ``_Line``'s methods do."""
         syntax = _COMMANDS[head]
+        tokens = ln.tokens
+        n = len(tokens)
+        identifiers = self.identifiers
         args = []
+        pos = 1
         for _name, kind, expected in syntax.fields:
             if kind == rules.FIELD_CLASS:
+                ln.pos = pos
                 args.append(_parse_classpart(ln))
-            elif kind == rules.FIELD_MODE:
-                if ln.peek() is None:
-                    ln.fail(f"{head} expects {syntax.arity}", _END_OF_LINE,
-                            len(ln.tokens))
-                args.append(_parse_mode(ln))
-            else:
-                args.append(ln.expect_id(expected))
-        ln.expect_end()
+                pos = ln.pos
+                continue
+            if pos == n:
+                ln.fail(f"{head} expects {syntax.arity}" if kind == rules.FIELD_MODE
+                        else f"expected {expected}", _END_OF_LINE, n)
+            tok = tokens[pos]
+            if kind == rules.FIELD_MODE:
+                if tok not in MATRIX_MODES:
+                    ln.fail("expected a mode (read, write or ctrl)", tok, pos)
+            elif tok not in identifiers:
+                if not _ID_RE.match(tok):
+                    ln.fail(f"expected {expected}", tok, pos)
+                identifiers.add(tok)
+            args.append(tok)
+            pos += 1
+        if pos < n:
+            ln.fail("unexpected trailing token", tokens[pos], pos - 1)
         return Command(syntax.request_type(*args))
 
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import strategies as st
 
 from blpcheck import make_state, sec_class
-from blpcheck.core import MATRIX_MODES, SystemState
+from blpcheck.core import (
+    MATRIX_MODES,
+    SystemState,
+    class_index,
+    class_map,
+    matrix_objects,
+    matrix_set,
+)
 
 SUBJECTS = ("s1", "s2")
 OBJECTS = ("o1", "o2", "o3")
@@ -115,3 +122,15 @@ def unordered_states(draw):
         fs=draw(relation(SUBJECTS)),
         m=draw(listed(matrix_triples(), 5)),
     )
+
+
+def kept_indexes(st_):
+    """The indexes ``core`` keeps for a state's components."""
+    return (class_index(st_.fo), class_index(st_.fs), matrix_set(st_.m),
+            matrix_objects(st_))
+
+
+def fresh_indexes(st_):
+    """The same indexes, built from the components."""
+    return (class_map(st_.fo), class_map(st_.fs), frozenset(st_.m),
+            frozenset(o for (o, _s, _x) in st_.m))

@@ -555,10 +555,10 @@ def _reference_random_state(rng, u):
 ])
 def test_random_sampler_draws_are_unchanged(bounds, strict):
     """``_random_pairs``, which random mode draws from, reads its tables by
-    index and mask and calls ``rng._randbelow`` directly, but makes the
-    same generator calls as the sampler it replaced: a state, then
-    ``rng.randrange(len(reqs))`` for the request.  So seeded random reports
-    and their witnesses stay what they were."""
+    index and mask and inlines ``rng._randbelow``'s ``getrandbits`` loop,
+    but makes the same generator calls as the sampler it replaced: a
+    state, then ``rng.randrange(len(reqs))`` for the request.  So seeded
+    random reports and their witnesses stay what they were."""
     import random as _random
 
     from blpcheck.checker import _random_pairs

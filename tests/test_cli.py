@@ -394,3 +394,26 @@ def test_machine_report_bytes_are_pinned(name):
     run, digest = REPORT_DIGESTS[name]
     text = format_report(run(), "machine")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pooled_check_spawns_where_fork_is_unavailable(monkeypatch):
+    """Without the fork start method the pool spawns its workers, each
+    unpickling the check's context, and the report is the one-worker one."""
+    import hashlib
+    import multiprocessing
+    import os
+
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    used = []
+    get_context = multiprocessing.get_context
+
+    def recording_get_context(method=None):
+        used.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool also on one CPU
+    text = format_report(check_obligations(SMALL_BOUNDS, workers=2), "machine")
+    assert used == ["spawn"]
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["check"][1]

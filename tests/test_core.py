@@ -15,9 +15,13 @@ from blpcheck import (
 )
 from blpcheck import core
 from blpcheck.core import (
+    CTRL,
     INDEX_BOUND,
+    READ,
+    WRITE,
     SecurityClass,
     SystemState,
+    carry_matrix_indexes,
     class_index,
     class_map,
     fo_functional,
@@ -33,6 +37,8 @@ from conftest import (
     OBJECTS,
     SUBJECTS,
     classes,
+    fresh_indexes,
+    kept_indexes,
     raw_states,
     relational_states,
     unordered_states,
@@ -279,21 +285,11 @@ def test_invariants_match_the_per_pair_loops(st_):
 canonical_or_any = st.one_of(any_states, well_formed_states())
 
 
-def _fresh_indexes(st_):
-    return (class_map(st_.fo), class_map(st_.fs), frozenset(st_.m),
-            frozenset(o for (o, _s, _x) in st_.m))
-
-
-def _kept_indexes(st_):
-    return (class_index(st_.fo), class_index(st_.fs), matrix_set(st_.m),
-            matrix_objects(st_))
-
-
 @given(canonical_or_any)
 def test_kept_indexes_equal_a_fresh_build(st_):
     # first lookup builds, the second finds the kept entry
-    assert _kept_indexes(st_) == _fresh_indexes(st_)
-    assert _kept_indexes(st_) == _fresh_indexes(st_)
+    assert kept_indexes(st_) == fresh_indexes(st_)
+    assert kept_indexes(st_) == fresh_indexes(st_)
 
 
 def _copy(st_):
@@ -303,10 +299,10 @@ def _copy(st_):
 
 @given(canonical_or_any, canonical_or_any)
 def test_an_equal_or_other_tuple_gets_its_own_index(a, b):
-    _kept_indexes(a)
-    assert _kept_indexes(_copy(a)) == _fresh_indexes(a)
+    kept_indexes(a)
+    assert kept_indexes(_copy(a)) == fresh_indexes(a)
     mixed = a._replace(fo=b.fo, fs=b.fs, m=b.m)
-    assert _kept_indexes(mixed) == _fresh_indexes(mixed)
+    assert kept_indexes(mixed) == fresh_indexes(mixed)
 
 
 def _push_out_every_entry():
@@ -322,20 +318,46 @@ def test_a_dropped_tuple_leaves_no_stale_index(a, b, push_out):
     its length).  Either way the new tuple's index is built from itself."""
     old = _copy(a)
     old_ids = [id(c) for c in old]
-    _kept_indexes(old)
+    kept_indexes(old)
     if push_out:
         _push_out_every_entry()
     del old
     new = _copy(b)
     event(f"an id reused: {any(id(c) in old_ids for c in new)}")
-    assert _kept_indexes(new) == _fresh_indexes(new)
+    assert kept_indexes(new) == fresh_indexes(new)
 
 
 @given(st.lists(canonical_or_any, min_size=1, max_size=40))
 def test_the_index_table_stays_within_its_bound(states):
     for st_ in states:
         new = _copy(st_)  # new tuples: every lookup misses
-        _kept_indexes(new)
+        kept_indexes(new)
         for pred in (sec_cond, star_prop, well_formed):
             pred(new)
         assert len(core._indexes) <= INDEX_BOUND
+
+
+def _matrix_indexes_kept_for(m):
+    kept = core._indexes[id(m)]
+    return kept[2], kept[3]
+
+
+def test_carried_matrix_indexes_follow_one_triple():
+    """Each step hands the indexes on without rebuilding them: the object
+    set changes only with an object's first or last triple, and a triple
+    stays while a copy of it does (as in the matrix a giveRW without its
+    receiverLacksMode guard leaves)."""
+    r1, c2 = ("o1", "s1", READ), ("o2", "s1", CTRL)
+    m = (r1, r1, c2)
+    matrix_set(m), matrix_objects(SystemState((), (), (), (), m))
+    steps = [
+        ((r1, c2), 0, {r1, c2}, {"o1", "o2"}),  # one copy of r1 removed
+        ((r1,), 1, {r1}, {"o1"}),  # o2's last triple removed
+        ((r1, ("o3", "s1", READ)), 1, {r1, ("o3", "s1", READ)}, {"o1", "o3"}),
+        ((r1, ("o1", "s1", WRITE), ("o3", "s1", READ)), 1,
+         {r1, ("o1", "s1", WRITE), ("o3", "s1", READ)}, {"o1", "o3"}),
+    ]
+    for new, i, triples, objects in steps:
+        carry_matrix_indexes(m, new, i)
+        assert _matrix_indexes_kept_for(new) == (triples, objects)
+        m = new

@@ -70,6 +70,8 @@ from conftest import (
     OBJECTS,
     SUBJECTS,
     classes,
+    fresh_indexes,
+    kept_indexes,
     raw_states,
     relational_states,
     unordered_states,
@@ -388,6 +390,27 @@ def test_effects_keep_states_canonical(st_):
         out = apply_rule(st_, req)
         if out.decision == YES:
             assert out.after == make_state(*out.after), req
+
+
+_WITH_MUTANTS = {
+    rd.request_type: (rd, *(without_conjunct(rd, c.name) for c in rd.conjuncts))
+    for rd in RULE_DEFS.values()
+}
+
+
+@settings(deadline=None)  # each example runs every request on every mutant
+@given(st.one_of(raw_states(), well_formed_states(), relational_states()))
+def test_steps_keep_indexes_equal_to_a_fresh_build(st_):
+    """The indexes ``core`` keeps for an after state equal a fresh build,
+    for every rule and every single-conjunct mutant of it.  The before
+    state's indexes are built first, so a step that inserts or removes one
+    triple hands them on rather than leaving them to be built; a mutant
+    rescind without rescinderHasCtrl removes an object's last triple."""
+    for req in EVERY_REQUEST:
+        for rd in _WITH_MUTANTS[type(req)]:
+            kept_indexes(st_)
+            after = apply_def(rd, st_, req).after
+            assert kept_indexes(after) == fresh_indexes(after), (rd, req)
 
 
 # --- clause tables -----------------------------------------------------------

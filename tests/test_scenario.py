@@ -204,6 +204,16 @@ _COMMAND_ERRORS = [(*case, "<end-of-line>") for case in _COMMAND_ERRORS] + [
     ("rescind-write s1 9 o1", 18, "expected a target (rescind-write expects 3 arguments: rescinder target object)", "9"),
     ("change-class { level 0 cats {}", 14, "expected an object (change-class expects object and a class)", "{"),
     ("delete-object s1 o3 o4", 18, "unexpected trailing token", "o4"),
+    # an identifier that passed in an argument position, then an invalid
+    # token in the same position: each spelling is matched once per parse
+    ("get-read s1 o1\nget-read s1 o-1", 13, "expected an object (get-read expects 2 arguments: subject object)", "o-1"),
+    ("get-read s1 o1\nget-read s1 9", 13, "expected an object (get-read expects 2 arguments: subject object)", "9"),
+    ("get-read s1 o1\nget-read s1 é", 13, "expected an object (get-read expects 2 arguments: subject object)", "é"),
+    ("give s1 s2 o1 read\ngive s1 s2 o-1 read", 12, "expected an object (give expects 4 arguments: giver receiver object mode)", "o-1"),
+    ("rescind-write s1 s2 o1\nrescind-write s1 é o1", 18, "expected a target (rescind-write expects 3 arguments: rescinder target object)", "é"),
+    ("create-object s1 o3 level 0 cats {}\ncreate-object 9 o3 level 0 cats {}", 15, "expected a subject (create-object expects subject, object and a class)", "9"),
+    ("change-class o1 level 0 cats {}\nchange-class o-1 level 0 cats {}", 14, "expected an object (change-class expects object and a class)", "o-1"),
+    ("delete-object s1 o3\ndelete-object s1 o3 o-1", 18, "unexpected trailing token", "o-1"),
 ]
 
 
@@ -213,7 +223,7 @@ def test_command_argument_errors_are_pinned():
             parse_scenario("state\nend\n" + line + "\n")
         err = exc.value
         assert (err.line, err.column, err.message, err.offending_token) == (
-            3, column, message, token), line
+            3 + line.count("\n"), column, message, token), line
 
 
 # --- building ----------------------------------------------------------------
