@@ -1430,14 +1430,13 @@ def check_partition(
     rule: str,
     variant: str = VARIANT_FIXED,
     b: Bounds = P0,
-    witness_cap: int = _WITNESS_CAP,
 ) -> PartitionReport:
     """Evaluate every clause guard of a rule on every in-bounds input.
 
     Records the inputs matched by no clause (gaps) and by two or more
     clauses (overlaps), grouped into families: gaps by the guard-conjunct
     signature, overlaps by the clause pair.  Per family the first
-    ``witness_cap`` inputs in canonical order are kept.
+    ``_WITNESS_CAP`` inputs in canonical order are kept.
 
     State components no guard reads are held at their first enumeration
     option instead of being enumerated; guard values cannot depend on them
@@ -1526,10 +1525,10 @@ def check_partition(
                             continue
                         kind, payload = verdict
                         if kind == "gap":
-                            _record(gap_fams, payload, st, req, witness_cap)
+                            _record(gap_fams, payload, st, req)
                         else:
                             for pair in payload:
-                                _record(over_fams, pair, st, req, witness_cap)
+                                _record(over_fams, pair, st, req)
                 except Exception as e:
                     raise _evaluation_failure(st, req) from e
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -1556,13 +1555,13 @@ def check_partition(
     return report
 
 
-def _record(fams: dict, key, st, req, cap) -> None:
+def _record(fams: dict, key, st, req) -> None:
     slot = fams.get(key)
     if slot is None:
         fams[key] = [1, [PartitionWitness(st, req)]]
         return
     slot[0] += 1
-    if len(slot[1]) < cap:
+    if len(slot[1]) < _WITNESS_CAP:
         slot[1].append(PartitionWitness(st, req))
 
 

@@ -15,41 +15,35 @@ states (a missing classification makes a predicate false, never an error).
 ``lookup_class`` applies a classification relation to one key: a linear
 scan, None for a key unbound or bound twice.  ``class_map`` gives the same
 answer for every key at once, as a dict built in one pass; the *-property
-takes, per writing subject, the meet of the written classes (least level,
-common categories) in one pass over ``bw`` and tests each read against it
-once, so each predicate costs one pass over its components instead of one
-scan per pair.
+groups ``bw`` by subject before it pairs reads with writes, so each
+predicate costs one pass over its components instead of one scan per pair.
 
 Indexes kept per component: ``class_index`` (a classification's
-``class_map``), ``matrix_set`` (the matrix's triples as a set) and
-``matrix_objects`` (the objects the matrix knows) build their index once
-and keep it while the component is in use, in one table keyed by the
-identity of the component tuple.  The rule guards
-and the invariants read their classes, triples and objects from them.  A
-reference monitor's step changes at most two components and leaves the
-others the very same objects (in a long scenario the matrix stays the same
-object across most commands, the classifications across nearly all), so
-most steps find their indexes built.  This rests on one condition: a
-component is an immutable tuple of immutable values, as ``SystemState``
-declares; an index is never checked against its component again.  Each
-entry holds its tuple, so the tuple's identity cannot pass to another
-object while the entry lives.  The table keeps at most ``INDEX_BOUND``
-entries and drops the oldest first.
+``class_map``) and ``matrix_set`` (the matrix's triples as a set) build
+their index once and keep it while the component is in use, in one table
+keyed by the identity of the component tuple.  The rule guards and the
+invariants read their classes and triples from them.  A reference
+monitor's step changes at most two components and leaves the others the
+very same objects (in a long scenario the matrix stays the same object
+across most commands, the classifications across nearly all), so most
+steps find their indexes built.  This rests on one condition: a component
+is an immutable tuple of immutable values, as ``SystemState`` declares; an
+index is never checked against its component again.  Each entry holds its
+tuple, so the tuple's identity cannot pass to another object while the
+entry lives.  The table keeps at most ``INDEX_BOUND`` entries and drops the
+oldest first.
 
-Indexes are carried, not rebuilt, across the steps that insert or remove
-one matrix triple (giveRW, createObject, rescindRead, rescindWrite):
-``carry_matrix_indexes`` gives the new matrix tuple the old one's triple
-set plus or minus that triple, and the old object set unless the triple
-was its object's first or last.  That test looks only at the triple's two
-neighbours, so it relies on a second condition: the matrix is in canonical
-order (``make_state``'s, object first), where the triples of one object
-are neighbours.  Every effect keeps a canonical state canonical, and the
-checker and the scenario language build only canonical states.
+The triple set is carried, not rebuilt, across the steps that insert or
+remove one matrix triple (giveRW, createObject, rescindRead,
+rescindWrite): ``carry_matrix_indexes`` gives the new matrix tuple the old
+one's triple set plus or minus that triple.  A matrix that is not
+duplicate-free (the one a giveRW without its receiverLacksMode guard
+leaves) keeps a removed triple while a copy of it remains; in sorted order
+that copy is a neighbour of the removed one.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 SubjectId = str
@@ -181,11 +175,9 @@ def class_map(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityCla
 
 INDEX_BOUND = 256
 
-# id of a component tuple -> [the tuple, its class map, its triple set, its
-# object set], each index None until first asked for; oldest first
+# id of a component tuple -> [the tuple, its class map, its triple set], each
+# index None until first asked for; oldest first
 _indexes: dict[int, list] = {}
-
-_triple_object = operator.itemgetter(0)
 
 
 def _record(component: tuple) -> list:
@@ -195,7 +187,7 @@ def _record(component: tuple) -> list:
     if record is None:
         if len(_indexes) >= INDEX_BOUND:
             _indexes.pop(next(iter(_indexes)))
-        record = _indexes[id(component)] = [component, None, None, None]
+        record = _indexes[id(component)] = [component, None, None]
     return record
 
 
@@ -223,49 +215,29 @@ def matrix_set(m: tuple[MatrixTriple, ...]) -> frozenset[MatrixTriple]:
     return _keep(m, 2, frozenset)
 
 
-def _objects_of(m: tuple[MatrixTriple, ...]) -> frozenset[ObjectId]:
-    return frozenset(map(_triple_object, m))
-
-
 def matrix_objects(st: SystemState) -> frozenset[ObjectId]:
-    """Objects that own at least one access-matrix triple, kept while
-    ``st.m`` is in use."""
-    kept = _indexes.get(id(st.m))
-    if kept is not None and kept[3] is not None:
-        return kept[3]
-    return _keep(st.m, 3, _objects_of)
+    """Objects that own at least one access-matrix triple."""
+    return frozenset(o for (o, _s, _x) in st.m)
 
 
 def carry_matrix_indexes(old: tuple[MatrixTriple, ...], new: tuple[MatrixTriple, ...],
                          i: int) -> None:
-    """Give matrix ``new`` the kept ``matrix_set`` and ``matrix_objects`` of
-    matrix ``old``, updated instead of rebuilt, when ``new`` is ``old`` with
-    one triple inserted at position ``i`` (``new[i]``) or removed from
-    position ``i`` (``old[i]``).  Both must be in canonical order, so that
-    the triples of one object are neighbours: the object set changes only
-    when the triple was its object's first or last.  Does nothing when
-    ``old`` has no index kept."""
+    """Give matrix ``new`` the kept ``matrix_set`` of matrix ``old``, updated
+    instead of rebuilt, when ``new`` is ``old`` with one triple inserted at
+    position ``i`` (``new[i]``) or removed from position ``i`` (``old[i]``).
+    Both must be sorted, so that a removed triple's copies are its
+    neighbours.  Does nothing when ``old`` has no triple set kept."""
     kept = _indexes.get(id(old))
-    if kept is None or (kept[2] is None and kept[3] is None):
+    if kept is None or kept[2] is None:
         return
-    triples, objects = kept[2], kept[3]
-    added = len(new) > len(old)
-    longer = new if added else old
-    t = longer[i]
-    o = t[0]
-    before = longer[i - 1] if i > 0 else None
-    after = longer[i + 1] if i + 1 < len(longer) else None
-    record = _record(new)
-    if triples is not None:
-        if added:
-            record[2] = triples | {t}
-        else:  # a copy left in a non-canonical matrix keeps the triple
-            record[2] = triples if t in (before, after) else triples - {t}
-    if objects is not None:
-        if (before is not None and before[0] == o) or (after is not None and after[0] == o):
-            record[3] = objects
-        else:
-            record[3] = objects | {o} if added else objects - {o}
+    triples = kept[2]
+    if len(new) > len(old):
+        triples = triples | {new[i]}
+    else:
+        t = old[i]
+        if not ((i > 0 and old[i - 1] == t) or (i + 1 < len(old) and old[i + 1] == t)):
+            triples = triples - {t}
+    _record(new)[2] = triples
 
 
 def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:
@@ -294,9 +266,6 @@ def sec_cond(st: SystemState) -> bool:
     return True
 
 
-_NO_WRITE = object()  # star_prop's meet of a subject that writes nothing
-
-
 def star_prop(st: SystemState) -> bool:
     """The *-property, per-subject form.
 
@@ -306,30 +275,20 @@ def star_prop(st: SystemState) -> bool:
     """
     if not st.bw or not st.br:
         return True
-    fo = class_index(st.fo).get
-    # One pass over bw gives each writing subject the meet of its written
-    # classes, (least level, common categories), or None when one of them
-    # is unclassified.  A read class lies below every written class exactly
-    # when it lies below their meet, so each read is tested once.  Classes
-    # are compared as (level, cats) tuples, without building a
-    # SecurityClass per meet.
-    meets: dict[SubjectId, Optional[tuple[int, frozenset[str]]]] = {}
+    written: dict[SubjectId, list[ObjectId]] = {}
     for (s, o) in st.bw:
-        c = fo(o)
-        meet = meets.get(s, c)  # a subject's first write is its own meet
-        if meet is not c:
-            if meet is None or c is None:
-                c = None
-            elif meet[0] <= c[0] and meet[1] <= c[1]:
-                c = meet
-            else:
-                c = (min(meet[0], c[0]), meet[1] & c[1])
-        meets[s] = c
-    for (s, o) in st.br:
-        meet = meets.get(s, _NO_WRITE)
-        if meet is not _NO_WRITE:
-            c = fo(o)
-            if meet is None or c is None or c[0] > meet[0] or not c[1] <= meet[1]:
+        written.setdefault(s, []).append(o)
+    fo = class_index(st.fo)
+    for (s, o1) in st.br:
+        objs = written.get(s)
+        if objs is None:
+            continue
+        c1 = fo.get(o1)
+        if c1 is None:
+            return False
+        for o2 in objs:
+            c2 = fo.get(o2)
+            if c2 is None or not class_leq(c1, c2):
                 return False
     return True
 

@@ -214,9 +214,9 @@ class RuleDef:
 
 # --------------------------------------------------------------------------
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
-# They read classes, matrix triples and matrix objects from the indexes
-# ``core`` keeps per component (``class_index``, ``matrix_set``,
-# ``matrix_objects``) instead of scanning ``fo``, ``fs`` or ``m``.
+# They read classes and matrix triples from the two indexes ``core`` keeps
+# per component (``class_index``, ``matrix_set``) instead of scanning
+# ``fo``, ``fs`` or ``m``.
 #
 # Effects rely on their input being canonical (``make_state`` form: every
 # component sorted and duplicate-free) and keep it so: one pair, triple or
@@ -224,8 +224,9 @@ class RuleDef:
 # it, by bisection on the component's sort key; deleteObject, which drops
 # every entry of an object, filters.  A property test pins that every
 # granted after state of a canonical state is canonical.  Inserting or
-# removing one triple hands the matrix's kept indexes on to the new matrix
-# (``core.carry_matrix_indexes``), so the next step does not rebuild them.
+# removing one triple hands the matrix's kept triple set on to the new
+# matrix (``core.carry_matrix_indexes``), so the next step does not rebuild
+# it.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)
@@ -382,10 +383,6 @@ def _rsw_effect(st, r):
     return SystemState(st.br, _pair_del(st.bw, (r.target, r.o)), st.fo, st.fs, new_m)
 
 
-def _cc_obj_classified(st, r):
-    return class_index(st.fo).get(r.o) is not None
-
-
 def _cc_unaccessed(st, r):
     for (_s, o) in st.br:
         if o == r.o:
@@ -414,10 +411,6 @@ def _co_effect(st, r):
 
 def _do_has_ctrl(st, r):
     return (r.o, r.s, CTRL) in matrix_set(st.m)
-
-
-def _do_unaccessed(st, r):
-    return _cc_unaccessed(st, r)
 
 
 def _do_effect(st, r):
@@ -506,7 +499,7 @@ RULE_DEFS: dict[str, RuleDef] = {
     RULE_CHANGE_CLASS: _rule(
         RULE_CHANGE_CLASS, ChangeClass,
         (
-            _conj("objectClassified", {"fo"}, _cc_obj_classified),
+            _conj("objectClassified", {"fo"}, _gr_obj_classified),
             _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
         ),
         _cc_effect, {"fo"},
@@ -520,7 +513,7 @@ RULE_DEFS: dict[str, RuleDef] = {
         RULE_DELETE_OBJECT, DeleteObject,
         (
             _conj("ownerHasCtrl", {"m"}, _do_has_ctrl),
-            _conj("objectUnaccessed", {"br", "bw"}, _do_unaccessed),
+            _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
         ),
         _do_effect, {"fo", "m"},
     ),

@@ -472,10 +472,6 @@ def build_state(decls: tuple[Decl, ...]) -> SystemState:
             raise StateBuildError(
                 core.PROPERTY_RAN_BW, f"writing {s} {o} but no grant covers {o}"
             )
-    if not core.fo_functional(st):
-        raise StateBuildError(core.PROPERTY_FO_FUNCTIONAL, "object classified twice")
-    if not core.fs_functional(st):
-        raise StateBuildError(core.PROPERTY_FS_FUNCTIONAL, "subject cleared twice")
     return st
 
 

@@ -405,7 +405,8 @@ def test_steps_keep_indexes_equal_to_a_fresh_build(st_):
     for every rule and every single-conjunct mutant of it.  The before
     state's indexes are built first, so a step that inserts or removes one
     triple hands them on rather than leaving them to be built; a mutant
-    rescind without rescinderHasCtrl removes an object's last triple."""
+    giveRW without receiverLacksMode inserts a triple the matrix already
+    holds."""
     for req in EVERY_REQUEST:
         for rd in _WITH_MUTANTS[type(req)]:
             kept_indexes(st_)
