@@ -18,33 +18,33 @@ answer for every key at once, as a dict built in one pass; the *-property
 groups ``bw`` by subject before it pairs reads with writes, so each
 predicate costs one pass over its components instead of one scan per pair.
 
-Indexes kept per component: ``class_index`` (a classification's
-``class_map``) and ``matrix_set`` (the matrix's triples as a set) build
-their index once and keep it while the component is in use, in one table
-keyed by the identity of the component tuple.  The rule guards and the
-invariants read their classes and triples from them.  A reference
-monitor's step changes at most two components and leaves the others the
-very same objects (in a long scenario the matrix stays the same object
-across most commands, the classifications across nearly all), so most
-steps find their indexes built.  This rests on one condition: a component
-is an immutable tuple of immutable values, as ``SystemState`` declares; an
-index is never checked against its component again.  Each entry holds its
-tuple, so the tuple's identity cannot pass to another object while the
-entry lives.  The table keeps at most ``INDEX_BOUND`` entries and drops the
-oldest first.
+Indexes kept for the live state: ``class_index`` (a classification's
+``class_map``) and ``matrix_set`` (the matrix's triples as a set) keep
+their index in identity slots, two for the classifications asked for
+most recently (``fo`` and ``fs``) and one for the matrix.  A slot matches
+its component by identity, never by equality, and holds the tuple, so
+the tuple's identity cannot pass to another object while the slot lives.
+The rule guards and the invariants read their classes and triples from
+them.  A reference monitor's step changes at most two components and
+leaves the others the very same objects (in a long scenario the matrix
+stays the same object across most commands, the classifications across
+nearly all), so most steps find their indexes built.  This rests on one
+condition: a component is an immutable tuple of immutable values, as
+``SystemState`` declares; an index is never checked against its
+component again.
 
-The triple set is carried, not rebuilt, across the steps that insert or
+The matrix slot is carried, not rebuilt, across the steps that insert or
 remove one matrix triple (giveRW, createObject, rescindRead,
-rescindWrite): ``carry_matrix_indexes`` gives the new matrix tuple the old
-one's triple set plus or minus that triple.  A matrix that is not
-duplicate-free (the one a giveRW without its receiverLacksMode guard
-leaves) keeps a removed triple while a copy of it remains; in sorted order
-that copy is a neighbour of the removed one.
+rescindWrite): ``carry_matrix_indexes`` moves it from the old matrix to
+the new one, with the triple set plus or minus that triple.  A matrix
+that is not duplicate-free (the one a giveRW without its
+receiverLacksMode guard leaves) keeps a removed triple while a copy of it
+remains; in sorted order that copy is a neighbour of the removed one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 SubjectId = str
 ObjectId = str
@@ -171,48 +171,39 @@ def class_map(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityCla
 
 
 # --------------------------------------------------------------------------
-# Indexes kept per component tuple (see the module docstring).
+# Identity slots for the indexes of the live state (see the module
+# docstring): (component tuple, its index), the classifications most
+# recent first.
 
-INDEX_BOUND = 256
-
-# id of a component tuple -> [the tuple, its class map, its triple set], each
-# index None until first asked for; oldest first
-_indexes: dict[int, list] = {}
-
-
-def _record(component: tuple) -> list:
-    """``component``'s entry in the table, made (dropping the oldest entry
-    when the table is full) if it has none."""
-    record = _indexes.get(id(component))
-    if record is None:
-        if len(_indexes) >= INDEX_BOUND:
-            _indexes.pop(next(iter(_indexes)))
-        record = _indexes[id(component)] = [component, None, None]
-    return record
-
-
-def _keep(component: tuple, slot: int, build: Callable):
-    """Build ``component``'s index in record slot ``slot``, keep it, and
-    return it."""
-    index = _record(component)[slot] = build(component)
-    return index
+_class_recent: tuple = ((), {})
+_class_other: tuple = ((), {})
+_matrix_kept: tuple = ((), frozenset())
 
 
 def class_index(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
-    """``class_map(entries)``, kept while ``entries`` is in use.  Shared by
-    every caller: read it, never change it."""
-    kept = _indexes.get(id(entries))
-    if kept is not None and kept[1] is not None:
-        return kept[1]
-    return _keep(entries, 1, class_map)
+    """``class_map(entries)``, kept while ``entries`` is one of the two
+    classifications asked for most recently.  Shared by every caller: read
+    it, never change it."""
+    global _class_recent, _class_other
+    recent = _class_recent
+    if recent[0] is entries:
+        return recent[1]
+    kept = _class_other
+    if kept[0] is not entries:
+        kept = (entries, class_map(entries))
+    _class_recent, _class_other = kept, recent
+    return kept[1]
 
 
 def matrix_set(m: tuple[MatrixTriple, ...]) -> frozenset[MatrixTriple]:
-    """The triples of matrix ``m`` as a set, kept while ``m`` is in use."""
-    kept = _indexes.get(id(m))
-    if kept is not None and kept[2] is not None:
-        return kept[2]
-    return _keep(m, 2, frozenset)
+    """The triples of matrix ``m`` as a set, kept while ``m`` is the matrix
+    asked for most recently."""
+    global _matrix_kept
+    if _matrix_kept[0] is m:
+        return _matrix_kept[1]
+    triples = frozenset(m)
+    _matrix_kept = (m, triples)
+    return triples
 
 
 def matrix_objects(st: SystemState) -> frozenset[ObjectId]:
@@ -222,22 +213,22 @@ def matrix_objects(st: SystemState) -> frozenset[ObjectId]:
 
 def carry_matrix_indexes(old: tuple[MatrixTriple, ...], new: tuple[MatrixTriple, ...],
                          i: int) -> None:
-    """Give matrix ``new`` the kept ``matrix_set`` of matrix ``old``, updated
-    instead of rebuilt, when ``new`` is ``old`` with one triple inserted at
-    position ``i`` (``new[i]``) or removed from position ``i`` (``old[i]``).
-    Both must be sorted, so that a removed triple's copies are its
-    neighbours.  Does nothing when ``old`` has no triple set kept."""
-    kept = _indexes.get(id(old))
-    if kept is None or kept[2] is None:
+    """Move the kept ``matrix_set`` of matrix ``old`` on to matrix ``new``,
+    updated instead of rebuilt, when ``new`` is ``old`` with one triple
+    inserted at position ``i`` (``new[i]``) or removed from position ``i``
+    (``old[i]``).  Both must be sorted, so that a removed triple's copies
+    are its neighbours.  Does nothing when ``old`` is not the kept matrix."""
+    global _matrix_kept
+    held, triples = _matrix_kept
+    if held is not old:
         return
-    triples = kept[2]
     if len(new) > len(old):
         triples = triples | {new[i]}
     else:
         t = old[i]
         if not ((i > 0 and old[i - 1] == t) or (i + 1 < len(old) and old[i + 1] == t)):
             triples = triples - {t}
-    _record(new)[2] = triples
+    _matrix_kept = (new, triples)
 
 
 def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:

@@ -214,9 +214,9 @@ class RuleDef:
 
 # --------------------------------------------------------------------------
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
-# They read classes and matrix triples from the two indexes ``core`` keeps
-# per component (``class_index``, ``matrix_set``) instead of scanning
-# ``fo``, ``fs`` or ``m``.
+# They read classes and matrix triples from the indexes ``core`` keeps in
+# identity slots for the live state (``class_index``, ``matrix_set``)
+# instead of scanning ``fo``, ``fs`` or ``m``.
 #
 # Effects rely on their input being canonical (``make_state`` form: every
 # component sorted and duplicate-free) and keep it so: one pair, triple or
@@ -224,9 +224,9 @@ class RuleDef:
 # it, by bisection on the component's sort key; deleteObject, which drops
 # every entry of an object, filters.  A property test pins that every
 # granted after state of a canonical state is canonical.  Inserting or
-# removing one triple hands the matrix's kept triple set on to the new
-# matrix (``core.carry_matrix_indexes``), so the next step does not rebuild
-# it.
+# removing one triple moves the matrix's kept triple set, updated, on to
+# the new matrix (``core.carry_matrix_indexes``), so the next step does
+# not rebuild it.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)

@@ -16,7 +16,6 @@ from blpcheck import (
 from blpcheck import core
 from blpcheck.core import (
     CTRL,
-    INDEX_BOUND,
     READ,
     WRITE,
     SecurityClass,
@@ -305,14 +304,15 @@ def test_an_equal_or_other_tuple_gets_its_own_index(a, b):
 
 
 def _push_out_every_entry():
-    for i in range(INDEX_BOUND):
+    for i in range(2):
         class_index((("x", SecurityClass(i, frozenset())),))
+    matrix_set((("x", "s1", READ),))
 
 
 @given(canonical_or_any, canonical_or_any, st.booleans())
 def test_a_dropped_tuple_leaves_no_stale_index(a, b, push_out):
-    """A tuple dropped by its caller stays alive while its entries do (they
-    hold it); once they are pushed out, it is freed, and a new tuple may
+    """A tuple dropped by its caller stays alive while a slot holds it;
+    once it is pushed out of the slots, it is freed, and a new tuple may
     take its id (CPython hands a freed tuple's memory to the next tuple of
     its length).  Either way the new tuple's index is built from itself."""
     old = _copy(a)
@@ -326,18 +326,23 @@ def test_a_dropped_tuple_leaves_no_stale_index(a, b, push_out):
     assert kept_indexes(new) == fresh_indexes(new)
 
 
-@given(st.lists(canonical_or_any, min_size=1, max_size=40))
-def test_the_index_table_stays_within_its_bound(states):
-    for st_ in states:
-        new = _copy(st_)  # new tuples: every lookup misses
-        kept_indexes(new)
-        for pred in (sec_cond, star_prop, well_formed):
-            pred(new)
-        assert len(core._indexes) <= INDEX_BOUND
+@given(st.lists(unordered_states(), min_size=1, max_size=3), st.data())
+def test_any_interleaving_of_lookups_matches_a_fresh_build(states, data):
+    """Whatever order the classifications and matrices of a pool (equal
+    copies and ``()`` among them) are asked for in, each lookup gives what
+    a fresh build gives."""
+    classifications = [()] + [c for s in states for c in (s.fo, s.fs, tuple(list(s.fo)))]
+    matrices = [()] + [c for s in states for c in (s.m, tuple(list(s.m)))]
+    pool = ([(class_index, class_map, c) for c in classifications]
+            + [(matrix_set, frozenset, m) for m in matrices])
+    for kept, build, component in data.draw(st.lists(st.sampled_from(pool), max_size=30)):
+        assert kept(component) == build(component)
 
 
 def _matrix_indexes_kept_for(m):
-    return core._indexes[id(m)][2]
+    held, triples = core._matrix_kept
+    assert held is m
+    return triples
 
 
 def test_carried_matrix_indexes_follow_one_triple():

@@ -17,6 +17,7 @@ from blpcheck import (
     sec_class,
     well_formed,
 )
+from blpcheck import core
 from blpcheck.scenario import (
     Command,
     ScenarioParseError,
@@ -334,6 +335,29 @@ def test_later_state_block_replaces_the_state():
 def test_trace_replay_is_identical():
     script = parse_scenario(SIM1)
     assert run_scenario(script) == run_scenario(script)
+
+
+def test_a_scenario_builds_each_class_map_once(monkeypatch):
+    """Commands that change no classification leave ``fo`` and ``fs`` the
+    very same objects, so a run builds each of their class maps once."""
+    built = []
+
+    def counted_class_map(entries):
+        built.append(entries)
+        return class_map(entries)
+
+    class_map = core.class_map
+    monkeypatch.setattr(core, "class_map", counted_class_map)
+    src = DEMO_BLOCK + 3 * (
+        "get-read s1 o1\nget-write s2 o1\nget-read s2 o2\nrelease-write s2 o1\n"
+        "get-read s2 o2\nget-write s2 o2\ngive s2 s1 o1 write\n"
+        "assert seccond starprop wellformed\nrelease-read s2 o2\nrelease-write s2 o2\n"
+    )
+    trace = run_scenario(parse_scenario(src))
+    assert trace.all_expectations_met
+    final = trace.final_state
+    assert len(built) == 2
+    assert {id(e) for e in built} == {id(final.fo), id(final.fs)}
 
 
 def test_intermediate_states_stay_well_formed():
