@@ -264,14 +264,6 @@ class PartitionReport:
         return tuple(w for fam in self.gap_families for w in fam.witnesses)
 
     @property
-    def overlaps(self) -> tuple[tuple[SystemState, Request, tuple[str, str]], ...]:
-        return tuple(
-            (w.state, w.request, fam.clause_pair)
-            for fam in self.overlap_families
-            for w in fam.witnesses
-        )
-
-    @property
     def ok(self) -> bool:
         return not self.gap_families and not self.overlap_families
 
@@ -1241,7 +1233,6 @@ def check_obligations(
     ``elapsed_ms`` is its rule's measured sweep time, shared by all the
     obligations of that rule.
     """
-    _validate_bounds(b)
     if mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
         raise ValueError(f"unknown mode: {mode!r}")
     if mode == MODE_RANDOM and samples < 1:
@@ -1391,7 +1382,7 @@ def _random_obligation(u: _Universe, defs, ob, samples, seed) -> ObligationResul
                         break
                 else:  # every guard held: granted
                     after = effect(st, req)
-                    if after is not st and not prop_fn(after):
+                    if not prop_fn(after):
                         witness = Witness(st, req, after, ob.prop)
                         break  # out of the sample loop
             except Exception as e:

@@ -18,32 +18,37 @@ answer for every key at once, as a dict built in one pass; the *-property
 groups ``bw`` by subject before it pairs reads with writes, so each
 predicate costs one pass over its components instead of one scan per pair.
 
-Indexes kept for the live state: ``class_index`` (a classification's
-``class_map``) and ``matrix_set`` (the matrix's triples as a set) keep
-their index in identity slots, two for the classifications asked for
-most recently (``fo`` and ``fs``) and one for the matrix.  A slot matches
-its component by identity, never by equality, and holds the tuple, so
-the tuple's identity cannot pass to another object while the slot lives.
-The rule guards and the invariants read their classes and triples from
-them.  A reference monitor's step changes at most two components and
-leaves the others the very same objects (in a long scenario the matrix
-stays the same object across most commands, the classifications across
-nearly all), so most steps find their indexes built.  This rests on one
-condition: a component is an immutable tuple of immutable values, as
-``SystemState`` declares; an index is never checked against its
-component again.
+Indexes kept for the live state: each state component that the guards
+and invariants index has one identity slot, holding the component's tuple
+and its index.  ``fo_classes`` and ``fs_classes`` keep the ``class_map``
+of the object and of the subject classification asked for most recently,
+``matrix_set`` the triples of the matrix asked for most recently as a
+set.  A slot matches its component by identity, never by equality, and
+holds the tuple, so the tuple's identity cannot pass to another object
+while the slot lives.  A reference monitor's step changes at most two
+components and leaves the others the very same objects (in a long
+scenario the matrix stays the same object across most commands, the
+classifications across nearly all), and a step that changes ``fo``
+leaves ``fs``'s slot alone, so most steps find their indexes built.
+This rests on one condition: a component is an immutable tuple of
+immutable values, as ``SystemState`` declares; an index is never checked
+against its component again.
 
-The matrix slot is carried, not rebuilt, across the steps that insert or
-remove one matrix triple (giveRW, createObject, rescindRead,
-rescindWrite): ``carry_matrix_indexes`` moves it from the old matrix to
-the new one, with the triple set plus or minus that triple.  A matrix
-that is not duplicate-free (the one a giveRW without its
-receiverLacksMode guard leaves) keeps a removed triple while a copy of it
-remains; in sorted order that copy is a neighbour of the removed one.
+The matrix is kept sorted by ``triple_sort_key``, and the two steps that
+change it by one triple live here, next to its slot: ``matrix_with``
+inserts a triple and ``matrix_without`` removes one, each at the place
+``bisect_left`` finds.  When the old matrix holds the slot, the slot
+moves on to the new one with the triple set plus or minus that triple,
+not rebuilt (giveRW, createObject, rescindRead and rescindWrite take
+these steps).  ``bisect_left`` finds the first copy of a triple, so a
+matrix that is not duplicate-free (the one a giveRW without its
+receiverLacksMode guard leaves) keeps a removed triple in its set exactly
+when the next triple is a second copy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 SubjectId = str
@@ -172,37 +177,45 @@ def class_map(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityCla
 
 # --------------------------------------------------------------------------
 # Identity slots for the indexes of the live state (see the module
-# docstring): (component tuple, its index), the classifications most
-# recent first.
+# docstring): (component tuple, its index), one slot per component.
 
-_class_recent: tuple = ((), {})
-_class_other: tuple = ((), {})
-_matrix_kept: tuple = ((), frozenset())
+_fo_kept: tuple = ((), {})
+_fs_kept: tuple = ((), {})
+_m_kept: tuple = ((), frozenset())
 
 
-def class_index(entries: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
-    """``class_map(entries)``, kept while ``entries`` is one of the two
-    classifications asked for most recently.  Shared by every caller: read
-    it, never change it."""
-    global _class_recent, _class_other
-    recent = _class_recent
-    if recent[0] is entries:
-        return recent[1]
-    kept = _class_other
-    if kept[0] is not entries:
-        kept = (entries, class_map(entries))
-    _class_recent, _class_other = kept, recent
-    return kept[1]
+def fo_classes(fo: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
+    """``class_map(fo)``, kept while ``fo`` is the object classification
+    asked for most recently.  Shared by every caller: read it, never
+    change it."""
+    global _fo_kept
+    if _fo_kept[0] is fo:
+        return _fo_kept[1]
+    classes = class_map(fo)
+    _fo_kept = (fo, classes)
+    return classes
+
+
+def fs_classes(fs: tuple[ClassEntry, ...]) -> dict[str, Optional[SecurityClass]]:
+    """``class_map(fs)``, kept while ``fs`` is the subject classification
+    asked for most recently.  Shared by every caller: read it, never
+    change it."""
+    global _fs_kept
+    if _fs_kept[0] is fs:
+        return _fs_kept[1]
+    classes = class_map(fs)
+    _fs_kept = (fs, classes)
+    return classes
 
 
 def matrix_set(m: tuple[MatrixTriple, ...]) -> frozenset[MatrixTriple]:
     """The triples of matrix ``m`` as a set, kept while ``m`` is the matrix
     asked for most recently."""
-    global _matrix_kept
-    if _matrix_kept[0] is m:
-        return _matrix_kept[1]
+    global _m_kept
+    if _m_kept[0] is m:
+        return _m_kept[1]
     triples = frozenset(m)
-    _matrix_kept = (m, triples)
+    _m_kept = (m, triples)
     return triples
 
 
@@ -211,29 +224,34 @@ def matrix_objects(st: SystemState) -> frozenset[ObjectId]:
     return frozenset(o for (o, _s, _x) in st.m)
 
 
-def carry_matrix_indexes(old: tuple[MatrixTriple, ...], new: tuple[MatrixTriple, ...],
-                         i: int) -> None:
-    """Move the kept ``matrix_set`` of matrix ``old`` on to matrix ``new``,
-    updated instead of rebuilt, when ``new`` is ``old`` with one triple
-    inserted at position ``i`` (``new[i]``) or removed from position ``i``
-    (``old[i]``).  Both must be sorted, so that a removed triple's copies
-    are its neighbours.  Does nothing when ``old`` is not the kept matrix."""
-    global _matrix_kept
-    held, triples = _matrix_kept
-    if held is not old:
-        return
-    if len(new) > len(old):
-        triples = triples | {new[i]}
-    else:
-        t = old[i]
-        if not ((i > 0 and old[i - 1] == t) or (i + 1 < len(old) and old[i + 1] == t)):
+def matrix_with(m: tuple[MatrixTriple, ...], t: MatrixTriple) -> tuple[MatrixTriple, ...]:
+    """Sorted matrix ``m`` with triple ``t`` inserted at its place.  When
+    ``m`` holds the matrix slot, the slot moves on to the result."""
+    global _m_kept
+    i = bisect_left(m, triple_sort_key(t), key=triple_sort_key)
+    new = m[:i] + (t,) + m[i:]
+    held, triples = _m_kept
+    if held is m:
+        _m_kept = (new, triples | {t})
+    return new
+
+
+def matrix_without(m: tuple[MatrixTriple, ...], t: MatrixTriple) -> tuple[MatrixTriple, ...]:
+    """Sorted matrix ``m`` with its first copy of triple ``t`` removed
+    (``m`` itself when it holds none).  When ``m`` holds the matrix slot,
+    the slot moves on to the result, keeping ``t`` while a second copy
+    remains."""
+    global _m_kept
+    i = bisect_left(m, triple_sort_key(t), key=triple_sort_key)
+    if i == len(m) or m[i] != t:
+        return m
+    new = m[:i] + m[i + 1:]
+    held, triples = _m_kept
+    if held is m:
+        if m[i + 1:i + 2] != (t,):
             triples = triples - {t}
-    _matrix_kept = (new, triples)
-
-
-def _is_functional(entries: tuple[ClassEntry, ...]) -> bool:
-    # class_map gives None exactly for a key bound to two classes
-    return None not in class_index(entries).values()
+        _m_kept = (new, triples)
+    return new
 
 
 def sec_cond(st: SystemState) -> bool:
@@ -245,8 +263,8 @@ def sec_cond(st: SystemState) -> bool:
     """
     if not st.br:
         return True
-    fs = class_index(st.fs)
-    fo = class_index(st.fo)
+    fs = fs_classes(st.fs)
+    fo = fo_classes(st.fo)
     for (s, o) in st.br:
         cls_s = fs.get(s)
         if cls_s is None:
@@ -269,7 +287,7 @@ def star_prop(st: SystemState) -> bool:
     written: dict[SubjectId, list[ObjectId]] = {}
     for (s, o) in st.bw:
         written.setdefault(s, []).append(o)
-    fo = class_index(st.fo)
+    fo = fo_classes(st.fo)
     for (s, o1) in st.br:
         objs = written.get(s)
         if objs is None:
@@ -285,14 +303,16 @@ def star_prop(st: SystemState) -> bool:
 
 
 # The four type invariants, individually addressable so the checker can
-# report them as separate proof obligations.
+# report them as separate proof obligations.  A classification is
+# functional when its class map holds no None (the class of a key bound to
+# two classes).
 
 def fo_functional(st: SystemState) -> bool:
-    return _is_functional(st.fo)
+    return None not in fo_classes(st.fo).values()
 
 
 def fs_functional(st: SystemState) -> bool:
-    return _is_functional(st.fs)
+    return None not in fs_classes(st.fs).values()
 
 
 def ran_br_in_dom_m(st: SystemState) -> bool:
@@ -307,7 +327,9 @@ def ran_bw_in_dom_m(st: SystemState) -> bool:
 
 def well_formed(st: SystemState) -> bool:
     """All four type invariants at once."""
-    if not (_is_functional(st.fo) and _is_functional(st.fs)):
+    # reads the slots itself, so that a call of well_formed is not also
+    # counted as calls of fo_functional and fs_functional
+    if None in fo_classes(st.fo).values() or None in fs_classes(st.fs).values():
         return False
     objs = matrix_objects(st)
     return all(o in objs for (_s, o) in st.br) and all(o in objs for (_s, o) in st.bw)

@@ -32,13 +32,14 @@ from .core import (
     SecurityClass,
     SubjectId,
     SystemState,
-    carry_matrix_indexes,
-    class_index,
     class_leq,
     entry_sort_key,
+    fo_classes,
+    fs_classes,
     matrix_objects,
     matrix_set,
-    triple_sort_key,
+    matrix_with,
+    matrix_without,
 )
 
 VARIANT_FIXED = "fixed"
@@ -119,11 +120,6 @@ Request = Union[
     RescindRead, RescindWrite, ChangeClass, CreateObject, DeleteObject,
 ]
 
-REQUEST_TYPES = (
-    GetRead, GetWrite, ReleaseRead, ReleaseWrite, GiveRW,
-    RescindRead, RescindWrite, ChangeClass, CreateObject, DeleteObject,
-)
-
 # The kind of value each request field holds.  The checker enumerates a
 # field over its kind's domain; the scenario language parses and prints it
 # by kind.
@@ -141,24 +137,6 @@ FIELD_KINDS = {
 def request_fields(request_type: type) -> tuple[tuple[str, str], ...]:
     """``(field name, kind)`` for each field of a request type, in order."""
     return tuple((f.name, FIELD_KINDS[f.name]) for f in dataclasses.fields(request_type))
-
-
-RULE_GET_READ = "getRead"
-RULE_GET_WRITE = "getWrite"
-RULE_RELEASE_READ = "releaseRead"
-RULE_RELEASE_WRITE = "releaseWrite"
-RULE_GIVE_RW = "giveRW"
-RULE_RESCIND_READ = "rescindRead"
-RULE_RESCIND_WRITE = "rescindWrite"
-RULE_CHANGE_CLASS = "changeClass"
-RULE_CREATE_OBJECT = "createObject"
-RULE_DELETE_OBJECT = "deleteObject"
-
-RULE_ORDER = (
-    RULE_GET_READ, RULE_GET_WRITE, RULE_RELEASE_READ, RULE_RELEASE_WRITE,
-    RULE_GIVE_RW, RULE_RESCIND_READ, RULE_RESCIND_WRITE, RULE_CHANGE_CLASS,
-    RULE_CREATE_OBJECT, RULE_DELETE_OBJECT,
-)
 
 
 class Outcome(NamedTuple):
@@ -201,43 +179,41 @@ class RuleDef:
     # verifies on every call that the effect left all other components
     # identical.
     writes: frozenset[str]
-    clause_names: tuple[str, ...]  # Ok first, then E1..En
+    # <name>Ok first, then <name>E1..En, one per conjunct
+    clause_names: tuple[str, ...] = field(init=False)
     # (conjunct predicate, name of the clause it picks when it fails) in
     # guard order, built once per definition for ``apply_def``
     steps: tuple[tuple[Callable[[SystemState, Request], bool], str], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        names = (self.name + "Ok",) + tuple(
+            f"{self.name}E{i}" for i in range(1, len(self.conjuncts) + 1))
+        object.__setattr__(self, "clause_names", names)
         object.__setattr__(self, "steps", tuple(
-            zip([c.holds for c in self.conjuncts], self.clause_names[1:])))
+            zip([c.holds for c in self.conjuncts], names[1:])))
 
 
 # --------------------------------------------------------------------------
 # Guard conjuncts.  Module-level functions keep them cheap and picklable.
 # They read classes and matrix triples from the indexes ``core`` keeps in
-# identity slots for the live state (``class_index``, ``matrix_set``)
-# instead of scanning ``fo``, ``fs`` or ``m``.
+# one identity slot per component for the live state (``fo_classes``,
+# ``fs_classes``, ``matrix_set``) instead of scanning ``fo``, ``fs`` or
+# ``m``.
 #
 # Effects rely on their input being canonical (``make_state`` form: every
 # component sorted and duplicate-free) and keep it so: one pair, triple or
 # class entry is inserted at its place, or one pair or triple removed from
 # it, by bisection on the component's sort key; deleteObject, which drops
 # every entry of an object, filters.  A property test pins that every
-# granted after state of a canonical state is canonical.  Inserting or
-# removing one triple moves the matrix's kept triple set, updated, on to
-# the new matrix (``core.carry_matrix_indexes``), so the next step does
-# not rebuild it.
+# granted after state of a canonical state is canonical.  The matrix's
+# one-triple steps are ``core.matrix_with`` and ``core.matrix_without``,
+# which also move the matrix's kept triple set on to the new matrix, so
+# the next step does not rebuild it.
 
 def _pair_add(pairs, pair):
     i = bisect.bisect_left(pairs, pair)
     return pairs[:i] + (pair,) + pairs[i:]
-
-
-def _triple_add(m, triple):
-    i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
-    new = m[:i] + (triple,) + m[i:]
-    carry_matrix_indexes(m, new, i)
-    return new
 
 
 def _entry_add(entries, entry):
@@ -252,15 +228,6 @@ def _pair_del(pairs, pair):
     return pairs
 
 
-def _triple_del(m, triple):
-    i = bisect.bisect_left(m, triple_sort_key(triple), key=triple_sort_key)
-    if i < len(m) and m[i] == triple:
-        new = m[:i] + m[i + 1:]
-        carry_matrix_indexes(m, new, i)
-        return new
-    return m
-
-
 def _gr_has_perm(st, r):
     return (r.o, r.s, READ) in matrix_set(st.m)
 
@@ -270,18 +237,18 @@ def _gr_not_reading(st, r):
 
 
 def _gr_obj_classified(st, r):
-    return class_index(st.fo).get(r.o) is not None
+    return fo_classes(st.fo).get(r.o) is not None
 
 
 def _gr_clearance(st, r):
-    cls_o = class_index(st.fo).get(r.o)
-    cls_s = class_index(st.fs).get(r.s)
+    cls_o = fo_classes(st.fo).get(r.o)
+    cls_s = fs_classes(st.fs).get(r.s)
     return cls_o is not None and cls_s is not None and class_leq(cls_o, cls_s)
 
 
 def _gr_star_guard(st, r):
     # Reading r.o must not undercut any object the subject is writing.
-    fo = class_index(st.fo)
+    fo = fo_classes(st.fo)
     cls_o = fo.get(r.o)
     if cls_o is None:
         return False
@@ -308,7 +275,7 @@ def _gw_not_writing(st, r):
 
 def _gw_star_guard(st, r):
     # Everything the subject currently reads must sit below r.o's class.
-    fo = class_index(st.fo)
+    fo = fo_classes(st.fo)
     cls_o = fo.get(r.o)
     if cls_o is None:
         return False
@@ -358,7 +325,7 @@ def _gv_receiver_lacks_mode(st, r):
 
 
 def _gv_effect(st, r):
-    return SystemState(st.br, st.bw, st.fo, st.fs, _triple_add(st.m, (r.o, r.receiver, r.x)))
+    return SystemState(st.br, st.bw, st.fo, st.fs, matrix_with(st.m, (r.o, r.receiver, r.x)))
 
 
 def _rsr_has_ctrl(st, r):
@@ -370,7 +337,7 @@ def _rsr_target_has_read(st, r):
 
 
 def _rsr_effect(st, r):
-    new_m = _triple_del(st.m, (r.o, r.target, READ))
+    new_m = matrix_without(st.m, (r.o, r.target, READ))
     return SystemState(_pair_del(st.br, (r.target, r.o)), st.bw, st.fo, st.fs, new_m)
 
 
@@ -379,7 +346,7 @@ def _rsw_target_has_write(st, r):
 
 
 def _rsw_effect(st, r):
-    new_m = _triple_del(st.m, (r.o, r.target, WRITE))
+    new_m = matrix_without(st.m, (r.o, r.target, WRITE))
     return SystemState(st.br, _pair_del(st.bw, (r.target, r.o)), st.fo, st.fs, new_m)
 
 
@@ -399,14 +366,14 @@ def _cc_effect(st, r):
 
 
 def _co_obj_fresh(st, r):
-    # no fo entry binds r.o (class_index has every bound key, also one
+    # no fo entry binds r.o (fo_classes has every bound key, also one
     # bound twice, whose class it gives as None) and no triple names it
-    return r.o not in class_index(st.fo) and r.o not in matrix_objects(st)
+    return r.o not in fo_classes(st.fo) and r.o not in matrix_objects(st)
 
 
 def _co_effect(st, r):
     new_fo = _entry_add(st.fo, (r.o, r.k))
-    return SystemState(st.br, st.bw, new_fo, st.fs, _triple_add(st.m, (r.o, r.s, CTRL)))
+    return SystemState(st.br, st.bw, new_fo, st.fs, matrix_with(st.m, (r.o, r.s, CTRL)))
 
 
 def _do_has_ctrl(st, r):
@@ -423,101 +390,56 @@ def _conj(name, reads, holds):
     return Conjunct(name, frozenset(reads), holds)
 
 
-def _clause_names(rule: str, n_conjuncts: int) -> tuple[str, ...]:
-    return (rule + "Ok",) + tuple(f"{rule}E{i}" for i in range(1, n_conjuncts + 1))
+RULE_DEFS: dict[str, RuleDef] = {rd.name: rd for rd in (
+    RuleDef("getRead", GetRead, (
+        _conj("hasReadPermission", {"m"}, _gr_has_perm),
+        _conj("notAlreadyReading", {"br"}, _gr_not_reading),
+        _conj("objectClassified", {"fo"}, _gr_obj_classified),
+        _conj("clearanceDominates", {"fo", "fs"}, _gr_clearance),
+        _conj("readBelowWrites", {"bw", "fo"}, _gr_star_guard),
+    ), _gr_effect, frozenset({"br"})),
+    RuleDef("getWrite", GetWrite, (
+        _conj("hasWritePermission", {"m"}, _gw_has_perm),
+        _conj("notAlreadyWriting", {"bw"}, _gw_not_writing),
+        _conj("objectClassified", {"fo"}, _gr_obj_classified),
+        _conj("readsBelowObject", {"br", "fo"}, _gw_star_guard),
+    ), _gw_effect, frozenset({"bw"})),
+    RuleDef("releaseRead", ReleaseRead, (
+        _conj("currentlyReading", {"br"}, _rr_reading),
+    ), _rr_effect, frozenset({"br"})),
+    RuleDef("releaseWrite", ReleaseWrite, (
+        _conj("currentlyWriting", {"bw"}, _rw_writing),
+    ), _rw_effect, frozenset({"bw"})),
+    RuleDef("giveRW", GiveRW, (
+        _conj("modeGivable", (), _gv_mode_givable),
+        _conj("giverHasMode", {"m"}, _gv_giver_has_mode),
+        _conj("giverHasCtrl", {"m"}, _gv_giver_has_ctrl),
+        _conj("receiverLacksMode", {"m"}, _gv_receiver_lacks_mode),
+    ), _gv_effect, frozenset({"m"})),
+    RuleDef("rescindRead", RescindRead, (
+        _conj("rescinderHasCtrl", {"m"}, _rsr_has_ctrl),
+        _conj("targetHasRead", {"m"}, _rsr_target_has_read),
+    ), _rsr_effect, frozenset({"m", "br"})),
+    RuleDef("rescindWrite", RescindWrite, (
+        _conj("rescinderHasCtrl", {"m"}, _rsr_has_ctrl),
+        _conj("targetHasWrite", {"m"}, _rsw_target_has_write),
+    ), _rsw_effect, frozenset({"m", "bw"})),
+    RuleDef("changeClass", ChangeClass, (
+        _conj("objectClassified", {"fo"}, _gr_obj_classified),
+        _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
+    ), _cc_effect, frozenset({"fo"})),
+    RuleDef("createObject", CreateObject, (
+        _conj("objectFresh", {"fo", "m"}, _co_obj_fresh),
+    ), _co_effect, frozenset({"fo", "m"})),
+    RuleDef("deleteObject", DeleteObject, (
+        _conj("ownerHasCtrl", {"m"}, _do_has_ctrl),
+        _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
+    ), _do_effect, frozenset({"fo", "m"})),
+)}
 
+RULE_ORDER = tuple(RULE_DEFS)
 
-def _rule(name, request_type, conjuncts, effect, writes) -> RuleDef:
-    return RuleDef(
-        name=name,
-        request_type=request_type,
-        conjuncts=tuple(conjuncts),
-        effect=effect,
-        writes=frozenset(writes),
-        clause_names=_clause_names(name, len(conjuncts)),
-    )
-
-
-RULE_DEFS: dict[str, RuleDef] = {
-    RULE_GET_READ: _rule(
-        RULE_GET_READ, GetRead,
-        (
-            _conj("hasReadPermission", {"m"}, _gr_has_perm),
-            _conj("notAlreadyReading", {"br"}, _gr_not_reading),
-            _conj("objectClassified", {"fo"}, _gr_obj_classified),
-            _conj("clearanceDominates", {"fo", "fs"}, _gr_clearance),
-            _conj("readBelowWrites", {"bw", "fo"}, _gr_star_guard),
-        ),
-        _gr_effect, {"br"},
-    ),
-    RULE_GET_WRITE: _rule(
-        RULE_GET_WRITE, GetWrite,
-        (
-            _conj("hasWritePermission", {"m"}, _gw_has_perm),
-            _conj("notAlreadyWriting", {"bw"}, _gw_not_writing),
-            _conj("objectClassified", {"fo"}, _gr_obj_classified),
-            _conj("readsBelowObject", {"br", "fo"}, _gw_star_guard),
-        ),
-        _gw_effect, {"bw"},
-    ),
-    RULE_RELEASE_READ: _rule(
-        RULE_RELEASE_READ, ReleaseRead,
-        (_conj("currentlyReading", {"br"}, _rr_reading),),
-        _rr_effect, {"br"},
-    ),
-    RULE_RELEASE_WRITE: _rule(
-        RULE_RELEASE_WRITE, ReleaseWrite,
-        (_conj("currentlyWriting", {"bw"}, _rw_writing),),
-        _rw_effect, {"bw"},
-    ),
-    RULE_GIVE_RW: _rule(
-        RULE_GIVE_RW, GiveRW,
-        (
-            _conj("modeGivable", (), _gv_mode_givable),
-            _conj("giverHasMode", {"m"}, _gv_giver_has_mode),
-            _conj("giverHasCtrl", {"m"}, _gv_giver_has_ctrl),
-            _conj("receiverLacksMode", {"m"}, _gv_receiver_lacks_mode),
-        ),
-        _gv_effect, {"m"},
-    ),
-    RULE_RESCIND_READ: _rule(
-        RULE_RESCIND_READ, RescindRead,
-        (
-            _conj("rescinderHasCtrl", {"m"}, _rsr_has_ctrl),
-            _conj("targetHasRead", {"m"}, _rsr_target_has_read),
-        ),
-        _rsr_effect, {"m", "br"},
-    ),
-    RULE_RESCIND_WRITE: _rule(
-        RULE_RESCIND_WRITE, RescindWrite,
-        (
-            _conj("rescinderHasCtrl", {"m"}, _rsr_has_ctrl),
-            _conj("targetHasWrite", {"m"}, _rsw_target_has_write),
-        ),
-        _rsw_effect, {"m", "bw"},
-    ),
-    RULE_CHANGE_CLASS: _rule(
-        RULE_CHANGE_CLASS, ChangeClass,
-        (
-            _conj("objectClassified", {"fo"}, _gr_obj_classified),
-            _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
-        ),
-        _cc_effect, {"fo"},
-    ),
-    RULE_CREATE_OBJECT: _rule(
-        RULE_CREATE_OBJECT, CreateObject,
-        (_conj("objectFresh", {"fo", "m"}, _co_obj_fresh),),
-        _co_effect, {"fo", "m"},
-    ),
-    RULE_DELETE_OBJECT: _rule(
-        RULE_DELETE_OBJECT, DeleteObject,
-        (
-            _conj("ownerHasCtrl", {"m"}, _do_has_ctrl),
-            _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
-        ),
-        _do_effect, {"fo", "m"},
-    ),
-}
+REQUEST_TYPES = tuple(rd.request_type for rd in RULE_DEFS.values())
 
 _DISPATCH: dict[type, RuleDef] = {rd.request_type: rd for rd in RULE_DEFS.values()}
 
@@ -617,7 +539,7 @@ def _fixed_table(rd: RuleDef) -> tuple[RuleClause, ...]:
 
 
 def _give_rw_paper_faithful() -> tuple[RuleClause, ...]:
-    rd = RULE_DEFS[RULE_GIVE_RW]
+    rd = RULE_DEFS["giveRW"]
     c1, c2, c3, _ = rd.conjuncts
     # Original published guards: E3 is not prefixed by the earlier
     # conjuncts, and no clause covers "receiver already holds the mode".
@@ -639,7 +561,7 @@ def rule_clauses(rule: str, variant: str = VARIANT_FIXED) -> tuple[RuleClause, .
         raise ValueError(f"unknown rule: {rule!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    if variant == VARIANT_PAPER_FAITHFUL and rule == RULE_GIVE_RW:
+    if variant == VARIANT_PAPER_FAITHFUL and rule == "giveRW":
         return _give_rw_paper_faithful()
     return _fixed_table(RULE_DEFS[rule])
 
@@ -665,11 +587,4 @@ def without_conjunct(rd: RuleDef, conjunct_name: str) -> RuleDef:
     kept = tuple(c for c in rd.conjuncts if c.name != conjunct_name)
     if len(kept) == len(rd.conjuncts):
         raise ValueError(f"rule {rd.name} has no conjunct {conjunct_name!r}")
-    return RuleDef(
-        name=rd.name,
-        request_type=rd.request_type,
-        conjuncts=kept,
-        effect=rd.effect,
-        writes=rd.writes,
-        clause_names=_clause_names(rd.name, len(kept)),
-    )
+    return dataclasses.replace(rd, conjuncts=kept)

@@ -561,33 +561,16 @@ def format_state(st: SystemState) -> str:
         raise ValueError("only functional classification maps can be printed")
     fs_map = dict(st.fs)
     fo_map = dict(st.fo)
-    subjects = sorted(
-        set(fs_map)
-        | {s for (s, _o) in st.br}
-        | {s for (s, _o) in st.bw}
-        | {s for (_o, s, _x) in st.m}
-    )
-    objects = sorted(
-        set(fo_map)
-        | {o for (_s, o) in st.br}
-        | {o for (_s, o) in st.bw}
-        | {o for (o, _s, _x) in st.m}
-    )
-    lines = ["state"]
-    for s in subjects:
-        cls = fs_map.get(s)
-        lines.append(f"  subject {s}" + (f" {_format_class(cls)}" if cls else ""))
-    for o in objects:
-        cls = fo_map.get(o)
-        lines.append(f"  object {o}" + (f" {_format_class(cls)}" if cls else ""))
-    for (o, s, x) in sorted(st.m, key=core.triple_sort_key):
-        lines.append(f"  grant {o} {s} {x}")
-    for (s, o) in st.br:
-        lines.append(f"  reading {s} {o}")
-    for (s, o) in st.bw:
-        lines.append(f"  writing {s} {o}")
-    lines.append("end")
-    return "\n".join(lines)
+    access = st.br + st.bw
+    subjects = set(fs_map) | {s for (s, _o) in access} | {s for (_o, s, _x) in st.m}
+    objects = set(fo_map) | {o for (_s, o) in access} | {o for (o, _s, _x) in st.m}
+    return _format_state_block(StateBlock((
+        *(EntityDecl("subject", s, fs_map.get(s)) for s in sorted(subjects)),
+        *(EntityDecl("object", o, fo_map.get(o)) for o in sorted(objects)),
+        *(GrantDecl(o, s, x) for (o, s, x) in sorted(st.m, key=core.triple_sort_key)),
+        *(AccessDecl("reading", s, o) for (s, o) in st.br),
+        *(AccessDecl("writing", s, o) for (s, o) in st.bw),
+    )))
 
 
 def format_request(req: Request) -> str:

@@ -7,8 +7,9 @@ from blpcheck import make_state, sec_class
 from blpcheck.core import (
     MATRIX_MODES,
     SystemState,
-    class_index,
     class_map,
+    fo_classes,
+    fs_classes,
     matrix_objects,
     matrix_set,
 )
@@ -126,7 +127,7 @@ def unordered_states(draw):
 
 def kept_indexes(st_):
     """The indexes ``core`` keeps for a state's components."""
-    return (class_index(st_.fo), class_index(st_.fs), matrix_set(st_.m),
+    return (fo_classes(st_.fo), fs_classes(st_.fs), matrix_set(st_.m),
             matrix_objects(st_))
 
 

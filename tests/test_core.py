@@ -20,13 +20,15 @@ from blpcheck.core import (
     WRITE,
     SecurityClass,
     SystemState,
-    carry_matrix_indexes,
-    class_index,
     class_map,
+    fo_classes,
     fo_functional,
+    fs_classes,
     fs_functional,
     lookup_class,
     matrix_set,
+    matrix_with,
+    matrix_without,
     ran_br_in_dom_m,
     ran_bw_in_dom_m,
 )
@@ -304,8 +306,8 @@ def test_an_equal_or_other_tuple_gets_its_own_index(a, b):
 
 
 def _push_out_every_entry():
-    for i in range(2):
-        class_index((("x", SecurityClass(i, frozenset())),))
+    fo_classes((("x", SecurityClass(0, frozenset())),))
+    fs_classes((("x", SecurityClass(0, frozenset())),))
     matrix_set((("x", "s1", READ),))
 
 
@@ -333,14 +335,15 @@ def test_any_interleaving_of_lookups_matches_a_fresh_build(states, data):
     a fresh build gives."""
     classifications = [()] + [c for s in states for c in (s.fo, s.fs, tuple(list(s.fo)))]
     matrices = [()] + [c for s in states for c in (s.m, tuple(list(s.m)))]
-    pool = ([(class_index, class_map, c) for c in classifications]
+    pool = ([(fo_classes, class_map, c) for c in classifications]
+            + [(fs_classes, class_map, c) for c in classifications]
             + [(matrix_set, frozenset, m) for m in matrices])
     for kept, build, component in data.draw(st.lists(st.sampled_from(pool), max_size=30)):
         assert kept(component) == build(component)
 
 
 def _matrix_indexes_kept_for(m):
-    held, triples = core._matrix_kept
+    held, triples = core._m_kept
     assert held is m
     return triples
 
@@ -350,16 +353,16 @@ def test_carried_matrix_indexes_follow_one_triple():
     triple stays while a copy of it does (as in the matrix a giveRW without
     its receiverLacksMode guard leaves)."""
     r1, c2 = ("o1", "s1", READ), ("o2", "s1", CTRL)
+    r3, w1 = ("o3", "s1", READ), ("o1", "s1", WRITE)
     m = (r1, r1, c2)
     matrix_set(m)
     steps = [
-        ((r1, c2), 0, {r1, c2}),  # one copy of r1 removed
-        ((r1,), 1, {r1}),  # o2's last triple removed
-        ((r1, ("o3", "s1", READ)), 1, {r1, ("o3", "s1", READ)}),
-        ((r1, ("o1", "s1", WRITE), ("o3", "s1", READ)), 1,
-         {r1, ("o1", "s1", WRITE), ("o3", "s1", READ)}),
+        (matrix_without, r1, (r1, c2), {r1, c2}),  # one copy of r1 removed
+        (matrix_without, c2, (r1,), {r1}),  # o2's last triple removed
+        (matrix_with, r3, (r1, r3), {r1, r3}),
+        (matrix_with, w1, (r1, w1, r3), {r1, w1, r3}),
     ]
-    for new, i, triples in steps:
-        carry_matrix_indexes(m, new, i)
-        assert _matrix_indexes_kept_for(new) == triples
-        m = new
+    for step, t, new, triples in steps:
+        m = step(m, t)
+        assert m == new
+        assert _matrix_indexes_kept_for(m) == triples

@@ -337,9 +337,8 @@ def test_trace_replay_is_identical():
     assert run_scenario(script) == run_scenario(script)
 
 
-def test_a_scenario_builds_each_class_map_once(monkeypatch):
-    """Commands that change no classification leave ``fo`` and ``fs`` the
-    very same objects, so a run builds each of their class maps once."""
+def _count_class_maps(monkeypatch):
+    """The classifications ``core.class_map`` is called on from now on."""
     built = []
 
     def counted_class_map(entries):
@@ -348,6 +347,13 @@ def test_a_scenario_builds_each_class_map_once(monkeypatch):
 
     class_map = core.class_map
     monkeypatch.setattr(core, "class_map", counted_class_map)
+    return built
+
+
+def test_a_scenario_builds_each_class_map_once(monkeypatch):
+    """Commands that change no classification leave ``fo`` and ``fs`` the
+    very same objects, so a run builds each of their class maps once."""
+    built = _count_class_maps(monkeypatch)
     src = DEMO_BLOCK + 3 * (
         "get-read s1 o1\nget-write s2 o1\nget-read s2 o2\nrelease-write s2 o1\n"
         "get-read s2 o2\nget-write s2 o2\ngive s2 s1 o1 write\n"
@@ -358,6 +364,23 @@ def test_a_scenario_builds_each_class_map_once(monkeypatch):
     final = trace.final_state
     assert len(built) == 2
     assert {id(e) for e in built} == {id(final.fo), id(final.fs)}
+
+
+def test_a_class_change_leaves_the_subject_class_map_built(monkeypatch):
+    """A granted change-class gives a new ``fo`` and leaves ``fs`` the
+    very same object, so the reads after it build the new ``fo``'s class
+    map and not ``fs``'s again."""
+    built = _count_class_maps(monkeypatch)
+    src = DEMO_BLOCK + (
+        "get-read s2 o2\nexpect yes\nrelease-read s2 o2\n"
+        "change-class o2 level 1 cats {f14}\nexpect yes\n"
+        "get-read s2 o2\nexpect yes\nrelease-read s2 o2\nget-read s2 o2\nexpect yes\n"
+    )
+    trace = run_scenario(parse_scenario(src))
+    assert trace.all_expectations_met
+    fs = trace.final_state.fs
+    assert sum(e is fs for e in built) == 1
+    assert len(built) == 3  # fo before and after the change, and fs
 
 
 def test_intermediate_states_stay_well_formed():
