@@ -49,6 +49,8 @@ type invariant.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -87,6 +89,20 @@ class StateBuildError(Exception):
 
 class ScenarioRunError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the body, then back on if
+    it was on before.  The records a scenario makes form no reference
+    cycles, so the collector would only scan them again and again."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------
@@ -438,8 +454,15 @@ class _Parser:
 
 
 def parse_scenario(source: str) -> Script:
-    """Parse scenario text; raises ScenarioParseError at the first offense."""
-    return _Parser(source).parse()
+    """Parse scenario text; raises ScenarioParseError at the first offense.
+
+    The cyclic garbage collector is paused while the text is parsed: the
+    script's records form no reference cycles, so reference counting alone
+    frees them.  The caller's setting (``gc.isenabled()``) is restored on
+    return and on error.
+    """
+    with _collector_paused():
+        return _Parser(source).parse()
 
 
 # --------------------------------------------------------------------------
@@ -507,43 +530,49 @@ def run_scenario(script: Script) -> Trace:
     Commands always advance to the outcome's after state (unchanged on a
     ``no``); ``assert`` stops at the first false property and ``expect``
     stops on a decision mismatch.
+
+    The cyclic garbage collector is paused during the run: its trace
+    entries, outcomes and states form no reference cycles, so reference
+    counting alone frees them.  The caller's setting (``gc.isenabled()``)
+    is restored on return and on error.
     """
-    state: Optional[SystemState] = None
-    last_outcome: Optional[Outcome] = None
-    entries: list[TraceEntry] = []
-    failed_at: Optional[int] = None
-    for i, stmt in enumerate(script.statements):
-        if isinstance(stmt, StateBlock):
-            state = build_state(stmt.decls)
-            entries.append(TraceEntry(i, "state"))
-        elif isinstance(stmt, Command):
-            if state is None:
-                raise ScenarioRunError("command before any state block")
-            last_outcome = apply_rule(state, stmt.request)
-            state = last_outcome.after
-            entries.append(TraceEntry(i, "command", stmt.request, last_outcome))
-        elif isinstance(stmt, Assert):
-            checks = []
-            bad = None
-            for prop in stmt.props:
-                ok = state is not None and SCENARIO_PROPS[prop](state)
-                checks.append((prop, ok))
-                if not ok:
-                    bad = prop
+    with _collector_paused():
+        state: Optional[SystemState] = None
+        last_outcome: Optional[Outcome] = None
+        entries: list[TraceEntry] = []
+        failed_at: Optional[int] = None
+        for i, stmt in enumerate(script.statements):
+            if isinstance(stmt, StateBlock):
+                state = build_state(stmt.decls)
+                entries.append(TraceEntry(i, "state"))
+            elif isinstance(stmt, Command):
+                if state is None:
+                    raise ScenarioRunError("command before any state block")
+                last_outcome = apply_rule(state, stmt.request)
+                state = last_outcome.after
+                entries.append(TraceEntry(i, "command", stmt.request, last_outcome))
+            elif isinstance(stmt, Assert):
+                checks = []
+                bad = None
+                for prop in stmt.props:
+                    ok = state is not None and SCENARIO_PROPS[prop](state)
+                    checks.append((prop, ok))
+                    if not ok:
+                        bad = prop
+                        break
+                entries.append(TraceEntry(i, "assert", checks=tuple(checks)))
+                if bad is not None:
+                    failed_at = i
                     break
-            entries.append(TraceEntry(i, "assert", checks=tuple(checks)))
-            if bad is not None:
-                failed_at = i
-                break
-        else:  # Expect
-            if last_outcome is None:
-                raise ScenarioRunError("expect before any command")
-            entries.append(TraceEntry(i, "expect", outcome=last_outcome,
-                                      expected=stmt.decision))
-            if last_outcome.decision != stmt.decision:
-                failed_at = i
-                break
-    return Trace(tuple(entries), state, failed_at)
+            else:  # Expect
+                if last_outcome is None:
+                    raise ScenarioRunError("expect before any command")
+                entries.append(TraceEntry(i, "expect", outcome=last_outcome,
+                                          expected=stmt.decision))
+                if last_outcome.decision != stmt.decision:
+                    failed_at = i
+                    break
+        return Trace(tuple(entries), state, failed_at)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario language: grammar, state construction, execution, round-trips."""
 
+import gc
+import random
 import re
 from pathlib import Path
 
@@ -17,10 +19,13 @@ from blpcheck import (
     sec_class,
     well_formed,
 )
-from blpcheck import core
+from blpcheck import core, format_report
 from blpcheck.scenario import (
     Command,
+    Expect,
     ScenarioParseError,
+    ScenarioRunError,
+    Script,
     StateBlock,
     StateBuildError,
 )
@@ -519,3 +524,102 @@ def test_parse_error_column_at_every_token(path):
             assert where == (number, tok.start() + 1, "!"), (broken, err.value)
             tried += 1
     assert tried > 20
+
+
+# --- the paused collector ------------------------------------------------------
+
+def _walk_source(commands: int, seed: int = 15) -> str:
+    """A state block, then ``commands`` seeded random commands over it, with
+    ``assert seccond starprop wellformed`` after every tenth.  Gets and gives
+    are drawn most often, and only ``o5`` is created and deleted, so every
+    command form is granted now and then."""
+    rng = random.Random(seed)
+    subjects, objects = ("s1", "s2", "s3"), ("o1", "o2", "o3", "o4")
+    lines = [
+        "state",
+        *(f"  subject {s} level {i} cats {{a,b}}" for i, s in enumerate(subjects)),
+        *(f"  object {o} level {i % 3} cats {{a}}" for i, o in enumerate(objects)),
+        *(f"  grant {o} {s} {x}" for o in objects for s in subjects
+          for x in ("read", "write", "ctrl")),
+        "end",
+    ]
+    for i in range(commands):
+        (s, t), o = rng.sample(subjects, 2), rng.choice(objects)
+        x, cls = rng.choice(("read", "write", "ctrl")), f"level {rng.randrange(3)} cats {{a}}"
+        lines.append(rng.choices((
+            f"get-read {s} {o}", f"get-write {s} {o}",
+            f"release-read {s} {o}", f"release-write {s} {o}",
+            f"give {s} {t} {o} {x}", f"rescind-read {s} {t} {o}",
+            f"rescind-write {s} {t} {o}", f"change-class {o} {cls}",
+            f"create-object {s} o5 {cls}", f"delete-object {s} o5",
+        ), (6, 6, 2, 2, 6, 1, 1, 1, 1, 1))[0])
+        if i % 10 == 9:
+            lines.append("assert seccond starprop wellformed")
+    return "\n".join(lines) + "\n"
+
+
+FAILING_ASSERT = (
+    "state\n  subject s1\n  object o1\n  grant o1 s1 read\n"
+    "  reading s1 o1\nend\nassert seccond starprop\n"
+)
+FAILING_EXPECT = DEMO_BLOCK + "get-read s1 o2\nexpect yes\n"
+BAD_SYNTAX = DEMO_BLOCK + "get-read s1\n"
+READING_WITHOUT_GRANT = "state\n  subject s1\n  object o1\n  reading s1 o1\nend\n"
+
+
+@pytest.fixture
+def collector():
+    """Leaves ``gc.isenabled()`` as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_scenario_records_form_no_reference_cycles(collector):
+    """``parse_scenario`` and ``run_scenario`` pause the cyclic collector,
+    which is sound only while nothing they make is in a reference cycle:
+    with the collector off throughout, dropping every script, trace and
+    report (and the errors raised on the way) leaves nothing for it."""
+    gc.disable()
+    gc.collect()
+    sources = [p.read_text() for p in sorted(EXAMPLES.glob("*.blp"))]
+    sources += [_walk_source(3000), FAILING_ASSERT, FAILING_EXPECT]
+    failed = []
+    for source in sources:
+        trace = run_scenario(parse_scenario(source))
+        failed.append(trace.failed_at is not None)
+        for fmt in ("machine", "text"):
+            assert format_report(trace, fmt)
+    assert failed == [False] * (len(sources) - 2) + [True, True]
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(BAD_SYNTAX)
+    with pytest.raises(StateBuildError):
+        run_scenario(parse_scenario(READING_WITHOUT_GRANT))
+    with pytest.raises(ScenarioRunError):
+        run_scenario(Script((Expect("yes"),)))
+    del trace
+    assert gc.collect() == 0
+
+
+_EXITS = {
+    "parse": lambda: parse_scenario(SIM1),
+    "run": lambda: run_scenario(parse_scenario(SIM1)),
+    "ScenarioParseError": lambda: parse_scenario(BAD_SYNTAX),
+    "StateBuildError": lambda: run_scenario(parse_scenario(READING_WITHOUT_GRANT)),
+    "ScenarioRunError": lambda: run_scenario(Script((Expect("yes"),))),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("exit_", sorted(_EXITS))
+def test_the_callers_collector_setting_is_restored(collector, exit_, enabled):
+    """After every public call, on a return or an error, the collector is on
+    exactly when the caller had it on."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        _EXITS[exit_]()
+    except (ScenarioParseError, StateBuildError, ScenarioRunError) as e:
+        assert exit_ == type(e).__name__
+    else:
+        assert exit_ in ("parse", "run")
+    assert gc.isenabled() is enabled
