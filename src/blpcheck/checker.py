@@ -26,17 +26,18 @@ the universe's (subject, object) pairs of the readable and the writable
 pairs; per matrix, the mask of the pairs whose object it knows; and one
 table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
 access sets are the entries for the ANDs of its masks.  The random
-sampler reads the same tables.  Within a subtree the sweep is
-rule-major, and each rule walks the subtree's leaves in enumeration
-order, each leaf's requests in list order.  Every swept leaf carries a
-small integer id per state component (``_Universe``), and every rule
-callable runs once per distinct
-value of the components it declares to read; the result is memoised under
-their ids.  A guard conjunct's memo maps
-the ids of its ``reads`` to the bitset of the rule's requests it grants,
-so a leaf's granted requests are an AND of bitsets: conjuncts reading
-neither br nor bw once per subtree, br-only ones once per br option, the
-rest per leaf.  An effect runs once per (request, ids of
+sampler reads the same tables.  One pass over a subtree (``_leaf_rows``)
+lists the leaves the sweep keeps, each as its position, its bw and a small
+integer id per state component (``_Universe``); no leaf state is built
+there.  Within a subtree the sweep is rule-major, and each rule walks
+those leaves in enumeration order, each leaf's requests in list order.
+Every rule callable runs once per distinct value of the components it
+declares to read; the result is memoised under their ids, and a leaf's
+state is built only for a memo miss or a witness.  A guard conjunct's
+memo maps the ids of its ``reads`` to the bitset of the rule's requests it
+grants, so a leaf's granted requests are an AND of bitsets: conjuncts
+reading neither br nor bw once per subtree, br-only ones once per br
+option, the rest per leaf.  An effect runs once per (request, ids of
 ``RuleDef.writes``).  An invariant runs once per after-state value of the
 components it reads (``core.PROPERTY_READS``), in one memo per property
 shared by all rules.  A rule's obligations whose property reads a component
@@ -144,7 +145,6 @@ from .core import (
     SecurityClass,
     SystemState,
     class_leq,
-    make_state,
 )
 from .rules import (
     RULE_DEFS,
@@ -362,28 +362,6 @@ class _Renaming(NamedTuple):
         """Renamed (subject, object) pairs, as a sorted tuple."""
         subjects, objects = self.subjects, self.objects
         return tuple(sorted((subjects[s], objects[o]) for s, o in pairs))
-
-    def state(self, st: SystemState) -> SystemState:
-        """The renamed state, every component re-sorted into canonical form."""
-        subjects, objects = self.subjects, self.objects
-        return make_state(
-            br=self.pairs(st.br),
-            bw=self.pairs(st.bw),
-            fo=[(objects[o], self.sec_class(c)) for o, c in st.fo],
-            fs=[(subjects[s], self.sec_class(c)) for s, c in st.fs],
-            m=[(objects[o], subjects[s], x) for o, s, x in st.m],
-        )
-
-    def request(self, req: Request) -> Request:
-        """The renamed request: each field renamed by its declared kind."""
-        rename = {
-            rules.FIELD_SUBJECT: self.subjects.__getitem__,
-            rules.FIELD_OBJECT: self.objects.__getitem__,
-            rules.FIELD_MODE: lambda x: x,
-            rules.FIELD_CLASS: self.sec_class,
-        }
-        return type(req)(*(rename[kind](getattr(req, name))
-                           for name, kind in rules.request_fields(type(req))))
 
 
 class _Orbits(NamedTuple):
@@ -770,15 +748,6 @@ def _star_leaf_ok(br, bw, star_ok) -> bool:
     return True
 
 
-def _star_rows(br_subs, bw_subs, star_ok):
-    """Per br option, the bw options whose leaf satisfies the *-property."""
-    for br in br_subs:
-        if br:
-            yield br, [bw for bw in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
-        else:
-            yield br, bw_subs
-
-
 class _FrameViolation(RuntimeError):
     """A rule effect changed a state component outside its declared writes."""
 
@@ -802,20 +771,20 @@ def _request_bits(holds, st, reqs) -> int:
     return bits
 
 
-class _Guard(NamedTuple):
-    """A guard conjunct in the sweep: its memo key, taken from a leaf's ids,
-    the memo from key to request bitset, and the conjunct itself."""
-
-    key: Callable
-    memo: dict
-    holds: Callable
-
-    def bits(self, ids, st, reqs) -> int:
-        key = self.key(ids)
-        bits = self.memo.get(key)
+def _granted(guards, mask: int, ids, br, bw, proto: SystemState, reqs) -> int:
+    """The requests in ``mask`` that every ``(key, memo, holds)`` guard
+    grants on the leaf (``br``, ``bw``) of ``proto``'s subtree, whose ids
+    are ``ids``.  Stops at the first empty result.  A memo miss builds the
+    leaf's state and runs the conjunct on every request."""
+    for key, memo, holds in guards:
+        if not mask:
+            break
+        k = key(ids)
+        bits = memo.get(k)
         if bits is None:
-            bits = self.memo[key] = _request_bits(self.holds, st, reqs)
-        return bits
+            bits = memo[k] = _request_bits(holds, SystemState(br, bw, *proto[2:]), reqs)
+        mask &= bits
+    return mask
 
 
 class _RulePlan:
@@ -824,9 +793,10 @@ class _RulePlan:
 
     A conjunct that reads neither br nor bw is decided once per subtree, one
     that reads br but not bw once per br option, the others once per leaf.
-    Each is looked up in its own memo under the ids of the components it
-    reads; a miss runs it on every request of the rule, on the state at
-    hand.  So a leaf's granted requests are an AND of bitsets.  The effect
+    Each is a ``(key, memo, holds)`` triple, looked up in its own memo
+    under the ids of the components it reads (``_granted``); a miss builds
+    the state and runs the conjunct on every request of the rule.  So a
+    leaf's granted requests are an AND of bitsets.  The effect
     runs once per (ids of the written components, request):
     ``effects[key][j]`` holds the written values and their (field, id)
     pairs, and every call verifies the frame (the components outside
@@ -864,7 +834,7 @@ class _RulePlan:
         for c, memo in zip(rd.conjuncts, guard_memos):
             fields = _fields_of(c.reads)
             stage = 2 if _BW in fields else 1 if _BR in fields else 0
-            stages[stage].append(_Guard(_projection(fields), memo, c.holds))
+            stages[stage].append((_projection(fields), memo, c.holds))
         self.subtree_guards, self.row_guards, self.leaf_guards = stages
         self.effect = rd.effect
         self.writes = _fields_of(rd.writes)
@@ -885,16 +855,6 @@ class _RulePlan:
         self.footprint = _projection(_fields_of(footprint))
         self.decided: Optional[set] = None if "m" in footprint else set()
         self.decided_pair = -1
-
-    def subtree_mask(self, proto: SystemState, ids) -> int:
-        """The requests the subtree-stage conjuncts grant on the subtree
-        whose first leaf is ``proto``, with ids ``ids``."""
-        mask = (1 << len(self.reqs)) - 1
-        for guard in self.subtree_guards:
-            if not mask:
-                break
-            mask &= guard.bits(ids, proto, self.reqs)
-        return mask
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -930,12 +890,21 @@ class _RulePlan:
         except Exception as e:
             raise _evaluation_failure(st, self.reqs[j]) from e
 
-    def sweep(self, mask: int, rows, combo: int, leaves_before: int) -> None:
-        """Decide the requests in ``mask`` on the subtree's leaf ``rows``,
-        leaf by leaf in enumeration order and each leaf's requests in list
-        order.  Failures record the first witness, its after state from a
-        real effect call, at (``combo``, ``leaves_before`` + position)."""
+    def sweep(self, proto: SystemState, proto_ids, rows, combo: int,
+              leaves_before: int) -> None:
+        """Decide the rule's requests on the leaf ``rows`` of ``proto``'s
+        subtree (see ``_leaf_rows``), leaf by leaf in enumeration order and
+        each leaf's requests in list order.  ``proto`` is the subtree's leaf
+        with empty br and bw, and ``proto_ids`` its ids.  A leaf's state is
+        built only for a memo miss or a witness.  Failures record the first
+        witness, its after state from a real effect call, at (``combo``,
+        ``leaves_before`` + position)."""
         reqs = self.reqs
+        mask = _granted(self.subtree_guards, (1 << len(reqs)) - 1, proto_ids,
+                        (), (), proto, reqs)
+        if not mask:
+            return
+        _, _, fo, fs, m = proto
         row_guards = self.row_guards
         leaf_guards = self.leaf_guards
         effects = self.effects
@@ -947,26 +916,17 @@ class _RulePlan:
             decided.clear()
             self.decided_pair = combo
         footprint = self.footprint
-        for leaves in rows:
-            _pos, br_st, br_ids = leaves[0]
-            row_mask = mask
-            for guard in row_guards:
-                row_mask &= guard.bits(br_ids, br_st, reqs)
+        for br, leaves in rows:
+            row_mask = _granted(row_guards, mask, leaves[0][2], br, (), proto, reqs)
             if not row_mask:
                 continue
-            for pos, st, ids in leaves:
+            for pos, bw, ids in leaves:
                 if decided is not None:
                     k = footprint(ids)
                     if k in decided:
                         continue
                     decided.add(k)
-                granted = row_mask
-                for key, memo, holds in leaf_guards:  # _Guard.bits, inlined
-                    k = key(ids)
-                    bits = memo.get(k)
-                    if bits is None:
-                        bits = memo[k] = _request_bits(holds, st, reqs)
-                    granted &= bits
+                granted = _granted(leaf_guards, row_mask, ids, br, bw, proto, reqs)
                 if not granted:
                     continue
                 wkey = write_key(ids)
@@ -977,7 +937,7 @@ class _RulePlan:
                 for j in js:
                     entry = entries[j]
                     if entry is None:
-                        entry = entries[j] = self._written(st, j)
+                        entry = entries[j] = self._written(SystemState(br, bw, fo, fs, m), j)
                     if not live:
                         continue
                     after_ids = list(ids)
@@ -988,8 +948,10 @@ class _RulePlan:
                         k = key(after_ids)
                         ok = memo.get(k)
                         if ok is None:
-                            ok = memo[k] = self._holds_after(pred, st, j, entry[0])
+                            ok = memo[k] = self._holds_after(
+                                pred, SystemState(br, bw, fo, fs, m), j, entry[0])
                         if not ok:
+                            st = SystemState(br, bw, fo, fs, m)
                             ob.failed = failed = True
                             ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
                             ob.fail_at = (combo, leaves_before + pos)
@@ -1010,14 +972,14 @@ def _sweep_range(
     each pair swept and the per-rule sweep times.
 
     The hypothesis filter (all invariants hold before the step) is fused
-    into generation (see ``_subtrees``) and the *-property leaf filter.  A
-    small-scope test pins this against literally filtering enumerate_states
-    with the core predicates.  Only orbit representatives are swept: of a
-    pair's matrix options, those no renaming that fixes the pair maps to an
-    earlier option, and of their leaves, those ``_leaf_rows`` keeps.  A
-    skipped matrix option counts the leaves of its earlier image.  Within a
-    subtree the loop is rule-major: the leaf states are built once, on the
-    first rule with surviving requests.
+    into generation (see ``_subtrees``) and the *-property leaf filter of
+    ``_leaf_rows``.  A small-scope test pins this against literally
+    filtering enumerate_states with the core predicates.  Only orbit
+    representatives are swept: of a pair's matrix options, those no
+    renaming that fixes the pair maps to an earlier option, and of their
+    leaves, those ``_leaf_rows`` keeps.  A skipped matrix option counts the
+    leaves of its earlier image.  Within a subtree the loop is rule-major,
+    after one ``_leaf_rows`` pass whose time counts towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1053,24 +1015,17 @@ def _sweep_range(
             fixing = [orbits.group[g] for g, img in zip(stabiliser, images) if img == mi]
             proto = SystemState((), (), fo, fs, m)
             proto_ids = (empty, empty, fo_id, fs_id, mi)
-            star_rows = list(_star_rows(br_subs, bw_subs, star_ok))
-            rows = None
+            # shared work, kept out of every rule's time
+            rows, count = _leaf_rows(u, br_subs, bw_subs, star_ok, proto_ids, fixing)
             t0 = clock()
             for plan in plans:
-                if all(ob.failed for ob in plan.obs):
-                    continue
-                mask = plan.subtree_mask(proto, proto_ids)
-                if mask:
-                    if rows is None:  # shared work, kept out of the rule's time
-                        t_rows = clock()
-                        rows = _leaf_rows(u, star_rows, proto, proto_ids, fixing)
-                        t0 += clock() - t_rows
-                    plan.sweep(mask, rows, combo, leaves)
+                if not all(ob.failed for ob in plan.obs):
+                    plan.sweep(proto, proto_ids, rows, combo, leaves)
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
-            m_leaves.append(sum(len(bws) for _br, bws in star_rows))
-            leaves += m_leaves[-1]
+            m_leaves.append(count)
+            leaves += count
         else:  # a pair left early has no count, and no merge needs one
             counts[combo] = leaves
 
@@ -1078,26 +1033,31 @@ def _sweep_range(
     return entries, counts, rule_time
 
 
-def _leaf_rows(u: _Universe, star_rows, proto: SystemState, proto_ids, fixing):
-    """The subtree's leaves, one list per br option, each leaf as
-    ``(position, state, ids)``.  Positions count from 1 in enumeration
-    order; ``proto`` and ``proto_ids`` give the subtree's components and
-    their ids.  A row's first leaf has an empty bw (the empty set is the
-    first bw option and never breaks the *-property).
+def _leaf_rows(u: _Universe, br_subs, bw_subs, star_ok, proto_ids, fixing):
+    """One pass over a subtree's leaves: ``(rows, count)``.  ``rows`` holds
+    per kept br option ``(br, leaves)``, each leaf as ``(position, bw,
+    ids)``; ``count`` is the subtree's hypothesis-leaf count.  Positions
+    count from 1 in enumeration order, and ``proto_ids`` gives the ids of
+    the subtree's fo, fs and m.
 
-    ``fixing`` holds the renamings that fix the subtree's fs, fo and m.
-    Only leaves that none of them maps to an earlier leaf are kept: a br
-    option goes when one maps it to an earlier option, and a bw option when
-    one that fixes its br maps it to an earlier one.  Positions still count
-    every leaf.  A kept br option always keeps its empty-bw leaf.  A
-    renaming keeps a subset's size, and subsets of one size are enumerated
-    in tuple order, so "earlier" is ``<`` on the sorted tuples.
+    A leaf is a hypothesis leaf when it satisfies the *-property (a leaf
+    with empty br or bw always does).  ``fixing`` holds the renamings that
+    fix the subtree's fs, fo and m.  Only leaves that none of them maps to
+    an earlier leaf are kept: a br option goes when one maps it to an
+    earlier option, and a bw option when one that fixes its br maps it to
+    an earlier one.  Positions and ``count`` still count every hypothesis
+    leaf.  A kept br option always keeps its empty-bw leaf, first in its
+    row (the empty set is the first bw option).  A renaming keeps a
+    subset's size, and subsets of one size are enumerated in tuple order,
+    so "earlier" is ``<`` on the sorted tuples.
     """
-    _, _, fo, fs, m = proto
     _, _, fo_id, fs_id, m_id = proto_ids
     rows = []
     pos = 0
-    for br, bws in star_rows:
+    for br in br_subs:
+        bws = bw_subs
+        if br:
+            bws = [bw for bw in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
         fixing_br = fixing
         if fixing:
             images = [h.pairs(br) for h in fixing]
@@ -1110,10 +1070,9 @@ def _leaf_rows(u: _Universe, star_rows, proto: SystemState, proto_ids, fixing):
         for bw in bws:
             pos += 1
             if not fixing_br or all(h.pairs(bw) >= bw for h in fixing_br):
-                leaves.append((pos, SystemState(br, bw, fo, fs, m),
-                               (br_id, u.component_id(_BW, bw), fo_id, fs_id, m_id)))
-        rows.append(leaves)
-    return rows
+                leaves.append((pos, bw, (br_id, u.component_id(_BW, bw), fo_id, fs_id, m_id)))
+        rows.append((br, leaves))
+    return rows, pos
 
 
 def _evaluation_failure(st, req) -> RuntimeError:

@@ -210,7 +210,10 @@ class _Line:
         tok = self.next(what)
         if not _NAT_RE.match(tok):
             self.fail(f"expected {what}", tok)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() may convert
+            self.fail(f"{what} with too many digits", tok)
 
     def expect_kw(self, kw: str) -> None:
         tok = self.next(f"'{kw}'")

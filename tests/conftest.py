@@ -13,6 +13,13 @@ from blpcheck.core import (
     matrix_objects,
     matrix_set,
 )
+from blpcheck.rules import (
+    FIELD_CLASS,
+    FIELD_MODE,
+    FIELD_OBJECT,
+    FIELD_SUBJECT,
+    request_fields,
+)
 
 SUBJECTS = ("s1", "s2")
 OBJECTS = ("o1", "o2", "o3")
@@ -135,3 +142,29 @@ def fresh_indexes(st_):
     """The same indexes, built from the components."""
     return (class_map(st_.fo), class_map(st_.fs), frozenset(st_.m),
             frozenset(o for (o, _s, _x) in st_.m))
+
+
+def rename_state(g, st_):
+    """The state renamed by ``g`` (a ``checker._Renaming``), every component
+    re-sorted into canonical form."""
+    subjects, objects = g.subjects, g.objects
+    return make_state(
+        br=g.pairs(st_.br),
+        bw=g.pairs(st_.bw),
+        fo=[(objects[o], g.sec_class(c)) for o, c in st_.fo],
+        fs=[(subjects[s], g.sec_class(c)) for s, c in st_.fs],
+        m=[(objects[o], subjects[s], x) for o, s, x in st_.m],
+    )
+
+
+def rename_request(g, req):
+    """The request renamed by ``g``: each field renamed by its declared
+    kind."""
+    rename = {
+        FIELD_SUBJECT: g.subjects.__getitem__,
+        FIELD_OBJECT: g.objects.__getitem__,
+        FIELD_MODE: lambda x: x,
+        FIELD_CLASS: g.sec_class,
+    }
+    return type(req)(*(rename[kind](getattr(req, name))
+                       for name, kind in request_fields(type(req))))

@@ -45,6 +45,8 @@ from blpcheck.rules import (
 )
 from blpcheck.scenario import format_state
 
+from conftest import rename_state
+
 TINY = Bounds(1, 1, 1, 0, 1, 1, 1)
 SMALL = Bounds(1, 2, 2, 0, 2, 2, 2)
 
@@ -181,6 +183,19 @@ def naive_check(b: Bounds, rule_defs=None, star=star_prop, rules=RULE_ORDER):
     return verdicts, states
 
 
+def _assert_matches_naive(report, naive, states):
+    """The sweep's verdicts, first witnesses and visited-state counts are
+    those of ``naive_check``, which returned ``naive`` and ``states``."""
+    for r in report.results:
+        expected = naive[(r.rule, r.prop)]
+        assert (r.status == "fail") == (expected is not None), (r.rule, r.prop)
+        if expected is None:
+            assert r.states_checked == len(states)
+        else:
+            assert (r.witness.state, r.witness.request, r.witness.after) == expected
+            assert r.states_checked == states.index(expected[0]) + 1
+
+
 STAR_READINGS = pytest.mark.parametrize(
     "strict_star,star",
     [(False, star_prop), (True, strict_star_prop)],
@@ -238,14 +253,15 @@ def test_sweep_visits_exactly_the_orbit_leaders(bounds):
     position = {s: i for i, s in enumerate(states)}
     group = _Universe(bounds).orbits.group
     assert group  # the bounds have a non-trivial symmetry
-    leaders = {s for s in states if all(position[g.state(s)] >= position[s] for g in group)}
+    leaders = {s for s in states
+               if all(position[rename_state(g, s)] >= position[s] for g in group)}
     assert seen == leaders
     assert len(leaders) < len(states) == report.results[0].states_checked
 
 
 def renamed_orbit_tables(u):
     """The reference for ``_Universe.orbits``, which works on option
-    indices: every table built by renaming states with ``_Renaming.state``
+    indices: every table built by renaming states with ``rename_state``
     and looking the renamed components up in the option lists."""
     blank = SystemState((), (), (), (), ())
     fs_index = {fs: i for i, fs in enumerate(u.fs_options)}
@@ -255,10 +271,12 @@ def renamed_orbit_tables(u):
     images = []
     m_image = []
     for g in u.orbits.group:
-        fs_img = [fs_index[g.state(blank._replace(fs=fs)).fs] for fs in u.fs_options]
-        fo_img = [fo_index[g.state(blank._replace(fo=fo)).fo] for fo in u.fo_options]
+        fs_img = [fs_index[rename_state(g, blank._replace(fs=fs)).fs]
+                  for fs in u.fs_options]
+        fo_img = [fo_index[rename_state(g, blank._replace(fo=fo)).fo]
+                  for fo in u.fo_options]
         images.append([f * n_fo + o for f in fs_img for o in fo_img])
-        m_image.append(tuple(m_index[g.state(blank._replace(m=m)).m]
+        m_image.append(tuple(m_index[rename_state(g, blank._replace(m=m)).m]
                              for m, _known in u.m_options))
     n_pairs = len(u.fs_options) * n_fo
     rep = tuple(min([i, *(img[i] for img in images)]) for i in range(n_pairs))
@@ -305,15 +323,40 @@ def test_reduced_sweep_matches_naive_with_categories(bounds, strict_star, star):
     for defs in (None, CATEGORY_MUTANTS):
         report = check_obligations(bounds, rule_defs=defs, strict_star=strict_star)
         naive, states = naive_check(bounds, rule_defs=defs, star=star)
-        for r in report.results:
-            expected = naive[(r.rule, r.prop)]
-            assert (r.status == "fail") == (expected is not None), (r.rule, r.prop)
-            if expected is None:
-                assert r.states_checked == len(states)
-            else:
-                assert (r.witness.state, r.witness.request, r.witness.after) == expected
-                assert r.states_checked == states.index(expected[0]) + 1
+        _assert_matches_naive(report, naive, states)
         assert report.all_pass == (defs is None)
+
+
+# Two subjects and two objects: Sym(subjects) and Sym(objects) both act.
+BOTH_GROUPS = Bounds(2, 2, 1, 0, 1, 1, 2)
+# The single-conjunct mutants that break an obligation at BOTH_GROUPS.
+BOTH_GROUPS_MUTANTS = (
+    ("getRead", "hasReadPermission"),
+    ("getRead", "clearanceDominates"),
+    ("getRead", "readBelowWrites"),
+    ("getWrite", "hasWritePermission"),
+    ("rescindRead", "rescinderHasCtrl"),
+    ("rescindWrite", "rescinderHasCtrl"),
+    ("deleteObject", "objectUnaccessed"),
+)
+
+
+def test_reduced_sweep_matches_naive_where_both_name_groups_act():
+    """Renamings of subjects and of objects both fix some subtrees here,
+    so a kept br option can leave a smaller group (``fixing_br``) to
+    filter its bw options.  Verdicts, first witnesses and visited-state
+    counts must equal the naive sweep's, for the real rules and for every
+    mutant that breaks an obligation at these bounds."""
+    report = check_obligations(BOTH_GROUPS)
+    naive, states = naive_check(BOTH_GROUPS)
+    _assert_matches_naive(report, naive, states)
+    assert report.all_pass
+    for rule, conjunct in BOTH_GROUPS_MUTANTS:
+        defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct)}
+        report = check_obligations(BOTH_GROUPS, rule=rule, rule_defs=defs)
+        naive, states = naive_check(BOTH_GROUPS, rule_defs=defs, rules=(rule,))
+        _assert_matches_naive(report, naive, states)
+        assert not report.all_pass, (rule, conjunct)
 
 
 def test_hypothesis_filter_is_not_applied_by_enumeration():
@@ -468,14 +511,7 @@ def test_mutation_matrix():
             defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
             report = check_obligations(SMALL, rule=rule, rule_defs=defs)
             naive, states = naive_check(SMALL, rule_defs=defs, rules=(rule,))
-            for r in report.results:
-                expected = naive[(r.rule, r.prop)]
-                assert (r.status == "fail") == (expected is not None), (conjunct.name, r.prop)
-                if expected is None:
-                    assert r.states_checked == len(states)
-                else:
-                    assert (r.witness.state, r.witness.request, r.witness.after) == expected
-                    assert r.states_checked == states.index(expected[0]) + 1
+            _assert_matches_naive(report, naive, states)
             broken[(rule, conjunct.name)] = tuple(
                 r.prop for r in report.results if r.status == "fail")
     assert broken == MUTATION_MATRIX

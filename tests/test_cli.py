@@ -159,6 +159,15 @@ def test_run_parse_error_exit_two(tmp_path, capsys):
     assert "give" in err and "line 3" in err
 
 
+def test_run_over_long_level_numeral_exit_two(tmp_path, capsys):
+    bad = tmp_path / "huge_level.blp"
+    bad.write_text(f"state\n  subject s1 level {'1' * 5000} cats {{}}\nend\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and out == ""
+    assert "line 2, column 20: a level number with too many digits" in err
+    assert "Traceback" not in err
+
+
 def test_run_missing_file_exit_two(capsys):
     code, _out, err = run_cli(capsys, "run", "no/such/file.blp")
     assert code == 2

@@ -74,6 +74,8 @@ from conftest import (
     kept_indexes,
     raw_states,
     relational_states,
+    rename_request,
+    rename_state,
     unordered_states,
     well_formed_states,
 )
@@ -522,11 +524,11 @@ def test_rules_and_invariants_commute_with_renaming(st_, g):
     gives the renamed result of the step: for every guard conjunct, every
     effect (the rule definition and both clause tables) and every
     invariant."""
-    g_st = g.state(st_)
+    g_st = rename_state(g, st_)
     for name, pred in (*PROPERTY_FUNCS.items(), ("strict", strict_star_prop)):
         assert pred(g_st) == pred(st_), name
     for req in EVERY_REQUEST:
-        g_req = g.request(req)
+        g_req = rename_request(g, req)
         rule = RULE_OF_REQUEST[type(req)]
         rd = RULE_DEFS[rule]
         for c in rd.conjuncts:
@@ -534,7 +536,7 @@ def test_rules_and_invariants_commute_with_renaming(st_, g):
         out = apply_def(rd, st_, req)
         g_out = apply_def(rd, g_st, g_req)
         assert (g_out.decision, g_out.clause) == (out.decision, out.clause)
-        assert g_out.after == g.state(out.after)
+        assert g_out.after == rename_state(g, out.after)
         for variant in VARIANTS:
             clauses = rule_clauses(rule, variant)
             plain = _outcome(clauses, st_, req)
@@ -542,7 +544,7 @@ def test_rules_and_invariants_commute_with_renaming(st_, g):
             if plain is None:
                 assert renamed is None
             else:
-                assert renamed == (*plain[:2], g.state(plain[2]))
+                assert renamed == (*plain[:2], rename_state(g, plain[2]))
 
 
 # --- guards against their scanning definitions -------------------------------

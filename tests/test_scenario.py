@@ -109,6 +109,15 @@ def test_parse_error_positions_are_one_based():
     assert exc.value.offending_token == "9"
 
 
+def test_an_over_long_level_numeral_is_a_parse_error():
+    # more digits than int() converts from a string (4,300 by default)
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(f"state\n  subject s1 level {'9' * 5000} cats {{}}\nend\n")
+    assert (exc.value.line, exc.value.column) == (2, 20)
+    assert "too many digits" in exc.value.message
+    assert exc.value.offending_token == "9" * 5000
+
+
 def test_duplicate_declaration_is_a_parse_error():
     src = "state\n  subject s1 level 0 cats {}\n  subject s1 level 1 cats {}\nend\n"
     with pytest.raises(ScenarioParseError) as exc:
