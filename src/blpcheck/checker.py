@@ -27,13 +27,13 @@ pairs; per matrix, the mask of the pairs whose object it knows; and one
 table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
 access sets are the entries for the ANDs of its masks.  The random
 sampler reads the same tables.  One pass over a subtree (``_leaf_rows``)
-lists the leaves the sweep keeps, each as its position, its bw and a small
-integer id per state component (``_Universe``); no leaf state is built
-there.  Within a subtree the sweep is rule-major, and each rule walks
-those leaves in enumeration order, each leaf's requests in list order.
-Every rule callable runs once per distinct value of the components it
-declares to read; the result is memoised under their ids, and a leaf's
-state is built only for a memo miss or a witness.  A guard conjunct's
+lists the leaves the sweep keeps, each as its position and a small
+integer id per state component.  Within a subtree the sweep is
+rule-major, and each rule walks those leaves in enumeration order, each
+leaf's requests in list order.  Every rule callable runs once per
+distinct value of the components it declares to read; the result is
+memoised under their ids.  The sweep handles ids only: a state is built
+from ids, by ``_Universe.state``, only for a memo miss or a witness.  A guard conjunct's
 memo maps the ids of its ``reads`` to the bitset of the rule's requests it
 grants, so a leaf's granted requests are an AND of bitsets: conjuncts
 reading neither br nor bw once per subtree, br-only ones once per br
@@ -131,6 +131,7 @@ import math
 import operator
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -293,7 +294,8 @@ def _saturating_product(factors) -> int:
 def _saturating_pow(base: int, exp: int) -> int:
     if base < 2:
         return base ** min(exp, 1)
-    return _saturating_product(itertools.repeat(base, exp))
+    # 2 ** bit_length > the ceiling, so the cap saturates like ``exp`` would
+    return _saturating_product(itertools.repeat(base, min(exp, _SIZE_CEILING.bit_length())))
 
 
 def _subsets_upto(n: int, cap: int) -> int:
@@ -420,9 +422,11 @@ class _Universe:
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
-    options, a matrix's id is its index in ``m_options``, and access
-    sets get ids as the sweep meets them.  After-state values take ids from
-    the same tables.  ``prop_memo`` holds each property's verdicts under the
+    options, a matrix's id is its index in ``m_options``, and access sets
+    get ids as the sweep meets them.  After-state values take ids from the
+    same tables.  ``id_values`` lists each table's values by id, and
+    ``state`` builds a state from ids: only the universe maps ids to
+    values.  ``prop_memo`` holds each property's verdicts under the
     after-state ids of the components it reads (``core.PROPERTY_READS``),
     for every rule of the check, so its size is bounded by the distinct
     after-state projections, not by effect entries times states.
@@ -487,17 +491,16 @@ class _Universe:
             )
             for rule, rd in RULE_DEFS.items()
         }
-        # Per state component, in SystemState field order, a table from value
-        # to a small integer id.  Options get their list index (the access
-        # sets of br and bw share one table, filled as the sweep meets them);
+        # Per state component, in SystemState field order, its values by id
+        # and the inverse table.  Options get their list index (br and bw
+        # share one list and table, filled as the sweep meets access sets);
         # a value first met in an after state gets the next free id.
         access_ids: dict = {}
-        self.id_tables = (
-            access_ids, access_ids,
-            {fo: i for i, fo in enumerate(self.fo_options)},
-            {fs: i for i, fs in enumerate(self.fs_options)},
-            {m: i for i, (m, _known) in enumerate(self.m_options)},
-        )
+        access_values: list = []
+        self.id_values = (access_values, access_values, list(self.fo_options),
+                          list(self.fs_options), [m for m, _known in self.m_options])
+        self.id_tables = (access_ids, access_ids, *(
+            {value: i for i, value in enumerate(values)} for values in self.id_values[2:]))
         # Per property, its verdicts keyed by the ids of the components it
         # reads (core.PROPERTY_READS), shared by every rule of the sweep.
         self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
@@ -513,7 +516,12 @@ class _Universe:
         cid = table.get(value)
         if cid is None:
             cid = table[value] = len(table)
+            self.id_values[field].append(value)
         return cid
+
+    def state(self, ids) -> SystemState:
+        """The state whose components have the ids ``ids``."""
+        return SystemState._make(map(list.__getitem__, self.id_values, ids))
 
     @cached_property
     def orbits(self) -> _Orbits:
@@ -771,18 +779,18 @@ def _request_bits(holds, st, reqs) -> int:
     return bits
 
 
-def _granted(guards, mask: int, ids, br, bw, proto: SystemState, reqs) -> int:
+def _granted(guards, mask: int, ids, u: _Universe, reqs) -> int:
     """The requests in ``mask`` that every ``(key, memo, holds)`` guard
-    grants on the leaf (``br``, ``bw``) of ``proto``'s subtree, whose ids
-    are ``ids``.  Stops at the first empty result.  A memo miss builds the
-    leaf's state and runs the conjunct on every request."""
+    grants on the leaf whose ids are ``ids``.  Stops at the first empty
+    result.  A memo miss builds the leaf's state (``u.state``) and runs the
+    conjunct on every request."""
     for key, memo, holds in guards:
         if not mask:
             break
         k = key(ids)
         bits = memo.get(k)
         if bits is None:
-            bits = memo[k] = _request_bits(holds, SystemState(br, bw, *proto[2:]), reqs)
+            bits = memo[k] = _request_bits(holds, u.state(ids), reqs)
         mask &= bits
     return mask
 
@@ -798,9 +806,9 @@ class _RulePlan:
     the state and runs the conjunct on every request of the rule.  So a
     leaf's granted requests are an AND of bitsets.  The effect
     runs once per (ids of the written components, request):
-    ``effects[key][j]`` holds the written values and their (field, id)
-    pairs, and every call verifies the frame (the components outside
-    ``writes``) by identity.
+    ``effects[key][j]`` holds the written components' (field, id) pairs,
+    and every call verifies the frame (the components outside ``writes``)
+    by identity.
 
     An obligation is *checked* when its property reads a component the rule
     writes, and *framed* otherwise: the property reads only components the
@@ -868,43 +876,30 @@ class _RulePlan:
                 raise _FrameViolation(self.rule, i, st, req)
         return after
 
-    def _written(self, st: SystemState, j: int) -> tuple[tuple, tuple]:
-        """An effect memo entry: the written components' values, and their
-        (field, id) pairs."""
+    def _written(self, st: SystemState, j: int) -> tuple:
+        """An effect memo entry: the written components' (field, id)
+        pairs."""
         after = self._apply(st, j)
-        return (tuple(after[i] for i in self.writes),
-                tuple((i, self.universe.component_id(i, after[i])) for i in self.writes))
+        return tuple((i, self.universe.component_id(i, after[i])) for i in self.writes)
 
     def _indices(self, bits: int) -> tuple[int, ...]:
         """The indices of the requests in bitset ``bits``, ascending."""
         js = self.indices[bits] = tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
         return js
 
-    def _holds_after(self, pred, st: SystemState, j: int, written: tuple) -> bool:
-        """``pred`` on ``st`` with its written components replaced."""
-        after = list(st)
-        for i, value in zip(self.writes, written):
-            after[i] = value
-        try:
-            return bool(pred(SystemState(*after)))
-        except Exception as e:
-            raise _evaluation_failure(st, self.reqs[j]) from e
-
-    def sweep(self, proto: SystemState, proto_ids, rows, combo: int,
-              leaves_before: int) -> None:
-        """Decide the rule's requests on the leaf ``rows`` of ``proto``'s
-        subtree (see ``_leaf_rows``), leaf by leaf in enumeration order and
-        each leaf's requests in list order.  ``proto`` is the subtree's leaf
-        with empty br and bw, and ``proto_ids`` its ids.  A leaf's state is
-        built only for a memo miss or a witness.  Failures record the first
-        witness, its after state from a real effect call, at (``combo``,
-        ``leaves_before`` + position)."""
+    def sweep(self, proto_ids, rows, combo: int, leaves_before: int) -> None:
+        """Decide the rule's requests on the leaf ``rows`` of one subtree
+        (see ``_leaf_rows``), leaf by leaf in enumeration order and each
+        leaf's requests in list order.  ``proto_ids`` are the ids of the
+        subtree's leaf with empty br and bw.  The sweep handles ids only: a
+        state is built, by ``u.state``, only for a memo miss or a witness.
+        Failures record the first witness, its after state from a real
+        effect call, at (``combo``, ``leaves_before`` + position)."""
+        u = self.universe
         reqs = self.reqs
-        mask = _granted(self.subtree_guards, (1 << len(reqs)) - 1, proto_ids,
-                        (), (), proto, reqs)
+        mask = _granted(self.subtree_guards, (1 << len(reqs)) - 1, proto_ids, u, reqs)
         if not mask:
             return
-        _, _, fo, fs, m = proto
         row_guards = self.row_guards
         leaf_guards = self.leaf_guards
         effects = self.effects
@@ -916,17 +911,17 @@ class _RulePlan:
             decided.clear()
             self.decided_pair = combo
         footprint = self.footprint
-        for br, leaves in rows:
-            row_mask = _granted(row_guards, mask, leaves[0][2], br, (), proto, reqs)
+        for row in rows:
+            row_mask = _granted(row_guards, mask, row[0][1], u, reqs)
             if not row_mask:
                 continue
-            for pos, bw, ids in leaves:
+            for pos, ids in row:
                 if decided is not None:
                     k = footprint(ids)
                     if k in decided:
                         continue
                     decided.add(k)
-                granted = _granted(leaf_guards, row_mask, ids, br, bw, proto, reqs)
+                granted = _granted(leaf_guards, row_mask, ids, u, reqs)
                 if not granted:
                     continue
                 wkey = write_key(ids)
@@ -937,21 +932,23 @@ class _RulePlan:
                 for j in js:
                     entry = entries[j]
                     if entry is None:
-                        entry = entries[j] = self._written(SystemState(br, bw, fo, fs, m), j)
+                        entry = entries[j] = self._written(u.state(ids), j)
                     if not live:
                         continue
                     after_ids = list(ids)
-                    for i, cid in entry[1]:
+                    for i, cid in entry:
                         after_ids[i] = cid
                     failed = False
                     for ob, key, memo, pred in live:
                         k = key(after_ids)
                         ok = memo.get(k)
                         if ok is None:
-                            ok = memo[k] = self._holds_after(
-                                pred, SystemState(br, bw, fo, fs, m), j, entry[0])
+                            try:
+                                ok = memo[k] = bool(pred(u.state(after_ids)))
+                            except Exception as e:
+                                raise _evaluation_failure(u.state(ids), reqs[j]) from e
                         if not ok:
-                            st = SystemState(br, bw, fo, fs, m)
+                            st = u.state(ids)
                             ob.failed = failed = True
                             ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
                             ob.fail_at = (combo, leaves_before + pos)
@@ -1003,7 +1000,7 @@ def _sweep_range(
         m_leaves = []  # per matrix option of this pair, its leaf count
         leaves = 0
         subtrees = _subtrees(u, (combo,), range(len(u.m_options)), caps, hypothesis=True)
-        for mi, (fs, fo, m, star_ok, br_subs, bw_subs) in enumerate(subtrees):
+        for mi, (_fs, _fo, _m, star_ok, br_subs, bw_subs) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
                 break
             images = [orbits.m_image[g][mi] for g in stabiliser]
@@ -1013,14 +1010,13 @@ def _sweep_range(
                 leaves += m_leaves[first]
                 continue
             fixing = [orbits.group[g] for g, img in zip(stabiliser, images) if img == mi]
-            proto = SystemState((), (), fo, fs, m)
             proto_ids = (empty, empty, fo_id, fs_id, mi)
             # shared work, kept out of every rule's time
             rows, count = _leaf_rows(u, br_subs, bw_subs, star_ok, proto_ids, fixing)
             t0 = clock()
             for plan in plans:
                 if not all(ob.failed for ob in plan.obs):
-                    plan.sweep(proto, proto_ids, rows, combo, leaves)
+                    plan.sweep(proto_ids, rows, combo, leaves)
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
@@ -1035,10 +1031,11 @@ def _sweep_range(
 
 def _leaf_rows(u: _Universe, br_subs, bw_subs, star_ok, proto_ids, fixing):
     """One pass over a subtree's leaves: ``(rows, count)``.  ``rows`` holds
-    per kept br option ``(br, leaves)``, each leaf as ``(position, bw,
+    per kept br option the list of its kept leaves, each as ``(position,
     ids)``; ``count`` is the subtree's hypothesis-leaf count.  Positions
     count from 1 in enumeration order, and ``proto_ids`` gives the ids of
-    the subtree's fo, fs and m.
+    the subtree's fo, fs and m.  The br and bw values stay in this pass,
+    which looks up each bw option's id once and each kept br option's once.
 
     A leaf is a hypothesis leaf when it satisfies the *-property (a leaf
     with empty br or bw always does).  ``fixing`` holds the renamings that
@@ -1052,12 +1049,13 @@ def _leaf_rows(u: _Universe, br_subs, bw_subs, star_ok, proto_ids, fixing):
     so "earlier" is ``<`` on the sorted tuples.
     """
     _, _, fo_id, fs_id, m_id = proto_ids
+    all_bws = [(bw, u.component_id(_BW, bw)) for bw in bw_subs]
     rows = []
     pos = 0
     for br in br_subs:
-        bws = bw_subs
+        bws = all_bws
         if br:
-            bws = [bw for bw in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
+            bws = [(bw, i) for bw, i in all_bws if not bw or _star_leaf_ok(br, bw, star_ok)]
         fixing_br = fixing
         if fixing:
             images = [h.pairs(br) for h in fixing]
@@ -1066,12 +1064,12 @@ def _leaf_rows(u: _Universe, br_subs, bw_subs, star_ok, proto_ids, fixing):
                 continue
             fixing_br = [h for h, img in zip(fixing, images) if img == br]
         br_id = u.component_id(_BR, br)
-        leaves = []
-        for bw in bws:
+        row = []
+        for bw, bw_id in bws:
             pos += 1
             if not fixing_br or all(h.pairs(bw) >= bw for h in fixing_br):
-                leaves.append((pos, bw, (br_id, u.component_id(_BW, bw), fo_id, fs_id, m_id)))
-        rows.append((br, leaves))
+                row.append((pos, (br_id, bw_id, fo_id, fs_id, m_id)))
+        rows.append(row)
     return rows, pos
 
 
@@ -1194,8 +1192,8 @@ def check_obligations(
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
         raise ValueError(f"unknown mode: {mode!r}")
-    if mode == MODE_RANDOM and samples < 1:
-        raise ValueError("random mode needs samples >= 1")
+    if mode == MODE_RANDOM and not 1 <= samples <= sys.maxsize:
+        raise ValueError(f"random mode needs 1 <= samples <= {sys.maxsize}: {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
     if rule_defs is not None and workers > 1:

@@ -81,6 +81,11 @@ P0_REPORT_SHA256 = "45f333099ec9e49cb1e0b0b423dca03dbe2ff2dd06f8020d2293fbe7f216
 # profile (all pass).  The CI workflow requires it with 1 and 2 workers and
 # two hash seeds.
 P0_STRICT_REPORT_SHA256 = "ad366f5a04f9c6a41020d132e344279a8c17b2b3ac565502c72e4dd9c00a9d88"
+# sha256 of the machine report of ``check --levels 3``, the profile
+# ``Bounds(2, 2, 3, 1, 2, 2, 3)`` (all pass, 18,758,913 hypothesis states).
+# The CI workflow requires it with 1 and 2 workers and two hash seeds, and
+# checks the states column against the benchmark's independent census.
+L3_REPORT_SHA256 = "d8b601fd44d7489571ba354ef21b299b261c84e7e15fb5cfbddd9aa8d2ef349f"
 
 
 def test_criterion_obligation_suite(default_check):

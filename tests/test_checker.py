@@ -259,6 +259,23 @@ def test_sweep_visits_exactly_the_orbit_leaders(bounds):
     assert len(leaders) < len(states) == report.results[0].states_checked
 
 
+def test_id_tables_map_both_ways():
+    """After a full sweep, each component's value-to-id table and its list
+    of values by id are inverses: every entry maps back to the very same
+    object.  A state built from ids is the state those ids came from."""
+    u = _Universe(SMALL)
+    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    m = SystemState._fields.index("m")
+    # after states brought matrices that are no option
+    assert len(u.id_values[m]) > len(u.m_options)
+    for table, values in zip(u.id_tables, u.id_values):
+        assert len(values) == len(table)
+        assert all(values[cid] is value for value, cid in table.items())
+    for st in enumerate_states(SMALL):
+        ids = [u.component_id(i, value) for i, value in enumerate(st)]
+        assert u.state(ids) == st
+
+
 def renamed_orbit_tables(u):
     """The reference for ``_Universe.orbits``, which works on option
     indices: every table built by renaming states with ``rename_state``
@@ -440,6 +457,8 @@ def test_obligation_filter():
         check_obligations(SMALL, mode="noSuchMode")
     with pytest.raises(ValueError):
         check_obligations(SMALL, mode=MODE_RANDOM, samples=0)
+    with pytest.raises(ValueError, match="samples"):
+        check_obligations(SMALL, mode=MODE_RANDOM, samples=10 ** 20)
     with pytest.raises(ValueError):
         check_obligations(Bounds(-1, 0, 0, 0, 0, 0, 0))
 
@@ -515,6 +534,35 @@ def test_mutation_matrix():
             broken[(rule, conjunct.name)] = tuple(
                 r.prop for r in report.results if r.status == "fail")
     assert broken == MUTATION_MATRIX
+
+
+# The same mutants at two subjects.  A rescind without rescinderHasCtrl
+# can remove an object's last matrix entry (a ctrl entry would keep the
+# object known).  It drops only the target's access of that mode, and with
+# two subjects another subject's current read or write of the object can
+# stay, so both rescinderHasCtrl mutants break ranBrInDomM and ranBwInDomM.
+# naive_check agrees with this table on all 24 mutants (verdicts, first
+# witnesses and visited-state counts), but at 3-40 s per mutant it is too
+# slow for the suite.
+TWO_SUBJECTS = Bounds(2, 2, 2, 0, 2, 2, 2)
+TWO_SUBJECTS_MUTATION_MATRIX = {
+    **MUTATION_MATRIX,
+    ("rescindRead", "rescinderHasCtrl"): ("ranBrInDomM", "ranBwInDomM"),
+    ("rescindWrite", "rescinderHasCtrl"): ("ranBrInDomM", "ranBwInDomM"),
+}
+
+
+def test_mutation_matrix_with_two_subjects():
+    """Every single-conjunct mutant at ``TWO_SUBJECTS``: the obligations it
+    breaks are the pinned ones."""
+    broken = {}
+    for rule in RULE_ORDER:
+        for conjunct in RULE_DEFS[rule].conjuncts:
+            defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
+            report = check_obligations(TWO_SUBJECTS, rule=rule, rule_defs=defs)
+            broken[(rule, conjunct.name)] = tuple(
+                r.prop for r in report.results if r.status == "fail")
+    assert broken == TWO_SUBJECTS_MUTATION_MATRIX
 
 
 def test_unmutated_rules_pass_where_mutants_fail():

@@ -227,6 +227,10 @@ def test_oversized_bounds_exit_two():
         # lists that fit, but a symmetry group of 720 * 720 renamings
         (("check", "--subjects", "6", "--objects", "6", "--levels", "1",
           "--categories", "0", "--max-matrix", "0"), "(fs, fo) images"),
+        # exponents too large for a machine-sized int
+        (("check", "--subjects", "99999999999999999999"), "more than 1e+30 (fs, fo) pairs"),
+        (("partition", "--rule", "getRead", "--categories", "99999999999999999999"),
+         "more than 1e+30 security classes"),
     )
     for args, size in cases:
         proc = subprocess.run([sys.executable, "-m", "blpcheck", *args],
