@@ -25,12 +25,12 @@ check's ``_Universe``, keyed by integers: per (fs, fo) pair, bitmasks over
 the universe's (subject, object) pairs of the readable and the writable
 pairs; per matrix, the mask of the pairs whose object it knows; and one
 table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
-access sets are the entries for the ANDs of its masks.  The random
-sampler reads the same tables.  One pass over a subtree (``_leaf_rows``)
-lists the leaves the sweep keeps, each as its position and a small
-integer id per state component.  Within a subtree the sweep is
-rule-major, and each rule walks those leaves in enumeration order, each
-leaf's requests in list order.  Every rule callable runs once per
+access sets are the entries for the ANDs of its masks, each listed with
+its id.  The random sampler reads the same tables.  One pass over a
+subtree (``_leaf_rows``) lists its hypothesis leaves, each as its
+position and a small integer id per state component.  Within a subtree
+the sweep is rule-major, and each rule walks those leaves in enumeration
+order, each leaf's requests in list order.  Every rule callable runs once per
 distinct value of the components it declares to read; the result is
 memoised under their ids.  The sweep handles ids only: a state is built
 from ids, by ``_Universe.state``, only for a memo miss or a witness.  A guard conjunct's
@@ -72,18 +72,20 @@ the group G = Sym(subjects) x Sym(objects) x Sym(categories) acting on
 states and requests (``_Renaming``; a property test pins this for every
 rule, both clause tables and all invariants, and it holds for every table
 ``rules.without_conjunct`` builds, so a ``rule_defs`` override must keep
-it).  So the exhaustive sweep checks one state per G-orbit, its
-lex-leader: the orbit member that comes first in enumeration order, tested
-against *all* requests.  A state is the leader exactly when its (fs, fo)
-pair is the least of its orbit, its matrix is the least under that pair's
-stabiliser, and its (br, bw) is the least under what remains of it; with
-a trivial stabiliser no further test runs.  Counts stay those of the full
-enumeration, because a subtree's hypothesis-leaf count is orbit-invariant:
-a skipped pair or matrix counts the leaves of its earlier image, and leaf
-positions count every leaf.  First witnesses do not change either: an
-obligation's failing (state, request) pairs are closed under G, so the
-first failing state in enumeration order is the least of its orbit, hence
-a leader, and the reduced sweep meets it first.  Enumeration, partition
+it).  So the exhaustive sweep applies a two-level lex-leader test (least
+means first in enumeration order) to a subtree's (fs, fo, m), and checks
+every hypothesis leaf of each subtree that passes it against *all*
+requests: a subtree is swept exactly when its (fs, fo) pair is the least
+of its orbit and its matrix is the least under that pair's stabiliser.
+Counts stay those of the full enumeration, because a subtree's
+hypothesis-leaf count is orbit-invariant: a skipped pair or matrix counts
+the leaves of its earlier image.  First witnesses do not change either.
+An obligation's failing (state, request) pairs are closed under G, so the
+first failing state in enumeration order is the least of its orbit.
+Hence its (fs, fo) pair is a representative, and its matrix is the least
+under that pair's stabiliser.  Its subtree is swept in enumeration order,
+so the sweep meets that state first.  Counts, witnesses and report bytes
+are therefore those of the unreduced sweep.  Enumeration, partition
 analysis and random mode are not reduced.  The group's action on option
 indices is computed by arithmetic, without building or renaming a state:
 a class-map option is a mixed-radix numeral, one digit per entity, and a
@@ -360,11 +362,6 @@ class _Renaming(NamedTuple):
     def sec_class(self, c: SecurityClass) -> SecurityClass:
         return SecurityClass(c.level, frozenset(self.categories[k] for k in c.cats))
 
-    def pairs(self, pairs: tuple) -> tuple:
-        """Renamed (subject, object) pairs, as a sorted tuple."""
-        subjects, objects = self.subjects, self.objects
-        return tuple(sorted((subjects[s], objects[o]) for s, o in pairs))
-
 
 class _Orbits(NamedTuple):
     """The universe's (fs, fo) pairs and matrices under the renaming group.
@@ -423,13 +420,14 @@ class _Universe:
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
     options, a matrix's id is its index in ``m_options``, and access sets
-    get ids as the sweep meets them.  After-state values take ids from the
-    same tables.  ``id_values`` lists each table's values by id, and
-    ``state`` builds a state from ids: only the universe maps ids to
-    values.  ``prop_memo`` holds each property's verdicts under the
-    after-state ids of the components it reads (``core.PROPERTY_READS``),
-    for every rule of the check, so its size is bounded by the distinct
-    after-state projections, not by effect entries times states.
+    get ids when ``access_sets`` first lists them.  After-state values
+    take ids from the same tables.  ``id_values`` lists each table's
+    values by id, and ``state`` builds a state from ids: only the universe
+    maps ids to values.  ``prop_memo`` holds each property's verdicts
+    under the after-state ids of the components it reads
+    (``core.PROPERTY_READS``), for every rule of the check, so its size is
+    bounded by the distinct after-state projections, not by effect entries
+    times states.
     ``rule_memos`` holds each rule definition's guard-conjunct memos, effect
     memo and request-index table, so every range a pool worker sweeps
     starts from the entries its earlier ranges filled.  The keys are sound
@@ -493,7 +491,7 @@ class _Universe:
         }
         # Per state component, in SystemState field order, its values by id
         # and the inverse table.  Options get their list index (br and bw
-        # share one list and table, filled as the sweep meets access sets);
+        # share one list and table, filled as access-set lists are built);
         # a value first met in an after state gets the next free id.
         access_ids: dict = {}
         access_values: list = []
@@ -508,7 +506,7 @@ class _Universe:
         # and index table (see ``_RulePlan``), kept for every range swept.
         self.rule_memos: dict[RuleDef, tuple[list[dict], dict, dict]] = {}
         self._pair_masks: dict[int, tuple[int, int, frozenset]] = {}
-        self._access_sets: dict[tuple[int, int], list[tuple]] = {}
+        self._access_sets: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
 
     def component_id(self, field: int, value) -> int:
         """The id of ``value`` as state component number ``field``."""
@@ -625,16 +623,17 @@ class _Universe:
             tables = self._pair_masks[combo] = (readable, writable, star_ok)
         return tables
 
-    def access_sets(self, mask: int, cap: int) -> list[tuple]:
+    def access_sets(self, mask: int, cap: int) -> list[tuple[tuple, int]]:
         """The subsets of at most ``cap`` of the pairs in ``mask``, by size
-        and then lexicographically, each a sorted tuple; built once per
-        (mask, cap)."""
+        and then lexicographically, each a sorted tuple paired with its id
+        (br and bw share one id table); built once per (mask, cap)."""
         key = (mask, cap)
         subsets = self._access_sets.get(key)
         if subsets is None:
             items = [p for i, p in enumerate(self.pairs) if mask >> i & 1]
             subsets = self._access_sets[key] = [
-                c for size in range(min(cap, len(items)) + 1)
+                (c, self.component_id(_BR, c))
+                for size in range(min(cap, len(items)) + 1)
                 for c in itertools.combinations(items, size)
             ]
         return subsets
@@ -645,10 +644,11 @@ def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
     and matrix number in ``m_indices``: ``(fs, fo, m, star_ok, br_subs,
     bw_subs)``.
 
-    br_subs and bw_subs are the subsets, up to ``caps``, of the (subject,
-    object) pairs whose object the matrix knows, so the type invariants hold
-    by construction.  Under ``hypothesis`` the security condition is fused
-    in as well: read pairs come from the readable mask.  A strict-star
+    br_subs and bw_subs list the subsets, up to ``caps``, of the (subject,
+    object) pairs whose object the matrix knows, each with its id (see
+    ``_Universe.access_sets``), so the type invariants hold by
+    construction.  Under ``hypothesis`` the security condition is fused in
+    as well: read pairs come from the readable mask.  A strict-star
     universe also draws write pairs from classified objects only.  Read
     objects are classified already, so the strict *-property of a leaf
     reduces to the weak one, which the caller tests with ``_star_leaf_ok``.
@@ -679,8 +679,8 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     subtrees = _subtrees(u, range(u.n_combos), range(len(u.m_options)),
                          (b.max_br, b.max_bw))
     for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
-        for br in br_subs:
-            for bw in bw_subs:
+        for br, _br_id in br_subs:
+            for bw, _bw_id in bw_subs:
                 yield SystemState(br, bw, fo, fs, m)
 
 
@@ -973,10 +973,10 @@ def _sweep_range(
     ``_leaf_rows``.  A small-scope test pins this against literally
     filtering enumerate_states with the core predicates.  Only orbit
     representatives are swept: of a pair's matrix options, those no
-    renaming that fixes the pair maps to an earlier option, and of their
-    leaves, those ``_leaf_rows`` keeps.  A skipped matrix option counts the
-    leaves of its earlier image.  Within a subtree the loop is rule-major,
-    after one ``_leaf_rows`` pass whose time counts towards no rule.
+    renaming that fixes the pair maps to an earlier option, each with every
+    hypothesis leaf.  A skipped matrix option counts the leaves of its
+    earlier image.  Within a subtree the loop is rule-major, after one
+    ``_leaf_rows`` pass whose time counts towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1003,16 +1003,14 @@ def _sweep_range(
         for mi, (_fs, _fo, _m, star_ok, br_subs, bw_subs) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
                 break
-            images = [orbits.m_image[g][mi] for g in stabiliser]
-            first = min(images, default=mi)
+            first = min((orbits.m_image[g][mi] for g in stabiliser), default=mi)
             if first < mi:
                 m_leaves.append(m_leaves[first])
                 leaves += m_leaves[first]
                 continue
-            fixing = [orbits.group[g] for g, img in zip(stabiliser, images) if img == mi]
             proto_ids = (empty, empty, fo_id, fs_id, mi)
             # shared work, kept out of every rule's time
-            rows, count = _leaf_rows(u, br_subs, bw_subs, star_ok, proto_ids, fixing)
+            rows, count = _leaf_rows(br_subs, bw_subs, star_ok, proto_ids)
             t0 = clock()
             for plan in plans:
                 if not all(ob.failed for ob in plan.obs):
@@ -1029,47 +1027,27 @@ def _sweep_range(
     return entries, counts, rule_time
 
 
-def _leaf_rows(u: _Universe, br_subs, bw_subs, star_ok, proto_ids, fixing):
+def _leaf_rows(br_subs, bw_subs, star_ok, proto_ids):
     """One pass over a subtree's leaves: ``(rows, count)``.  ``rows`` holds
-    per kept br option the list of its kept leaves, each as ``(position,
+    per br option the list of its hypothesis leaves, each as ``(position,
     ids)``; ``count`` is the subtree's hypothesis-leaf count.  Positions
     count from 1 in enumeration order, and ``proto_ids`` gives the ids of
-    the subtree's fo, fs and m.  The br and bw values stay in this pass,
-    which looks up each bw option's id once and each kept br option's once.
+    the subtree's fo, fs and m; the access sets carry their own ids.
 
     A leaf is a hypothesis leaf when it satisfies the *-property (a leaf
-    with empty br or bw always does).  ``fixing`` holds the renamings that
-    fix the subtree's fs, fo and m.  Only leaves that none of them maps to
-    an earlier leaf are kept: a br option goes when one maps it to an
-    earlier option, and a bw option when one that fixes its br maps it to
-    an earlier one.  Positions and ``count`` still count every hypothesis
-    leaf.  A kept br option always keeps its empty-bw leaf, first in its
-    row (the empty set is the first bw option).  A renaming keeps a
-    subset's size, and subsets of one size are enumerated in tuple order,
-    so "earlier" is ``<`` on the sorted tuples.
+    with empty br or bw always does), so every row starts with its
+    empty-bw leaf (the empty set is the first bw option).
     """
     _, _, fo_id, fs_id, m_id = proto_ids
-    all_bws = [(bw, u.component_id(_BW, bw)) for bw in bw_subs]
     rows = []
     pos = 0
-    for br in br_subs:
-        bws = all_bws
+    for br, br_id in br_subs:
+        bws = bw_subs
         if br:
-            bws = [(bw, i) for bw, i in all_bws if not bw or _star_leaf_ok(br, bw, star_ok)]
-        fixing_br = fixing
-        if fixing:
-            images = [h.pairs(br) for h in fixing]
-            if any(img < br for img in images):
-                pos += len(bws)
-                continue
-            fixing_br = [h for h, img in zip(fixing, images) if img == br]
-        br_id = u.component_id(_BR, br)
-        row = []
-        for bw, bw_id in bws:
-            pos += 1
-            if not fixing_br or all(h.pairs(bw) >= bw for h in fixing_br):
-                row.append((pos, (br_id, bw_id, fo_id, fs_id, m_id)))
-        rows.append(row)
+            bws = [(bw, i) for bw, i in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
+        rows.append([(pos + k, (br_id, bw_id, fo_id, fs_id, m_id))
+                     for k, (_bw, bw_id) in enumerate(bws, 1)])
+        pos += len(bws)
     return rows, pos
 
 
@@ -1265,7 +1243,7 @@ def _random_pairs(rng: random.Random, u: _Universe,
     ``getrandbits(k)`` with ``k = n.bit_length()`` until the result is
     below n, ``k`` worked out once per table.  The universe's tables and the
     generator's method are looked up once, not per draw, and a mask's
-    access sets once per generator."""
+    access sets once per generator, without their ids."""
     getrandbits = rng.getrandbits
     fs_options, fo_options, m_options = u.fs_options, u.fo_options, u.m_options
     n_fs, n_fo, n_m, n_reqs = len(fs_options), len(fo_options), len(m_options), len(reqs)
@@ -1290,12 +1268,12 @@ def _random_pairs(rng: random.Random, u: _Universe,
         mask = known & readable
         br_entry = br_table.get(mask)
         if br_entry is None:
-            subs = access_sets(mask, max_br)
+            subs = [c for c, _id in access_sets(mask, max_br)]
             br_entry = br_table[mask] = (subs, len(subs), len(subs).bit_length())
         mask = known & writable
         bw_entry = bw_table.get(mask)
         if bw_entry is None:
-            subs = access_sets(mask, max_bw)
+            subs = [c for c, _id in access_sets(mask, max_bw)]
             bw_entry = bw_table[mask] = (subs, len(subs), len(subs).bit_length())
         br_subs, n_br, k_br = br_entry
         bw_subs, n_bw, k_bw = bw_entry
@@ -1458,8 +1436,8 @@ def check_partition(
     combos = (f * n_fo + o for f in fs_ids for o in fo_ids)
     subtrees = _subtrees(u, combos, m_ids, caps) if interesting else ()
     for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
-        for br in br_subs:
-            for bw in bw_subs:
+        for br, _br_id in br_subs:
+            for bw, _bw_id in bw_subs:
                 st = SystemState(br, bw, fo, fs, m)
                 req = None
                 try:

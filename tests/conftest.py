@@ -149,8 +149,8 @@ def rename_state(g, st_):
     re-sorted into canonical form."""
     subjects, objects = g.subjects, g.objects
     return make_state(
-        br=g.pairs(st_.br),
-        bw=g.pairs(st_.bw),
+        br=[(subjects[s], objects[o]) for s, o in st_.br],
+        bw=[(subjects[s], objects[o]) for s, o in st_.bw],
         fo=[(objects[o], g.sec_class(c)) for o, c in st_.fo],
         fs=[(subjects[s], g.sec_class(c)) for s, c in st_.fs],
         m=[(objects[o], subjects[s], x) for o, s, x in st_.m],

@@ -233,11 +233,12 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
 @pytest.mark.parametrize("bounds", [Bounds(2, 2, 1, 0, 1, 1, 2),
                                     Bounds(1, 2, 1, 2, 1, 1, 1)],
                          ids=["entities", "categories"])
-def test_sweep_visits_exactly_the_orbit_leaders(bounds):
-    """The sweep decides one state per orbit under renaming: the one that
-    comes first in enumeration order.  A leaf-stage conjunct that records
-    every state it is asked about, and holds nowhere, shows which.  It
-    declares all five components, so that its memo asks it about every
+def test_sweep_visits_every_leaf_of_the_leader_subtrees(bounds):
+    """The sweep decides a hypothesis state exactly when the state with its
+    br and bw emptied, i.e. its subtree's (fs, fo, m), comes first in
+    enumeration order among its renamings.  A leaf-stage conjunct that
+    records every state it is asked about, and holds nowhere, shows which.
+    It declares all five components, so that its memo asks it about every
     swept state."""
     seen = set()
 
@@ -253,16 +254,20 @@ def test_sweep_visits_exactly_the_orbit_leaders(bounds):
     position = {s: i for i, s in enumerate(states)}
     group = _Universe(bounds).orbits.group
     assert group  # the bounds have a non-trivial symmetry
-    leaders = {s for s in states
-               if all(position[rename_state(g, s)] >= position[s] for g in group)}
-    assert seen == leaders
-    assert len(leaders) < len(states) == report.results[0].states_checked
+
+    def leads(s):
+        return all(position[rename_state(g, s)] >= position[s] for g in group)
+
+    swept = {s for s in states if leads(s._replace(br=(), bw=()))}
+    assert seen == swept
+    assert len(seen) < len(states) == report.results[0].states_checked
 
 
 def test_id_tables_map_both_ways():
     """After a full sweep, each component's value-to-id table and its list
     of values by id are inverses: every entry maps back to the very same
-    object.  A state built from ids is the state those ids came from."""
+    object, and every access-set list entry's id to that entry's set.  A
+    state built from ids is the state those ids came from."""
     u = _Universe(SMALL)
     checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
     m = SystemState._fields.index("m")
@@ -271,6 +276,9 @@ def test_id_tables_map_both_ways():
     for table, values in zip(u.id_tables, u.id_values):
         assert len(values) == len(table)
         assert all(values[cid] is value for value, cid in table.items())
+    access_values = u.id_values[SystemState._fields.index("br")]
+    assert all(access_values[cid] == subset
+               for subsets in u._access_sets.values() for subset, cid in subsets)
     for st in enumerate_states(SMALL):
         ids = [u.component_id(i, value) for i, value in enumerate(st)]
         assert u.state(ids) == st
@@ -360,8 +368,10 @@ BOTH_GROUPS_MUTANTS = (
 
 def test_reduced_sweep_matches_naive_where_both_name_groups_act():
     """Renamings of subjects and of objects both fix some subtrees here,
-    so a kept br option can leave a smaller group (``fixing_br``) to
-    filter its bw options.  Verdicts, first witnesses and visited-state
+    so some swept subtrees hold leaves that are renamings of one another.
+    The sweep decides them all; it skips only pairs that are not orbit
+    representatives and matrices with an earlier image under the pair's
+    stabiliser.  Verdicts, first witnesses and visited-state
     counts must equal the naive sweep's, for the real rules and for every
     mutant that breaks an obligation at these bounds."""
     report = check_obligations(BOTH_GROUPS)
