@@ -23,31 +23,35 @@ are numbered, not listed: pair number i is fs option f and fo option o for
 f, o = divmod(i, len(fo_options)).  The access sets come from tables of the
 check's ``_Universe``, keyed by integers: per (fs, fo) pair, bitmasks over
 the universe's (subject, object) pairs of the readable and the writable
-pairs; per matrix, the mask of the pairs whose object it knows; and one
-table from (mask, cap) to the subsets of a mask's pairs.  A subtree's
-access sets are the entries for the ANDs of its masks, each listed with
-its id.  The random sampler reads the same tables.  One pass over a
-subtree (``_leaf_rows``) lists its hypothesis leaves, each as its
-position and a small integer id per state component.  Within a subtree
-the sweep is rule-major, and each rule walks those leaves in enumeration
-order, each leaf's requests in list order.  Every rule callable runs once per
-distinct value of the components it declares to read; the result is
-memoised under their ids.  The sweep handles ids only: a state is built
-from ids, by ``_Universe.state``, only for a memo miss or a witness.  A guard conjunct's
-memo maps the ids of its ``reads`` to the bitset of the rule's requests it
-grants, so a leaf's granted requests are an AND of bitsets: conjuncts
-reading neither br nor bw once per subtree, br-only ones once per br
-option, the rest per leaf.  An effect runs once per (request, ids of
-``RuleDef.writes``).  An invariant runs once per after-state value of the
-components it reads (``core.PROPERTY_READS``), in one memo per property
-shared by all rules.  A rule's obligations whose property reads a component
-the rule writes are *checked* that way; the others are *framed* and hold
-because they held before the step.  A rule whose guards, writes and checked
-properties never read the matrix decides each (br, bw) leaf of an (fs, fo)
-pair once, on its first matrix.  Every effect call verifies that the
-components outside ``writes`` are left identical, so an undeclared write
-stops the sweep with an error instead of giving a wrong verdict, and a
-failing obligation's witness comes from a real effect call on its leaf.
+pairs, and per readable pair the mask of the pairs that may be written
+while it is read; per matrix, the mask of the pairs whose object it knows;
+and one table from (mask, cap) to the subsets of a mask's pairs.  So the
+whole hypothesis is generated, never filtered: a subtree's read sets are
+the entry for the AND of its readable and known masks, and a read set's
+write sets the entry for the AND of the writable and known masks with its
+pairs' masks, each set listed with its id.  The random sampler reads the
+same tables.  One pass over a subtree (``_leaf_rows``) lists its hypothesis
+leaves, each as its position and a small integer id per state component.
+Within a subtree the sweep is rule-major, and each rule walks those leaves
+in enumeration order, each leaf's requests in list order.  Every rule
+callable runs once per distinct value of the components it declares to
+read; the result is memoised under their ids.  The sweep handles ids only:
+a state is built from ids, by ``_Universe.state``, only for a memo miss or
+a witness.  A guard conjunct's memo maps the ids of its ``reads`` to the
+bitset of the rule's requests it grants, so a leaf's granted requests are
+an AND of bitsets: conjuncts reading neither br nor bw once per subtree,
+br-only ones once per br option, the rest per leaf.  An effect runs once
+per (request, ids of ``RuleDef.writes``).  An invariant runs once per
+after-state value of the components it reads (``core.PROPERTY_READS``), in
+one memo per property shared by all rules.  A rule's obligations whose
+property reads a component the rule writes are *checked* that way; the
+others are *framed* and hold because they held before the step.  A rule
+whose guards, writes and checked properties never read the matrix decides
+each (br, bw) leaf of an (fs, fo) pair once, on its first matrix.  Every
+effect call verifies that the components outside ``writes`` are left
+identical, so an undeclared write stops the sweep with an error instead of
+giving a wrong verdict, and a failing obligation's witness comes from a
+real effect call on its leaf.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -57,10 +61,11 @@ components of its input and on the request.  They hold for every table
 ``rules.without_conjunct`` builds.  Under them every memo answer equals
 the call it stands for, and the order of (leaf, request) pairs is that of
 a state-by-state sweep, so verdicts, counts and first witnesses are too.
-The strict reading of the *-property is a restriction of state generation,
-not a separate leaf test: write pairs are drawn from classified objects
-only, and read pairs already are (security condition), so the strict and
-per-pair readings agree on every generated state.  ``naive_check`` in the
+The strict reading of the *-property is one more mask: write pairs are
+drawn from classified objects only, and read pairs already are (security
+condition), so the strict and per-pair readings agree on every generated
+state.  A test pins the generated leaves, in order, against
+``enumerate_states`` filtered by the core predicates.  ``naive_check`` in the
 test suite is the reference: a state-by-state sweep with no memos, held to
 the same verdicts, counts and witnesses.  Reported witnesses are always
 re-validated through the public rule interface before they land in a
@@ -95,18 +100,18 @@ matrix option is a set of triple indices, which a renaming permutes.
 Random mode gives each obligation its own generator, seeded with the seed
 and the obligation's name, and one loop over its draws (``_random_pairs``):
 an (fs, fo) pair and a matrix by index, their access sets from the
-enumerator's tables, (br, bw) options until the leaf satisfies the
-*-property (at most 64 tries per subtree), then a request.  Every draw is
-``rng._randbelow(n)``, inlined as its ``getrandbits`` rejection loop: the
-call that ``rng.randrange(n)`` and ``rng.choice`` on an n-item list both
-reduce to.  So the draws, and the seeded reports and witnesses built from
-them, are those of a sampler that calls ``rng.choice`` on the option lists
-themselves (a test pins this on every supported Python).  A draw is
-decided as the sweep decides a leaf: the rule's guard conjuncts in order,
-then, when all hold, the effect and the property on the after state, with
-no ``rules.Outcome`` built.  The first violation stops the obligation and
-becomes its witness, which is re-validated through ``rules.apply_def``
-like every reported witness.
+enumerator's tables, (br, bw) options until the bw option lies within the
+br option's *-property masks (at most 64 tries per subtree), then a
+request.  Every draw is ``rng._randbelow(n)``, inlined as its
+``getrandbits`` rejection loop: the call that ``rng.randrange(n)`` and
+``rng.choice`` on an n-item list both reduce to.  So the draws, and the
+seeded reports and witnesses built from them, are those of a sampler that
+calls ``rng.choice`` on the option lists themselves (a test pins this on
+every supported Python).  A draw is decided as the sweep decides a leaf:
+the rule's guard conjuncts in order, then, when all hold, the effect and
+the property on the after state, with no ``rules.Outcome`` built.  The
+first violation stops the obligation and becomes its witness, which is
+re-validated through ``rules.apply_def`` like every reported witness.
 
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
@@ -405,12 +410,14 @@ class _Universe:
     len(fo_options))``, the order of the product of the two lists.
 
     Access sets are tabulated by bitmask: bit i of a mask stands for
-    ``pairs[i]``.  Each ``m_options`` entry carries the mask of the pairs
-    whose object its matrix knows; ``pair_masks`` gives an (fs, fo) pair's
-    readable and writable masks by its pair number; and
+    ``pairs[i]`` (``pair_bit`` maps a pair to its bit).  Each
+    ``m_options`` entry carries the mask of the pairs whose object its
+    matrix knows; ``pair_masks`` gives an (fs, fo) pair's readable and
+    writable masks and its *-property masks by its pair number; and
     ``access_sets`` lists a mask's subsets up to a cap, once per (mask,
-    cap).  The enumerator and the random sampler both read these tables,
-    and a subtree's access sets cost two ANDs and two lookups.
+    cap).  The enumerator and the random sampler both read these tables:
+    a subtree's read sets cost an AND and a lookup, and so do each read
+    set's write sets, plus an AND per read pair.
 
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
@@ -428,10 +435,12 @@ class _Universe:
     (``core.PROPERTY_READS``), for every rule of the check, so its size is
     bounded by the distinct after-state projections, not by effect entries
     times states.
-    ``rule_memos`` holds each rule definition's guard-conjunct memos, effect
-    memo and request-index table, so every range a pool worker sweeps
-    starts from the entries its earlier ranges filled.  The keys are sound
-    only under the conditions on ``rule_defs`` in the module docstring.
+    ``rule_memos`` holds each rule definition's guard-conjunct memos and
+    effect memo, and ``request_indices`` the bit positions of every
+    granted-request bitset met so far, for all rules: so every range a
+    pool worker sweeps starts from the entries its earlier ranges filled.
+    The keys are sound only under the conditions on ``rule_defs`` in the
+    module docstring.
     """
 
     def __init__(self, b: Bounds, strict_star: bool = False):
@@ -456,6 +465,7 @@ class _Universe:
         self.n_combos = len(self.fs_options) * len(self.fo_options)
         # (subject, object) pairs; an access-set mask has bit i for pairs[i]
         self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
+        self.pair_bit = {p: 1 << i for i, p in enumerate(self.pairs)}
         self.every_pair = (1 << len(self.pairs)) - 1
         self.triples = tuple(sorted(
             ((o, s, x) for o in self.objects for s in self.subjects for x in MATRIX_MODES),
@@ -502,10 +512,12 @@ class _Universe:
         # Per property, its verdicts keyed by the ids of the components it
         # reads (core.PROPERTY_READS), shared by every rule of the sweep.
         self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
-        # Per rule definition, the sweep's guard-conjunct memos, effect memo
-        # and index table (see ``_RulePlan``), kept for every range swept.
-        self.rule_memos: dict[RuleDef, tuple[list[dict], dict, dict]] = {}
-        self._pair_masks: dict[int, tuple[int, int, frozenset]] = {}
+        # Per rule definition, the sweep's guard-conjunct memos and effect
+        # memo (see ``_RulePlan``), kept for every range swept.
+        self.rule_memos: dict[RuleDef, tuple[list[dict], dict]] = {}
+        # Per bitset of granted requests, the indices of its bits, ascending.
+        self.request_indices: dict[int, tuple[int, ...]] = {}
+        self._pair_masks: dict[int, tuple[int, int, dict]] = {}
         self._access_sets: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
 
     def component_id(self, field: int, value) -> int:
@@ -594,34 +606,36 @@ class _Universe:
         f, o = divmod(combo, len(self.fo_options))
         return self.fs_options[f], self.fo_options[o]
 
-    def pair_masks(self, combo: int) -> tuple[int, int, frozenset]:
-        """The access tables of (fs, fo) pair number ``combo``, computed once
-        per pair: ``(readable, writable, star_ok)``.
+    def pair_masks(self, combo: int) -> tuple[int, int, dict]:
+        """The access masks of (fs, fo) pair number ``combo``, computed once
+        per pair: ``(readable, writable, star)``.
 
         readable is the mask of the pairs allowed as current reads (the
         subject cleared for the classified object); writable is the mask of
         every pair, or under the strict reading of the pairs whose object
-        is classified; star_ok holds the (read object, written object)
-        pairs allowed for one subject.
+        is classified.  star maps each readable pair (s, o1) to the mask of
+        the pairs that may be written while it is read: every pair of
+        another subject, and each (s, o2) with o2 classified and class(o1)
+        <= class(o2).  So the writes a set of reads allows are the AND of
+        its pairs' star masks: the *-property as a mask.
         """
-        tables = self._pair_masks.get(combo)
-        if tables is None:
+        masks = self._pair_masks.get(combo)
+        if masks is None:
             fs, fo = self.fs_fo(combo)
             fs_map = dict(fs)
             fo_map = dict(fo)
             readable = classified = 0
-            for i, (s, o) in enumerate(self.pairs):
+            star = {}
+            for (s, o), bit in self.pair_bit.items():
                 if o in fo_map:
-                    classified |= 1 << i
+                    classified |= bit
                     if s in fs_map and class_leq(fo_map[o], fs_map[s]):
-                        readable |= 1 << i
-            star_ok = frozenset(
-                (o1, o2) for o1 in fo_map for o2 in fo_map
-                if class_leq(fo_map[o1], fo_map[o2])
-            )
+                        readable |= bit
+                        star[s, o] = sum(b for (s2, o2), b in self.pair_bit.items() if s2 != s
+                                         or o2 in fo_map and class_leq(fo_map[o], fo_map[o2]))
             writable = classified if self.strict_star else self.every_pair
-            tables = self._pair_masks[combo] = (readable, writable, star_ok)
-        return tables
+            masks = self._pair_masks[combo] = (readable, writable, star)
+        return masks
 
     def access_sets(self, mask: int, cap: int) -> list[tuple[tuple, int]]:
         """The subsets of at most ``cap`` of the pairs in ``mask``, by size
@@ -641,30 +655,45 @@ class _Universe:
 
 def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
     """Yield one enumeration subtree per (fs, fo) pair number in ``combos``
-    and matrix number in ``m_indices``: ``(fs, fo, m, star_ok, br_subs,
-    bw_subs)``.
+    and matrix number in ``m_indices``: ``(fs, fo, m, rows)``.  ``rows``
+    yields, per br option in order, ``(br, br_id, bw_subs)``: the option,
+    its id and the bw options of its leaves.
 
-    br_subs and bw_subs list the subsets, up to ``caps``, of the (subject,
-    object) pairs whose object the matrix knows, each with its id (see
-    ``_Universe.access_sets``), so the type invariants hold by
-    construction.  Under ``hypothesis`` the security condition is fused in
-    as well: read pairs come from the readable mask.  A strict-star
-    universe also draws write pairs from classified objects only.  Read
-    objects are classified already, so the strict *-property of a leaf
-    reduces to the weak one, which the caller tests with ``_star_leaf_ok``.
-    Dropping items keeps the remaining subsets in their relative order.
+    Access sets are the subsets, up to ``caps``, of a mask's (subject,
+    object) pairs, each with its id (see ``_Universe.access_sets``).  The
+    mask holds only pairs whose object the matrix knows, so the type
+    invariants hold by construction.  Under ``hypothesis`` the rest of the
+    hypothesis is generated the same way, from the masks of
+    ``_Universe.pair_masks``: read pairs come from the readable mask (the
+    security condition), and a br option's write pairs from the writable
+    mask ANDed with the star masks of its pairs (the *-property).  A
+    strict-star universe draws write pairs from classified objects only;
+    read objects are classified already, so the strict reading needs
+    nothing more.  A narrower mask lists the same subsets in the same
+    relative order as a wider one, so every leaf keeps its position in the
+    enumeration of all well-formed states.  Rows are built as they are
+    iterated: a subtree nobody walks builds none.
     """
-    br_cap, bw_cap = caps
+    # outside the hypothesis any pair may be read, and written beside any read
+    free = (u.every_pair, u.every_pair, dict.fromkeys(u.pairs, u.every_pair))
     for combo in combos:
         fs, fo = u.fs_fo(combo)
-        readable, writable, star_ok = u.pair_masks(combo)
-        if not hypothesis:
-            readable = u.every_pair
+        readable, writable, star = u.pair_masks(combo) if hypothesis else free
         for mi in m_indices:
             m, known = u.m_options[mi]
-            yield (fs, fo, m, star_ok,
-                   u.access_sets(known & readable, br_cap),
-                   u.access_sets(known & writable, bw_cap))
+            yield fs, fo, m, _rows(u, known & readable, known & writable, star, caps)
+
+
+def _rows(u: _Universe, readable: int, writable: int, star: dict, caps):
+    """Per subset of the ``readable`` pairs, the br option ``(br, br_id,
+    bw_subs)``: bw_subs lists the subsets of the pairs allowed beside it,
+    the AND of ``writable`` and its pairs' star masks."""
+    br_cap, bw_cap = caps
+    for br, br_id in u.access_sets(readable, br_cap):
+        mask = writable
+        for p in br:
+            mask &= star[p]
+        yield br, br_id, u.access_sets(mask, bw_cap)
 
 
 def enumerate_states(b: Bounds) -> Iterator[SystemState]:
@@ -678,8 +707,8 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     u = _Universe(b)
     subtrees = _subtrees(u, range(u.n_combos), range(len(u.m_options)),
                          (b.max_br, b.max_bw))
-    for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
-        for br, _br_id in br_subs:
+    for fs, fo, m, rows in subtrees:
+        for br, _br_id, bw_subs in rows:
             for bw, _bw_id in bw_subs:
                 yield SystemState(br, bw, fo, fs, m)
 
@@ -748,14 +777,6 @@ class _ObState:
         self.fail_at: Optional[tuple[int, int]] = None
 
 
-def _star_leaf_ok(br, bw, star_ok) -> bool:
-    for (s1, o1) in br:
-        for (s2, o2) in bw:
-            if s1 == s2 and (o1, o2) not in star_ok:
-                return False
-    return True
-
-
 class _FrameViolation(RuntimeError):
     """A rule effect changed a state component outside its declared writes."""
 
@@ -795,6 +816,12 @@ def _granted(guards, mask: int, ids, u: _Universe, reqs) -> int:
     return mask
 
 
+def _bit_indices(table: dict, bits: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``bits``, ascending, kept in
+    ``table``."""
+    return table.setdefault(bits, tuple(j for j in range(bits.bit_length()) if bits >> j & 1))
+
+
 class _RulePlan:
     """One rule compiled for the sweep: its guard conjuncts by stage, its
     effect's memo and frame, and its obligations.
@@ -817,9 +844,11 @@ class _RulePlan:
     memo of the property, under the after state's ids of the components the
     property reads.
 
-    The conjunct memos, the effect memo and the index table belong to the
-    universe, one set per rule definition (``_Universe.rule_memos``), so a
-    pool worker's later ranges start from what its earlier ones filled.
+    The conjunct memos and the effect memo belong to the universe, one
+    pair per rule definition (``_Universe.rule_memos``), and so does the
+    table of a granted bitset's request indices, which all rules share
+    (``_Universe.request_indices``): a pool worker's later ranges start
+    from what its earlier ones filled.
     The obligations' bookkeeping and ``decided`` stay per plan.
 
     When a rule's guards, writes and checked properties leave out the
@@ -836,8 +865,8 @@ class _RulePlan:
         self.universe = u
         memos = u.rule_memos.get(rd)
         if memos is None:
-            memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {}, {})
-        guard_memos, self.effects, self.indices = memos
+            memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {})
+        guard_memos, self.effects = memos
         stages: tuple[list, list, list] = ([], [], [])  # subtree, br option, leaf
         for c, memo in zip(rd.conjuncts, guard_memos):
             fields = _fields_of(c.reads)
@@ -882,11 +911,6 @@ class _RulePlan:
         after = self._apply(st, j)
         return tuple((i, self.universe.component_id(i, after[i])) for i in self.writes)
 
-    def _indices(self, bits: int) -> tuple[int, ...]:
-        """The indices of the requests in bitset ``bits``, ascending."""
-        js = self.indices[bits] = tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
-        return js
-
     def sweep(self, proto_ids, rows, combo: int, leaves_before: int) -> None:
         """Decide the rule's requests on the leaf ``rows`` of one subtree
         (see ``_leaf_rows``), leaf by leaf in enumeration order and each
@@ -903,7 +927,7 @@ class _RulePlan:
         row_guards = self.row_guards
         leaf_guards = self.leaf_guards
         effects = self.effects
-        indices = self.indices
+        indices = u.request_indices
         write_key = self.write_key
         live = [check for check in self.checked if not check[0].failed]
         decided = self.decided
@@ -928,7 +952,7 @@ class _RulePlan:
                 entries = effects.get(wkey)
                 if entries is None:
                     entries = effects[wkey] = [None] * len(reqs)
-                js = indices.get(granted) or self._indices(granted)
+                js = indices.get(granted) or _bit_indices(indices, granted)
                 for j in js:
                     entry = entries[j]
                     if entry is None:
@@ -968,15 +992,15 @@ def _sweep_range(
     ``_merge_chunks``: per-obligation partial verdicts, the leaf count of
     each pair swept and the per-rule sweep times.
 
-    The hypothesis filter (all invariants hold before the step) is fused
-    into generation (see ``_subtrees``) and the *-property leaf filter of
-    ``_leaf_rows``.  A small-scope test pins this against literally
-    filtering enumerate_states with the core predicates.  Only orbit
+    The hypothesis (all invariants hold before the step) is generated by
+    ``_subtrees``, not filtered.  A small-scope test pins this against
+    literally filtering enumerate_states with the core predicates.  Only orbit
     representatives are swept: of a pair's matrix options, those no
     renaming that fixes the pair maps to an earlier option, each with every
     hypothesis leaf.  A skipped matrix option counts the leaves of its
-    earlier image.  Within a subtree the loop is rule-major, after one
-    ``_leaf_rows`` pass whose time counts towards no rule.
+    earlier image, and its rows are never built.  Within a subtree the
+    loop is rule-major, after one ``_leaf_rows`` pass whose time counts
+    towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1000,7 +1024,7 @@ def _sweep_range(
         m_leaves = []  # per matrix option of this pair, its leaf count
         leaves = 0
         subtrees = _subtrees(u, (combo,), range(len(u.m_options)), caps, hypothesis=True)
-        for mi, (_fs, _fo, _m, star_ok, br_subs, bw_subs) in enumerate(subtrees):
+        for mi, (_fs, _fo, _m, rows) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
                 break
             first = min((orbits.m_image[g][mi] for g in stabiliser), default=mi)
@@ -1010,11 +1034,11 @@ def _sweep_range(
                 continue
             proto_ids = (empty, empty, fo_id, fs_id, mi)
             # shared work, kept out of every rule's time
-            rows, count = _leaf_rows(br_subs, bw_subs, star_ok, proto_ids)
+            leaf_rows, count = _leaf_rows(rows, proto_ids)
             t0 = clock()
             for plan in plans:
                 if not all(ob.failed for ob in plan.obs):
-                    plan.sweep(proto_ids, rows, combo, leaves)
+                    plan.sweep(proto_ids, leaf_rows, combo, leaves)
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
@@ -1027,28 +1051,23 @@ def _sweep_range(
     return entries, counts, rule_time
 
 
-def _leaf_rows(br_subs, bw_subs, star_ok, proto_ids):
-    """One pass over a subtree's leaves: ``(rows, count)``.  ``rows`` holds
-    per br option the list of its hypothesis leaves, each as ``(position,
-    ids)``; ``count`` is the subtree's hypothesis-leaf count.  Positions
-    count from 1 in enumeration order, and ``proto_ids`` gives the ids of
-    the subtree's fo, fs and m; the access sets carry their own ids.
-
-    A leaf is a hypothesis leaf when it satisfies the *-property (a leaf
-    with empty br or bw always does), so every row starts with its
-    empty-bw leaf (the empty set is the first bw option).
+def _leaf_rows(rows, proto_ids):
+    """One pass over a subtree's ``rows`` from ``_subtrees``: ``(leaf_rows,
+    count)``.  ``leaf_rows`` holds per br option the list of its leaves,
+    each as ``(position, ids)``; ``count`` is the subtree's leaf count.
+    Positions count from 1 in enumeration order, and ``proto_ids`` gives
+    the ids of the subtree's fo, fs and m; the access sets carry their own
+    ids.  Every row starts with its empty-bw leaf (the empty set is the
+    first bw option of every mask).
     """
     _, _, fo_id, fs_id, m_id = proto_ids
-    rows = []
+    leaf_rows = []
     pos = 0
-    for br, br_id in br_subs:
-        bws = bw_subs
-        if br:
-            bws = [(bw, i) for bw, i in bw_subs if not bw or _star_leaf_ok(br, bw, star_ok)]
-        rows.append([(pos + k, (br_id, bw_id, fo_id, fs_id, m_id))
-                     for k, (_bw, bw_id) in enumerate(bws, 1)])
-        pos += len(bws)
-    return rows, pos
+    for _br, br_id, bw_subs in rows:
+        leaf_rows.append([(pos + k, (br_id, bw_id, fo_id, fs_id, m_id))
+                          for k, (_bw, bw_id) in enumerate(bw_subs, 1)])
+        pos += len(bw_subs)
+    return leaf_rows, pos
 
 
 def _evaluation_failure(st, req) -> RuntimeError:
@@ -1232,8 +1251,12 @@ def _random_pairs(rng: random.Random, u: _Universe,
                   reqs: Sequence[Request]) -> Iterator[tuple[SystemState, Request]]:
     """Endless (state, request) draws for random mode.  The state comes from
     the hypothesis: an (fs, fo) pair and a matrix, then (br, bw) options
-    until one satisfies the *-property (at most 64 tries per subtree); the
-    request is drawn after its state.
+    from the readable and writable masks until the leaf satisfies the
+    *-property (at most 64 tries per subtree); the request is drawn after
+    its state.  The acceptance test reads the masks of
+    ``_Universe.pair_masks`` that generate the sweep's leaves: a leaf whose
+    br and bw are both non-empty is kept when bw's mask lies within the AND
+    of br's star masks.
 
     Every draw is ``rng._randbelow(n)`` on an n-item table, read by index:
     ``rng.randrange(n)`` and ``rng.choice`` on an n-item list both reduce
@@ -1243,14 +1266,16 @@ def _random_pairs(rng: random.Random, u: _Universe,
     ``getrandbits(k)`` with ``k = n.bit_length()`` until the result is
     below n, ``k`` worked out once per table.  The universe's tables and the
     generator's method are looked up once, not per draw, and a mask's
-    access sets once per generator, without their ids."""
+    access sets once per generator, without their ids and, for bw, with
+    their own masks."""
     getrandbits = rng.getrandbits
     fs_options, fo_options, m_options = u.fs_options, u.fo_options, u.m_options
     n_fs, n_fo, n_m, n_reqs = len(fs_options), len(fo_options), len(m_options), len(reqs)
     k_fs, k_fo, k_m, k_reqs = (n.bit_length() for n in (n_fs, n_fo, n_m, n_reqs))
-    pair_masks, access_sets = u.pair_masks, u.access_sets
-    max_br, max_bw = u.bounds.max_br, u.bounds.max_bw
-    # mask -> (its access sets, their count, the count's bit length)
+    pair_masks, access_sets, pair_bit = u.pair_masks, u.access_sets, u.pair_bit
+    max_br, max_bw, every_pair = u.bounds.max_br, u.bounds.max_bw, u.every_pair
+    # mask -> (its access sets, their count, the count's bit length); a bw
+    # entry also lists each access set's own mask
     br_table: dict[int, tuple] = {}
     bw_table: dict[int, tuple] = {}
     while True:
@@ -1264,7 +1289,7 @@ def _random_pairs(rng: random.Random, u: _Universe,
         while m_i >= n_m:
             m_i = getrandbits(k_m)
         m, known = m_options[m_i]
-        readable, writable, star_ok = pair_masks(fs_i * n_fo + fo_i)
+        readable, writable, star = pair_masks(fs_i * n_fo + fo_i)
         mask = known & readable
         br_entry = br_table.get(mask)
         if br_entry is None:
@@ -1274,9 +1299,10 @@ def _random_pairs(rng: random.Random, u: _Universe,
         bw_entry = bw_table.get(mask)
         if bw_entry is None:
             subs = [c for c, _id in access_sets(mask, max_bw)]
-            bw_entry = bw_table[mask] = (subs, len(subs), len(subs).bit_length())
+            bw_entry = bw_table[mask] = (subs, [sum(pair_bit[p] for p in c) for c in subs],
+                                         len(subs), len(subs).bit_length())
         br_subs, n_br, k_br = br_entry
-        bw_subs, n_bw, k_bw = bw_entry
+        bw_subs, bw_masks, n_bw, k_bw = bw_entry
         for _ in range(64):
             i = getrandbits(k_br)
             while i >= n_br:
@@ -1286,12 +1312,17 @@ def _random_pairs(rng: random.Random, u: _Universe,
             while i >= n_bw:
                 i = getrandbits(k_bw)
             bw = bw_subs[i]
-            if not br or not bw or _star_leaf_ok(br, bw, star_ok):
+            if br and bw:
+                allowed = every_pair
+                for p in br:
+                    allowed &= star[p]
+                if bw_masks[i] & ~allowed:
+                    continue
+            i = getrandbits(k_reqs)
+            while i >= n_reqs:
                 i = getrandbits(k_reqs)
-                while i >= n_reqs:
-                    i = getrandbits(k_reqs)
-                yield (SystemState(br, bw, fo_options[fo_i], fs_options[fs_i], m), reqs[i])
-                break
+            yield (SystemState(br, bw, fo_options[fo_i], fs_options[fs_i], m), reqs[i])
+            break
 
 
 def _random_obligation(u: _Universe, defs, ob, samples, seed) -> ObligationResult:
@@ -1435,8 +1466,8 @@ def check_partition(
     interesting = any(v is not None for v in verdicts)
     combos = (f * n_fo + o for f in fs_ids for o in fo_ids)
     subtrees = _subtrees(u, combos, m_ids, caps) if interesting else ()
-    for fs, fo, m, _star_ok, br_subs, bw_subs in subtrees:
-        for br, _br_id in br_subs:
+    for fs, fo, m, rows in subtrees:
+        for br, _br_id, bw_subs in rows:
             for bw, _bw_id in bw_subs:
                 st = SystemState(br, bw, fo, fs, m)
                 req = None

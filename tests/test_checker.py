@@ -230,6 +230,36 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
             assert (r.witness.state, r.witness.request, r.witness.after) == expected
 
 
+@STAR_READINGS
+def test_sweep_generates_exactly_the_hypothesis(strict_star, star):
+    """The sweep never tests a leaf against an invariant: it generates the
+    hypothesis from masks (``_subtrees`` with ``hypothesis``) and lists
+    its leaves as ids (``_leaf_rows``).  Walking every subtree, with no
+    orbit reduction, and mapping the ids back to states must give exactly
+    the enumerated states that satisfy all invariants, in enumeration
+    order, at consecutive positions.  Two subjects, so that one subject's
+    reads leave the other's writes free."""
+    b = Bounds(2, 2, 2, 0, 1, 1, 2)
+    u = _Universe(b, strict_star=strict_star)
+    empty = u.component_id(SystemState._fields.index("br"), ())
+    n_m, n_fo = len(u.m_options), len(u.fo_options)
+    subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
+                                 (b.max_br, b.max_bw), hypothesis=True)
+    got = []
+    for i, (fs, fo, m, rows) in enumerate(subtrees):
+        combo, mi = divmod(i, n_m)
+        fs_id, fo_id = divmod(combo, n_fo)
+        assert (fs, fo, m) == (*u.fs_fo(combo), u.m_options[mi][0])
+        leaf_rows, count = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
+        leaves = [leaf for row in leaf_rows for leaf in row]
+        assert [pos for pos, _ids in leaves] == list(range(1, count + 1))
+        got.extend(u.state(ids) for _pos, ids in leaves)
+    states = list(enumerate_states(b))
+    assert got == [s for s in states if well_formed(s) and sec_cond(s) and star(s)]
+    assert len(states) == 103_599
+    assert len(got) == (41_931 if strict_star else 49_383)
+
+
 @pytest.mark.parametrize("bounds", [Bounds(2, 2, 1, 0, 1, 1, 2),
                                     Bounds(1, 2, 1, 2, 1, 1, 1)],
                          ids=["entities", "categories"])
@@ -573,6 +603,76 @@ def test_mutation_matrix_with_two_subjects():
             broken[(rule, conjunct.name)] = tuple(
                 r.prop for r in report.results if r.status == "fail")
     assert broken == TWO_SUBJECTS_MUTATION_MATRIX
+
+
+# The README's "without it" column: for each conjunct whose mutant breaks
+# nothing, what the mutant does on the inputs where that conjunct alone
+# refuses the request.
+WITHOUT_IT = {
+    ("getRead", "notAlreadyReading"): "inserts an entry twice",
+    ("getRead", "objectClassified"): "is never the deciding conjunct",
+    ("getWrite", "notAlreadyWriting"): "inserts an entry twice",
+    ("getWrite", "objectClassified"): "is never the deciding conjunct",
+    ("releaseRead", "currentlyReading"): "changes nothing",
+    ("releaseWrite", "currentlyWriting"): "changes nothing",
+    ("giveRW", "modeGivable"): "passes a mode on",
+    ("giveRW", "giverHasMode"): "passes a mode on",
+    ("giveRW", "giverHasCtrl"): "passes a mode on",
+    ("giveRW", "receiverLacksMode"): "inserts an entry twice",
+    ("rescindRead", "targetHasRead"): "leaves the matrix",
+    ("rescindWrite", "targetHasWrite"): "leaves the matrix",
+    ("changeClass", "objectClassified"): "changes nothing",
+    ("deleteObject", "ownerHasCtrl"): "deletes the object",
+}
+# Rows whose inputs need a giver and a receiver that differ.
+NEEDS_TWO_SUBJECTS = {("giveRW", "modeGivable"), ("giveRW", "giverHasCtrl")}
+AFTER_CHECKS = {
+    "inserts an entry twice": lambda st, req, after: any(len(set(c)) < len(c) for c in after),
+    "changes nothing": lambda st, req, after: after == st,
+    "passes a mode on": lambda st, req, after: set(after.m) > set(st.m),
+    "leaves the matrix": lambda st, req, after: after.m == st.m,
+    "deletes the object": lambda st, req, after: (
+        all(o != req.o for o, _c in after.fo) and all(t[0] != req.o for t in after.m)),
+}
+
+
+def deciding_inputs(b: Bounds, rows) -> dict:
+    """Per (rule, conjunct) of ``rows``, the hypothesis inputs (state,
+    request) on which that conjunct is the only one of its rule to
+    refuse."""
+    states = [s for s in enumerate_states(b) if well_formed(s) and sec_cond(s) and star_prop(s)]
+    found = {row: [] for row in rows}
+    for rule in dict.fromkeys(rule for rule, _c in rows):
+        conjuncts = RULE_DEFS[rule].conjuncts
+        reqs = requests_for_rule(rule, b)
+        for st in states:
+            for req in reqs:
+                refusing = [c.name for c in conjuncts if not c.holds(st, req)]
+                if len(refusing) == 1 and (rule, refusing[0]) in found:
+                    found[rule, refusing[0]].append((st, req))
+    return found
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_what_each_needless_conjunct_guards(bounds):
+    """The conjuncts whose mutants break nothing are exactly the README's
+    table, and each row's "without it" entry holds on every input where
+    the conjunct alone refuses: the mutant grants the request and its
+    effect does what the row says."""
+    assert set(WITHOUT_IT) == {row for row, broken in MUTATION_MATRIX.items() if not broken}
+    found = deciding_inputs(bounds, WITHOUT_IT)
+    for (rule, conjunct), inputs in found.items():
+        claim = WITHOUT_IT[rule, conjunct]
+        if claim == "is never the deciding conjunct" or (
+                (rule, conjunct) in NEEDS_TWO_SUBJECTS and bounds.num_subjects < 2):
+            assert not inputs, (rule, conjunct)
+            continue
+        assert inputs, (rule, conjunct)
+        mutant = without_conjunct(RULE_DEFS[rule], conjunct)
+        for st, req in inputs:
+            out = apply_def(mutant, st, req)
+            assert out.decision == "yes", (rule, conjunct, st, req)
+            assert AFTER_CHECKS[claim](st, req, out.after), (rule, conjunct, st, req)
 
 
 def test_unmutated_rules_pass_where_mutants_fail():
