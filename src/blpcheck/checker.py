@@ -31,7 +31,7 @@ the entry for the AND of its readable and known masks, and a read set's
 write sets the entry for the AND of the writable and known masks with its
 pairs' masks, each set listed with its id.  The random sampler reads the
 same tables.  One pass over a subtree (``_leaf_rows``) lists its hypothesis
-leaves, each as its position and a small integer id per state component.
+leaves as one flat list, each leaf a small integer id per state component.
 Within a subtree the sweep is rule-major, and each rule walks those leaves
 in enumeration order, each leaf's requests in list order.  Every rule
 callable runs once per distinct value of the components it declares to
@@ -40,18 +40,19 @@ a state is built from ids, by ``_Universe.state``, only for a memo miss or
 a witness.  A guard conjunct's memo maps the ids of its ``reads`` to the
 bitset of the rule's requests it grants, so a leaf's granted requests are
 an AND of bitsets: conjuncts reading neither br nor bw once per subtree,
-br-only ones once per br option, the rest per leaf.  An effect runs once
-per (request, ids of ``RuleDef.writes``).  An invariant runs once per
-after-state value of the components it reads (``core.PROPERTY_READS``), in
-one memo per property shared by all rules.  A rule's obligations whose
-property reads a component the rule writes are *checked* that way; the
-others are *framed* and hold because they held before the step.  A rule
-whose guards, writes and checked properties never read the matrix decides
-each (br, bw) leaf of an (fs, fo) pair once, on its first matrix.  Every
-effect call verifies that the components outside ``writes`` are left
-identical, so an undeclared write stops the sweep with an error instead of
-giving a wrong verdict, and a failing obligation's witness comes from a
-real effect call on its leaf.
+the rest per leaf.  An effect runs once per (request, ids of
+``RuleDef.writes``), and its memo entry is the written components' after
+ids: a granted request's after state is the leaf's ids followed by those.
+An invariant runs once per after-state value of the components it reads
+(``core.PROPERTY_READS``), in one memo per property shared by all rules.
+A rule's obligations whose property reads a component the rule writes are
+*checked* that way; the others are *framed* and hold because they held
+before the step.  A rule whose guards, writes and checked properties never
+read the matrix decides each (br, bw) leaf of an (fs, fo) pair once, on
+its first matrix.  Every effect call verifies that the components outside
+``writes`` are left identical, so an undeclared write stops the sweep with
+an error instead of giving a wrong verdict, and a failing obligation's
+witness comes from a real effect call on its leaf.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -348,12 +349,42 @@ def _validate_bounds(b: Bounds) -> None:
     })
 
 
-def _cat_subsets(categories: Sequence[str]) -> list[frozenset[str]]:
-    out = []
-    for size in range(len(categories) + 1):
-        for combo in itertools.combinations(categories, size):
-            out.append(frozenset(combo))
-    return out
+def _names(b: Bounds) -> tuple[tuple, tuple, tuple, tuple]:
+    """The subjects, objects, categories and security classes of ``b``, each
+    in canonical order."""
+    subjects, objects, categories = (
+        tuple(sorted(f"{prefix}{i + 1}" for i in range(n)))
+        for prefix, n in (("s", b.num_subjects), ("o", b.num_objects), ("k", b.num_categories))
+    )
+    classes = tuple(sorted(
+        (SecurityClass(lvl, frozenset(cats))
+         for lvl in range(b.num_levels)
+         for size in range(len(categories) + 1)
+         for cats in itertools.combinations(categories, size)),
+        key=core.class_sort_key,
+    ))
+    return subjects, objects, categories, classes
+
+
+def _request_lists(b: Bounds) -> dict[str, tuple[Request, ...]]:
+    """Every rule's in-bounds requests, in canonical order: the product of
+    its fields' domains, in field order.  Oversized bounds are refused
+    before anything is built."""
+    _validate_bounds(b)
+    subjects, objects, _categories, classes = _names(b)
+    domains = {
+        rules.FIELD_SUBJECT: subjects, rules.FIELD_OBJECT: objects,
+        rules.FIELD_MODE: MATRIX_MODES, rules.FIELD_CLASS: classes,
+    }
+    return {
+        rule: tuple(
+            rd.request_type(*args)
+            for args in itertools.product(
+                *(domains[kind] for _name, kind in rules.request_fields(rd.request_type))
+            )
+        )
+        for rule, rd in RULE_DEFS.items()
+    }
 
 
 class _Renaming(NamedTuple):
@@ -444,20 +475,10 @@ class _Universe:
     """
 
     def __init__(self, b: Bounds, strict_star: bool = False):
-        _validate_bounds(b)
+        self.requests = _request_lists(b)  # refuses oversized bounds first
         self.bounds = b
         self.strict_star = strict_star
-        self.subjects = tuple(sorted(f"s{i + 1}" for i in range(b.num_subjects)))
-        self.objects = tuple(sorted(f"o{i + 1}" for i in range(b.num_objects)))
-        self.categories = tuple(sorted(f"k{i + 1}" for i in range(b.num_categories)))
-        self.classes = tuple(
-            sorted(
-                (SecurityClass(lvl, cats)
-                 for lvl in range(b.num_levels)
-                 for cats in _cat_subsets(self.categories)),
-                key=core.class_sort_key,
-            )
-        )
+        self.subjects, self.objects, self.categories, self.classes = _names(b)
         self.fs_options = self._class_maps(self.subjects)
         self.fo_options = self._class_maps(self.objects)
         # (fs, fo) pair number i is fs option f and fo option o for
@@ -486,19 +507,6 @@ class _Universe:
         self.props = dict(PROPERTY_FUNCS)
         if strict_star:
             self.props[PROPERTY_STARPROP] = strict_star_prop
-        domains = {
-            rules.FIELD_SUBJECT: self.subjects, rules.FIELD_OBJECT: self.objects,
-            rules.FIELD_MODE: MATRIX_MODES, rules.FIELD_CLASS: self.classes,
-        }
-        self.requests = {
-            rule: tuple(
-                rd.request_type(*args)
-                for args in itertools.product(
-                    *(domains[kind] for _name, kind in rules.request_fields(rd.request_type))
-                )
-            )
-            for rule, rd in RULE_DEFS.items()
-        }
         # Per state component, in SystemState field order, its values by id
         # and the inverse table.  Options get their list index (br and bw
         # share one list and table, filled as access-set lists are built);
@@ -717,13 +725,13 @@ def requests_for_rule(rule: str, b: Bounds) -> tuple[Request, ...]:
     """Every in-bounds request of one rule, in canonical order."""
     if rule not in RULE_DEFS:
         raise ValueError(f"unknown rule: {rule!r}")
-    return _Universe(b).requests[rule]
+    return _request_lists(b)[rule]
 
 
 def enumerate_requests(b: Bounds) -> tuple[Request, ...]:
     """Every in-bounds request, grouped by rule in canonical rule order."""
-    u = _Universe(b)
-    return tuple(req for rule in RULE_ORDER for req in u.requests[rule])
+    requests = _request_lists(b)
+    return tuple(req for rule in RULE_ORDER for req in requests[rule])
 
 
 def strict_star_prop(st: SystemState) -> bool:
@@ -826,23 +834,27 @@ class _RulePlan:
     """One rule compiled for the sweep: its guard conjuncts by stage, its
     effect's memo and frame, and its obligations.
 
-    A conjunct that reads neither br nor bw is decided once per subtree, one
-    that reads br but not bw once per br option, the others once per leaf.
-    Each is a ``(key, memo, holds)`` triple, looked up in its own memo
-    under the ids of the components it reads (``_granted``); a miss builds
-    the state and runs the conjunct on every request of the rule.  So a
-    leaf's granted requests are an AND of bitsets.  The effect
-    runs once per (ids of the written components, request):
-    ``effects[key][j]`` holds the written components' (field, id) pairs,
-    and every call verifies the frame (the components outside ``writes``)
-    by identity.
+    A conjunct that reads neither br nor bw is decided once per subtree,
+    the others once per leaf.  Each is a ``(key, memo, holds)`` triple,
+    looked up in its own memo under the ids of the components it reads
+    (``_granted``); a miss builds the state and runs the conjunct on every
+    request of the rule.  So a leaf's granted requests are an AND of
+    bitsets.  The effect runs once per (ids of the written components,
+    request): ``effects[key][j]`` holds the written components' after ids,
+    in ``writes`` order, and every call verifies the frame (the components
+    outside ``writes``) by identity.  A granted request's after state is
+    the leaf's ids followed by that entry, ``ids + entry``: a written
+    component's after id sits at its place in ``writes`` past the leaf's
+    five, every other one at its own field.
 
     An obligation is *checked* when its property reads a component the rule
     writes, and *framed* otherwise: the property reads only components the
     effect leaves as they were, so it holds after the step because it held
     before.  A checked obligation looks its verdict up in the universe's
     memo of the property, under the after state's ids of the components the
-    property reads.
+    property reads, read at their places in ``ids + entry``; on a miss,
+    ``after_ids`` picks the after state's five ids out of it for
+    ``u.state``.
 
     The conjunct memos and the effect memo belong to the universe, one
     pair per rule definition (``_Universe.rule_memos``), and so does the
@@ -867,18 +879,22 @@ class _RulePlan:
         if memos is None:
             memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {})
         guard_memos, self.effects = memos
-        stages: tuple[list, list, list] = ([], [], [])  # subtree, br option, leaf
+        self.subtree_guards: list = []
+        self.leaf_guards: list = []
         for c, memo in zip(rd.conjuncts, guard_memos):
             fields = _fields_of(c.reads)
-            stage = 2 if _BW in fields else 1 if _BR in fields else 0
-            stages[stage].append((_projection(fields), memo, c.holds))
-        self.subtree_guards, self.row_guards, self.leaf_guards = stages
+            stage = self.leaf_guards if _BR in fields or _BW in fields else self.subtree_guards
+            stage.append((_projection(fields), memo, c.holds))
         self.effect = rd.effect
         self.writes = _fields_of(rd.writes)
         self.write_key = _projection(self.writes)
         self.frame = tuple(i for i in range(len(_FIELDS)) if i not in self.writes)
+        # each component's position in an after state, ``ids + entry``
+        after = [len(_FIELDS) + self.writes.index(i) if i in self.writes else i
+                 for i in range(len(_FIELDS))]
+        self.after_ids = operator.itemgetter(*after)
         self.checked = tuple(
-            (ob, _projection(_fields_of(core.PROPERTY_READS[ob.prop])),
+            (ob, _projection(tuple(after[i] for i in _fields_of(core.PROPERTY_READS[ob.prop]))),
              u.prop_memo[ob.prop], u.props[ob.prop])
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
@@ -906,78 +922,74 @@ class _RulePlan:
         return after
 
     def _written(self, st: SystemState, j: int) -> tuple:
-        """An effect memo entry: the written components' (field, id)
-        pairs."""
+        """An effect memo entry: the written components' after ids, in
+        ``writes`` order."""
         after = self._apply(st, j)
-        return tuple((i, self.universe.component_id(i, after[i])) for i in self.writes)
+        return tuple(self.universe.component_id(i, after[i]) for i in self.writes)
 
-    def sweep(self, proto_ids, rows, combo: int, leaves_before: int) -> None:
-        """Decide the rule's requests on the leaf ``rows`` of one subtree
-        (see ``_leaf_rows``), leaf by leaf in enumeration order and each
-        leaf's requests in list order.  ``proto_ids`` are the ids of the
-        subtree's leaf with empty br and bw.  The sweep handles ids only: a
-        state is built, by ``u.state``, only for a memo miss or a witness.
-        Failures record the first witness, its after state from a real
-        effect call, at (``combo``, ``leaves_before`` + position)."""
+    def sweep(self, proto_ids, leaves, combo: int, leaves_before: int) -> None:
+        """Decide the rule's requests on the ``leaves`` of one subtree (see
+        ``_leaf_rows``), in enumeration order and each leaf's requests in
+        list order.  ``proto_ids`` are the ids of the subtree's leaf with
+        empty br and bw.  The sweep handles ids only: a state is built, by
+        ``u.state``, only for a memo miss or a witness.  A granted request's
+        after state is ``ids + entry``, its effect memo entry appended to
+        the leaf's ids.  Failures record the first witness, its after state
+        from a real effect call, at (``combo``, ``leaves_before`` +
+        position)."""
         u = self.universe
         reqs = self.reqs
         mask = _granted(self.subtree_guards, (1 << len(reqs)) - 1, proto_ids, u, reqs)
         if not mask:
             return
-        row_guards = self.row_guards
         leaf_guards = self.leaf_guards
         effects = self.effects
         indices = u.request_indices
         write_key = self.write_key
+        after_ids = self.after_ids
         live = [check for check in self.checked if not check[0].failed]
         decided = self.decided
         if decided is not None and self.decided_pair != combo:
             decided.clear()
             self.decided_pair = combo
         footprint = self.footprint
-        for row in rows:
-            row_mask = _granted(row_guards, mask, row[0][1], u, reqs)
-            if not row_mask:
-                continue
-            for pos, ids in row:
-                if decided is not None:
-                    k = footprint(ids)
-                    if k in decided:
-                        continue
-                    decided.add(k)
-                granted = _granted(leaf_guards, row_mask, ids, u, reqs)
-                if not granted:
+        for pos, ids in enumerate(leaves, 1):
+            if decided is not None:
+                k = footprint(ids)
+                if k in decided:
                     continue
-                wkey = write_key(ids)
-                entries = effects.get(wkey)
-                if entries is None:
-                    entries = effects[wkey] = [None] * len(reqs)
-                js = indices.get(granted) or _bit_indices(indices, granted)
-                for j in js:
-                    entry = entries[j]
-                    if entry is None:
-                        entry = entries[j] = self._written(u.state(ids), j)
-                    if not live:
-                        continue
-                    after_ids = list(ids)
-                    for i, cid in entry:
-                        after_ids[i] = cid
-                    failed = False
-                    for ob, key, memo, pred in live:
-                        k = key(after_ids)
-                        ok = memo.get(k)
-                        if ok is None:
-                            try:
-                                ok = memo[k] = bool(pred(u.state(after_ids)))
-                            except Exception as e:
-                                raise _evaluation_failure(u.state(ids), reqs[j]) from e
-                        if not ok:
-                            st = u.state(ids)
-                            ob.failed = failed = True
-                            ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
-                            ob.fail_at = (combo, leaves_before + pos)
-                    if failed:
-                        live = [check for check in live if not check[0].failed]
+                decided.add(k)
+            granted = _granted(leaf_guards, mask, ids, u, reqs)
+            if not granted:
+                continue
+            wkey = write_key(ids)
+            entries = effects.get(wkey)
+            if entries is None:
+                entries = effects[wkey] = [None] * len(reqs)
+            js = indices.get(granted) or _bit_indices(indices, granted)
+            for j in js:
+                entry = entries[j]
+                if entry is None:
+                    entry = entries[j] = self._written(u.state(ids), j)
+                if not live:
+                    continue
+                after = ids + entry
+                failed = False
+                for ob, key, memo, pred in live:
+                    k = key(after)
+                    ok = memo.get(k)
+                    if ok is None:
+                        try:
+                            ok = memo[k] = bool(pred(u.state(after_ids(after))))
+                        except Exception as e:
+                            raise _evaluation_failure(u.state(ids), reqs[j]) from e
+                    if not ok:
+                        st = u.state(ids)
+                        ob.failed = failed = True
+                        ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
+                        ob.fail_at = (combo, leaves_before + pos)
+                if failed:
+                    live = [check for check in live if not check[0].failed]
 
 
 def _sweep_range(
@@ -998,9 +1010,9 @@ def _sweep_range(
     representatives are swept: of a pair's matrix options, those no
     renaming that fixes the pair maps to an earlier option, each with every
     hypothesis leaf.  A skipped matrix option counts the leaves of its
-    earlier image, and its rows are never built.  Within a subtree the
-    loop is rule-major, after one ``_leaf_rows`` pass whose time counts
-    towards no rule.
+    earlier image, and its leaves are never listed.  Within a subtree the
+    loop is rule-major over one flat list of leaf ids, from one
+    ``_leaf_rows`` pass whose time counts towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1022,7 +1034,7 @@ def _sweep_range(
         fs_id, fo_id = divmod(combo, len(u.fo_options))
         stabiliser = orbits.stabiliser[combo]
         m_leaves = []  # per matrix option of this pair, its leaf count
-        leaves = 0
+        before = 0
         subtrees = _subtrees(u, (combo,), range(len(u.m_options)), caps, hypothesis=True)
         for mi, (_fs, _fo, _m, rows) in enumerate(subtrees):
             if all(ob.failed for ob in obs):
@@ -1030,44 +1042,36 @@ def _sweep_range(
             first = min((orbits.m_image[g][mi] for g in stabiliser), default=mi)
             if first < mi:
                 m_leaves.append(m_leaves[first])
-                leaves += m_leaves[first]
+                before += m_leaves[first]
                 continue
             proto_ids = (empty, empty, fo_id, fs_id, mi)
             # shared work, kept out of every rule's time
-            leaf_rows, count = _leaf_rows(rows, proto_ids)
+            leaves = _leaf_rows(rows, proto_ids)
             t0 = clock()
             for plan in plans:
                 if not all(ob.failed for ob in plan.obs):
-                    plan.sweep(proto_ids, leaf_rows, combo, leaves)
+                    plan.sweep(proto_ids, leaves, combo, before)
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
-            m_leaves.append(count)
-            leaves += count
+            m_leaves.append(len(leaves))
+            before += len(leaves)
         else:  # a pair left early has no count, and no merge needs one
-            counts[combo] = leaves
+            counts[combo] = before
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
     return entries, counts, rule_time
 
 
-def _leaf_rows(rows, proto_ids):
-    """One pass over a subtree's ``rows`` from ``_subtrees``: ``(leaf_rows,
-    count)``.  ``leaf_rows`` holds per br option the list of its leaves,
-    each as ``(position, ids)``; ``count`` is the subtree's leaf count.
-    Positions count from 1 in enumeration order, and ``proto_ids`` gives
-    the ids of the subtree's fo, fs and m; the access sets carry their own
-    ids.  Every row starts with its empty-bw leaf (the empty set is the
-    first bw option of every mask).
+def _leaf_rows(rows, proto_ids) -> list[tuple[int, ...]]:
+    """One pass over a subtree's ``rows`` from ``_subtrees``: the ids of its
+    leaves, in enumeration order, as one flat list.  A leaf's position is
+    its index in the list plus 1.  ``proto_ids`` gives the ids of the
+    subtree's fo, fs and m; the access sets carry their own ids.
     """
     _, _, fo_id, fs_id, m_id = proto_ids
-    leaf_rows = []
-    pos = 0
-    for _br, br_id, bw_subs in rows:
-        leaf_rows.append([(pos + k, (br_id, bw_id, fo_id, fs_id, m_id))
-                          for k, (_bw, bw_id) in enumerate(bw_subs, 1)])
-        pos += len(bw_subs)
-    return leaf_rows, pos
+    return [(br_id, bw_id, fo_id, fs_id, m_id)
+            for _br, br_id, bw_subs in rows for _bw, bw_id in bw_subs]
 
 
 def _evaluation_failure(st, req) -> RuntimeError:

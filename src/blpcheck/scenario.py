@@ -385,22 +385,24 @@ class _Parser:
             s = ln.expect_id("a subject identifier")
             mode = _parse_mode(ln)
             ln.expect_end()
-            self._check_declared(ln, o, self.objects, "object")
-            self._check_declared(ln, s, self.subjects, "subject")
+            self._check_declared(ln, 1, self.objects, "object")
+            self._check_declared(ln, 2, self.subjects, "subject")
             return GrantDecl(o, s, mode)
         if head in ("reading", "writing"):
             ln.next(head)
             s = ln.expect_id("a subject identifier")
             o = ln.expect_id("an object identifier")
             ln.expect_end()
-            self._check_declared(ln, s, self.subjects, "subject")
-            self._check_declared(ln, o, self.objects, "object")
+            self._check_declared(ln, 1, self.subjects, "subject")
+            self._check_declared(ln, 2, self.objects, "object")
             return AccessDecl(head, s, o)
         ln.fail("expected a declaration or 'end'", head, 0)
 
-    def _check_declared(self, ln: _Line, name: str, declared: set, kind: str) -> None:
+    def _check_declared(self, ln: _Line, index: int, declared: set, kind: str) -> None:
+        """Fail at token ``index``, a name, unless it is ``declared``."""
+        name = ln.tokens[index]
         if name not in declared:
-            ln.fail(f"undeclared {kind} '{name}'", name)
+            ln.fail(f"undeclared {kind} '{name}'", name, index)
 
     def _parse_assert(self, ln: _Line) -> Assert:
         ln.next("assert")

@@ -92,6 +92,12 @@ L3_REPORT_SHA256 = "d8b601fd44d7489571ba354ef21b299b261c84e7e15fb5cfbddd9aa8d2ef
 # workflow requires it with 1 and 2 workers and two hash seeds, and checks
 # the states column against the benchmark's independent census.
 O3_REPORT_SHA256 = "a5d3960a6ca45326af319aa5da1b261956a11e3a4541b4b5b3ff8ebc52185e04"
+# sha256 of the machine report of ``check --subjects 3``, the profile
+# ``Bounds(3, 2, 2, 1, 2, 2, 3)`` (all pass, 264,963,965 hypothesis
+# states).  The CI workflow requires it with 1 and 2 workers and two hash
+# seeds, and checks the states column against the benchmark's independent
+# census.
+S3_REPORT_SHA256 = "9ccec24db49f54e7eeb45e6f9654296dc2ceceb302a81ded68931f7fe77b5a2c"
 
 
 def test_criterion_obligation_suite(default_check):

@@ -27,6 +27,7 @@ from blpcheck import (
 )
 from blpcheck import checker
 from blpcheck.checker import (
+    MAX_LIST,
     MODE_RANDOM,
     P0,
     _pool_size,
@@ -34,7 +35,7 @@ from blpcheck.checker import (
     _Universe,
     requests_for_rule,
 )
-from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, PROPERTY_ORDER
+from blpcheck.core import MATRIX_MODES, PROPERTY_FUNCS, PROPERTY_ORDER, PROPERTY_READS
 from blpcheck.rules import (
     RULE_DEFS,
     RULE_ORDER,
@@ -147,6 +148,25 @@ def test_requests_cover_give_ctrl():
     )
 
 
+@pytest.mark.parametrize("bounds", [TINY, SMALL, P0], ids=["TINY", "SMALL", "P0"])
+def test_request_lists_need_no_universe(bounds, monkeypatch):
+    """Listing requests builds no option list, matrix or id table: with
+    ``_Universe`` unusable, both functions still give the lists a universe
+    holds."""
+    expected = _Universe(bounds).requests
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a request list built a universe")
+
+    monkeypatch.setattr(checker, "_Universe", refuse)
+    for rule in RULE_ORDER:
+        assert requests_for_rule(rule, bounds) == expected[rule]
+    assert enumerate_requests(bounds) == tuple(
+        req for rule in RULE_ORDER for req in expected[rule])
+    with pytest.raises(ValueError, match="bounds too large"):
+        enumerate_requests(bounds._replace(num_subjects=MAX_LIST))
+
+
 def test_enumeration_is_deterministic():
     assert list(enumerate_states(SMALL)) == list(enumerate_states(SMALL))
     assert enumerate_requests(SMALL) == enumerate_requests(SMALL)
@@ -237,8 +257,8 @@ def test_sweep_generates_exactly_the_hypothesis(strict_star, star):
     its leaves as ids (``_leaf_rows``).  Walking every subtree, with no
     orbit reduction, and mapping the ids back to states must give exactly
     the enumerated states that satisfy all invariants, in enumeration
-    order, at consecutive positions.  Two subjects, so that one subject's
-    reads leave the other's writes free."""
+    order.  Two subjects, so that one subject's reads leave the other's
+    writes free."""
     b = Bounds(2, 2, 2, 0, 1, 1, 2)
     u = _Universe(b, strict_star=strict_star)
     empty = u.component_id(SystemState._fields.index("br"), ())
@@ -250,10 +270,8 @@ def test_sweep_generates_exactly_the_hypothesis(strict_star, star):
         combo, mi = divmod(i, n_m)
         fs_id, fo_id = divmod(combo, n_fo)
         assert (fs, fo, m) == (*u.fs_fo(combo), u.m_options[mi][0])
-        leaf_rows, count = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
-        leaves = [leaf for row in leaf_rows for leaf in row]
-        assert [pos for pos, _ids in leaves] == list(range(1, count + 1))
-        got.extend(u.state(ids) for _pos, ids in leaves)
+        leaves = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
+        got.extend(u.state(ids) for ids in leaves)
     states = list(enumerate_states(b))
     assert got == [s for s in states if well_formed(s) and sec_cond(s) and star(s)]
     assert len(states) == 103_599
@@ -414,6 +432,50 @@ def test_reduced_sweep_matches_naive_where_both_name_groups_act():
         naive, states = naive_check(BOTH_GROUPS, rule_defs=defs, rules=(rule,))
         _assert_matches_naive(report, naive, states)
         assert not report.all_pass, (rule, conjunct)
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_after_ids_map_back_to_the_effect(bounds):
+    """A granted request's after state is the leaf's ids followed by its
+    effect memo entry.  For every rule and every granted (leaf, request) of
+    the hypothesis, with no orbit reduction, the five ids a rule's plan
+    picks out of that tuple map back through ``_Universe.state`` to the
+    state the rule's effect returns, and each checked property's memo key
+    is those ids at the property's fields."""
+    u = _Universe(bounds)
+    fields = SystemState._fields
+    empty = u.component_id(fields.index("br"), ())
+    n_m, n_fo = len(u.m_options), len(u.fo_options)
+    granted_pairs = 0
+    for rule in RULE_ORDER:
+        rd = RULE_DEFS[rule]
+        obs = [checker._ObState(rule, prop) for prop in PROPERTY_ORDER]
+        plan = checker._RulePlan(rd, obs, u)
+        assert plan.checked
+        subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
+                                     (bounds.max_br, bounds.max_bw), hypothesis=True)
+        for i, (_fs, _fo, _m, rows) in enumerate(subtrees):
+            combo, mi = divmod(i, n_m)
+            fs_id, fo_id = divmod(combo, n_fo)
+            proto = (empty, empty, fo_id, fs_id, mi)
+            leaves = checker._leaf_rows(rows, proto)
+            plan.sweep(proto, leaves, combo, 0)
+            for ids in leaves:
+                st = u.state(ids)
+                entries = plan.effects.get(plan.write_key(ids))
+                for j, req in enumerate(plan.reqs):
+                    if not all(c.holds(st, req) for c in rd.conjuncts):
+                        continue
+                    granted_pairs += 1
+                    after = ids + entries[j]
+                    after_ids = plan.after_ids(after)
+                    assert u.state(after_ids) == rd.effect(st, req), (rule, st, req)
+                    for ob, key, _memo, _pred in plan.checked:
+                        want = tuple(after_ids[f] for f, name in enumerate(fields)
+                                     if name in PROPERTY_READS[ob.prop])
+                        assert key(after) == (want[0] if len(want) == 1 else want)
+        assert not any(ob.failed for ob in obs)
+    assert granted_pairs > 0
 
 
 def test_hypothesis_filter_is_not_applied_by_enumeration():

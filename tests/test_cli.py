@@ -67,9 +67,19 @@ def test_check_rejects_nonpositive_workers(capsys):
 
 
 def test_check_text_format_has_summary(capsys):
-    code, out, _ = run_cli(capsys, "check", *SMALL)
-    assert code == 0
-    assert "60 obligations: 60 pass, 0 fail" in out
+    """The text report opens with its bounds and mode (and in random mode the
+    samples and seed) and closes with the pass/fail summary."""
+    bounds = "obligations at bounds (1, 2, 2, 0, 2, 2, 2)"
+    for mode_args, head in [
+        ((), f"{bounds}, exhaustive mode"),
+        (("--mode", "random", "--samples", "200", "--seed", "99"),
+         f"{bounds}, random mode (samples=200, seed=99)"),
+    ]:
+        code, out, _ = run_cli(capsys, "check", *SMALL, *mode_args)
+        assert code == 0
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == (head, "60 obligations: 60 pass, 0 fail")
+        assert len(lines) == 62
 
 
 # --- partition ---------------------------------------------------------------

@@ -126,9 +126,18 @@ def test_duplicate_declaration_is_a_parse_error():
 
 
 def test_grant_requires_declared_ids():
-    with pytest.raises(ScenarioParseError) as exc:
-        parse_scenario("state\n  grant o1 s1 read\nend\n")
-    assert "undeclared" in exc.value.message
+    """An undeclared name is reported at its own column: grant's object and
+    subject, and the subject and object of reading and writing."""
+    for text, where in [
+        ("state\n  grant o1 s1 read\nend\n", (2, 9, "o1")),
+        ("state\n  object o1\n  grant o1 s1 read\nend\n", (3, 12, "s1")),
+        ("state\n  object o1\n  reading s1 o1\nend\n", (3, 11, "s1")),
+        ("state\n  subject s1\n  writing s1 o1\nend\n", (3, 14, "o1")),
+    ]:
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(text)
+        assert "undeclared" in exc.value.message
+        assert (exc.value.line, exc.value.column, exc.value.offending_token) == where
 
 
 def test_command_before_state_block_is_a_parse_error():
