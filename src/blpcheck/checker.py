@@ -31,9 +31,11 @@ the entry for the AND of its readable and known masks, and a read set's
 write sets the entry for the AND of the writable and known masks with its
 pairs' masks, each set listed with its id.  The random sampler reads the
 same tables.  One pass over a subtree (``_leaf_rows``) lists its hypothesis
-leaves as one flat list, each leaf a small integer id per state component.
-Within a subtree the sweep is rule-major, and each rule walks those leaves
-in enumeration order, each leaf's requests in list order.  Every rule
+leaves as one flat list, each leaf a small integer id per state component;
+a subtree is listed only when some rule's subtree guard stage grants a
+request there.  Within a subtree the sweep is rule-major, and each rule
+walks those leaves in enumeration order, each leaf's requests in list
+order.  Every rule
 callable runs once per distinct value of the components it declares to
 read; the result is memoised under their ids.  The sweep handles ids only:
 a state is built from ids, by ``_Universe.state``, only for a memo miss or
@@ -83,9 +85,14 @@ means first in enumeration order) to a subtree's (fs, fo, m), and checks
 every hypothesis leaf of each subtree that passes it against *all*
 requests: a subtree is swept exactly when its (fs, fo) pair is the least
 of its orbit and its matrix is the least under that pair's stabiliser.
-Counts stay those of the full enumeration, because a subtree's
-hypothesis-leaf count is orbit-invariant: a skipped pair or matrix counts
-the leaves of its earlier image.  First witnesses do not change either.
+The sweep walks only those matrices, from one table per distinct
+stabiliser (``_Orbits.m_reps``).  Counts stay those of the full
+enumeration because the sweep counts nothing: the states column comes
+from the universe's hypothesis census (``_Universe.leaves_before``),
+which counts each subtree's leaves in closed form, none listed.  A pair's
+count over all its matrices is the same across its orbit, so the census
+computes representatives' counts only.  First witnesses do not change
+either.
 An obligation's failing (state, request) pairs are closed under G, so the
 first failing state in enumeration order is the least of its orbit.
 Hence its (fs, fo) pair is a representative, and its matrix is the least
@@ -119,7 +126,8 @@ lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
 the invariant memos, every rule's guard and effect memos, the access-set
 tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
-and matrices (``_Orbits``).  The enumerator, the sweep, the random sampler
+and matrices (``_Orbits``) and the hypothesis census (``_Census``), both
+built on first use.  The enumerator, the sweep, the random sampler
 and witness validation all read it, and one task runner (``_run_tasks``)
 runs the work in process or on workers (forked, or spawned where the
 platform cannot fork), which receive the context once when they start:
@@ -407,7 +415,10 @@ class _Orbits(NamedTuple):
     representatives in order and ``stabiliser`` maps each one to the
     indices into ``group`` of the renamings that fix it.  ``m_image[g]``
     gives, per ``m_options`` index, the index of its image under
-    ``group[g]``.
+    ``group[g]``.  ``m_reps`` maps each distinct stabiliser to the
+    ``m_options`` indices, ascending, that no renaming in it maps to an
+    earlier one: the matrices the sweep visits under a pair with that
+    stabiliser.
 
     The tables come from index arithmetic alone.  A class-map option's
     index is a mixed-radix numeral (``_Universe._class_map_image``): a
@@ -424,6 +435,24 @@ class _Orbits(NamedTuple):
     reps: tuple[int, ...]
     stabiliser: dict[int, tuple[int, ...]]
     m_image: tuple[tuple[int, ...], ...]
+    m_reps: dict[tuple[int, ...], tuple[int, ...]]
+
+
+class _Census(NamedTuple):
+    """The tables of a universe's closed-form hypothesis census
+    (``_Universe.leaves_before``), filled as they are asked.
+
+    ``upto[n]`` is the number of bw options of a bw mask of n pairs, and
+    ``matrices`` maps each known mask to the number of matrices that have
+    it.  ``subtree`` holds the hypothesis leaves of a subtree per (pair
+    number, known mask), and ``pair`` those of a representative pair over
+    all its matrices.
+    """
+
+    upto: list[int]
+    matrices: dict[int, int]
+    subtree: dict[tuple[int, int], int]
+    pair: dict[int, int]
 
 
 class _Universe:
@@ -453,7 +482,10 @@ class _Universe:
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     The symmetry tables (``orbits``) are built on first use, which only the
-    exhaustive sweep makes, by arithmetic on option indices.
+    exhaustive sweep makes, by arithmetic on option indices.  So is the
+    hypothesis census (``census``, read through ``subtree_leaves``,
+    ``leaves_before`` and ``hypothesis_states``), which only the merge of
+    an exhaustive sweep asks.
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
@@ -580,7 +612,63 @@ class _Universe:
         stabiliser = {
             i: tuple(g for g, img in enumerate(images) if img[i] == i) for i in reps
         }
-        return _Orbits(group, rep, reps, stabiliser, tuple(m_image))
+        m_reps = {
+            stab: tuple(mi for mi in range(len(self.m_options))
+                        if all(m_image[g][mi] >= mi for g in stab))
+            for stab in set(stabiliser.values())
+        }
+        return _Orbits(group, rep, reps, stabiliser, tuple(m_image), m_reps)
+
+    @cached_property
+    def census(self) -> _Census:
+        """The census tables, empty but for two small ones."""
+        matrices: dict[int, int] = {}
+        for _m, known in self.m_options:
+            matrices[known] = matrices.get(known, 0) + 1
+        upto = [_subsets_upto(n, self.bounds.max_bw) for n in range(len(self.pairs) + 1)]
+        return _Census(upto, matrices, {}, {})
+
+    def subtree_leaves(self, combo: int, known: int) -> int:
+        """The hypothesis leaves of (fs, fo) pair number ``combo`` under a
+        matrix whose known mask is ``known``, counted in closed form: the
+        sum, over the subtree's br options, of the number of subsets of at
+        most max_bw of the option's bw mask (``_bw_masks``).  A matrix
+        enters only through its known mask; P0's 299 matrices have four."""
+        census = self.census
+        key = (combo, known)
+        n = census.subtree.get(key)
+        if n is None:
+            readable, writable, star = self.pair_masks(combo)
+            n = census.subtree[key] = sum(
+                census.upto[mask.bit_count()] for _br, _br_id, mask
+                in _bw_masks(self, known & readable, known & writable, star, self.bounds.max_br))
+        return n
+
+    def _pair_leaves(self, combo: int) -> int:
+        """The hypothesis leaves of pair ``combo`` over all its matrices.
+        A renaming that maps the pair to its orbit's representative permutes
+        the matrices, so the count is the representative's, and only
+        representatives' counts are computed."""
+        census = self.census
+        rep = self.orbits.rep[combo]
+        n = census.pair.get(rep)
+        if n is None:
+            n = census.pair[rep] = sum(
+                k * self.subtree_leaves(rep, known) for known, k in census.matrices.items())
+        return n
+
+    def leaves_before(self, combo: int, mi: int) -> int:
+        """The hypothesis census ahead of a subtree: the hypothesis leaves
+        of every subtree before pair ``combo``'s matrix number ``mi`` in
+        enumeration order.  The exhaustive sweep's states column comes from
+        here, none of it from listing leaves."""
+        return (sum(map(self._pair_leaves, range(combo)))
+                + sum(self.subtree_leaves(combo, known) for _m, known in self.m_options[:mi]))
+
+    @cached_property
+    def hypothesis_states(self) -> int:
+        """Every hypothesis leaf of the universe, from the census."""
+        return self.leaves_before(self.n_combos, 0)
 
     def _class_maps(self, entities: Sequence[str]) -> list[tuple]:
         options: list[Optional[SecurityClass]] = [None, *self.classes]
@@ -692,15 +780,22 @@ def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
             yield fs, fo, m, _rows(u, known & readable, known & writable, star, caps)
 
 
-def _rows(u: _Universe, readable: int, writable: int, star: dict, caps):
-    """Per subset of the ``readable`` pairs, the br option ``(br, br_id,
-    bw_subs)``: bw_subs lists the subsets of the pairs allowed beside it,
-    the AND of ``writable`` and its pairs' star masks."""
-    br_cap, bw_cap = caps
+def _bw_masks(u: _Universe, readable: int, writable: int, star: dict, br_cap: int):
+    """Per subset of at most ``br_cap`` of the ``readable`` pairs, the br
+    option, its id and the mask of the pairs allowed beside it: the AND of
+    ``writable`` and its pairs' star masks."""
     for br, br_id in u.access_sets(readable, br_cap):
         mask = writable
         for p in br:
             mask &= star[p]
+        yield br, br_id, mask
+
+
+def _rows(u: _Universe, readable: int, writable: int, star: dict, caps):
+    """Per subset of the ``readable`` pairs, the br option ``(br, br_id,
+    bw_subs)``: bw_subs lists the subsets of its bw mask (``_bw_masks``)."""
+    br_cap, bw_cap = caps
+    for br, br_id, mask in _bw_masks(u, readable, writable, star, br_cap):
         yield br, br_id, u.access_sets(mask, bw_cap)
 
 
@@ -781,8 +876,9 @@ class _ObState:
         self.prop = prop
         self.failed = False
         self.witness: Optional[Witness] = None
-        # (fs, fo) index of the witness, and its leaf position in that pair
-        self.fail_at: Optional[tuple[int, int]] = None
+        # (fs, fo) index and matrix index of the witness's subtree, and its
+        # leaf position there
+        self.fail_at: Optional[tuple[int, int, int]] = None
 
 
 class _FrameViolation(RuntimeError):
@@ -873,6 +969,7 @@ class _RulePlan:
     def __init__(self, rd: RuleDef, obs, u: _Universe):
         self.rule = rd.name
         self.reqs = u.requests[rd.name]
+        self.all_requests = (1 << len(self.reqs)) - 1
         self.obs = obs
         self.universe = u
         memos = u.rule_memos.get(rd)
@@ -898,6 +995,10 @@ class _RulePlan:
              u.prop_memo[ob.prop], u.props[ob.prop])
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
+        # the checked obligations that have not failed; the plan is done
+        # when none is left and it has no framed obligation
+        self.live = list(self.checked)
+        self.framed = len(self.checked) < len(obs)
         # Everything the rule's verdicts on a leaf depend on.  Without the
         # matrix in it, ``decided`` holds the footprints of the leaves
         # decided so far on the (fs, fo) pair ``decided_pair``.
@@ -927,27 +1028,24 @@ class _RulePlan:
         after = self._apply(st, j)
         return tuple(self.universe.component_id(i, after[i]) for i in self.writes)
 
-    def sweep(self, proto_ids, leaves, combo: int, leaves_before: int) -> None:
-        """Decide the rule's requests on the ``leaves`` of one subtree (see
+    def sweep(self, mask: int, leaves, combo: int, mi: int) -> None:
+        """Decide the rule's requests in ``mask``, the bitset its subtree
+        guard stage granted, on the ``leaves`` of one subtree (see
         ``_leaf_rows``), in enumeration order and each leaf's requests in
-        list order.  ``proto_ids`` are the ids of the subtree's leaf with
-        empty br and bw.  The sweep handles ids only: a state is built, by
+        list order.  The sweep handles ids only: a state is built, by
         ``u.state``, only for a memo miss or a witness.  A granted request's
         after state is ``ids + entry``, its effect memo entry appended to
         the leaf's ids.  Failures record the first witness, its after state
-        from a real effect call, at (``combo``, ``leaves_before`` +
-        position)."""
+        from a real effect call, at (``combo``, ``mi``, the leaf's position
+        in the subtree)."""
         u = self.universe
         reqs = self.reqs
-        mask = _granted(self.subtree_guards, (1 << len(reqs)) - 1, proto_ids, u, reqs)
-        if not mask:
-            return
         leaf_guards = self.leaf_guards
         effects = self.effects
         indices = u.request_indices
         write_key = self.write_key
         after_ids = self.after_ids
-        live = [check for check in self.checked if not check[0].failed]
+        live = self.live
         decided = self.decided
         if decided is not None and self.decided_pair != combo:
             decided.clear()
@@ -987,9 +1085,9 @@ class _RulePlan:
                         st = u.state(ids)
                         ob.failed = failed = True
                         ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
-                        ob.fail_at = (combo, leaves_before + pos)
+                        ob.fail_at = (combo, mi, pos)
                 if failed:
-                    live = [check for check in live if not check[0].failed]
+                    live = self.live = [check for check in live if not check[0].failed]
 
 
 def _sweep_range(
@@ -1001,18 +1099,20 @@ def _sweep_range(
 ):
     """Check obligations over the representative (fs, fo) pairs
     ``u.orbits.reps[lo:hi]``.  Returns one chunk result for
-    ``_merge_chunks``: per-obligation partial verdicts, the leaf count of
-    each pair swept and the per-rule sweep times.
+    ``_merge_chunks``: per-obligation partial verdicts, each failure at its
+    (pair, matrix, position), and the per-rule sweep times.  It counts
+    nothing: states come from the census.
 
     The hypothesis (all invariants hold before the step) is generated by
     ``_subtrees``, not filtered.  A small-scope test pins this against
     literally filtering enumerate_states with the core predicates.  Only orbit
     representatives are swept: of a pair's matrix options, those no
-    renaming that fixes the pair maps to an earlier option, each with every
-    hypothesis leaf.  A skipped matrix option counts the leaves of its
-    earlier image, and its leaves are never listed.  Within a subtree the
-    loop is rule-major over one flat list of leaf ids, from one
-    ``_leaf_rows`` pass whose time counts towards no rule.
+    renaming that fixes the pair maps to an earlier option
+    (``_Orbits.m_reps``), each with every hypothesis leaf.  Per subtree,
+    every rule with a live obligation runs its subtree guard stage first,
+    timed as that rule's; a subtree where no rule grants a request is never
+    listed.  Otherwise the loop is rule-major over one flat list of leaf
+    ids, from one ``_leaf_rows`` pass whose time counts towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1021,7 +1121,6 @@ def _sweep_range(
     ]
 
     orbits = u.orbits
-    counts = {}
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
     caps = (u.bounds.max_br, u.bounds.max_bw)
@@ -1032,35 +1131,35 @@ def _sweep_range(
         if all(ob.failed for ob in obs):
             break
         fs_id, fo_id = divmod(combo, len(u.fo_options))
-        stabiliser = orbits.stabiliser[combo]
-        m_leaves = []  # per matrix option of this pair, its leaf count
-        before = 0
-        subtrees = _subtrees(u, (combo,), range(len(u.m_options)), caps, hypothesis=True)
-        for mi, (_fs, _fo, _m, rows) in enumerate(subtrees):
-            if all(ob.failed for ob in obs):
+        m_reps = orbits.m_reps[orbits.stabiliser[combo]]
+        subtrees = _subtrees(u, (combo,), m_reps, caps, hypothesis=True)
+        for mi, (_fs, _fo, _m, rows) in zip(m_reps, subtrees):
+            active = [plan for plan in plans if plan.live or plan.framed]
+            if not active:
                 break
-            first = min((orbits.m_image[g][mi] for g in stabiliser), default=mi)
-            if first < mi:
-                m_leaves.append(m_leaves[first])
-                before += m_leaves[first]
-                continue
             proto_ids = (empty, empty, fo_id, fs_id, mi)
-            # shared work, kept out of every rule's time
-            leaves = _leaf_rows(rows, proto_ids)
+            admitted = []
             t0 = clock()
-            for plan in plans:
-                if not all(ob.failed for ob in plan.obs):
-                    plan.sweep(proto_ids, leaves, combo, before)
+            for plan in active:
+                mask = _granted(plan.subtree_guards, plan.all_requests, proto_ids, u, plan.reqs)
+                if mask:
+                    admitted.append((plan, mask))
                 t1 = clock()
                 rule_time[plan.rule] += t1 - t0
                 t0 = t1
-            m_leaves.append(len(leaves))
-            before += len(leaves)
-        else:  # a pair left early has no count, and no merge needs one
-            counts[combo] = before
+            if not admitted:
+                continue
+            # shared work, kept out of every rule's time
+            leaves = _leaf_rows(rows, proto_ids)
+            t0 = clock()
+            for plan, mask in admitted:
+                plan.sweep(mask, leaves, combo, mi)
+                t1 = clock()
+                rule_time[plan.rule] += t1 - t0
+                t0 = t1
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
-    return entries, counts, rule_time
+    return entries, rule_time
 
 
 def _leaf_rows(rows, proto_ids) -> list[tuple[int, ...]]:
@@ -1137,36 +1236,29 @@ def _shard_ranges(n_units: int, n_workers: int) -> list[tuple[int, int]]:
 
 def _merge_chunks(u: _Universe, obligations, chunk_results):
     """Fold sweep chunk results, in chunk order, into sequential-equivalent
-    verdicts: first witness wins.  Every (fs, fo) pair has the leaf count of
-    its orbit's representative, so a failing obligation's visited-state
-    count is the leaves of all pairs before the witness's plus its position
-    there, and a passing one's is the leaves of all pairs.  Per-rule times
-    sum over chunks (CPU time, not wall time, under parallelism).
+    verdicts: first witness wins.  States come from the census
+    (``_Universe.leaves_before``): a failing obligation's visited-state count is
+    the hypothesis leaves ahead of its witness's subtree plus the witness's
+    position there, and a passing one's is every hypothesis leaf.  Per-rule
+    times sum over chunks (CPU time, not wall time, under parallelism).
 
     Returns ``{obligation: (failed, witness, states)}`` and the times."""
     first = {}
-    counts: dict[int, int] = {}
     total_time: dict[str, float] = {}
-    for entries, chunk_counts, rule_time in chunk_results:
+    for entries, rule_time in chunk_results:
         for rule, prop, failed, witness, fail_at in entries:
             if failed:
                 first.setdefault(Obligation(rule, prop), (witness, fail_at))
-        counts.update(chunk_counts)
         for rule, secs in rule_time.items():
             total_time[rule] = total_time.get(rule, 0.0) + secs
-
-    # a sweep stops early only once all its obligations failed, so the
-    # pairs before every witness, and all pairs when one passed, have counts
-    def leaves_before(combo: int) -> int:
-        return sum(counts[rep] for rep in u.orbits.rep[:combo])
 
     merged = {}
     for ob in obligations:
         if ob in first:
-            witness, (combo, pos) = first[ob]
-            merged[ob] = (True, witness, leaves_before(combo) + pos)
+            witness, (combo, mi, pos) = first[ob]
+            merged[ob] = (True, witness, u.leaves_before(combo, mi) + pos)
         else:
-            merged[ob] = (False, None, leaves_before(u.n_combos))
+            merged[ob] = (False, None, u.hypothesis_states)
     return merged, total_time
 
 

@@ -98,6 +98,12 @@ O3_REPORT_SHA256 = "a5d3960a6ca45326af319aa5da1b261956a11e3a4541b4b5b3ff8ebc5218
 # seeds, and checks the states column against the benchmark's independent
 # census.
 S3_REPORT_SHA256 = "9ccec24db49f54e7eeb45e6f9654296dc2ceceb302a81ded68931f7fe77b5a2c"
+# sha256 of the machine report of ``check --categories 2``, the profile
+# ``Bounds(2, 2, 2, 2, 2, 2, 3)`` (all pass, 46,559,385 hypothesis
+# states), the first pinned profile where renaming categories acts.  The
+# CI workflow requires it with 1 and 2 workers and two hash seeds, and
+# checks the states column against the benchmark's independent census.
+C2_REPORT_SHA256 = "6b4bba726bd72964d2dee4b2dd03f950e88c805e9927302f3fbc1b6c559dd627"
 
 
 def test_criterion_obligation_suite(default_check):

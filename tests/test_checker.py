@@ -373,6 +373,13 @@ def test_orbit_tables_match_state_renaming(bounds):
     assert orbits.reps == reps
     assert orbits.stabiliser == stabiliser
     assert orbits.m_image == m_image
+    # the matrices each stabiliser leaves to the sweep: those with no
+    # earlier image under it
+    assert orbits.m_reps == {
+        stab: tuple(mi for mi in range(len(u.m_options))
+                    if min((m_image[g][mi] for g in stab), default=mi) >= mi)
+        for stab in stabiliser.values()
+    }
 
 
 # Mutants whose failures at these bounds depend on the categories.
@@ -459,7 +466,8 @@ def test_after_ids_map_back_to_the_effect(bounds):
             fs_id, fo_id = divmod(combo, n_fo)
             proto = (empty, empty, fo_id, fs_id, mi)
             leaves = checker._leaf_rows(rows, proto)
-            plan.sweep(proto, leaves, combo, 0)
+            plan.sweep(checker._granted(plan.subtree_guards, plan.all_requests, proto,
+                                        u, plan.reqs), leaves, combo, mi)
             for ids in leaves:
                 st = u.state(ids)
                 entries = plan.effects.get(plan.write_key(ids))
@@ -740,6 +748,77 @@ def test_what_each_needless_conjunct_guards(bounds):
 def test_unmutated_rules_pass_where_mutants_fail():
     assert check_obligations(SMALL, rule="getWrite", prop="starprop").all_pass
     assert check_obligations(SMALL, rule="getRead", prop="seccond").all_pass
+
+
+# --- the hypothesis census ---------------------------------------------------
+
+# The sweep tests' profiles, one where Sym(categories) acts, and degenerate
+# ones: no subjects, objects, levels, access sets or matrix entries.
+CENSUS_BOUNDS = {
+    "tiny": TINY,
+    "small": SMALL,
+    "both-groups": BOTH_GROUPS,
+    "two-subjects": TWO_SUBJECTS,
+    "categories": Bounds(1, 2, 1, 2, 1, 1, 1),
+    "no-subjects": Bounds(0, 2, 2, 1, 2, 2, 2),
+    "no-objects": Bounds(2, 0, 2, 1, 2, 2, 2),
+    "no-levels": Bounds(2, 2, 0, 1, 2, 2, 2),
+    "no-access": Bounds(2, 2, 2, 0, 0, 0, 2),
+    "no-reads": Bounds(2, 2, 2, 0, 0, 2, 2),
+    "no-writes": Bounds(2, 2, 2, 0, 2, 0, 2),
+    "no-matrix": Bounds(2, 2, 2, 0, 2, 2, 0),
+    "nothing": Bounds(0, 0, 0, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("bounds", CENSUS_BOUNDS.values(), ids=CENSUS_BOUNDS.keys())
+def test_census_counts_every_subtree(bounds):
+    """The closed-form census of every subtree, representative or not, is
+    the number of leaves ``_leaf_rows`` lists for it, and the census ahead
+    of it is the leaves of the subtrees before it in enumeration order.  The
+    whole census is the number of enumerated states that satisfy every
+    invariant.  Both readings of the *-property."""
+    states = [s for s in enumerate_states(bounds) if well_formed(s) and sec_cond(s)]
+    for strict_star, star in ((False, star_prop), (True, strict_star_prop)):
+        u = _Universe(bounds, strict_star=strict_star)
+        empty = u.component_id(SystemState._fields.index("br"), ())
+        n_m, n_fo = len(u.m_options), len(u.fo_options)
+        subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
+                                     (bounds.max_br, bounds.max_bw), hypothesis=True)
+        listed = 0
+        for i, (_fs, _fo, _m, rows) in enumerate(subtrees):
+            combo, mi = divmod(i, n_m)
+            fs_id, fo_id = divmod(combo, n_fo)
+            leaves = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
+            assert u.leaves_before(combo, mi) == listed, (strict_star, combo, mi)
+            assert u.subtree_leaves(combo, u.m_options[mi][1]) == len(leaves)
+            listed += len(leaves)
+        assert u.hypothesis_states == listed == sum(map(star, states)), strict_star
+
+
+def test_census_of_the_default_profile():
+    from test_acceptance import P0_HYPOTHESIS_STATES
+
+    assert _Universe(P0).hypothesis_states == P0_HYPOTHESIS_STATES
+
+
+def test_refused_subtrees_are_never_listed(monkeypatch):
+    """A subtree where no rule's subtree guard stage grants a request is
+    never listed.  At P0, getRead without hasReadPermission breaks
+    ranBrInDomM in the first subtree where getRead's subtree stage grants
+    a request, so its search lists that subtree alone."""
+    listed = []
+    leaf_rows = checker._leaf_rows
+
+    def counting(rows, proto_ids):
+        listed.append(proto_ids)
+        return leaf_rows(rows, proto_ids)
+
+    monkeypatch.setattr(checker, "_leaf_rows", counting)
+    defs = {"getRead": without_conjunct(RULE_DEFS["getRead"], "hasReadPermission")}
+    report = check_obligations(P0, rule="getRead", prop="ranBrInDomM", rule_defs=defs)
+    assert [r.status for r in report.results] == ["fail"]
+    assert len(listed) == 1
 
 
 # --- random mode -------------------------------------------------------------
