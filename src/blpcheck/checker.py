@@ -18,28 +18,31 @@ disjoint.  The ``paperFaithful`` variant of giveRW fails the coverage half:
 a giver repeating a grant the receiver already holds matches no clause.
 
 Performance note: enumeration is layered (classifications, then matrix,
-then current accesses) and written once, in ``_subtrees``.  (fs, fo) pairs
-are numbered, not listed: pair number i is fs option f and fo option o for
-f, o = divmod(i, len(fo_options)).  The access sets come from tables of the
-check's ``_Universe``, keyed by integers: per (fs, fo) pair, bitmasks over
-the universe's (subject, object) pairs of the readable and the writable
-pairs, and per readable pair the mask of the pairs that may be written
-while it is read; per matrix, the mask of the pairs whose object it knows;
-and one table from (mask, cap) to the subsets of a mask's pairs.  So the
-whole hypothesis is generated, never filtered: a subtree's read sets are
-the entry for the AND of its readable and known masks, and a read set's
-write sets the entry for the AND of the writable and known masks with its
-pairs' masks, each set listed with its id.  The random sampler reads the
-same tables.  One pass over a subtree (``_leaf_rows``) lists its hypothesis
+then current accesses).  (fs, fo) pairs are numbered, not listed: pair
+number i is fs option f and fo option o for f, o = divmod(i,
+len(fo_options)).  The access sets come from tables of the check's
+``_Universe``, keyed by integers: per (fs, fo) pair, bitmasks over the
+universe's (subject, object) pairs of the readable and the writable pairs,
+and per readable pair the mask of the pairs that may be written while it
+is read; per matrix, the mask of the pairs whose object it knows; and one
+table from (mask, cap) to the subsets of a mask's pairs.  ``_subtrees``
+lists every well-formed state from them.  The hypothesis has one table per
+(fs, fo) pair and known mask (``_Universe.subtree``), since a matrix enters
+it only through that mask: P0's 299 matrices have four.  So the whole
+hypothesis is generated, never filtered: a table's read sets are the entry
+for the AND of the pair's readable and known masks, and a read set's write
+sets the entry for the AND of the writable and known masks with its pairs'
+masks, each set listed with its id.  The census counts a table's leaves,
+and the sweep lists them; the random sampler reads the access-set tables.
+One pass over a subtree's table (``_leaf_rows``) lists its hypothesis
 leaves as one flat list, each leaf a small integer id per state component;
 a subtree is listed only when some rule's subtree guard stage grants a
 request there.  Within a subtree the sweep is rule-major, and each rule
 walks those leaves in enumeration order, each leaf's requests in list
-order.  Every rule
-callable runs once per distinct value of the components it declares to
-read; the result is memoised under their ids.  The sweep handles ids only:
-a state is built from ids, by ``_Universe.state``, only for a memo miss or
-a witness.  A guard conjunct's memo maps the ids of its ``reads`` to the
+order.  Every rule callable runs once per distinct value of the
+components it declares to read; the result is memoised under their ids.
+The sweep handles ids only: a state is built from ids, by
+``_Universe.state``, only for a memo miss or a witness.  A guard conjunct's memo maps the ids of its ``reads`` to the
 bitset of the rule's requests it grants, so a leaf's granted requests are
 an AND of bitsets: conjuncts reading neither br nor bw once per subtree,
 the rest per leaf.  An effect runs once per (request, ids of
@@ -89,9 +92,10 @@ The sweep walks only those matrices, from one table per distinct
 stabiliser (``_Orbits.m_reps``).  Counts stay those of the full
 enumeration because the sweep counts nothing: the states column comes
 from the universe's hypothesis census (``_Universe.leaves_before``),
-which counts each subtree's leaves in closed form, none listed.  A pair's
-count over all its matrices is the same across its orbit, so the census
-computes representatives' counts only.  First witnesses do not change
+which adds up the leaves of the hypothesis tables the sweep lists,
+without listing them.  A pair's count over all its matrices is the same
+across its orbit, so the census computes representatives' counts only,
+each from one table per known mask.  First witnesses do not change
 either.
 An obligation's failing (state, request) pairs are closed under G, so the
 first failing state in enumeration order is the least of its orbit.
@@ -126,8 +130,8 @@ lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
 the invariant memos, every rule's guard and effect memos, the access-set
 tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
-and matrices (``_Orbits``) and the hypothesis census (``_Census``), both
-built on first use.  The enumerator, the sweep, the random sampler
+and matrices (``_Orbits``) and the hypothesis tables (``_Universe.subtree``),
+both built on first use.  The enumerator, the sweep, the random sampler
 and witness validation all read it, and one task runner (``_run_tasks``)
 runs the work in process or on workers (forked, or spawned where the
 platform cannot fork), which receive the context once when they start:
@@ -438,23 +442,6 @@ class _Orbits(NamedTuple):
     m_reps: dict[tuple[int, ...], tuple[int, ...]]
 
 
-class _Census(NamedTuple):
-    """The tables of a universe's closed-form hypothesis census
-    (``_Universe.leaves_before``), filled as they are asked.
-
-    ``upto[n]`` is the number of bw options of a bw mask of n pairs, and
-    ``matrices`` maps each known mask to the number of matrices that have
-    it.  ``subtree`` holds the hypothesis leaves of a subtree per (pair
-    number, known mask), and ``pair`` those of a representative pair over
-    all its matrices.
-    """
-
-    upto: list[int]
-    matrices: dict[int, int]
-    subtree: dict[tuple[int, int], int]
-    pair: dict[int, int]
-
-
 class _Universe:
     """The context of one check: precomputed option spaces for one Bounds
     value, the reading of the *-property, the invariant predicates and every
@@ -475,17 +462,19 @@ class _Universe:
     matrix knows; ``pair_masks`` gives an (fs, fo) pair's readable and
     writable masks and its *-property masks by its pair number; and
     ``access_sets`` lists a mask's subsets up to a cap, once per (mask,
-    cap).  The enumerator and the random sampler both read these tables:
-    a subtree's read sets cost an AND and a lookup, and so do each read
-    set's write sets, plus an AND per read pair.
+    cap).  The enumerator, the hypothesis tables and the random sampler
+    all read these tables: a subtree's read sets cost an AND and a lookup,
+    and so do each read set's write sets, plus an AND per read pair.
 
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
     The symmetry tables (``orbits``) are built on first use, which only the
-    exhaustive sweep makes, by arithmetic on option indices.  So is the
-    hypothesis census (``census``, read through ``subtree_leaves``,
-    ``leaves_before`` and ``hypothesis_states``), which only the merge of
-    an exhaustive sweep asks.
+    exhaustive sweep makes, by arithmetic on option indices.  So are the
+    hypothesis tables (``subtree``), one per (fs, fo) pair and known mask,
+    which the sweep lists and the census (``leaves_before`` and
+    ``hypothesis_states``) counts: a subtree's count is its table's number
+    of leaves, and a whole pair's the sum over ``known_groups``.  Random
+    mode and the partition analyzer never build them.
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
@@ -559,6 +548,9 @@ class _Universe:
         self.request_indices: dict[int, tuple[int, ...]] = {}
         self._pair_masks: dict[int, tuple[int, int, dict]] = {}
         self._access_sets: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
+        # the hypothesis tables (``subtree``) and representatives' pair totals
+        self._subtree_tables: dict[tuple[int, int], tuple[int, list]] = {}
+        self._pair_counts: dict[int, int] = {}
 
     def component_id(self, field: int, value) -> int:
         """The id of ``value`` as state component number ``field``."""
@@ -620,41 +612,58 @@ class _Universe:
         return _Orbits(group, rep, reps, stabiliser, tuple(m_image), m_reps)
 
     @cached_property
-    def census(self) -> _Census:
-        """The census tables, empty but for two small ones."""
-        matrices: dict[int, int] = {}
+    def known_groups(self) -> tuple[tuple[int, int], ...]:
+        """One ``(known mask, number of matrices)`` entry per distinct known
+        mask of ``m_options``.  P0's 299 matrices have four known masks."""
+        groups: dict[int, int] = {}
         for _m, known in self.m_options:
-            matrices[known] = matrices.get(known, 0) + 1
-        upto = [_subsets_upto(n, self.bounds.max_bw) for n in range(len(self.pairs) + 1)]
-        return _Census(upto, matrices, {}, {})
+            groups[known] = groups.get(known, 0) + 1
+        return tuple(groups.items())
 
-    def subtree_leaves(self, combo: int, known: int) -> int:
+    def subtree(self, combo: int, known: int) -> tuple[int, list]:
         """The hypothesis leaves of (fs, fo) pair number ``combo`` under a
-        matrix whose known mask is ``known``, counted in closed form: the
-        sum, over the subtree's br options, of the number of subsets of at
-        most max_bw of the option's bw mask (``_bw_masks``).  A matrix
-        enters only through its known mask; P0's 299 matrices have four."""
-        census = self.census
+        matrix whose known mask is ``known``, as ``(count, rows)``, built
+        once per (pair, known mask): a matrix enters only through that mask.
+
+        ``rows`` lists, per br option in enumeration order, ``(br, br_id,
+        bw_subs)``, and ``count`` is the sum of the bw_subs' lengths.  The
+        masks come from ``pair_masks``, ANDed with ``known`` so that the
+        type invariants hold by construction: read pairs from the readable
+        mask (the security condition), and a br option's write pairs from
+        the writable mask ANDed with the star masks of its pairs (the
+        *-property).  A strict-star universe draws write pairs from
+        classified objects only; read objects are classified already, so
+        the strict reading needs nothing more.  A narrower mask lists the
+        same subsets in the same relative order as a wider one, so every
+        leaf keeps its position in the enumeration of all well-formed
+        states (``_subtrees``)."""
         key = (combo, known)
-        n = census.subtree.get(key)
-        if n is None:
+        table = self._subtree_tables.get(key)
+        if table is None:
             readable, writable, star = self.pair_masks(combo)
-            n = census.subtree[key] = sum(
-                census.upto[mask.bit_count()] for _br, _br_id, mask
-                in _bw_masks(self, known & readable, known & writable, star, self.bounds.max_br))
-        return n
+            max_br, max_bw = self.bounds.max_br, self.bounds.max_bw
+            rows = []
+            count = 0
+            for br, br_id in self.access_sets(known & readable, max_br):
+                mask = known & writable
+                for p in br:
+                    mask &= star[p]
+                bw_subs = self.access_sets(mask, max_bw)
+                rows.append((br, br_id, bw_subs))
+                count += len(bw_subs)
+            table = self._subtree_tables[key] = (count, rows)
+        return table
 
     def _pair_leaves(self, combo: int) -> int:
         """The hypothesis leaves of pair ``combo`` over all its matrices.
         A renaming that maps the pair to its orbit's representative permutes
         the matrices, so the count is the representative's, and only
         representatives' counts are computed."""
-        census = self.census
         rep = self.orbits.rep[combo]
-        n = census.pair.get(rep)
+        n = self._pair_counts.get(rep)
         if n is None:
-            n = census.pair[rep] = sum(
-                k * self.subtree_leaves(rep, known) for known, k in census.matrices.items())
+            n = self._pair_counts[rep] = sum(
+                k * self.subtree(rep, known)[0] for known, k in self.known_groups)
         return n
 
     def leaves_before(self, combo: int, mi: int) -> int:
@@ -663,7 +672,7 @@ class _Universe:
         enumeration order.  The exhaustive sweep's states column comes from
         here, none of it from listing leaves."""
         return (sum(map(self._pair_leaves, range(combo)))
-                + sum(self.subtree_leaves(combo, known) for _m, known in self.m_options[:mi]))
+                + sum(self.subtree(combo, known)[0] for _m, known in self.m_options[:mi]))
 
     @cached_property
     def hypothesis_states(self) -> int:
@@ -749,54 +758,22 @@ class _Universe:
         return subsets
 
 
-def _subtrees(u: _Universe, combos, m_indices, caps, hypothesis=False):
-    """Yield one enumeration subtree per (fs, fo) pair number in ``combos``
-    and matrix number in ``m_indices``: ``(fs, fo, m, rows)``.  ``rows``
-    yields, per br option in order, ``(br, br_id, bw_subs)``: the option,
-    its id and the bw options of its leaves.
-
-    Access sets are the subsets, up to ``caps``, of a mask's (subject,
-    object) pairs, each with its id (see ``_Universe.access_sets``).  The
-    mask holds only pairs whose object the matrix knows, so the type
-    invariants hold by construction.  Under ``hypothesis`` the rest of the
-    hypothesis is generated the same way, from the masks of
-    ``_Universe.pair_masks``: read pairs come from the readable mask (the
-    security condition), and a br option's write pairs from the writable
-    mask ANDed with the star masks of its pairs (the *-property).  A
-    strict-star universe draws write pairs from classified objects only;
-    read objects are classified already, so the strict reading needs
-    nothing more.  A narrower mask lists the same subsets in the same
-    relative order as a wider one, so every leaf keeps its position in the
-    enumeration of all well-formed states.  Rows are built as they are
-    iterated: a subtree nobody walks builds none.
-    """
-    # outside the hypothesis any pair may be read, and written beside any read
-    free = (u.every_pair, u.every_pair, dict.fromkeys(u.pairs, u.every_pair))
+def _subtrees(u: _Universe, combos, m_indices, caps) -> Iterator[SystemState]:
+    """Yield every well-formed state of the (fs, fo) pair numbers in
+    ``combos`` and the matrix numbers in ``m_indices``, in enumeration
+    order: per pair, per matrix, the product of the br and the bw options,
+    each the subsets, up to its cap in ``caps``, of the pairs whose object
+    the matrix knows (``_Universe.access_sets``), so the type invariants
+    hold by construction."""
+    br_cap, bw_cap = caps
     for combo in combos:
         fs, fo = u.fs_fo(combo)
-        readable, writable, star = u.pair_masks(combo) if hypothesis else free
         for mi in m_indices:
             m, known = u.m_options[mi]
-            yield fs, fo, m, _rows(u, known & readable, known & writable, star, caps)
-
-
-def _bw_masks(u: _Universe, readable: int, writable: int, star: dict, br_cap: int):
-    """Per subset of at most ``br_cap`` of the ``readable`` pairs, the br
-    option, its id and the mask of the pairs allowed beside it: the AND of
-    ``writable`` and its pairs' star masks."""
-    for br, br_id in u.access_sets(readable, br_cap):
-        mask = writable
-        for p in br:
-            mask &= star[p]
-        yield br, br_id, mask
-
-
-def _rows(u: _Universe, readable: int, writable: int, star: dict, caps):
-    """Per subset of the ``readable`` pairs, the br option ``(br, br_id,
-    bw_subs)``: bw_subs lists the subsets of its bw mask (``_bw_masks``)."""
-    br_cap, bw_cap = caps
-    for br, br_id, mask in _bw_masks(u, readable, writable, star, br_cap):
-        yield br, br_id, u.access_sets(mask, bw_cap)
+            bw_subs = u.access_sets(known, bw_cap)
+            for br, _br_id in u.access_sets(known, br_cap):
+                for bw, _bw_id in bw_subs:
+                    yield SystemState(br, bw, fo, fs, m)
 
 
 def enumerate_states(b: Bounds) -> Iterator[SystemState]:
@@ -808,12 +785,8 @@ def enumerate_states(b: Bounds) -> Iterator[SystemState]:
     The order is canonical and stable across runs.
     """
     u = _Universe(b)
-    subtrees = _subtrees(u, range(u.n_combos), range(len(u.m_options)),
+    yield from _subtrees(u, range(u.n_combos), range(len(u.m_options)),
                          (b.max_br, b.max_bw))
-    for fs, fo, m, rows in subtrees:
-        for br, _br_id, bw_subs in rows:
-            for bw, _bw_id in bw_subs:
-                yield SystemState(br, bw, fo, fs, m)
 
 
 def requests_for_rule(rule: str, b: Bounds) -> tuple[Request, ...]:
@@ -1104,15 +1077,16 @@ def _sweep_range(
     nothing: states come from the census.
 
     The hypothesis (all invariants hold before the step) is generated by
-    ``_subtrees``, not filtered.  A small-scope test pins this against
-    literally filtering enumerate_states with the core predicates.  Only orbit
-    representatives are swept: of a pair's matrix options, those no
-    renaming that fixes the pair maps to an earlier option
+    ``_Universe.subtree``, not filtered.  A small-scope test pins this
+    against literally filtering enumerate_states with the core predicates.
+    Only orbit representatives are swept: of a pair's matrix options, those
+    no renaming that fixes the pair maps to an earlier option
     (``_Orbits.m_reps``), each with every hypothesis leaf.  Per subtree,
     every rule with a live obligation runs its subtree guard stage first,
     timed as that rule's; a subtree where no rule grants a request is never
     listed.  Otherwise the loop is rule-major over one flat list of leaf
-    ids, from one ``_leaf_rows`` pass whose time counts towards no rule.
+    ids, from one ``_leaf_rows`` pass over the subtree's hypothesis table,
+    whose time counts towards no rule.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1123,7 +1097,6 @@ def _sweep_range(
     orbits = u.orbits
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
-    caps = (u.bounds.max_br, u.bounds.max_bw)
     empty = u.component_id(_BR, ())
 
     for combo in orbits.reps[lo:hi]:
@@ -1131,9 +1104,7 @@ def _sweep_range(
         if all(ob.failed for ob in obs):
             break
         fs_id, fo_id = divmod(combo, len(u.fo_options))
-        m_reps = orbits.m_reps[orbits.stabiliser[combo]]
-        subtrees = _subtrees(u, (combo,), m_reps, caps, hypothesis=True)
-        for mi, (_fs, _fo, _m, rows) in zip(m_reps, subtrees):
+        for mi in orbits.m_reps[orbits.stabiliser[combo]]:
             active = [plan for plan in plans if plan.live or plan.framed]
             if not active:
                 break
@@ -1150,7 +1121,7 @@ def _sweep_range(
             if not admitted:
                 continue
             # shared work, kept out of every rule's time
-            leaves = _leaf_rows(rows, proto_ids)
+            leaves = _leaf_rows(u.subtree(combo, u.m_options[mi][1])[1], proto_ids)
             t0 = clock()
             for plan, mask in admitted:
                 plan.sweep(mask, leaves, combo, mi)
@@ -1163,10 +1134,10 @@ def _sweep_range(
 
 
 def _leaf_rows(rows, proto_ids) -> list[tuple[int, ...]]:
-    """One pass over a subtree's ``rows`` from ``_subtrees``: the ids of its
-    leaves, in enumeration order, as one flat list.  A leaf's position is
-    its index in the list plus 1.  ``proto_ids`` gives the ids of the
-    subtree's fo, fs and m; the access sets carry their own ids.
+    """One pass over a subtree's ``rows`` from ``_Universe.subtree``: the
+    ids of its leaves, in enumeration order, as one flat list.  A leaf's
+    position is its index in the list plus 1.  ``proto_ids`` gives the ids
+    of the subtree's fo, fs and m; the access sets carry their own ids.
     """
     _, _, fo_id, fs_id, m_id = proto_ids
     return [(br_id, bw_id, fo_id, fs_id, m_id)
@@ -1561,29 +1532,25 @@ def check_partition(
     )
     interesting = any(v is not None for v in verdicts)
     combos = (f * n_fo + o for f in fs_ids for o in fo_ids)
-    subtrees = _subtrees(u, combos, m_ids, caps) if interesting else ()
-    for fs, fo, m, rows in subtrees:
-        for br, _br_id, bw_subs in rows:
-            for bw, _bw_id in bw_subs:
-                st = SystemState(br, bw, fo, fs, m)
-                req = None
-                try:
-                    for req in reqs:
-                        mask = 0
-                        for i, holds in enumerate(holds_all):
-                            if holds(st, req):
-                                mask |= 1 << i
-                        verdict = verdicts[mask]
-                        if verdict is None:
-                            continue
-                        kind, payload = verdict
-                        if kind == "gap":
-                            _record(gap_fams, payload, st, req)
-                        else:
-                            for pair in payload:
-                                _record(over_fams, pair, st, req)
-                except Exception as e:
-                    raise _evaluation_failure(st, req) from e
+    for st in (_subtrees(u, combos, m_ids, caps) if interesting else ()):
+        req = None
+        try:
+            for req in reqs:
+                mask = 0
+                for i, holds in enumerate(holds_all):
+                    if holds(st, req):
+                        mask |= 1 << i
+                verdict = verdicts[mask]
+                if verdict is None:
+                    continue
+                kind, payload = verdict
+                if kind == "gap":
+                    _record(gap_fams, payload, st, req)
+                else:
+                    for pair in payload:
+                        _record(over_fams, pair, st, req)
+        except Exception as e:
+            raise _evaluation_failure(st, req) from e
     elapsed = (time.perf_counter() - t0) * 1000.0
 
     gap_families = tuple(

@@ -104,6 +104,13 @@ S3_REPORT_SHA256 = "9ccec24db49f54e7eeb45e6f9654296dc2ceceb302a81ded68931f7fe77b
 # CI workflow requires it with 1 and 2 workers and two hash seeds, and
 # checks the states column against the benchmark's independent census.
 C2_REPORT_SHA256 = "6b4bba726bd72964d2dee4b2dd03f950e88c805e9927302f3fbc1b6c559dd627"
+# sha256 of the machine report of ``check --max-br 3 --max-bw 3
+# --max-matrix 4``, the profile ``Bounds(2, 2, 2, 1, 3, 3, 4)`` (all pass,
+# 20,603,890 hypothesis states), with 3-element access sets and 4-entry
+# matrices: the most br and bw options per subtree of any pinned profile.
+# The CI workflow requires it with 1 and 2 workers and two hash seeds, and
+# checks the states column against the benchmark's independent census.
+CAPS_REPORT_SHA256 = "a721c596c11d81f9a80eb545435bac970b2e3a84f3cbe18d908ca2ede738b8f1"
 
 
 def test_criterion_obligation_suite(default_check):

@@ -2,6 +2,7 @@
 verdicts against a naive sweep, partition analysis against a naive guard
 walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -253,25 +254,24 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
 @STAR_READINGS
 def test_sweep_generates_exactly_the_hypothesis(strict_star, star):
     """The sweep never tests a leaf against an invariant: it generates the
-    hypothesis from masks (``_subtrees`` with ``hypothesis``) and lists
-    its leaves as ids (``_leaf_rows``).  Walking every subtree, with no
-    orbit reduction, and mapping the ids back to states must give exactly
-    the enumerated states that satisfy all invariants, in enumeration
-    order.  Two subjects, so that one subject's reads leave the other's
-    writes free."""
+    hypothesis from masks (``_Universe.subtree``) and lists its leaves as
+    ids (``_leaf_rows``).  Walking every subtree, with no orbit reduction,
+    and mapping the ids back to states must give exactly the enumerated
+    states that satisfy all invariants, in enumeration order.  Two
+    subjects, so that one subject's reads leave the other's writes free."""
     b = Bounds(2, 2, 2, 0, 1, 1, 2)
     u = _Universe(b, strict_star=strict_star)
     empty = u.component_id(SystemState._fields.index("br"), ())
-    n_m, n_fo = len(u.m_options), len(u.fo_options)
-    subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
-                                 (b.max_br, b.max_bw), hypothesis=True)
+    n_fo = len(u.fo_options)
     got = []
-    for i, (fs, fo, m, rows) in enumerate(subtrees):
-        combo, mi = divmod(i, n_m)
+    for combo in range(u.n_combos):
         fs_id, fo_id = divmod(combo, n_fo)
-        assert (fs, fo, m) == (*u.fs_fo(combo), u.m_options[mi][0])
-        leaves = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
-        got.extend(u.state(ids) for ids in leaves)
+        for mi, (m, known) in enumerate(u.m_options):
+            leaves = checker._leaf_rows(u.subtree(combo, known)[1],
+                                        (empty, empty, fo_id, fs_id, mi))
+            for st in map(u.state, leaves):
+                assert (st.fs, st.fo, st.m) == (*u.fs_fo(combo), m)
+                got.append(st)
     states = list(enumerate_states(b))
     assert got == [s for s in states if well_formed(s) and sec_cond(s) and star(s)]
     assert len(states) == 103_599
@@ -459,13 +459,11 @@ def test_after_ids_map_back_to_the_effect(bounds):
         obs = [checker._ObState(rule, prop) for prop in PROPERTY_ORDER]
         plan = checker._RulePlan(rd, obs, u)
         assert plan.checked
-        subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
-                                     (bounds.max_br, bounds.max_bw), hypothesis=True)
-        for i, (_fs, _fo, _m, rows) in enumerate(subtrees):
+        for i in range(u.n_combos * n_m):
             combo, mi = divmod(i, n_m)
             fs_id, fo_id = divmod(combo, n_fo)
             proto = (empty, empty, fo_id, fs_id, mi)
-            leaves = checker._leaf_rows(rows, proto)
+            leaves = checker._leaf_rows(u.subtree(combo, u.m_options[mi][1])[1], proto)
             plan.sweep(checker._granted(plan.subtree_guards, plan.all_requests, proto,
                                         u, plan.reqs), leaves, combo, mi)
             for ids in leaves:
@@ -773,26 +771,24 @@ CENSUS_BOUNDS = {
 
 @pytest.mark.parametrize("bounds", CENSUS_BOUNDS.values(), ids=CENSUS_BOUNDS.keys())
 def test_census_counts_every_subtree(bounds):
-    """The closed-form census of every subtree, representative or not, is
-    the number of leaves ``_leaf_rows`` lists for it, and the census ahead
-    of it is the leaves of the subtrees before it in enumeration order.  The
-    whole census is the number of enumerated states that satisfy every
-    invariant.  Both readings of the *-property."""
+    """The hypothesis table's count of every subtree, representative or
+    not, is the number of enumerated states with its (fs, fo, m) that
+    satisfy every invariant, and the census ahead of it is the count of the
+    subtrees before it in enumeration order.  The whole census is the
+    number of enumerated states that satisfy every invariant.  Both
+    readings of the *-property."""
     states = [s for s in enumerate_states(bounds) if well_formed(s) and sec_cond(s)]
     for strict_star, star in ((False, star_prop), (True, strict_star_prop)):
         u = _Universe(bounds, strict_star=strict_star)
-        empty = u.component_id(SystemState._fields.index("br"), ())
-        n_m, n_fo = len(u.m_options), len(u.fo_options)
-        subtrees = checker._subtrees(u, range(u.n_combos), range(n_m),
-                                     (bounds.max_br, bounds.max_bw), hypothesis=True)
+        per_subtree = collections.Counter((s.fs, s.fo, s.m) for s in states if star(s))
         listed = 0
-        for i, (_fs, _fo, _m, rows) in enumerate(subtrees):
-            combo, mi = divmod(i, n_m)
-            fs_id, fo_id = divmod(combo, n_fo)
-            leaves = checker._leaf_rows(rows, (empty, empty, fo_id, fs_id, mi))
-            assert u.leaves_before(combo, mi) == listed, (strict_star, combo, mi)
-            assert u.subtree_leaves(combo, u.m_options[mi][1]) == len(leaves)
-            listed += len(leaves)
+        for combo in range(u.n_combos):
+            fs, fo = u.fs_fo(combo)
+            for mi, (m, known) in enumerate(u.m_options):
+                count = u.subtree(combo, known)[0]
+                assert u.leaves_before(combo, mi) == listed, (strict_star, combo, mi)
+                assert count == per_subtree[fs, fo, m], (strict_star, combo, mi)
+                listed += count
         assert u.hypothesis_states == listed == sum(map(star, states)), strict_star
 
 
