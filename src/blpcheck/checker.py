@@ -53,11 +53,12 @@ An invariant runs once per after-state value of the components it reads
 A rule's obligations whose property reads a component the rule writes are
 *checked* that way; the others are *framed* and hold because they held
 before the step.  A rule whose guards, writes and checked properties never
-read the matrix decides each (br, bw) leaf of an (fs, fo) pair once, on
-its first matrix.  Every effect call verifies that the components outside
-``writes`` are left identical, so an undeclared write stops the sweep with
-an error instead of giving a wrong verdict, and a failing obligation's
-witness comes from a real effect call on its leaf.
+read the matrix gets the same verdicts on two subtrees of one (fs, fo)
+pair with the same known mask, whose leaves differ in the matrix alone, so
+it sweeps only the first of them.  Every effect call verifies that the
+components outside ``writes`` are left identical, so an undeclared write
+stops the sweep with an error instead of giving a wrong verdict, and a
+failing obligation's witness comes from a real effect call on its leaf.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -929,14 +930,16 @@ class _RulePlan:
     pair per rule definition (``_Universe.rule_memos``), and so does the
     table of a granted bitset's request indices, which all rules share
     (``_Universe.request_indices``): a pool worker's later ranges start
-    from what its earlier ones filled.
-    The obligations' bookkeeping and ``decided`` stay per plan.
+    from what its earlier ones filled.  The obligations' bookkeeping stays
+    per plan.
 
     When a rule's guards, writes and checked properties leave out the
-    matrix, its verdicts on a leaf do not depend on it: each (br, bw) leaf
-    of an (fs, fo) pair is then decided once, on the first matrix that has
-    it, and skipped on the others.  A failure there would have failed at
-    that earlier leaf first.
+    matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
+    it.  Two subtrees of one (fs, fo) pair with the same known mask then
+    have the same leaves but for the matrix, and the same verdicts on
+    them, so ``_sweep_range`` sweeps the rule on the first of them only.
+    Every leaf first appears in the first subtree of some known mask, so
+    first witnesses and their positions do not change.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -972,16 +975,11 @@ class _RulePlan:
         # when none is left and it has no framed obligation
         self.live = list(self.checked)
         self.framed = len(self.checked) < len(obs)
-        # Everything the rule's verdicts on a leaf depend on.  Without the
-        # matrix in it, ``decided`` holds the footprints of the leaves
-        # decided so far on the (fs, fo) pair ``decided_pair``.
-        footprint = rd.writes.union(
+        # whether the rule's verdicts on a leaf can depend on the matrix
+        self.reads_m = "m" in rd.writes.union(
             *(c.reads for c in rd.conjuncts),
             *(core.PROPERTY_READS[ob.prop] for ob, *_ in self.checked),
         )
-        self.footprint = _projection(_fields_of(footprint))
-        self.decided: Optional[set] = None if "m" in footprint else set()
-        self.decided_pair = -1
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -1019,18 +1017,8 @@ class _RulePlan:
         write_key = self.write_key
         after_ids = self.after_ids
         live = self.live
-        decided = self.decided
-        if decided is not None and self.decided_pair != combo:
-            decided.clear()
-            self.decided_pair = combo
-        footprint = self.footprint
         for pos, ids in enumerate(leaves, 1):
-            if decided is not None:
-                k = footprint(ids)
-                if k in decided:
-                    continue
-                decided.add(k)
-            granted = _granted(leaf_guards, mask, ids, u, reqs)
+            granted = _granted(leaf_guards, mask, ids, u, reqs) if leaf_guards else mask
             if not granted:
                 continue
             wkey = write_key(ids)
@@ -1082,11 +1070,15 @@ def _sweep_range(
     Only orbit representatives are swept: of a pair's matrix options, those
     no renaming that fixes the pair maps to an earlier option
     (``_Orbits.m_reps``), each with every hypothesis leaf.  Per subtree,
-    every rule with a live obligation runs its subtree guard stage first,
-    timed as that rule's; a subtree where no rule grants a request is never
-    listed.  Otherwise the loop is rule-major over one flat list of leaf
-    ids, from one ``_leaf_rows`` pass over the subtree's hypothesis table,
-    whose time counts towards no rule.
+    one loop takes every rule with a live obligation in turn: the rule's
+    subtree guard stage runs and, when it grants a request, the rule's
+    ``sweep`` runs on the subtree's leaf ids, all timed as that rule's.
+    The ids are one flat list from one ``_leaf_rows`` pass over the
+    subtree's hypothesis table, made when the first rule needs it, and its
+    time counts towards no rule; a subtree where no rule grants a request
+    is never listed.  A rule that does not read the matrix
+    (``_RulePlan.reads_m``) skips a subtree whose known mask an earlier
+    subtree of the pair had.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1104,30 +1096,29 @@ def _sweep_range(
         if all(ob.failed for ob in obs):
             break
         fs_id, fo_id = divmod(combo, len(u.fo_options))
+        met = set()  # the known masks of the pair's subtrees swept so far
         for mi in orbits.m_reps[orbits.stabiliser[combo]]:
             active = [plan for plan in plans if plan.live or plan.framed]
             if not active:
                 break
+            known = u.m_options[mi][1]
+            repeat = known in met
+            met.add(known)
             proto_ids = (empty, empty, fo_id, fs_id, mi)
-            admitted = []
-            t0 = clock()
+            leaves = None
             for plan in active:
+                if repeat and not plan.reads_m:
+                    continue
+                t0 = clock()
                 mask = _granted(plan.subtree_guards, plan.all_requests, proto_ids, u, plan.reqs)
                 if mask:
-                    admitted.append((plan, mask))
-                t1 = clock()
-                rule_time[plan.rule] += t1 - t0
-                t0 = t1
-            if not admitted:
-                continue
-            # shared work, kept out of every rule's time
-            leaves = _leaf_rows(u.subtree(combo, u.m_options[mi][1])[1], proto_ids)
-            t0 = clock()
-            for plan, mask in admitted:
-                plan.sweep(mask, leaves, combo, mi)
-                t1 = clock()
-                rule_time[plan.rule] += t1 - t0
-                t0 = t1
+                    if leaves is None:
+                        # shared work, kept out of every rule's time
+                        t1 = clock()
+                        leaves = _leaf_rows(u.subtree(combo, known)[1], proto_ids)
+                        t0 += clock() - t1
+                    plan.sweep(mask, leaves, combo, mi)
+                rule_time[plan.rule] += clock() - t0
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
     return entries, rule_time

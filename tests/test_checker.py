@@ -4,6 +4,7 @@ walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -673,6 +674,29 @@ def test_mutation_matrix_with_two_subjects():
     assert broken == TWO_SUBJECTS_MUTATION_MATRIX
 
 
+# sha256 over the machine reports of the 24 single-conjunct mutants at P0,
+# in rule order and each rule's conjunct order: it pins their witnesses and
+# visited-state counts, which naive_check is too slow to recompute at P0.
+P0_MUTATION_REPORTS_SHA256 = "70360d904608b0b4a67ce27a9c9c37fd913cb17a666839de1545767449a10598"
+
+
+def test_mutation_matrix_at_the_default_profile():
+    """Every single-conjunct mutant at P0: the obligations it breaks are
+    those it breaks at ``TWO_SUBJECTS``, and its report's bytes are the
+    pinned ones."""
+    broken = {}
+    digest = hashlib.sha256()
+    for rule in RULE_ORDER:
+        for conjunct in RULE_DEFS[rule].conjuncts:
+            defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
+            report = check_obligations(P0, rule=rule, rule_defs=defs)
+            digest.update(format_report(report, "machine").encode())
+            broken[(rule, conjunct.name)] = tuple(
+                r.prop for r in report.results if r.status == "fail")
+    assert broken == TWO_SUBJECTS_MUTATION_MATRIX
+    assert digest.hexdigest() == P0_MUTATION_REPORTS_SHA256
+
+
 # The README's "without it" column: for each conjunct whose mutant breaks
 # nothing, what the mutant does on the inputs where that conjunct alone
 # refuses the request.
@@ -815,6 +839,59 @@ def test_refused_subtrees_are_never_listed(monkeypatch):
     report = check_obligations(P0, rule="getRead", prop="ranBrInDomM", rule_defs=defs)
     assert [r.status for r in report.results] == ["fail"]
     assert len(listed) == 1
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypatch):
+    """changeClass reads, writes and checks nothing of the matrix, and two
+    subtrees of one (fs, fo) pair with the same known mask have the same
+    leaves but for the matrix, so it is swept on the first of them only.
+    getRead reads the matrix, so it is swept on every subtree its subtree
+    guard stage admits, repeated known masks included."""
+    swept = []
+    sweep = checker._RulePlan.sweep
+
+    def recording(plan, mask, leaves, combo, mi):
+        swept.append((plan.rule, combo, mi))
+        return sweep(plan, mask, leaves, combo, mi)
+
+    monkeypatch.setattr(checker._RulePlan, "sweep", recording)
+    assert check_obligations(bounds).all_pass
+    u = _Universe(bounds)
+    known = lambda rule: [(combo, u.m_options[mi][1]) for r, combo, mi in swept if r == rule]
+    assert known("changeClass")
+    assert len(set(known("changeClass"))) == len(known("changeClass"))
+
+    plan = checker._RulePlan(RULE_DEFS["getRead"], [], u)
+    empty = u.component_id(SystemState._fields.index("br"), ())
+    n_fo = len(u.fo_options)
+    admitted = [
+        (combo, mi)
+        for combo in u.orbits.reps
+        for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]
+        if checker._granted(plan.subtree_guards, plan.all_requests,
+                            (empty, empty, combo % n_fo, combo // n_fo, mi), u, plan.reqs)
+    ]
+    assert [(combo, mi) for r, combo, mi in swept if r == "getRead"] == admitted
+    assert len(set(known("getRead"))) < len(admitted)
+
+
+@pytest.mark.parametrize("rule", ["giveRW", "rescindRead", "rescindWrite", "createObject"])
+def test_rules_without_leaf_guards_call_no_guard_per_leaf(rule, monkeypatch):
+    """No guard conjunct of these rules reads br or bw, so their leaf guard
+    stage is empty: a leaf's granted requests are those its subtree stage
+    granted, and ``_granted`` never runs on an empty guard list."""
+    assert not checker._RulePlan(RULE_DEFS[rule], [], _Universe(SMALL)).leaf_guards
+    calls = []
+    granted = checker._granted
+
+    def recording(guards, *args):
+        calls.append(len(guards))
+        return granted(guards, *args)
+
+    monkeypatch.setattr(checker, "_granted", recording)
+    assert check_obligations(SMALL, rule=rule).all_pass
+    assert calls and 0 not in calls
 
 
 # --- random mode -------------------------------------------------------------
