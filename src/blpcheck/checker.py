@@ -34,15 +34,16 @@ for the AND of the pair's readable and known masks, and a read set's write
 sets the entry for the AND of the writable and known masks with its pairs'
 masks, each set listed with its id.  The census counts a table's leaves,
 and the sweep lists them; the random sampler reads the access-set tables.
-One pass over a subtree's table (``_leaf_rows``) lists its hypothesis
-leaves as one flat list, each leaf a small integer id per state component;
-a subtree is listed only when some rule's subtree guard stage grants a
-request there.  Within a subtree the sweep is rule-major, and each rule
-walks those leaves in enumeration order, each leaf's requests in list
-order.  Every rule callable runs once per distinct value of the
+A table's rows are its br options, each with its id, its bw mask and the
+bw options that mask allows, each a small integer id per state component;
+a subtree's table is listed only when some rule's subtree guard stage
+grants a request there.  Within a subtree the sweep is rule-major, and
+each rule walks those rows in enumeration order, each leaf's requests in
+list order.  Every rule callable runs once per distinct value of the
 components it declares to read; the result is memoised under their ids.
 The sweep handles ids only: a state is built from ids, by
-``_Universe.state``, only for a memo miss or a witness.  A guard conjunct's memo maps the ids of its ``reads`` to the
+``_Universe.state``, only for a memo miss or a witness.  A guard
+conjunct's memo maps the ids of its ``reads`` to the
 bitset of the rule's requests it grants, so a leaf's granted requests are
 an AND of bitsets: conjuncts reading neither br nor bw once per subtree,
 the rest per leaf.  An effect runs once per (request, ids of
@@ -55,7 +56,16 @@ A rule's obligations whose property reads a component the rule writes are
 before the step.  A rule whose guards, writes and checked properties never
 read the matrix gets the same verdicts on two subtrees of one (fs, fo)
 pair with the same known mask, whose leaves differ in the matrix alone, so
-it sweeps only the first of them.  Every effect call verifies that the
+it sweeps only the first of them.  More generally, a checked obligation's
+verdicts on a row's leaves depend only on the row's *footprint*: the
+subtree stage's granted mask and the row's ids at the components the leaf
+guards, the writes and the property read, bw given by the row's bw mask.
+So each check keeps the footprints whose rows it passed, per worker, and a
+row is swept leaf by leaf only for the checks whose footprint is new, only
+its first leaf when none of them reads bw.  A footprint is recorded after
+its row passes, so first witnesses and their positions do not change.
+At P0 one worker walks 5,525,963 leaves of the swept subtrees' rows over
+all rules and sweeps 1,310,493 of them.  Every effect call verifies that the
 components outside ``writes`` are left identical, so an undeclared write
 stops the sweep with an error instead of giving a wrong verdict, and a
 failing obligation's witness comes from a real effect call on its leaf.
@@ -147,6 +157,7 @@ is built.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -490,8 +501,9 @@ class _Universe:
     times states.
     ``rule_memos`` holds each rule definition's guard-conjunct memos and
     effect memo, and ``request_indices`` the bit positions of every
-    granted-request bitset met so far, for all rules: so every range a
-    pool worker sweeps starts from the entries its earlier ranges filled.
+    granted-request bitset met so far, for all rules, and ``footprints``
+    each check's passed row footprints: so every range a pool worker
+    sweeps starts from the entries its earlier ranges filled.
     The keys are sound only under the conditions on ``rule_defs`` in the
     module docstring.
     """
@@ -552,6 +564,25 @@ class _Universe:
         # the hypothesis tables (``subtree``) and representatives' pair totals
         self._subtree_tables: dict[tuple[int, int], tuple[int, list]] = {}
         self._pair_counts: dict[int, int] = {}
+        # Per (rule definition, property or None for the frame), the row
+        # footprints that passed (see ``_RulePlan``), kept for every range.
+        self.footprints: dict[tuple, set] = collections.defaultdict(set)
+
+    @cached_property
+    def row_layout(self) -> tuple[dict[str, int], dict[str, int]]:
+        """How the sweep packs a row of ``subtree`` into one integer: from
+        the lowest bit, its bw mask, its fo, fs and m ids, the subtree
+        guard stage's granted mask (``mask``), and its br id above them
+        all.  Returns each field's shift and its bits, by name; br's bits
+        run on without end."""
+        names = ("bw", "fo", "fs", "m", "mask")
+        widths = (len(self.pairs), len(self.fo_options).bit_length(),
+                  len(self.fs_options).bit_length(), len(self.m_options).bit_length(),
+                  max(map(len, self.requests.values())))
+        shift = dict(zip((*names, "br"), itertools.accumulate(widths, initial=0)))
+        bits = {name: ((1 << w) - 1) << shift[name] for name, w in zip(names, widths)}
+        bits["br"] = -1 << shift["br"]
+        return shift, bits
 
     def component_id(self, field: int, value) -> int:
         """The id of ``value`` as state component number ``field``."""
@@ -626,8 +657,9 @@ class _Universe:
         matrix whose known mask is ``known``, as ``(count, rows)``, built
         once per (pair, known mask): a matrix enters only through that mask.
 
-        ``rows`` lists, per br option in enumeration order, ``(br, br_id,
-        bw_subs)``, and ``count`` is the sum of the bw_subs' lengths.  The
+        ``rows`` lists, per br option in enumeration order, ``(br_id,
+        bw_mask, bw_subs)``: bw_subs are ``access_sets(bw_mask, max_bw)``,
+        and ``count`` is the sum of their lengths.  The
         masks come from ``pair_masks``, ANDed with ``known`` so that the
         type invariants hold by construction: read pairs from the readable
         mask (the security condition), and a br option's write pairs from
@@ -650,7 +682,7 @@ class _Universe:
                 for p in br:
                     mask &= star[p]
                 bw_subs = self.access_sets(mask, max_bw)
-                rows.append((br, br_id, bw_subs))
+                rows.append((br_id, mask, bw_subs))
                 count += len(bw_subs)
             table = self._subtree_tables[key] = (count, rows)
         return table
@@ -940,6 +972,23 @@ class _RulePlan:
     them, so ``_sweep_range`` sweeps the rule on the first of them only.
     Every leaf first appears in the first subtree of some known mask, so
     first witnesses and their positions do not change.
+
+    ``sweep`` walks a subtree's rows.  A check's verdicts on a row's leaves
+    are a function of its row footprint: the subtree stage's granted mask
+    and the row's ids at the components the leaf guards, ``writes`` and
+    the property read, with bw given by the row's bw mask, which fixes the
+    row's bw options.  Each check has a track, ``(key bits, passed
+    footprints, reads bw, check)``: a row whose footprint is in the set is
+    skipped for the check, and a footprint is added once its row passed.
+    When no check is live the framed obligations have one track, whose
+    footprint is the leaf guards' and ``writes``' components: a repeated
+    row would only repeat effect calls that ran, and verified the frame,
+    already.  A footprint that tells every row apart keeps no set; when
+    one of those reads bw, as ``seccond`` with ``objectUnaccessed`` does
+    for changeClass and deleteObject, every row needs every leaf anyway,
+    and the plan keeps no set at all (``tracks`` is None).  The sets
+    belong to the universe (``_Universe.footprints``), so a pool worker's
+    later ranges start from what its earlier ones passed.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -971,15 +1020,53 @@ class _RulePlan:
              u.prop_memo[ob.prop], u.props[ob.prop])
             for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
         )
-        # the checked obligations that have not failed; the plan is done
-        # when none is left and it has no framed obligation
-        self.live = list(self.checked)
         self.framed = len(self.checked) < len(obs)
         # whether the rule's verdicts on a leaf can depend on the matrix
         self.reads_m = "m" in rd.writes.union(
             *(c.reads for c in rd.conjuncts),
             *(core.PROPERTY_READS[ob.prop] for ob, *_ in self.checked),
         )
+        # Row footprints: the components a check's verdicts on a row's
+        # leaves depend on, plus the subtree mask.  A row packs into one
+        # integer (``_Universe.row_layout``), and a footprint's key is the
+        # row ANDed with the bits of its fields.  A footprint with br, fo,
+        # fs and, if the rule reads it, m tells apart every row the plan
+        # sweeps, so it keeps no set.
+        field_bits = u.row_layout[1]
+        distinct = {"br", "fo", "fs"} | ({"m"} if self.reads_m else set())
+        leaf_reads = rd.writes.union(*(c.reads for c in rd.conjuncts
+                                      if c.reads & {"br", "bw"}))
+
+        def track(components, check):
+            prop = check[0].prop if check else None
+            seen = None if components >= distinct else u.footprints[rd, prop]
+            key = field_bits["mask"]
+            for name in components:
+                key |= field_bits[name]
+            return (key, seen, "bw" in components, check)
+
+        self.frame_track = track(leaf_reads, None)
+        self.check_tracks = {
+            check[0]: track(leaf_reads | core.PROPERTY_READS[check[0].prop], check)
+            for check in self.checked
+        }
+        self.live = list(self.checked)
+        self._set_tracks()
+
+    def _set_tracks(self) -> None:
+        """The row tracks of the live checks, or of the frame when no check
+        is live but the plan has framed obligations: each ``(key bits,
+        passed footprints, reads bw, check or None)``.  ``tracks`` holds
+        those with a set, ``always`` those without; ``tracks`` is None when
+        one of the latter reads bw, since every row then needs every leaf
+        for it anyway."""
+        if self.live:
+            tracks = [self.check_tracks[check[0]] for check in self.live]
+        else:
+            tracks = [self.frame_track] if self.framed else []
+        self.always = [t for t in tracks if t[1] is None]
+        self.tracks = (None if any(t[2] for t in self.always)
+                       else [t for t in tracks if t[1] is not None])
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -999,16 +1086,19 @@ class _RulePlan:
         after = self._apply(st, j)
         return tuple(self.universe.component_id(i, after[i]) for i in self.writes)
 
-    def sweep(self, mask: int, leaves, combo: int, mi: int) -> None:
+    def sweep(self, mask: int, rows, combo: int, mi: int) -> None:
         """Decide the rule's requests in ``mask``, the bitset its subtree
-        guard stage granted, on the ``leaves`` of one subtree (see
-        ``_leaf_rows``), in enumeration order and each leaf's requests in
-        list order.  The sweep handles ids only: a state is built, by
-        ``u.state``, only for a memo miss or a witness.  A granted request's
-        after state is ``ids + entry``, its effect memo entry appended to
-        the leaf's ids.  Failures record the first witness, its after state
-        from a real effect call, at (``combo``, ``mi``, the leaf's position
-        in the subtree)."""
+        guard stage granted, on the ``rows`` of one subtree (from
+        ``_Universe.subtree``), in enumeration order and each leaf's
+        requests in list order.  A row is skipped for every track whose
+        footprint already passed; it is swept leaf by leaf for the rest,
+        only its first leaf when none of them reads bw, and its footprint
+        is recorded for each that passed it.  The sweep handles ids only: a
+        state is built, by ``u.state``, only for a memo miss or a witness.
+        A granted request's after state is ``ids + entry``, its effect memo
+        entry appended to the leaf's ids.  Failures record the first
+        witness, its after state from a real effect call, at (``combo``,
+        ``mi``, the leaf's position in the subtree)."""
         u = self.universe
         reqs = self.reqs
         leaf_guards = self.leaf_guards
@@ -1016,39 +1106,67 @@ class _RulePlan:
         indices = u.request_indices
         write_key = self.write_key
         after_ids = self.after_ids
-        live = self.live
-        for pos, ids in enumerate(leaves, 1):
-            granted = _granted(leaf_guards, mask, ids, u, reqs) if leaf_guards else mask
-            if not granted:
-                continue
-            wkey = write_key(ids)
-            entries = effects.get(wkey)
-            if entries is None:
-                entries = effects[wkey] = [None] * len(reqs)
-            js = indices.get(granted) or _bit_indices(indices, granted)
-            for j in js:
-                entry = entries[j]
-                if entry is None:
-                    entry = entries[j] = self._written(u.state(ids), j)
-                if not live:
+        fs_id, fo_id = divmod(combo, len(u.fo_options))
+        shift = u.row_layout[0]
+        base = (fo_id << shift["fo"] | fs_id << shift["fs"] | mi << shift["m"]
+                | mask << shift["mask"])
+        br_shift = shift["br"]
+        pos = 0
+        for br_id, bw_mask, bw_subs in rows:
+            tracks = self.tracks
+            if tracks is None:
+                todo = ()
+                checks = rest = self.live
+                leaves = bw_subs
+            else:
+                row = base | bw_mask | br_id << br_shift
+                todo = [t for t in tracks if (row & t[0]) not in t[1]] + self.always
+                if not todo:
+                    pos += len(bw_subs)
                     continue
-                after = ids + entry
-                failed = False
-                for ob, key, memo, pred in live:
-                    k = key(after)
-                    ok = memo.get(k)
-                    if ok is None:
-                        try:
-                            ok = memo[k] = bool(pred(u.state(after_ids(after))))
-                        except Exception as e:
-                            raise _evaluation_failure(u.state(ids), reqs[j]) from e
-                    if not ok:
-                        st = u.state(ids)
-                        ob.failed = failed = True
-                        ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
-                        ob.fail_at = (combo, mi, pos)
-                if failed:
-                    live = self.live = [check for check in live if not check[0].failed]
+                checks = [t[3] for t in todo if t[3]]
+                rest = [t[3] for t in todo if t[2] and t[3]]
+                leaves = bw_subs if any(t[2] for t in todo) else bw_subs[:1]
+            for p, (_bw, bw_id) in enumerate(leaves, pos + 1):
+                ids = (br_id, bw_id, fo_id, fs_id, mi)
+                granted = _granted(leaf_guards, mask, ids, u, reqs) if leaf_guards else mask
+                if granted:
+                    wkey = write_key(ids)
+                    entries = effects.get(wkey)
+                    if entries is None:
+                        entries = effects[wkey] = [None] * len(reqs)
+                    js = indices.get(granted) or _bit_indices(indices, granted)
+                    for j in js:
+                        entry = entries[j]
+                        if entry is None:
+                            entry = entries[j] = self._written(u.state(ids), j)
+                        if not checks:
+                            continue
+                        after = ids + entry
+                        failed = False
+                        for ob, key, memo, pred in checks:
+                            k = key(after)
+                            ok = memo.get(k)
+                            if ok is None:
+                                try:
+                                    ok = memo[k] = bool(pred(u.state(after_ids(after))))
+                                except Exception as e:
+                                    raise _evaluation_failure(u.state(ids), reqs[j]) from e
+                            if not ok:
+                                st = u.state(ids)
+                                ob.failed = failed = True
+                                ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
+                                ob.fail_at = (combo, mi, p)
+                        if failed:
+                            self.live = [c for c in self.live if not c[0].failed]
+                            self._set_tracks()
+                            checks = [c for c in checks if not c[0].failed]
+                            rest = [c for c in rest if not c[0].failed]
+                checks = rest
+            for key, seen, _bw, check in todo:
+                if seen is not None and (check is None or not check[0].failed):
+                    seen.add(row & key)
+            pos += len(bw_subs)
 
 
 def _sweep_range(
@@ -1072,13 +1190,13 @@ def _sweep_range(
     (``_Orbits.m_reps``), each with every hypothesis leaf.  Per subtree,
     one loop takes every rule with a live obligation in turn: the rule's
     subtree guard stage runs and, when it grants a request, the rule's
-    ``sweep`` runs on the subtree's leaf ids, all timed as that rule's.
-    The ids are one flat list from one ``_leaf_rows`` pass over the
-    subtree's hypothesis table, made when the first rule needs it, and its
-    time counts towards no rule; a subtree where no rule grants a request
-    is never listed.  A rule that does not read the matrix
-    (``_RulePlan.reads_m``) skips a subtree whose known mask an earlier
-    subtree of the pair had.
+    ``sweep`` walks the rows of the subtree's hypothesis table, fetched
+    when the first rule needs it; a subtree where no rule grants a request
+    is never listed.  A rule's measured time, its obligations'
+    ``elapsed_ms``, covers its subtree guard stages and its sweeps,
+    skipped rows included, and the building of every table it fetched
+    first.  A rule that does not read the matrix (``_RulePlan.reads_m``)
+    skips a subtree whose known mask an earlier subtree of the pair had.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1105,34 +1223,20 @@ def _sweep_range(
             repeat = known in met
             met.add(known)
             proto_ids = (empty, empty, fo_id, fs_id, mi)
-            leaves = None
+            rows = None
             for plan in active:
                 if repeat and not plan.reads_m:
                     continue
                 t0 = clock()
                 mask = _granted(plan.subtree_guards, plan.all_requests, proto_ids, u, plan.reqs)
                 if mask:
-                    if leaves is None:
-                        # shared work, kept out of every rule's time
-                        t1 = clock()
-                        leaves = _leaf_rows(u.subtree(combo, known)[1], proto_ids)
-                        t0 += clock() - t1
-                    plan.sweep(mask, leaves, combo, mi)
+                    if rows is None:
+                        rows = u.subtree(combo, known)[1]
+                    plan.sweep(mask, rows, combo, mi)
                 rule_time[plan.rule] += clock() - t0
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
     return entries, rule_time
-
-
-def _leaf_rows(rows, proto_ids) -> list[tuple[int, ...]]:
-    """One pass over a subtree's ``rows`` from ``_Universe.subtree``: the
-    ids of its leaves, in enumeration order, as one flat list.  A leaf's
-    position is its index in the list plus 1.  ``proto_ids`` gives the ids
-    of the subtree's fo, fs and m; the access sets carry their own ids.
-    """
-    _, _, fo_id, fs_id, m_id = proto_ids
-    return [(br_id, bw_id, fo_id, fs_id, m_id)
-            for _br, br_id, bw_subs in rows for _bw, bw_id in bw_subs]
 
 
 def _evaluation_failure(st, req) -> RuntimeError:

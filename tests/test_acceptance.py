@@ -113,9 +113,10 @@ C2_REPORT_SHA256 = "6b4bba726bd72964d2dee4b2dd03f950e88c805e9927302f3fbc1b6c559d
 CAPS_REPORT_SHA256 = "a721c596c11d81f9a80eb545435bac970b2e3a84f3cbe18d908ca2ede738b8f1"
 # sha256 of the machine report of ``check --subjects 3 --levels 3``, the
 # profile ``Bounds(3, 2, 3, 1, 2, 2, 3)`` (all pass, 1,440,364,051
-# hypothesis states), about three and a half minutes at 2 workers.  One CI
-# job requires it, at 2 workers and hash seed 0, and checks the states
-# column against the benchmark's independent census.
+# hypothesis states), about 100 s at 2 workers and 3 minutes at 1 worker
+# on a 2-core Xeon.  The CI workflow requires it at 2 workers under hash
+# seed 0 and at 1 worker under hash seed 1, and checks the states column
+# against the benchmark's independent census.
 S3L3_REPORT_SHA256 = "52c45e6301cbbb56ad7335dc9d248532a704625227a3b67e025112510633e92a"
 
 

@@ -255,24 +255,25 @@ def test_staged_runner_matches_naive_on_mutant(strict_star, star):
 @STAR_READINGS
 def test_sweep_generates_exactly_the_hypothesis(strict_star, star):
     """The sweep never tests a leaf against an invariant: it generates the
-    hypothesis from masks (``_Universe.subtree``) and lists its leaves as
-    ids (``_leaf_rows``).  Walking every subtree, with no orbit reduction,
-    and mapping the ids back to states must give exactly the enumerated
-    states that satisfy all invariants, in enumeration order.  Two
-    subjects, so that one subject's reads leave the other's writes free."""
+    hypothesis from masks (``_Universe.subtree``), whose rows give a br id,
+    the bw mask and the bw options that mask allows, each with its id.
+    Walking every subtree, with no orbit reduction, and mapping the ids
+    back to states must give exactly the enumerated states that satisfy
+    all invariants, in enumeration order.  Two subjects, so that one
+    subject's reads leave the other's writes free."""
     b = Bounds(2, 2, 2, 0, 1, 1, 2)
     u = _Universe(b, strict_star=strict_star)
-    empty = u.component_id(SystemState._fields.index("br"), ())
     n_fo = len(u.fo_options)
     got = []
     for combo in range(u.n_combos):
         fs_id, fo_id = divmod(combo, n_fo)
         for mi, (m, known) in enumerate(u.m_options):
-            leaves = checker._leaf_rows(u.subtree(combo, known)[1],
-                                        (empty, empty, fo_id, fs_id, mi))
-            for st in map(u.state, leaves):
-                assert (st.fs, st.fo, st.m) == (*u.fs_fo(combo), m)
-                got.append(st)
+            for br_id, bw_mask, bw_subs in u.subtree(combo, known)[1]:
+                assert bw_subs == u.access_sets(bw_mask, b.max_bw)
+                for _bw, bw_id in bw_subs:
+                    st = u.state((br_id, bw_id, fo_id, fs_id, mi))
+                    assert (st.fs, st.fo, st.m) == (*u.fs_fo(combo), m)
+                    got.append(st)
     states = list(enumerate_states(b))
     assert got == [s for s in states if well_formed(s) and sec_cond(s) and star(s)]
     assert len(states) == 103_599
@@ -449,7 +450,9 @@ def test_after_ids_map_back_to_the_effect(bounds):
     the hypothesis, with no orbit reduction, the five ids a rule's plan
     picks out of that tuple map back through ``_Universe.state`` to the
     state the rule's effect returns, and each checked property's memo key
-    is those ids at the property's fields."""
+    is those ids at the property's fields.  The sweep skips rows whose
+    footprint passed already, so entries it left unfilled are filled here
+    the way it fills them (``_RulePlan._written``)."""
     u = _Universe(bounds)
     fields = SystemState._fields
     empty = u.component_id(fields.index("br"), ())
@@ -464,16 +467,19 @@ def test_after_ids_map_back_to_the_effect(bounds):
             combo, mi = divmod(i, n_m)
             fs_id, fo_id = divmod(combo, n_fo)
             proto = (empty, empty, fo_id, fs_id, mi)
-            leaves = checker._leaf_rows(u.subtree(combo, u.m_options[mi][1])[1], proto)
+            rows = u.subtree(combo, u.m_options[mi][1])[1]
             plan.sweep(checker._granted(plan.subtree_guards, plan.all_requests, proto,
-                                        u, plan.reqs), leaves, combo, mi)
-            for ids in leaves:
+                                        u, plan.reqs), rows, combo, mi)
+            for ids in [(br_id, bw_id, fo_id, fs_id, mi)
+                        for br_id, _bw_mask, bw_subs in rows for _bw, bw_id in bw_subs]:
                 st = u.state(ids)
-                entries = plan.effects.get(plan.write_key(ids))
+                entries = plan.effects.setdefault(plan.write_key(ids), [None] * len(plan.reqs))
                 for j, req in enumerate(plan.reqs):
                     if not all(c.holds(st, req) for c in rd.conjuncts):
                         continue
                     granted_pairs += 1
+                    if entries[j] is None:
+                        entries[j] = plan._written(st, j)
                     after = ids + entries[j]
                     after_ids = plan.after_ids(after)
                     assert u.state(after_ids) == rd.effect(st, req), (rule, st, req)
@@ -826,15 +832,26 @@ def test_refused_subtrees_are_never_listed(monkeypatch):
     """A subtree where no rule's subtree guard stage grants a request is
     never listed.  At P0, getRead without hasReadPermission breaks
     ranBrInDomM in the first subtree where getRead's subtree stage grants
-    a request, so its search lists that subtree alone."""
+    a request, so its search lists that subtree alone.  The census lists
+    subtrees too, after the sweep, so only the sweep's listings count."""
     listed = []
-    leaf_rows = checker._leaf_rows
+    sweeping = []
+    subtree, sweep_range = _Universe.subtree, checker._sweep_range
 
-    def counting(rows, proto_ids):
-        listed.append(proto_ids)
-        return leaf_rows(rows, proto_ids)
+    def counting(u, combo, known):
+        if sweeping:
+            listed.append((combo, known))
+        return subtree(u, combo, known)
 
-    monkeypatch.setattr(checker, "_leaf_rows", counting)
+    def flagged(*args):
+        sweeping.append(True)
+        try:
+            return sweep_range(*args)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(_Universe, "subtree", counting)
+    monkeypatch.setattr(checker, "_sweep_range", flagged)
     defs = {"getRead": without_conjunct(RULE_DEFS["getRead"], "hasReadPermission")}
     report = check_obligations(P0, rule="getRead", prop="ranBrInDomM", rule_defs=defs)
     assert [r.status for r in report.results] == ["fail"]
@@ -851,9 +868,9 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
     swept = []
     sweep = checker._RulePlan.sweep
 
-    def recording(plan, mask, leaves, combo, mi):
+    def recording(plan, mask, rows, combo, mi):
         swept.append((plan.rule, combo, mi))
-        return sweep(plan, mask, leaves, combo, mi)
+        return sweep(plan, mask, rows, combo, mi)
 
     monkeypatch.setattr(checker._RulePlan, "sweep", recording)
     assert check_obligations(bounds).all_pass
@@ -892,6 +909,98 @@ def test_rules_without_leaf_guards_call_no_guard_per_leaf(rule, monkeypatch):
     monkeypatch.setattr(checker, "_granted", recording)
     assert check_obligations(SMALL, rule=rule).all_pass
     assert calls and 0 not in calls
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
+    """A check's verdicts on a row's leaves depend only on its row
+    footprint: the subtree stage's granted mask and the row's ids at the
+    components its leaf guards, its effect and its property read, bw by
+    the row's bw mask.  So a row is swept for a check only while its
+    footprint has not passed, and a footprint is recorded once, after its
+    row passed.  releaseRead and releaseWrite, whose footprints leave out
+    most of a leaf, sweep fewer rows leaf by leaf than they visit;
+    changeClass and deleteObject, where one check reads the whole leaf,
+    keep no footprints and sweep every row."""
+
+    class Footprints(set):
+        visits = 0
+
+        def __contains__(self, key):
+            self.visits += 1
+            return super().__contains__(key)
+
+        def add(self, key):
+            assert not super().__contains__(key), key
+            super().add(key)
+
+    visited = collections.Counter()
+    sweep = checker._RulePlan.sweep
+
+    def counting(plan, mask, rows, combo, mi):
+        visited[plan.rule] += len(rows)
+        return sweep(plan, mask, rows, combo, mi)
+
+    monkeypatch.setattr(checker._RulePlan, "sweep", counting)
+    u = _Universe(bounds)
+    u.footprints = collections.defaultdict(Footprints)
+    entries, _times = checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS,
+                                           0, len(u.orbits.reps))
+    assert not any(failed for _rule, _prop, failed, *_ in entries)
+    checks = lambda rule: [s for (rd, prop), s in u.footprints.items()
+                           if rd.name == rule and prop is not None]
+    for rule in ("releaseRead", "releaseWrite"):
+        # every visited row asks each check's set once; every row swept
+        # leaf by leaf passed, so it added its footprint to some set
+        assert checks(rule)
+        assert all(s.visits == visited[rule] > 0 for s in checks(rule))
+        assert sum(map(len, checks(rule))) < visited[rule]
+    for rule in ("changeClass", "deleteObject"):
+        assert visited[rule] > 0
+        assert not any(s.visits or s for s in checks(rule))
+
+
+def _writes_something(st, _req):
+    return bool(st.bw)
+
+
+def test_leaf_guards_widen_the_footprint():
+    """A check's row footprint takes in the components the rule's leaf
+    guards read, even those its writes and its property leave out.  This
+    getRead grants only while something is written, and has no clearance
+    check, so it breaks seccond.  seccond reads neither bw nor what getRead
+    writes beyond br, yet a row's first leaf, with nothing written, is
+    refused while its later leaves are granted: a footprint without bw
+    would pass the row on its first leaf.  The sweep must still match the
+    naive one."""
+    rd = RULE_DEFS["getRead"]
+    kept = [c for c in rd.conjuncts if c.name not in ("clearanceDominates", "readBelowWrites")]
+    defs = {"getRead": dataclasses.replace(
+        rd, conjuncts=(*kept, Conjunct("writesSomething", frozenset({"bw"}), _writes_something)))}
+    report = check_obligations(SMALL, rule="getRead", rule_defs=defs)
+    naive, states = naive_check(SMALL, rule_defs=defs, rules=("getRead",))
+    _assert_matches_naive(report, naive, states)
+    assert report.results[PROPERTY_ORDER.index("seccond")].status == "fail"
+
+
+@pytest.mark.parametrize("rule, conjunct", [("createObject", "objectFresh"),
+                                           ("deleteObject", "objectUnaccessed")])
+def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
+    """A pool worker sweeps its ranges in turn on one universe, and its
+    footprint sets carry what the earlier ranges passed.  So each range's
+    result must be the one a fresh universe gives it, also for a mutant
+    whose checks fail in some ranges: a footprint is recorded only once
+    its row has passed, never for a row that fails."""
+    defs = {**RULE_DEFS, rule: without_conjunct(RULE_DEFS[rule], conjunct)}
+    obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == rule]
+    u = _Universe(SMALL)
+    ranges = checker._shard_ranges(len(u.orbits.reps), 2)
+    in_turn = [checker._sweep_range(u, defs, obligations, lo, hi)[0] for lo, hi in ranges]
+    fresh = [checker._sweep_range(_Universe(SMALL), defs, obligations, lo, hi)[0]
+             for lo, hi in ranges]
+    assert in_turn == fresh
+    failing = [[failed for _rule, _prop, failed, *_ in entries] for entries in fresh]
+    assert any(map(any, failing)) and not all(map(all, failing))
 
 
 # --- random mode -------------------------------------------------------------
