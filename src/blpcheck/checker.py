@@ -35,18 +35,23 @@ sets the entry for the AND of the writable and known masks with its pairs'
 masks, each set listed with its id.  The census counts a table's leaves,
 and the sweep lists them; the random sampler reads the access-set tables.
 A table's rows are its br options, each with its id, its bw mask and the
-bw options that mask allows, each a small integer id per state component;
-a subtree's table is listed only when some rule's subtree guard stage
-grants a request there.  Within a subtree the sweep is rule-major, and
-each rule walks those rows in enumeration order, each leaf's requests in
-list order.  Every rule callable runs once per distinct value of the
+bw options that mask allows, each a small integer id per state component.
+The sweep goes over pairs first, then rules: per (fs, fo) pair, every rule
+in turn walks the pair's matrices in order, each subtree's rows in
+enumeration order and each leaf's requests in list order, so every
+obligation meets its (leaf, request) pairs in enumeration order.  A
+subtree's table is listed only when some rule grants a request there.
+Every rule callable runs once per distinct value of the
 components it declares to read; the result is memoised under their ids.
 The sweep handles ids only: a state is built from ids, by
 ``_Universe.state``, only for a memo miss or a witness.  A guard
 conjunct's memo maps the ids of its ``reads`` to the
 bitset of the rule's requests it grants, so a leaf's granted requests are
-an AND of bitsets: conjuncts reading neither br nor bw once per subtree,
-the rest per leaf.  An effect runs once per (request, ids of
+an AND of bitsets, decided in three stages by the components the
+conjuncts read: those reading none of br, bw and m once per (rule, pair),
+those reading m but neither br nor bw once per matrix, the rest per leaf;
+a stage without conjuncts is skipped, and a pair or subtree whose stages
+grant nothing is left at once.  An effect runs once per (request, ids of
 ``RuleDef.writes``), and its memo entry is the written components' after
 ids: a granted request's after state is the leaf's ids followed by those.
 An invariant runs once per after-state value of the components it reads
@@ -58,8 +63,9 @@ read the matrix gets the same verdicts on two subtrees of one (fs, fo)
 pair with the same known mask, whose leaves differ in the matrix alone, so
 it sweeps only the first of them.  More generally, a checked obligation's
 verdicts on a row's leaves depend only on the row's *footprint*: the
-subtree stage's granted mask and the row's ids at the components the leaf
-guards, the writes and the property read, bw given by the row's bw mask.
+pair and matrix stages' granted mask and the row's ids at the components
+the leaf guards, the writes and the property read, bw given by the row's
+bw mask.
 So each check keeps the footprints whose rows it passed, per worker, and a
 row is swept leaf by leaf only for the checks whose footprint is new, only
 its first leaf when none of them reads bw.  A footprint is recorded after
@@ -571,9 +577,9 @@ class _Universe:
     @cached_property
     def row_layout(self) -> tuple[dict[str, int], dict[str, int]]:
         """How the sweep packs a row of ``subtree`` into one integer: from
-        the lowest bit, its bw mask, its fo, fs and m ids, the subtree
-        guard stage's granted mask (``mask``), and its br id above them
-        all.  Returns each field's shift and its bits, by name; br's bits
+        the lowest bit, its bw mask, its fo, fs and m ids, the pair and
+        matrix guard stages' granted mask (``mask``), and its br id above
+        them all.  Returns each field's shift and its bits, by name; br's bits
         run on without end."""
         names = ("bw", "fo", "fs", "m", "mask")
         widths = (len(self.pairs), len(self.fo_options).bit_length(),
@@ -857,7 +863,7 @@ def strict_star_prop(st: SystemState) -> bool:
 # A swept leaf carries one id per state component, in SystemState field
 # order (see ``_Universe.id_tables``).
 _FIELDS = SystemState._fields
-_BR, _BW = _FIELDS.index("br"), _FIELDS.index("bw")
+_BR, _BW, _M = map(_FIELDS.index, ("br", "bw", "m"))
 
 
 def _fields_of(components) -> tuple[int, ...]:
@@ -936,8 +942,11 @@ class _RulePlan:
     """One rule compiled for the sweep: its guard conjuncts by stage, its
     effect's memo and frame, and its obligations.
 
-    A conjunct that reads neither br nor bw is decided once per subtree,
-    the others once per leaf.  Each is a ``(key, memo, holds)`` triple,
+    The guard conjuncts fall into three stages by what they read:
+    ``pair_guards`` read none of br, bw and m and are decided once per
+    (fs, fo) pair, ``matrix_guards`` read m but neither br nor bw and are
+    decided once per matrix, and ``leaf_guards`` read br or bw and are
+    decided once per leaf.  Each is a ``(key, memo, holds)`` triple,
     looked up in its own memo under the ids of the components it reads
     (``_granted``); a miss builds the state and runs the conjunct on every
     request of the rule.  So a leaf's granted requests are an AND of
@@ -969,17 +978,25 @@ class _RulePlan:
     matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
     it.  Two subtrees of one (fs, fo) pair with the same known mask then
     have the same leaves but for the matrix, and the same verdicts on
-    them, so ``_sweep_range`` sweeps the rule on the first of them only.
+    them, so ``sweep`` sweeps the rule on the first of them only.
     Every leaf first appears in the first subtree of some known mask, so
     first witnesses and their positions do not change.
 
-    ``sweep`` walks a subtree's rows.  A check's verdicts on a row's leaves
-    are a function of its row footprint: the subtree stage's granted mask
-    and the row's ids at the components the leaf guards, ``writes`` and
-    the property read, with bw given by the row's bw mask, which fixes the
-    row's bw options.  Each check has a track, ``(key bits, passed
-    footprints, reads bw, check)``: a row whose footprint is in the set is
-    skipped for the check, and a footprint is added once its row passed.
+    ``sweep`` decides the rule on one (fs, fo) pair, all its matrices, in
+    one call: ``_sweep_range`` times that call, so a rule's ``elapsed-ms``
+    covers its guard stages, the rows it walks, skipped ones included, and
+    the building of every hypothesis table it is the first to fetch.
+    Rules share those tables, and take each pair in ``RULE_ORDER``, so the
+    first rule whose stages grant a request on a subtree builds its table.
+
+    ``_sweep_rows`` walks a subtree's rows.  A check's verdicts on a row's
+    leaves are a function of its row footprint: the pair and matrix
+    stages' granted mask and the row's ids at the components the leaf
+    guards, ``writes`` and the property read, with bw given by the row's
+    bw mask, which fixes the row's bw options.  Each check has a track,
+    ``(key bits, passed footprints, reads bw, check)``: a row whose
+    footprint is in the set is skipped for the check, and a footprint is
+    added once its row passed.
     When no check is live the framed obligations have one track, whose
     footprint is the leaf guards' and ``writes``' components: a repeated
     row would only repeat effect calls that ran, and verified the frame,
@@ -1001,12 +1018,15 @@ class _RulePlan:
         if memos is None:
             memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {})
         guard_memos, self.effects = memos
-        self.subtree_guards: list = []
+        self.pair_guards: list = []
+        self.matrix_guards: list = []
         self.leaf_guards: list = []
         for c, memo in zip(rd.conjuncts, guard_memos):
             fields = _fields_of(c.reads)
-            stage = self.leaf_guards if _BR in fields or _BW in fields else self.subtree_guards
+            stage = (self.leaf_guards if _BR in fields or _BW in fields
+                     else self.matrix_guards if _M in fields else self.pair_guards)
             stage.append((_projection(fields), memo, c.holds))
+        self.empty = u.component_id(_BR, ())
         self.effect = rd.effect
         self.writes = _fields_of(rd.writes)
         self.write_key = _projection(self.writes)
@@ -1086,9 +1106,42 @@ class _RulePlan:
         after = self._apply(st, j)
         return tuple(self.universe.component_id(i, after[i]) for i in self.writes)
 
-    def sweep(self, mask: int, rows, combo: int, mi: int) -> None:
-        """Decide the rule's requests in ``mask``, the bitset its subtree
-        guard stage granted, on the ``rows`` of one subtree (from
+    def sweep(self, combo: int, m_reps) -> None:
+        """Decide the rule on (fs, fo) pair number ``combo`` under the
+        matrices ``m_reps``, in that order.  The pair guard stage runs
+        once; when it grants a request, each matrix's stage narrows that
+        mask, and the rows of the subtree's hypothesis table are swept
+        (``_sweep_rows``) when a request is left.  A rule that does not
+        read the matrix sweeps only the first matrix of each known mask.
+        Stops once no obligation of the rule is left to decide."""
+        u = self.universe
+        fs_id, fo_id = divmod(combo, len(u.fo_options))
+        empty = self.empty
+        mask = self.all_requests
+        if self.pair_guards:
+            mask = _granted(self.pair_guards, mask, (empty, empty, fo_id, fs_id, m_reps[0]),
+                            u, self.reqs)
+            if not mask:
+                return
+        met = set()  # the known masks swept so far, when the rule ignores m
+        for mi in m_reps:
+            if not (self.live or self.framed):
+                return
+            known = u.m_options[mi][1]
+            granted = mask
+            if not self.reads_m:
+                if known in met:
+                    continue
+                met.add(known)
+            elif self.matrix_guards:
+                granted = _granted(self.matrix_guards, mask, (empty, empty, fo_id, fs_id, mi),
+                                   u, self.reqs)
+            if granted:
+                self._sweep_rows(granted, u.subtree(combo, known)[1], combo, mi)
+
+    def _sweep_rows(self, mask: int, rows, combo: int, mi: int) -> None:
+        """Decide the rule's requests in ``mask``, the bitset its pair and
+        matrix guard stages granted, on the ``rows`` of one subtree (from
         ``_Universe.subtree``), in enumeration order and each leaf's
         requests in list order.  A row is skipped for every track whose
         footprint already passed; it is swept leaf by leaf for the rest,
@@ -1187,16 +1240,15 @@ def _sweep_range(
     against literally filtering enumerate_states with the core predicates.
     Only orbit representatives are swept: of a pair's matrix options, those
     no renaming that fixes the pair maps to an earlier option
-    (``_Orbits.m_reps``), each with every hypothesis leaf.  Per subtree,
-    one loop takes every rule with a live obligation in turn: the rule's
-    subtree guard stage runs and, when it grants a request, the rule's
-    ``sweep`` walks the rows of the subtree's hypothesis table, fetched
-    when the first rule needs it; a subtree where no rule grants a request
-    is never listed.  A rule's measured time, its obligations'
-    ``elapsed_ms``, covers its subtree guard stages and its sweeps,
-    skipped rows included, and the building of every table it fetched
-    first.  A rule that does not read the matrix (``_RulePlan.reads_m``)
-    skips a subtree whose known mask an earlier subtree of the pair had.
+    (``_Orbits.m_reps``), each with every hypothesis leaf.  Per pair,
+    every rule with an obligation left to decide makes one call,
+    ``_RulePlan.sweep``, which runs the rule's guard stages and walks the
+    rows of the subtrees they admit; a subtree where no rule grants a
+    request is never listed.  That call is the only one timed: a rule's
+    measured time, its obligations' ``elapsed_ms``, is the sum of its
+    calls, one per (rule, pair), and includes the building of every
+    hypothesis table the rule fetched first, which the first rule in
+    ``RULE_ORDER`` to be granted a request on a subtree does.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1207,32 +1259,16 @@ def _sweep_range(
     orbits = u.orbits
     rule_time = {plan.rule: 0.0 for plan in plans}
     clock = time.perf_counter
-    empty = u.component_id(_BR, ())
 
     for combo in orbits.reps[lo:hi]:
         # stop once every obligation has failed (mutation runs stop fast)
         if all(ob.failed for ob in obs):
             break
-        fs_id, fo_id = divmod(combo, len(u.fo_options))
-        met = set()  # the known masks of the pair's subtrees swept so far
-        for mi in orbits.m_reps[orbits.stabiliser[combo]]:
-            active = [plan for plan in plans if plan.live or plan.framed]
-            if not active:
-                break
-            known = u.m_options[mi][1]
-            repeat = known in met
-            met.add(known)
-            proto_ids = (empty, empty, fo_id, fs_id, mi)
-            rows = None
-            for plan in active:
-                if repeat and not plan.reads_m:
-                    continue
+        m_reps = orbits.m_reps[orbits.stabiliser[combo]]
+        for plan in plans:
+            if plan.live or plan.framed:
                 t0 = clock()
-                mask = _granted(plan.subtree_guards, plan.all_requests, proto_ids, u, plan.reqs)
-                if mask:
-                    if rows is None:
-                        rows = u.subtree(combo, known)[1]
-                    plan.sweep(mask, rows, combo, mi)
+                plan.sweep(combo, m_reps)
                 rule_time[plan.rule] += clock() - t0
 
     entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
@@ -1257,8 +1293,10 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
 def _pool_size(workers: int, n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` units of work (representative
     (fs, fo) pairs or obligations): no more than asked for, than there are
-    units, or than CPUs."""
-    return min(workers, n_tasks, os.cpu_count() or 1)
+    units, or than the CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    return min(workers, n_tasks, cpus or 1)
 
 
 # A pool worker's share of ``_run_tasks``' context, set once when the worker

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import os
+import time
 
 import pytest
 
@@ -216,6 +217,19 @@ def _assert_matches_naive(report, naive, states):
         else:
             assert (r.witness.state, r.witness.request, r.witness.after) == expected
             assert r.states_checked == states.index(expected[0]) + 1
+
+
+def admitted_mask(plan, u, combo, mi):
+    """The requests a plan's pair and matrix guard stages grant on the
+    subtree of pair ``combo`` and matrix ``mi``, composed as
+    ``_RulePlan.sweep`` composes them."""
+    fs_id, fo_id = divmod(combo, len(u.fo_options))
+    ids = (plan.empty, plan.empty, fo_id, fs_id, mi)
+    mask = plan.all_requests
+    for guards in (plan.pair_guards, plan.matrix_guards):
+        if guards:
+            mask = checker._granted(guards, mask, ids, u, plan.reqs)
+    return mask
 
 
 STAR_READINGS = pytest.mark.parametrize(
@@ -452,10 +466,10 @@ def test_after_ids_map_back_to_the_effect(bounds):
     state the rule's effect returns, and each checked property's memo key
     is those ids at the property's fields.  The sweep skips rows whose
     footprint passed already, so entries it left unfilled are filled here
-    the way it fills them (``_RulePlan._written``)."""
+    the way it fills them (``_RulePlan._written``).  Each subtree's rows are
+    swept under the mask its pair and matrix guard stages grant."""
     u = _Universe(bounds)
     fields = SystemState._fields
-    empty = u.component_id(fields.index("br"), ())
     n_m, n_fo = len(u.m_options), len(u.fo_options)
     granted_pairs = 0
     for rule in RULE_ORDER:
@@ -466,10 +480,8 @@ def test_after_ids_map_back_to_the_effect(bounds):
         for i in range(u.n_combos * n_m):
             combo, mi = divmod(i, n_m)
             fs_id, fo_id = divmod(combo, n_fo)
-            proto = (empty, empty, fo_id, fs_id, mi)
             rows = u.subtree(combo, u.m_options[mi][1])[1]
-            plan.sweep(checker._granted(plan.subtree_guards, plan.all_requests, proto,
-                                        u, plan.reqs), rows, combo, mi)
+            plan._sweep_rows(admitted_mask(plan, u, combo, mi), rows, combo, mi)
             for ids in [(br_id, bw_id, fo_id, fs_id, mi)
                         for br_id, _bw_mask, bw_subs in rows for _bw, bw_id in bw_subs]:
                 st = u.state(ids)
@@ -553,6 +565,13 @@ def test_workers_are_bounded(monkeypatch):
     n_combo = _Universe(P0).n_combos
     assert n_combo == 625
     for cpus, expected in ((4096, 625), (2, 2), (None, 1)):
+        # the CPUs this process may run on, where the platform tells them;
+        # None stands for a platform that tells neither them nor its count
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)),
+                                raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert _pool_size(10000, n_combo) == expected
     for workers in (0, -3):
@@ -863,16 +882,16 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
     """changeClass reads, writes and checks nothing of the matrix, and two
     subtrees of one (fs, fo) pair with the same known mask have the same
     leaves but for the matrix, so it is swept on the first of them only.
-    getRead reads the matrix, so it is swept on every subtree its subtree
-    guard stage admits, repeated known masks included."""
+    getRead reads the matrix, so it is swept on every subtree its pair and
+    matrix guard stages admit, repeated known masks included."""
     swept = []
-    sweep = checker._RulePlan.sweep
+    sweep_rows = checker._RulePlan._sweep_rows
 
     def recording(plan, mask, rows, combo, mi):
         swept.append((plan.rule, combo, mi))
-        return sweep(plan, mask, rows, combo, mi)
+        return sweep_rows(plan, mask, rows, combo, mi)
 
-    monkeypatch.setattr(checker._RulePlan, "sweep", recording)
+    monkeypatch.setattr(checker._RulePlan, "_sweep_rows", recording)
     assert check_obligations(bounds).all_pass
     u = _Universe(bounds)
     known = lambda rule: [(combo, u.m_options[mi][1]) for r, combo, mi in swept if r == rule]
@@ -880,14 +899,11 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
     assert len(set(known("changeClass"))) == len(known("changeClass"))
 
     plan = checker._RulePlan(RULE_DEFS["getRead"], [], u)
-    empty = u.component_id(SystemState._fields.index("br"), ())
-    n_fo = len(u.fo_options)
     admitted = [
         (combo, mi)
         for combo in u.orbits.reps
         for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]
-        if checker._granted(plan.subtree_guards, plan.all_requests,
-                            (empty, empty, combo % n_fo, combo // n_fo, mi), u, plan.reqs)
+        if admitted_mask(plan, u, combo, mi)
     ]
     assert [(combo, mi) for r, combo, mi in swept if r == "getRead"] == admitted
     assert len(set(known("getRead"))) < len(admitted)
@@ -896,19 +912,26 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
 @pytest.mark.parametrize("rule", ["giveRW", "rescindRead", "rescindWrite", "createObject"])
 def test_rules_without_leaf_guards_call_no_guard_per_leaf(rule, monkeypatch):
     """No guard conjunct of these rules reads br or bw, so their leaf guard
-    stage is empty: a leaf's granted requests are those its subtree stage
-    granted, and ``_granted`` never runs on an empty guard list."""
-    assert not checker._RulePlan(RULE_DEFS[rule], [], _Universe(SMALL)).leaf_guards
+    stage is empty: a leaf's granted requests are those its pair and matrix
+    stages granted.  ``_granted`` runs on each non-empty stage and never on
+    an empty guard list, at any of the three stages; rescindRead,
+    rescindWrite and createObject have no pair stage either."""
+    plan = checker._RulePlan(RULE_DEFS[rule], [], _Universe(SMALL))
+    assert not plan.leaf_guards
+    assert bool(plan.pair_guards) == (rule == "giveRW")
+    stages = {tuple(holds for *_, holds in guards)
+              for guards in (plan.pair_guards, plan.matrix_guards) if guards}
     calls = []
     granted = checker._granted
 
     def recording(guards, *args):
-        calls.append(len(guards))
+        calls.append(tuple(holds for *_, holds in guards))
         return granted(guards, *args)
 
     monkeypatch.setattr(checker, "_granted", recording)
     assert check_obligations(SMALL, rule=rule).all_pass
-    assert calls and 0 not in calls
+    assert calls and () not in calls
+    assert set(calls) == stages
 
 
 @pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
@@ -935,13 +958,13 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
             super().add(key)
 
     visited = collections.Counter()
-    sweep = checker._RulePlan.sweep
+    sweep_rows = checker._RulePlan._sweep_rows
 
     def counting(plan, mask, rows, combo, mi):
         visited[plan.rule] += len(rows)
-        return sweep(plan, mask, rows, combo, mi)
+        return sweep_rows(plan, mask, rows, combo, mi)
 
-    monkeypatch.setattr(checker._RulePlan, "sweep", counting)
+    monkeypatch.setattr(checker._RulePlan, "_sweep_rows", counting)
     u = _Universe(bounds)
     u.footprints = collections.defaultdict(Footprints)
     entries, _times = checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS,
@@ -1001,6 +1024,132 @@ def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
     assert in_turn == fresh
     failing = [[failed for _rule, _prop, failed, *_ in entries] for entries in fresh]
     assert any(map(any, failing)) and not all(map(all, failing))
+
+
+def test_merged_chunks_keep_the_first_witness():
+    """A pool sweeps the representative pairs in ranges and merges their
+    chunk results in range order, first witness first (``_merge_chunks``).
+    For every single-conjunct mutant, the ranges a pool of 1, 2, 4 or 8
+    workers sweeps, each on a fresh universe, merge to the verdicts,
+    witnesses and visited-state counts of one range over all pairs.  The
+    giveRW mutants that need a giver and a receiver that differ run at two
+    subjects."""
+    failures = 0
+    for rule in RULE_ORDER:
+        obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == rule]
+        for conjunct in RULE_DEFS[rule].conjuncts:
+            bounds = BOTH_GROUPS if (rule, conjunct.name) in NEEDS_TWO_SUBJECTS else SMALL
+            defs = {**RULE_DEFS, rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
+            u = _Universe(bounds)
+            n_reps = len(u.orbits.reps)
+            whole, _times = checker._merge_chunks(
+                u, obligations, [checker._sweep_range(u, defs, obligations, 0, n_reps)])
+            for workers in (1, 2, 4, 8):
+                chunks = [checker._sweep_range(_Universe(bounds), defs, obligations, lo, hi)
+                          for lo, hi in _shard_ranges(n_reps, workers)]
+                merged, _times = checker._merge_chunks(u, obligations, chunks)
+                assert merged == whole, (rule, conjunct.name, workers)
+            failures += sum(failed for failed, _w, _states in whole.values())
+    assert failures == sum(map(len, MUTATION_MATRIX.values()))
+
+
+# the conjuncts that read none of br, bw and m: the pair guard stage
+PAIR_STAGE = {("getRead", "objectClassified"), ("getRead", "clearanceDominates"),
+              ("getWrite", "objectClassified"), ("changeClass", "objectClassified"),
+              ("giveRW", "modeGivable")}
+
+
+def _entering(monkeypatch, current):
+    """Patch ``_RulePlan.sweep`` so that ``current`` holds the (rule, pair)
+    being swept, and is empty outside a sweep."""
+    sweep = checker._RulePlan.sweep
+
+    def entering(plan, combo, m_reps):
+        current.append((plan.rule, combo))
+        try:
+            return sweep(plan, combo, m_reps)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(checker._RulePlan, "sweep", entering)
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_pair_stage_runs_once_per_pair(bounds, monkeypatch):
+    """A conjunct that reads none of br, bw and m is decided once per
+    (rule, representative pair): its memo is looked up at most once while
+    the rule sweeps the pair, whatever the pair's matrices.  The conjuncts
+    of the other stages are looked up per matrix or per leaf."""
+    current = []
+    _entering(monkeypatch, current)
+    lookups = collections.Counter()
+
+    class Memo(dict):
+        def __init__(self, conjunct):
+            super().__init__()
+            self.conjunct = conjunct
+
+        def get(self, key, default=None):
+            lookups[(*current[-1], self.conjunct)] += 1
+            return super().get(key, default)
+
+    u = _Universe(bounds)
+    for rd in RULE_DEFS.values():
+        u.rule_memos[rd] = ([Memo(c.name) for c in rd.conjuncts], {})
+    assert PAIR_STAGE == {(rule, c.name) for rule, rd in RULE_DEFS.items()
+                          for c in rd.conjuncts if not c.reads & {"br", "bw", "m"}}
+    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    once = [n for (rule, _combo, c), n in lookups.items() if (rule, c) in PAIR_STAGE]
+    assert once and max(once) == 1
+    assert max(n for (rule, _combo, c), n in lookups.items() if (rule, c) not in PAIR_STAGE) > 1
+
+
+def test_refused_pairs_fetch_no_table(monkeypatch):
+    """A rule whose pair guard stage grants nothing on a pair fetches no
+    hypothesis table (``_Universe.subtree``) of that pair while it sweeps
+    it: the stage is decided before any matrix of the pair."""
+    current = []
+    _entering(monkeypatch, current)
+    fetched = set()
+    subtree = _Universe.subtree
+
+    def fetching(u, combo, known):
+        if current:
+            fetched.add(current[-1])
+        return subtree(u, combo, known)
+
+    monkeypatch.setattr(_Universe, "subtree", fetching)
+    u = _Universe(SMALL)
+    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    refused = set()
+    for rule in RULE_ORDER:
+        plan = checker._RulePlan(RULE_DEFS[rule], [], u)
+        for combo in u.orbits.reps:
+            fs_id, fo_id = divmod(combo, len(u.fo_options))
+            if plan.pair_guards and not checker._granted(
+                    plan.pair_guards, plan.all_requests,
+                    (plan.empty, plan.empty, fo_id, fs_id, 0), u, plan.reqs):
+                refused.add((rule, combo))
+    # giveRW's modeGivable reads nothing of the state, and grants the
+    # givable modes everywhere
+    assert {rule for rule, _combo in refused} == {"getRead", "getWrite", "changeClass"}
+    assert fetched and not fetched & refused
+
+
+def test_every_swept_rule_reports_its_time():
+    """``elapsed_ms`` stays measured: the sweep times each rule's call per
+    representative pair.  With one worker every rule reports a positive
+    time, shared by its obligations, and the ten times add up to no more
+    than the check took."""
+    t0 = time.perf_counter()
+    report = check_obligations(SMALL)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    times = collections.defaultdict(set)
+    for r in report.results:
+        times[r.rule].add(r.elapsed_ms)
+    assert list(times) == list(RULE_ORDER)
+    assert all(len(t) == 1 and min(t) > 0 for t in times.values())
+    assert sum(t.pop() for t in times.values()) <= wall_ms
 
 
 # --- random mode -------------------------------------------------------------

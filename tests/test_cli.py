@@ -436,7 +436,8 @@ def test_pooled_check_spawns_where_fork_is_unavailable(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool also on one CPU
+    # a pool also on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     text = format_report(check_obligations(SMALL_BOUNDS, workers=2), "machine")
     assert used == ["spawn"]
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["check"][1]
