@@ -36,11 +36,12 @@ masks, each set listed with its id.  The census counts a table's leaves,
 and the sweep lists them; the random sampler reads the access-set tables.
 A table's rows are its br options, each with its id, its bw mask and the
 bw options that mask allows, each a small integer id per state component.
-The sweep goes over pairs first, then rules: per (fs, fo) pair, every rule
-in turn walks the pair's matrices in order, each subtree's rows in
-enumeration order and each leaf's requests in list order, so every
-obligation meets its (leaf, request) pairs in enumeration order.  A
-subtree's table is listed only when some rule grants a request there.
+The sweep goes over pairs first, then rules (a task holds one rule, see
+below): per (fs, fo) pair, every rule in turn walks the pair's matrices
+in order, each subtree's rows in enumeration order and each leaf's
+requests in list order, so every obligation meets its (leaf, request)
+pairs in enumeration order.  A subtree's table is listed only when some
+rule grants a request there.
 Every rule callable runs once per distinct value of the
 components it declares to read; the result is memoised under their ids.
 The sweep handles ids only: a state is built from ids, by
@@ -152,13 +153,17 @@ both built on first use.  The enumerator, the sweep, the random sampler
 and witness validation all read it, and one task runner (``_run_tasks``)
 runs the work in process or on workers (forked, or spawned where the
 platform cannot fork), which receive the context once when they start:
-ranges of representative (fs, fo) pairs in exhaustive mode, one
-obligation per task in random mode.  Each worker fills its own memos.  An
-obligation's ``elapsed_ms`` stays its rule's measured sweep time, memo
-hits included: an invariant verdict one rule computed is free for the
-rules after it.  Bounds whose lists would exceed ``MAX_LIST``
-entries are refused, from sizes computed in closed form, before anything
-is built.
+one rule's obligations per task in exhaustive mode (``_sweep_tasks``),
+over all representative (fs, fo) pairs, or over a range of them when the
+check selects fewer rules than there are workers, and one obligation per
+task in random mode.  Each worker fills its own memos, so a rule swept
+whole fills its guard and effect memos and its footprint sets in one
+worker only.  An obligation's ``elapsed_ms`` stays its rule's measured
+sweep time, memo hits included: an invariant verdict one rule computed is
+free for the rules swept after it in the same process, and the time of a
+rule split into ranges is summed over its workers.  Bounds whose lists
+would exceed ``MAX_LIST`` entries are refused, from sizes computed in
+closed form, before anything is built.
 """
 
 from __future__ import annotations
@@ -986,8 +991,8 @@ class _RulePlan:
     one call: ``_sweep_range`` times that call, so a rule's ``elapsed-ms``
     covers its guard stages, the rows it walks, skipped ones included, and
     the building of every hypothesis table it is the first to fetch.
-    Rules share those tables, and take each pair in ``RULE_ORDER``, so the
-    first rule whose stages grant a request on a subtree builds its table.
+    Rules share those tables, so the first rule a process sweeps whose
+    stages grant a request on a subtree builds its table.
 
     ``_sweep_rows`` walks a subtree's rows.  A check's verdicts on a row's
     leaves are a function of its row footprint: the pair and matrix
@@ -1247,8 +1252,8 @@ def _sweep_range(
     request is never listed.  That call is the only one timed: a rule's
     measured time, its obligations' ``elapsed_ms``, is the sum of its
     calls, one per (rule, pair), and includes the building of every
-    hypothesis table the rule fetched first, which the first rule in
-    ``RULE_ORDER`` to be granted a request on a subtree does.
+    hypothesis table the rule fetched first, which the first rule this
+    process sweeps to be granted a request on a subtree does.
     """
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plans = [
@@ -1291,9 +1296,10 @@ def _select_obligations(rule: Optional[str], prop: Optional[str]) -> tuple[Oblig
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` units of work (representative
-    (fs, fo) pairs or obligations): no more than asked for, than there are
-    units, or than the CPUs this process may run on."""
+    """Worker processes for ``n_tasks`` units of work ((rule,
+    representative (fs, fo) pair) sweeps, or obligations): no more than
+    asked for, than there are units, or than the CPUs this process may run
+    on."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count()
     return min(workers, n_tasks, cpus or 1)
@@ -1338,13 +1344,40 @@ def _shard_ranges(n_units: int, n_workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
+                 n_workers: int) -> list[tuple]:
+    """The exhaustive sweep's tasks for a pool of ``n_workers``: per rule,
+    ``(its selected obligations, lo, hi)`` over the representative pairs.
+    Rules share no verdict, so a rule swept by one task fills its memos and
+    footprint sets in one worker.  A rule keeps the whole range when there
+    are at least as many rules as workers, and is split into
+    ``_shard_ranges``, in order, only when there are fewer.
+
+    The heaviest rules go first, so that none is left to run alone at the
+    end: those whose plan keeps no footprint set (``_RulePlan.tracks`` is
+    None), since every row they admit needs every leaf, then the rest in
+    ``RULE_ORDER``.  A check of one rule builds no plan for this."""
+    by_rule: dict[str, list[Obligation]] = {}
+    for ob in obligations:
+        by_rule.setdefault(ob.rule, []).append(ob)
+    rules = list(by_rule)
+    if len(rules) > 1:
+        rules.sort(key=lambda rule: _RulePlan(
+            rule_defs[rule], [_ObState(*ob) for ob in by_rule[rule]], u).tracks is not None)
+    n_reps = len(u.orbits.reps)
+    ranges = [(0, n_reps)] if len(rules) >= n_workers else _shard_ranges(n_reps, n_workers)
+    return [(by_rule[rule], lo, hi) for rule in rules for lo, hi in ranges]
+
+
 def _merge_chunks(u: _Universe, obligations, chunk_results):
     """Fold sweep chunk results, in chunk order, into sequential-equivalent
-    verdicts: first witness wins.  States come from the census
+    verdicts: first witness wins, and a rule split into pair ranges has its
+    ranges in order (``_sweep_tasks``).  States come from the census
     (``_Universe.leaves_before``): a failing obligation's visited-state count is
     the hypothesis leaves ahead of its witness's subtree plus the witness's
     position there, and a passing one's is every hypothesis leaf.  Per-rule
-    times sum over chunks (CPU time, not wall time, under parallelism).
+    times sum over chunks: one worker's time for a rule swept whole, CPU
+    time summed over workers, not wall time, for a split one.
 
     Returns ``{obligation: (failed, witness, states)}`` and the times."""
     first = {}
@@ -1410,12 +1443,12 @@ def check_obligations(
         return ObligationReport(bounds=b, mode=MODE_RANDOM, results=tuple(results),
                                 samples=samples, seed=seed)
 
-    n_reps = len(u.orbits.reps)
-    n = _pool_size(workers, n_reps)
-    # one process sweeps all representatives as one task, so a fail-fast
-    # search stops at the first failure of every obligation
-    ranges = [(0, n_reps)] if n <= 1 else _shard_ranges(n_reps, n)
-    chunk_results = _run_tasks(_sweep_range, (u, defs, obligations), ranges, n)
+    # one task per rule, or per rule and pair range when the check selects
+    # fewer rules than the pool has workers; a fail-fast search stops at
+    # the first failure of every obligation of its task
+    n = _pool_size(workers, len({ob.rule for ob in obligations}) * len(u.orbits.reps))
+    tasks = _sweep_tasks(u, defs, obligations, n)
+    chunk_results = _run_tasks(_sweep_range, (u, defs), tasks, n)
     merged, rule_time = _merge_chunks(u, obligations, chunk_results)
 
     results = []

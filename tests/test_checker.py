@@ -35,6 +35,7 @@ from blpcheck.checker import (
     P0,
     _pool_size,
     _shard_ranges,
+    _sweep_tasks,
     _Universe,
     requests_for_rule,
 )
@@ -1027,30 +1028,78 @@ def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
 
 
 def test_merged_chunks_keep_the_first_witness():
-    """A pool sweeps the representative pairs in ranges and merges their
-    chunk results in range order, first witness first (``_merge_chunks``).
-    For every single-conjunct mutant, the ranges a pool of 1, 2, 4 or 8
-    workers sweeps, each on a fresh universe, merge to the verdicts,
-    witnesses and visited-state counts of one range over all pairs.  The
-    giveRW mutants that need a giver and a receiver that differ run at two
+    """A pool sweeps the task list of ``_sweep_tasks`` and merges the chunk
+    results in task order, first witness first (``_merge_chunks``).  For
+    every single-conjunct mutant, the tasks of a pool of 1, 2, 4 or 8
+    workers, each swept on a fresh universe, merge to the verdicts,
+    witnesses and visited-state counts of one range over all pairs: for the
+    mutated rule's obligations, split into pair ranges when the pool has
+    more than one worker, and for all sixty, one task per rule.  The giveRW
+    mutants that need a giver and a receiver that differ run at two
     subjects."""
     failures = 0
     for rule in RULE_ORDER:
-        obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == rule]
+        own = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == rule]
         for conjunct in RULE_DEFS[rule].conjuncts:
             bounds = BOTH_GROUPS if (rule, conjunct.name) in NEEDS_TWO_SUBJECTS else SMALL
             defs = {**RULE_DEFS, rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
             u = _Universe(bounds)
             n_reps = len(u.orbits.reps)
-            whole, _times = checker._merge_chunks(
-                u, obligations, [checker._sweep_range(u, defs, obligations, 0, n_reps)])
-            for workers in (1, 2, 4, 8):
-                chunks = [checker._sweep_range(_Universe(bounds), defs, obligations, lo, hi)
-                          for lo, hi in _shard_ranges(n_reps, workers)]
-                merged, _times = checker._merge_chunks(u, obligations, chunks)
-                assert merged == whole, (rule, conjunct.name, workers)
+            for obligations in (own, checker.ALL_OBLIGATIONS):
+                whole, _times = checker._merge_chunks(
+                    u, obligations, [checker._sweep_range(u, defs, obligations, 0, n_reps)])
+                for workers in (1, 2, 4, 8):
+                    chunks = [checker._sweep_range(_Universe(bounds), defs, *task)
+                              for task in _sweep_tasks(u, defs, obligations, workers)]
+                    merged, _times = checker._merge_chunks(u, obligations, chunks)
+                    assert merged == whole, (rule, conjunct.name, len(obligations), workers)
             failures += sum(failed for failed, _w, _states in whole.values())
     assert failures == sum(map(len, MUTATION_MATRIX.values()))
+
+
+def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
+    """The exhaustive sweep's tasks (``_sweep_tasks``): each selected
+    obligation sits in exactly one rule's tasks; a rule keeps the whole
+    pair range when the check selects at least as many rules as the pool
+    has workers, and is otherwise split into ranges that cover every
+    representative pair in order.  The rules whose plan keeps no footprint
+    set come first, the rest follow in ``RULE_ORDER``: with all sixty
+    obligations, changeClass and deleteObject lead.  A check of one rule
+    builds no plan to find its order."""
+    u = _Universe(SMALL)
+    n_reps = len(u.orbits.reps)
+    selections = [checker.ALL_OBLIGATIONS,
+                  [ob for ob in checker.ALL_OBLIGATIONS if ob.prop == "starprop"],
+                  [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == "deleteObject"]]
+    orders = []
+    for obligations in selections:
+        selected = {}
+        for ob in obligations:
+            selected.setdefault(ob.rule, []).append(ob)
+        untracked = [rule for rule in selected if checker._RulePlan(
+            RULE_DEFS[rule], [checker._ObState(*ob) for ob in selected[rule]], u).tracks is None]
+        for workers in (1, 2, 4, 8, 16):
+            tasks = _sweep_tasks(u, RULE_DEFS, obligations, workers)
+            rules = list(dict.fromkeys(task[0][0].rule for task in tasks))
+            assert rules == untracked + [r for r in RULE_ORDER if r in selected and r not in untracked]
+            for rule in rules:
+                own = [task for task in tasks if task[0][0].rule == rule]
+                assert all(list(task[0]) == selected[rule] for task in own)
+                ranges = [(lo, hi) for _obs, lo, hi in own]
+                assert (len(ranges) == 1) == (len(rules) >= workers)
+                assert ranges[0][0] == 0 and ranges[-1][1] == n_reps
+                assert all(lo < hi == next_lo for (lo, hi), (next_lo, _hi)
+                           in zip(ranges, ranges[1:]))
+            # a rule's tasks are consecutive
+            assert [task[0][0].rule for task in tasks] == [r for r in rules for _ in ranges]
+        orders.append(rules)
+    assert orders[0][:2] == ["changeClass", "deleteObject"]
+
+    def no_plan(*_args):
+        raise AssertionError("a plan built to order one rule")
+
+    monkeypatch.setattr(checker, "_RulePlan", no_plan)
+    assert _sweep_tasks(u, RULE_DEFS, selections[2], 1) == [(selections[2], 0, n_reps)]
 
 
 # the conjuncts that read none of br, bw and m: the pair guard stage

@@ -54,10 +54,14 @@ def test_check_random_seeded_byte_identical(capsys):
 
 
 def test_check_workers_match_sequential(capsys):
-    code1, out1, _ = run_cli(capsys, "check", *SMALL, "--format", "machine")
-    code2, out2, _ = run_cli(capsys, "check", *SMALL, "--format", "machine",
-                             "--workers", "2")
-    assert (code1, out1) == (code2, out2)
+    """Two workers sweep one task per rule, or, for a check of one rule,
+    its pair ranges; either way the report is the one-worker report."""
+    for select in [(), ("--rule", "deleteObject"), ("--property", "starprop")]:
+        code1, out1, _ = run_cli(capsys, "check", *SMALL, *select, "--format", "machine")
+        code2, out2, _ = run_cli(capsys, "check", *SMALL, *select, "--format", "machine",
+                                 "--workers", "2")
+        assert (code1, out1) == (code2, out2), select
+        assert code1 == 0 and out1
 
 
 def test_check_rejects_nonpositive_workers(capsys):
