@@ -149,10 +149,14 @@ invariant predicates, every rule's request list, the component id tables,
 the invariant memos, every rule's guard and effect memos, the access-set
 tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
 and matrices (``_Orbits``) and the hypothesis tables (``_Universe.subtree``),
-both built on first use.  The enumerator, the sweep, the random sampler
-and witness validation all read it, and one task runner (``_run_tasks``)
-runs the work in process or on workers (forked, or spawned where the
-platform cannot fork), which receive the context once when they start:
+both built on first use.  Only the group tables outlive the check: they
+depend on the bounds alone, and the next check of equal bounds in the
+same process, such as the next search of a mutation campaign, reads them
+instead of building them again.  The enumerator, the sweep, the random
+sampler and witness validation all read the context, and one task runner
+(``_run_tasks``) runs the work in process or on workers (forked, or
+spawned where the platform cannot fork), which receive the context, group
+tables included, once when they start:
 one rule's obligations per task in exhaustive mode (``_sweep_tasks``),
 over all representative (fs, fo) pairs, or over a range of them when the
 check selects fewer rules than there are workers, and one obligation per
@@ -465,6 +469,11 @@ class _Orbits(NamedTuple):
     m_reps: dict[tuple[int, ...], tuple[int, ...]]
 
 
+# The group tables of the bounds asked for most recently, (bounds, its
+# ``_Orbits``), for the next check of equal bounds (see ``_Universe.orbits``).
+_orbits_kept: tuple = (None, None)
+
+
 class _Universe:
     """The context of one check: precomputed option spaces for one Bounds
     value, the reading of the *-property, the invariant predicates and every
@@ -491,13 +500,16 @@ class _Universe:
 
     A universe is built when its check starts, never cached across checks:
     the property table is read from ``core.PROPERTY_FUNCS`` at that moment.
-    The symmetry tables (``orbits``) are built on first use, which only the
-    exhaustive sweep makes, by arithmetic on option indices.  So are the
-    hypothesis tables (``subtree``), one per (fs, fo) pair and known mask,
-    which the sweep lists and the census (``leaves_before`` and
-    ``hypothesis_states``) counts: a subtree's count is its table's number
-    of leaves, and a whole pair's the sum over ``known_groups``.  Random
-    mode and the partition analyzer never build them.
+    The one exception is the symmetry tables (``orbits``), which depend on
+    the bounds alone: they are built on first use, which only the
+    exhaustive sweep makes, by arithmetic on option indices, and kept for
+    the next universe of equal bounds.  The hypothesis tables
+    (``subtree``) are built on first use too, one per (fs, fo) pair and
+    known mask, and never kept, like the id tables, memos and footprint
+    sets.  The sweep lists them and the census (``leaves_before`` and
+    ``hypothesis_states``) counts them: a subtree's count is its table's
+    number of leaves, and a whole pair's the sum over ``known_groups``.
+    Random mode and the partition analyzer never build either.
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
@@ -612,8 +624,19 @@ class _Universe:
     def orbits(self) -> _Orbits:
         """The renaming group's action on (fs, fo) pairs and on matrices,
         computed on option indices (see ``_class_map_image``): no state is
-        built or renamed."""
+        built or renamed.
+
+        The tables depend on the bounds alone, not on the rules, the
+        properties or the reading of the *-property, so they are kept
+        while these are the bounds asked for most recently: the next
+        universe of equal bounds in this process, strict or not, reads
+        the same object.  Shared by every such universe: read it, never
+        change it (``stabiliser`` and ``m_reps`` are dicts).  Bounds
+        refused here are refused before they are kept."""
+        global _orbits_kept
         b = self.bounds
+        if _orbits_kept[0] == b:
+            return _orbits_kept[1]
         group_size = _saturating_product(itertools.chain(
             range(2, b.num_subjects + 1), range(2, b.num_objects + 1),
             range(2, b.num_categories + 1),
@@ -652,7 +675,9 @@ class _Universe:
                         if all(m_image[g][mi] >= mi for g in stab))
             for stab in set(stabiliser.values())
         }
-        return _Orbits(group, rep, reps, stabiliser, tuple(m_image), m_reps)
+        orbits = _Orbits(group, rep, reps, stabiliser, tuple(m_image), m_reps)
+        _orbits_kept = (b, orbits)
+        return orbits
 
     @cached_property
     def known_groups(self) -> tuple[tuple[int, int], ...]:
@@ -943,6 +968,37 @@ def _bit_indices(table: dict, bits: int) -> tuple[int, ...]:
     return table.setdefault(bits, tuple(j for j in range(bits.bit_length()) if bits >> j & 1))
 
 
+def _row_footprints(rd: RuleDef, props: Sequence[str]) -> tuple[bool, dict]:
+    """Rule ``rd``'s row footprints when it decides obligations on the
+    properties ``props``, from its declarations alone: conjunct ``reads``,
+    ``writes`` and ``core.PROPERTY_READS``.  Returns whether the rule's
+    verdicts on a leaf can depend on the matrix, and per property the rule
+    checks, and under None for the frame when it frames one of ``props``,
+    ``(components, apart)``: the components the footprint reads, and
+    whether they tell apart every row the rule sweeps (br, fo, fs and, when
+    the rule reads it, m)."""
+    checked = [p for p in props if core.PROPERTY_READS[p] & rd.writes]
+    reads_m = "m" in rd.writes.union(*(c.reads for c in rd.conjuncts),
+                                     *(core.PROPERTY_READS[p] for p in checked))
+    distinct = {"br", "fo", "fs"} | ({"m"} if reads_m else set())
+    leaf_reads = rd.writes.union(*(c.reads for c in rd.conjuncts if c.reads & {"br", "bw"}))
+    reads = {p: leaf_reads | core.PROPERTY_READS[p] for p in checked}
+    if len(checked) < len(props):
+        reads[None] = leaf_reads
+    return reads_m, {key: (components, components >= distinct)
+                     for key, components in reads.items()}
+
+
+def _tracks_in_use(footprints: dict, live: Sequence[str]) -> tuple[list, bool]:
+    """The keys of ``footprints`` (``_row_footprints``) whose tracks a
+    plan uses while the checks of the properties ``live`` are open: theirs,
+    or the frame's when none is open and the rule frames a property.  Also
+    whether one of those tells every row apart and reads bw: every row then
+    needs every leaf for it anyway, so no track keeps a set."""
+    keys = list(live) or ([None] if None in footprints else [])
+    return keys, any(footprints[key][1] and "bw" in footprints[key][0] for key in keys)
+
+
 class _RulePlan:
     """One rule compiled for the sweep: its guard conjuncts by stage, its
     effect's memo and frame, and its obligations.
@@ -1040,41 +1096,27 @@ class _RulePlan:
         after = [len(_FIELDS) + self.writes.index(i) if i in self.writes else i
                  for i in range(len(_FIELDS))]
         self.after_ids = operator.itemgetter(*after)
+        self.reads_m, self.footprint_reads = _row_footprints(rd, [ob.prop for ob in obs])
         self.checked = tuple(
             (ob, _projection(tuple(after[i] for i in _fields_of(core.PROPERTY_READS[ob.prop]))),
              u.prop_memo[ob.prop], u.props[ob.prop])
-            for ob in obs if core.PROPERTY_READS[ob.prop] & rd.writes
+            for ob in obs if ob.prop in self.footprint_reads
         )
-        self.framed = len(self.checked) < len(obs)
-        # whether the rule's verdicts on a leaf can depend on the matrix
-        self.reads_m = "m" in rd.writes.union(
-            *(c.reads for c in rd.conjuncts),
-            *(core.PROPERTY_READS[ob.prop] for ob, *_ in self.checked),
-        )
+        self.framed = None in self.footprint_reads
         # Row footprints: the components a check's verdicts on a row's
         # leaves depend on, plus the subtree mask.  A row packs into one
         # integer (``_Universe.row_layout``), and a footprint's key is the
-        # row ANDed with the bits of its fields.  A footprint with br, fo,
-        # fs and, if the rule reads it, m tells apart every row the plan
-        # sweeps, so it keeps no set.
+        # row ANDed with the bits of its fields.  A footprint that tells
+        # apart every row the plan sweeps keeps no set.
         field_bits = u.row_layout[1]
-        distinct = {"br", "fo", "fs"} | ({"m"} if self.reads_m else set())
-        leaf_reads = rd.writes.union(*(c.reads for c in rd.conjuncts
-                                      if c.reads & {"br", "bw"}))
-
-        def track(components, check):
-            prop = check[0].prop if check else None
-            seen = None if components >= distinct else u.footprints[rd, prop]
+        check_of = {check[0].prop: check for check in self.checked}
+        self.row_tracks = {}
+        for prop, (components, apart) in self.footprint_reads.items():
             key = field_bits["mask"]
             for name in components:
                 key |= field_bits[name]
-            return (key, seen, "bw" in components, check)
-
-        self.frame_track = track(leaf_reads, None)
-        self.check_tracks = {
-            check[0]: track(leaf_reads | core.PROPERTY_READS[check[0].prop], check)
-            for check in self.checked
-        }
+            self.row_tracks[prop] = (key, None if apart else u.footprints[rd, prop],
+                                     "bw" in components, check_of.get(prop))
         self.live = list(self.checked)
         self._set_tracks()
 
@@ -1083,15 +1125,13 @@ class _RulePlan:
         is live but the plan has framed obligations: each ``(key bits,
         passed footprints, reads bw, check or None)``.  ``tracks`` holds
         those with a set, ``always`` those without; ``tracks`` is None when
-        one of the latter reads bw, since every row then needs every leaf
-        for it anyway."""
-        if self.live:
-            tracks = [self.check_tracks[check[0]] for check in self.live]
-        else:
-            tracks = [self.frame_track] if self.framed else []
+        one of the latter reads bw (``_tracks_in_use``), since every row then
+        needs every leaf for it anyway."""
+        keys, every_leaf = _tracks_in_use(self.footprint_reads,
+                                          [check[0].prop for check in self.live])
+        tracks = [self.row_tracks[key] for key in keys]
         self.always = [t for t in tracks if t[1] is None]
-        self.tracks = (None if any(t[2] for t in self.always)
-                       else [t for t in tracks if t[1] is not None])
+        self.tracks = None if every_leaf else [t for t in tracks if t[1] is not None]
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -1356,14 +1396,17 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
     The heaviest rules go first, so that none is left to run alone at the
     end: those whose plan keeps no footprint set (``_RulePlan.tracks`` is
     None), since every row they admit needs every leaf, then the rest in
-    ``RULE_ORDER``.  A check of one rule builds no plan for this."""
+    ``RULE_ORDER``.  That is read from the rules' declarations
+    (``_tracks_in_use``), with no plan built."""
     by_rule: dict[str, list[Obligation]] = {}
     for ob in obligations:
         by_rule.setdefault(ob.rule, []).append(ob)
-    rules = list(by_rule)
-    if len(rules) > 1:
-        rules.sort(key=lambda rule: _RulePlan(
-            rule_defs[rule], [_ObState(*ob) for ob in by_rule[rule]], u).tracks is not None)
+
+    def tracked(rule):
+        footprints = _row_footprints(rule_defs[rule], [ob.prop for ob in by_rule[rule]])[1]
+        return not _tracks_in_use(footprints, [key for key in footprints if key is not None])[1]
+
+    rules = sorted(by_rule, key=tracked)
     n_reps = len(u.orbits.reps)
     ranges = [(0, n_reps)] if len(rules) >= n_workers else _shard_ranges(n_reps, n_workers)
     return [(by_rule[rule], lo, hi) for rule in rules for lo, hi in ranges]

@@ -380,23 +380,48 @@ def renamed_orbit_tables(u):
                                     Bounds(2, 2, 1, 2, 1, 1, 2)],
                          ids=["P0", "subjects", "objects", "categories"])
 def test_orbit_tables_match_state_renaming(bounds):
-    u = _Universe(bounds)
-    orbits = u.orbits
-    assert len(orbits.group) == math.prod(
-        math.factorial(n) for n in (bounds.num_subjects, bounds.num_objects,
-                                    bounds.num_categories)) - 1
-    rep, reps, stabiliser, m_image = renamed_orbit_tables(u)
-    assert orbits.rep == rep
-    assert orbits.reps == reps
-    assert orbits.stabiliser == stabiliser
-    assert orbits.m_image == m_image
-    # the matrices each stabiliser leaves to the sweep: those with no
-    # earlier image under it
-    assert orbits.m_reps == {
-        stab: tuple(mi for mi in range(len(u.m_options))
-                    if min((m_image[g][mi] for g in stab), default=mi) >= mi)
-        for stab in stabiliser.values()
-    }
+    """The group tables match the reference both as built and as the next
+    universe of the same bounds reads them, from the kept slot."""
+    for u in (_Universe(bounds), _Universe(bounds)):
+        orbits = u.orbits
+        assert len(orbits.group) == math.prod(
+            math.factorial(n) for n in (bounds.num_subjects, bounds.num_objects,
+                                        bounds.num_categories)) - 1
+        rep, reps, stabiliser, m_image = renamed_orbit_tables(u)
+        assert orbits.rep == rep
+        assert orbits.reps == reps
+        assert orbits.stabiliser == stabiliser
+        assert orbits.m_image == m_image
+        # the matrices each stabiliser leaves to the sweep: those with no
+        # earlier image under it
+        assert orbits.m_reps == {
+            stab: tuple(mi for mi in range(len(u.m_options))
+                        if min((m_image[g][mi] for g in stab), default=mi) >= mi)
+            for stab in stabiliser.values()
+        }
+
+
+def test_group_tables_kept_for_the_same_bounds(monkeypatch):
+    """The group tables are kept for the next universe of equal bounds,
+    strict or not, and only for the bounds asked for most recently.  Bounds
+    the tables refuse are never kept."""
+    monkeypatch.setattr(checker, "_orbits_kept", (None, None))
+    first = _Universe(P0).orbits
+    assert _Universe(P0).orbits is first
+    assert _Universe(Bounds(*P0)).orbits is first
+    assert _Universe(P0, strict_star=True).orbits is first
+    small = _Universe(SMALL).orbits
+    assert checker._orbits_kept == (SMALL, small)
+    again = _Universe(P0).orbits
+    assert again is not first and again == first
+    assert checker._orbits_kept[1] is again
+    # bounds whose option lists pass but whose group images are too many
+    refused, later = _Universe(Bounds(3, 2, 2, 0, 1, 1, 2)), _Universe(P0)
+    monkeypatch.setattr(checker, "MAX_LIST", refused.n_combos)
+    with pytest.raises(ValueError, match="bounds too large"):
+        refused.orbits
+    assert checker._orbits_kept == (P0, again)
+    assert later.orbits is again
 
 
 # Mutants whose failures at these bounds depend on the categories.
@@ -1064,8 +1089,8 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     has workers, and is otherwise split into ranges that cover every
     representative pair in order.  The rules whose plan keeps no footprint
     set come first, the rest follow in ``RULE_ORDER``: with all sixty
-    obligations, changeClass and deleteObject lead.  A check of one rule
-    builds no plan to find its order."""
+    obligations, changeClass and deleteObject lead.  No plan is built to
+    find that order."""
     u = _Universe(SMALL)
     n_reps = len(u.orbits.reps)
     selections = [checker.ALL_OBLIGATIONS,
@@ -1096,9 +1121,13 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     assert orders[0][:2] == ["changeClass", "deleteObject"]
 
     def no_plan(*_args):
-        raise AssertionError("a plan built to order one rule")
+        raise AssertionError("a plan built to order the rules")
 
+    expected = [[_sweep_tasks(u, RULE_DEFS, obligations, workers) for workers in (1, 2, 16)]
+                for obligations in selections]
     monkeypatch.setattr(checker, "_RulePlan", no_plan)
+    assert [[_sweep_tasks(u, RULE_DEFS, obligations, workers) for workers in (1, 2, 16)]
+            for obligations in selections] == expected
     assert _sweep_tasks(u, RULE_DEFS, selections[2], 1) == [(selections[2], 0, n_reps)]
 
 
@@ -1510,13 +1539,16 @@ def test_evaluation_failure_identifies_the_pair():
 def test_frame_violation_is_reported():
     # getRead changes br; declaring bw instead must stop the sweep, since
     # the framed verdicts and the memo keys rely on the undeclared
-    # components being the hypothesis state's own
+    # components being the hypothesis state's own; so must a check of
+    # seccond alone, which reads no bw and so is framed: the frame's track
+    # still sweeps the rows
     lying = dataclasses.replace(RULE_DEFS["getRead"], writes=frozenset({"bw"}))
-    with pytest.raises(RuntimeError) as exc:
-        check_obligations(TINY, rule="getRead", rule_defs={"getRead": lying})
-    msg = str(exc.value)
-    assert "getRead" in msg and "'br'" in msg
-    assert "GetRead(" in msg and "state=SystemState(" in msg
+    for prop in (None, "seccond"):
+        with pytest.raises(RuntimeError) as exc:
+            check_obligations(TINY, rule="getRead", prop=prop, rule_defs={"getRead": lying})
+        msg = str(exc.value)
+        assert "getRead" in msg and "'br'" in msg
+        assert "GetRead(" in msg and "state=SystemState(" in msg
 
 
 def test_random_evaluation_failure_identifies_the_pair():
