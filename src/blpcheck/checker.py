@@ -36,12 +36,11 @@ masks, each set listed with its id.  The census counts a table's leaves,
 and the sweep lists them; the random sampler reads the access-set tables.
 A table's rows are its br options, each with its id, its bw mask and the
 bw options that mask allows, each a small integer id per state component.
-The sweep goes over pairs first, then rules (a task holds one rule, see
-below): per (fs, fo) pair, every rule in turn walks the pair's matrices
-in order, each subtree's rows in enumeration order and each leaf's
-requests in list order, so every obligation meets its (leaf, request)
-pairs in enumeration order.  A subtree's table is listed only when some
-rule grants a request there.
+A sweep task holds one rule (see below), which walks the representative
+(fs, fo) pairs in order, each pair's matrices in order, each subtree's
+rows in enumeration order and each leaf's requests in list order, so every
+obligation meets its (leaf, request) pairs in enumeration order.  A
+subtree's table is listed only when some rule grants a request there.
 Every rule callable runs once per distinct value of the
 components it declares to read; the result is memoised under their ids.
 The sweep handles ids only: a state is built from ids, by
@@ -146,10 +145,11 @@ re-validated through ``rules.apply_def`` like every reported witness.
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
-the invariant memos, every rule's guard and effect memos, the access-set
-tables and, for the exhaustive sweep, the group's action on (fs, fo) pairs
-and matrices (``_Orbits``) and the hypothesis tables (``_Universe.subtree``),
-both built on first use.  Only the group tables outlive the check: they
+the invariant memos, the guard and effect memos and footprint sets of the
+rule swept most recently, the access-set tables and, for the exhaustive
+sweep, the group's action on (fs, fo) pairs and matrices (``_Orbits``)
+and the hypothesis tables (``_Universe.subtree``), both built on first
+use.  Only the group tables outlive the check: they
 depend on the bounds alone, and the next check of equal bounds in the
 same process, such as the next search of a mutation campaign, reads them
 instead of building them again.  The enumerator, the sweep, the random
@@ -160,14 +160,16 @@ tables included, once when they start:
 one rule's obligations per task in exhaustive mode (``_sweep_tasks``),
 over all representative (fs, fo) pairs, or over a range of them when the
 check selects fewer rules than there are workers, and one obligation per
-task in random mode.  Each worker fills its own memos, so a rule swept
-whole fills its guard and effect memos and its footprint sets in one
-worker only.  An obligation's ``elapsed_ms`` stays its rule's measured
-sweep time, memo hits included: an invariant verdict one rule computed is
-free for the rules swept after it in the same process, and the time of a
-rule split into ranges is summed over its workers.  Bounds whose lists
-would exceed ``MAX_LIST`` entries are refused, from sizes computed in
-closed form, before anything is built.
+task in random mode.  Rules share no guard or effect memo entry and no
+footprint, so a process holds one rule's memos and footprint sets at a
+time: a task of another rule replaces them, and the next range of a split
+rule in the same worker starts from what its earlier ranges filled.  An
+obligation's ``elapsed_ms`` stays its rule's measured sweep time, one
+clock pair per task, memo hits included: an invariant verdict one rule
+computed is free for the rules swept after it in the same process, and
+the time of a rule split into ranges is summed over its tasks.  Bounds
+whose lists would exceed ``MAX_LIST`` entries are refused, from sizes
+computed in closed form, before anything is built.
 """
 
 from __future__ import annotations
@@ -522,11 +524,14 @@ class _Universe:
     (``core.PROPERTY_READS``), for every rule of the check, so its size is
     bounded by the distinct after-state projections, not by effect entries
     times states.
-    ``rule_memos`` holds each rule definition's guard-conjunct memos and
-    effect memo, and ``request_indices`` the bit positions of every
-    granted-request bitset met so far, for all rules, and ``footprints``
-    each check's passed row footprints: so every range a pool worker
-    sweeps starts from the entries its earlier ranges filled.
+    ``request_indices`` holds the bit positions of every granted-request
+    bitset met so far, for all rules.  ``swept_rule`` holds the rule
+    definition swept most recently, with its guard-conjunct memos, its
+    effect memo and its passed row footprints by property: a plan of the
+    same definition reuses them, so a split rule's next range in a pool
+    worker starts from the entries its earlier ranges filled, and a plan
+    of any other rule replaces them, so a process holds one rule's at a
+    time.
     The keys are sound only under the conditions on ``rule_defs`` in the
     module docstring.
     """
@@ -577,9 +582,11 @@ class _Universe:
         # Per property, its verdicts keyed by the ids of the components it
         # reads (core.PROPERTY_READS), shared by every rule of the sweep.
         self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
-        # Per rule definition, the sweep's guard-conjunct memos and effect
-        # memo (see ``_RulePlan``), kept for every range swept.
-        self.rule_memos: dict[RuleDef, tuple[list[dict], dict]] = {}
+        # The rule definition swept most recently, with its guard-conjunct
+        # memos, its effect memo and, per property or None for the frame,
+        # its passed row footprints (see ``_RulePlan``): the next range of
+        # the same rule starts from them, and any other rule replaces them.
+        self.swept_rule: tuple = (None,)
         # Per bitset of granted requests, the indices of its bits, ascending.
         self.request_indices: dict[int, tuple[int, ...]] = {}
         self._pair_masks: dict[int, tuple[int, int, dict]] = {}
@@ -587,9 +594,6 @@ class _Universe:
         # the hypothesis tables (``subtree``) and representatives' pair totals
         self._subtree_tables: dict[tuple[int, int], tuple[int, list]] = {}
         self._pair_counts: dict[int, int] = {}
-        # Per (rule definition, property or None for the frame), the row
-        # footprints that passed (see ``_RulePlan``), kept for every range.
-        self.footprints: dict[tuple, set] = collections.defaultdict(set)
 
     @cached_property
     def row_layout(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -1028,12 +1032,14 @@ class _RulePlan:
     ``after_ids`` picks the after state's five ids out of it for
     ``u.state``.
 
-    The conjunct memos and the effect memo belong to the universe, one
-    pair per rule definition (``_Universe.rule_memos``), and so does the
-    table of a granted bitset's request indices, which all rules share
-    (``_Universe.request_indices``): a pool worker's later ranges start
-    from what its earlier ones filled.  The obligations' bookkeeping stays
-    per plan.
+    The conjunct memos, the effect memo and the footprint sets sit in
+    the universe's slot for the rule swept most recently
+    (``_Universe.swept_rule``): a plan of that same definition reuses
+    them, so a pool worker's later ranges of a rule start from what its
+    earlier ones filled, and a plan of any other rule replaces them.  The
+    table of a granted bitset's request indices is the universe's too, and
+    all rules share it (``_Universe.request_indices``).  The obligations'
+    bookkeeping stays per plan.
 
     When a rule's guards, writes and checked properties leave out the
     matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
@@ -1044,11 +1050,12 @@ class _RulePlan:
     first witnesses and their positions do not change.
 
     ``sweep`` decides the rule on one (fs, fo) pair, all its matrices, in
-    one call: ``_sweep_range`` times that call, so a rule's ``elapsed-ms``
-    covers its guard stages, the rows it walks, skipped ones included, and
-    the building of every hypothesis table it is the first to fetch.
-    Rules share those tables, so the first rule a process sweeps whose
-    stages grant a request on a subtree builds its table.
+    one call: ``_sweep_range`` makes it once per representative pair of
+    its task and times the task, so a rule's ``elapsed-ms`` covers its
+    guard stages, the rows it walks, skipped ones included, and the
+    building of every hypothesis table it is the first to fetch.  Rules
+    share those tables, so the first rule a process sweeps whose stages
+    grant a request on a subtree builds its table.
 
     ``_sweep_rows`` walks a subtree's rows.  A check's verdicts on a row's
     leaves are a function of its row footprint: the pair and matrix
@@ -1065,8 +1072,8 @@ class _RulePlan:
     one of those reads bw, as ``seccond`` with ``objectUnaccessed`` does
     for changeClass and deleteObject, every row needs every leaf anyway,
     and the plan keeps no set at all (``tracks`` is None).  The sets
-    belong to the universe (``_Universe.footprints``), so a pool worker's
-    later ranges start from what its earlier ones passed.
+    sit in the universe's slot with the memos, so a pool worker's later
+    ranges of the rule start from what its earlier ones passed.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -1075,10 +1082,9 @@ class _RulePlan:
         self.all_requests = (1 << len(self.reqs)) - 1
         self.obs = obs
         self.universe = u
-        memos = u.rule_memos.get(rd)
-        if memos is None:
-            memos = u.rule_memos[rd] = ([{} for _c in rd.conjuncts], {})
-        guard_memos, self.effects = memos
+        if u.swept_rule[0] is not rd:
+            u.swept_rule = (rd, [{} for _c in rd.conjuncts], {}, collections.defaultdict(set))
+        _rd, guard_memos, self.effects, footprints = u.swept_rule
         self.pair_guards: list = []
         self.matrix_guards: list = []
         self.leaf_guards: list = []
@@ -1115,7 +1121,7 @@ class _RulePlan:
             key = field_bits["mask"]
             for name in components:
                 key |= field_bits[name]
-            self.row_tracks[prop] = (key, None if apart else u.footprints[rd, prop],
+            self.row_tracks[prop] = (key, None if apart else footprints[prop],
                                      "bw" in components, check_of.get(prop))
         self.live = list(self.checked)
         self._set_tracks()
@@ -1274,50 +1280,40 @@ def _sweep_range(
     lo: int,
     hi: int,
 ):
-    """Check obligations over the representative (fs, fo) pairs
-    ``u.orbits.reps[lo:hi]``.  Returns one chunk result for
-    ``_merge_chunks``: per-obligation partial verdicts, each failure at its
-    (pair, matrix, position), and the per-rule sweep times.  It counts
-    nothing: states come from the census.
+    """Check one rule's obligations over the representative (fs, fo)
+    pairs ``u.orbits.reps[lo:hi]``: a list of obligations that spans rules
+    raises.  Returns one chunk result for ``_merge_chunks``: per-obligation
+    partial verdicts, each failure at its (pair, matrix, position), and
+    the task's sweep time.  It counts nothing: states come from the census.
 
     The hypothesis (all invariants hold before the step) is generated by
     ``_Universe.subtree``, not filtered.  A small-scope test pins this
     against literally filtering enumerate_states with the core predicates.
     Only orbit representatives are swept: of a pair's matrix options, those
     no renaming that fixes the pair maps to an earlier option
-    (``_Orbits.m_reps``), each with every hypothesis leaf.  Per pair,
-    every rule with an obligation left to decide makes one call,
-    ``_RulePlan.sweep``, which runs the rule's guard stages and walks the
-    rows of the subtrees they admit; a subtree where no rule grants a
-    request is never listed.  That call is the only one timed: a rule's
-    measured time, its obligations' ``elapsed_ms``, is the sum of its
-    calls, one per (rule, pair), and includes the building of every
-    hypothesis table the rule fetched first, which the first rule this
-    process sweeps to be granted a request on a subtree does.
+    (``_Orbits.m_reps``), each with every hypothesis leaf.  The rule's plan
+    makes one call per pair, ``_RulePlan.sweep``, which runs the rule's
+    guard stages and walks the rows of the subtrees they admit, until no
+    obligation is left to decide; a subtree where the rule grants no
+    request is never listed.  One clock pair times the whole task: a
+    rule's measured time, its obligations' ``elapsed_ms``, is the sum over
+    its tasks, and includes building each hypothesis table the rule is the
+    first in its process to fetch, since rules share those tables.
     """
+    rule_names = {ob.rule for ob in obligations}
+    if len(rule_names) != 1:
+        raise ValueError(f"a sweep task holds one rule's obligations, not {sorted(rule_names)}'s")
+    t0 = time.perf_counter()
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
-    plans = [
-        _RulePlan(rule_defs[rule], [ob for ob in obs if ob.rule == rule], u)
-        for rule in RULE_ORDER if any(ob.rule == rule for ob in obs)
-    ]
-
+    plan = _RulePlan(rule_defs[rule_names.pop()], obs, u)
     orbits = u.orbits
-    rule_time = {plan.rule: 0.0 for plan in plans}
-    clock = time.perf_counter
-
     for combo in orbits.reps[lo:hi]:
         # stop once every obligation has failed (mutation runs stop fast)
-        if all(ob.failed for ob in obs):
+        if not (plan.live or plan.framed):
             break
-        m_reps = orbits.m_reps[orbits.stabiliser[combo]]
-        for plan in plans:
-            if plan.live or plan.framed:
-                t0 = clock()
-                plan.sweep(combo, m_reps)
-                rule_time[plan.rule] += clock() - t0
-
-    entries = [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs]
-    return entries, rule_time
+        plan.sweep(combo, orbits.m_reps[orbits.stabiliser[combo]])
+    elapsed = time.perf_counter() - t0
+    return [(o.rule, o.prop, o.failed, o.witness, o.fail_at) for o in obs], elapsed
 
 
 def _evaluation_failure(st, req) -> RuntimeError:
@@ -1388,10 +1384,10 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
                  n_workers: int) -> list[tuple]:
     """The exhaustive sweep's tasks for a pool of ``n_workers``: per rule,
     ``(its selected obligations, lo, hi)`` over the representative pairs.
-    Rules share no verdict, so a rule swept by one task fills its memos and
-    footprint sets in one worker.  A rule keeps the whole range when there
-    are at least as many rules as workers, and is split into
-    ``_shard_ranges``, in order, only when there are fewer.
+    Rules share no memo entry and no footprint, so a task holds one rule,
+    and a rule swept by one task fills them in one worker.  A rule keeps
+    the whole range when there are at least as many rules as workers, and
+    is split into ``_shard_ranges``, in order, only when there are fewer.
 
     The heaviest rules go first, so that none is left to run alone at the
     end: those whose plan keeps no footprint set (``_RulePlan.tracks`` is
@@ -1419,18 +1415,19 @@ def _merge_chunks(u: _Universe, obligations, chunk_results):
     (``_Universe.leaves_before``): a failing obligation's visited-state count is
     the hypothesis leaves ahead of its witness's subtree plus the witness's
     position there, and a passing one's is every hypothesis leaf.  Per-rule
-    times sum over chunks: one worker's time for a rule swept whole, CPU
-    time summed over workers, not wall time, for a split one.
+    times sum over chunks: one worker's time for a rule swept whole, and
+    for a split one the ``perf_counter`` times of its tasks summed over
+    the workers that swept them, which can exceed the check's wall time.
 
     Returns ``{obligation: (failed, witness, states)}`` and the times."""
     first = {}
     total_time: dict[str, float] = {}
-    for entries, rule_time in chunk_results:
+    for entries, secs in chunk_results:
         for rule, prop, failed, witness, fail_at in entries:
             if failed:
                 first.setdefault(Obligation(rule, prop), (witness, fail_at))
-        for rule, secs in rule_time.items():
-            total_time[rule] = total_time.get(rule, 0.0) + secs
+        rule = entries[0][0]
+        total_time[rule] = total_time.get(rule, 0.0) + secs
 
     merged = {}
     for ob in obligations:

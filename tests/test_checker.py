@@ -4,11 +4,14 @@ walk, mutation sensitivity, seeded reproducibility and worker parity."""
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import os
 import time
+import types
+import weakref
 
 import pytest
 
@@ -334,7 +337,8 @@ def test_id_tables_map_both_ways():
     object, and every access-set list entry's id to that entry's set.  A
     state built from ids is the state those ids came from."""
     u = _Universe(SMALL)
-    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        checker._sweep_range(u, RULE_DEFS, *task)
     m = SystemState._fields.index("m")
     # after states brought matrices that are no option
     assert len(u.id_values[m]) > len(u.m_options)
@@ -992,12 +996,15 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
 
     monkeypatch.setattr(checker._RulePlan, "_sweep_rows", counting)
     u = _Universe(bounds)
-    u.footprints = collections.defaultdict(Footprints)
-    entries, _times = checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS,
-                                           0, len(u.orbits.reps))
-    assert not any(failed for _rule, _prop, failed, *_ in entries)
-    checks = lambda rule: [s for (rd, prop), s in u.footprints.items()
-                           if rd.name == rule and prop is not None]
+    sets = {}
+    for obligations, lo, hi in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        rd = RULE_DEFS[obligations[0].rule]
+        u.swept_rule = (rd, [{} for _c in rd.conjuncts], {}, collections.defaultdict(Footprints))
+        entries, _time = checker._sweep_range(u, RULE_DEFS, obligations, lo, hi)
+        assert not any(failed for _rule, _prop, failed, *_ in entries)
+        sets[rd.name] = [s for prop, s in u.swept_rule[3].items() if prop is not None]
+    assert sorted(sets) == sorted(RULE_ORDER)
+    checks = sets.__getitem__
     for rule in ("releaseRead", "releaseWrite"):
         # every visited row asks each check's set once; every row swept
         # leaf by leaf passed, so it added its footprint to some set
@@ -1052,14 +1059,70 @@ def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
     assert any(map(any, failing)) and not all(map(all, failing))
 
 
+def test_a_universe_holds_the_swept_rules_memos_and_footprints_only(monkeypatch):
+    """A universe keeps the guard memos, the effect memo and the footprint
+    sets of the rule swept most recently (``_Universe.swept_rule``).  The
+    second of two ranges of one rule starts from the very objects the first
+    filled.  A plan of another rule replaces them, and the universe then
+    keeps no reference to the first rule's sets.  A sweep task holds one
+    rule: a list of obligations that spans rules, or holds none, raises."""
+    plans = []
+    sweep = checker._RulePlan.sweep
+
+    def recording(plan, combo, m_reps):
+        plans.append(plan)
+        return sweep(plan, combo, m_reps)
+
+    monkeypatch.setattr(checker._RulePlan, "sweep", recording)
+    u = _Universe(SMALL)
+    rd = RULE_DEFS["getRead"]
+    obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == "getRead"]
+    n_reps = len(u.orbits.reps)
+    checker._sweep_range(u, RULE_DEFS, obligations, 0, n_reps // 2)
+    kept, guard_memos, effects, footprints = u.swept_rule
+    assert kept is rd and all(guard_memos) and effects
+    # the three checks of getRead passed rows; its frame had no turn yet
+    assert {prop for prop, s in footprints.items() if s} == {"seccond", "starprop", "ranBrInDomM"}
+    before = [dict(memo) for memo in guard_memos], dict(effects)
+    plans.clear()
+    checker._sweep_range(u, RULE_DEFS, obligations, n_reps // 2, n_reps)
+    plan = plans[0]
+    assert all(p is plan for p in plans)
+    staged = [memo for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards)
+              for _key, memo, _holds in guards]
+    assert sorted(map(id, staged)) == sorted(map(id, guard_memos))
+    assert plan.effects is effects
+    tracked = {prop: track[1] for prop, track in plan.row_tracks.items() if track[1] is not None}
+    assert tracked.keys() == footprints.keys()
+    assert all(tracked[prop] is s for prop, s in footprints.items())
+    # the second range added to what the first filled, and kept it
+    assert all(memo.items() >= old.items() for memo, old in zip(guard_memos, before[0]))
+    assert effects.keys() >= before[1].keys()
+    assert u.swept_rule[3] is footprints
+
+    gone = [weakref.ref(s) for s in footprints.values()]
+    del plan, plans[:], staged, tracked, kept, guard_memos, effects, footprints
+    other = RULE_DEFS["getWrite"]
+    checker._RulePlan(other, [], u)
+    assert u.swept_rule[0] is other and not any(u.swept_rule[1]) and not u.swept_rule[2]
+    gc.collect()
+    assert not any(ref() for ref in gone)
+
+    spans_two = obligations + [checker.Obligation("getWrite", "seccond")]
+    for mixed in (checker.ALL_OBLIGATIONS, spans_two, []):
+        with pytest.raises(ValueError, match="one rule"):
+            checker._sweep_range(u, RULE_DEFS, mixed, 0, n_reps)
+
+
 def test_merged_chunks_keep_the_first_witness():
     """A pool sweeps the task list of ``_sweep_tasks`` and merges the chunk
     results in task order, first witness first (``_merge_chunks``).  For
     every single-conjunct mutant, the tasks of a pool of 1, 2, 4 or 8
     workers, each swept on a fresh universe, merge to the verdicts,
-    witnesses and visited-state counts of one range over all pairs: for the
-    mutated rule's obligations, split into pair ranges when the pool has
-    more than one worker, and for all sixty, one task per rule.  The giveRW
+    witnesses and visited-state counts of one range over all pairs per
+    rule, in rule order: for the mutated rule's obligations, split into
+    pair ranges when the pool has more than one worker, and for all sixty,
+    one task per rule, heaviest first.  The giveRW
     mutants that need a giver and a receiver that differ run at two
     subjects."""
     failures = 0
@@ -1071,8 +1134,10 @@ def test_merged_chunks_keep_the_first_witness():
             u = _Universe(bounds)
             n_reps = len(u.orbits.reps)
             for obligations in (own, checker.ALL_OBLIGATIONS):
-                whole, _times = checker._merge_chunks(
-                    u, obligations, [checker._sweep_range(u, defs, obligations, 0, n_reps)])
+                whole, _times = checker._merge_chunks(u, obligations, [
+                    checker._sweep_range(u, defs, [ob for ob in obligations if ob.rule == r],
+                                         0, n_reps)
+                    for r in RULE_ORDER if any(ob.rule == r for ob in obligations)])
                 for workers in (1, 2, 4, 8):
                     chunks = [checker._sweep_range(_Universe(bounds), defs, *task)
                               for task in _sweep_tasks(u, defs, obligations, workers)]
@@ -1172,11 +1237,13 @@ def test_pair_stage_runs_once_per_pair(bounds, monkeypatch):
             return super().get(key, default)
 
     u = _Universe(bounds)
-    for rd in RULE_DEFS.values():
-        u.rule_memos[rd] = ([Memo(c.name) for c in rd.conjuncts], {})
     assert PAIR_STAGE == {(rule, c.name) for rule, rd in RULE_DEFS.items()
                           for c in rd.conjuncts if not c.reads & {"br", "bw", "m"}}
-    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    for obligations, lo, hi in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        rd = RULE_DEFS[obligations[0].rule]
+        u.swept_rule = (rd, [Memo(c.name) for c in rd.conjuncts], {}, collections.defaultdict(set))
+        checker._sweep_range(u, RULE_DEFS, obligations, lo, hi)
+    assert {rule for rule, _combo, _c in lookups} == set(RULE_ORDER)
     once = [n for (rule, _combo, c), n in lookups.items() if (rule, c) in PAIR_STAGE]
     assert once and max(once) == 1
     assert max(n for (rule, _combo, c), n in lookups.items() if (rule, c) not in PAIR_STAGE) > 1
@@ -1198,7 +1265,12 @@ def test_refused_pairs_fetch_no_table(monkeypatch):
 
     monkeypatch.setattr(_Universe, "subtree", fetching)
     u = _Universe(SMALL)
-    checker._sweep_range(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 0, len(u.orbits.reps))
+    tasks = _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1)
+    assert sorted(obligations[0].rule for obligations, _lo, _hi in tasks) == sorted(RULE_ORDER)
+    for task in tasks:
+        checker._sweep_range(u, RULE_DEFS, *task)
+    # every rule fetched a table, but giveRW, which needs two subjects
+    assert {rule for rule, _combo in fetched} == set(RULE_ORDER) - {"giveRW"}
     refused = set()
     for rule in RULE_ORDER:
         plan = checker._RulePlan(RULE_DEFS[rule], [], u)
@@ -1214,14 +1286,23 @@ def test_refused_pairs_fetch_no_table(monkeypatch):
     assert fetched and not fetched & refused
 
 
-def test_every_swept_rule_reports_its_time():
-    """``elapsed_ms`` stays measured: the sweep times each rule's call per
-    representative pair.  With one worker every rule reports a positive
-    time, shared by its obligations, and the ten times add up to no more
-    than the check took."""
+def test_every_swept_rule_reports_its_time(monkeypatch):
+    """``elapsed_ms`` stays measured: the sweep times each task with one
+    clock pair, and with one worker each rule is one task.  Every rule
+    reports a positive time, shared by its obligations, and the ten times
+    add up to no more than the check took."""
+    reads = []
+    clock = time.perf_counter
+
+    def counting():
+        reads.append(None)
+        return clock()
+
+    monkeypatch.setattr(checker, "time", types.SimpleNamespace(perf_counter=counting))
     t0 = time.perf_counter()
     report = check_obligations(SMALL)
     wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert len(reads) == 2 * len(RULE_ORDER)
     times = collections.defaultdict(set)
     for r in report.results:
         times[r.rule].add(r.elapsed_ms)
