@@ -36,10 +36,11 @@ masks, each set listed with its id.  The census counts a table's leaves,
 and the sweep lists them; the random sampler reads the access-set tables.
 A table's rows are its br options, each with its id, its bw mask and the
 bw options that mask allows, each a small integer id per state component.
-A sweep task holds one rule (see below), which walks the representative
-(fs, fo) pairs in order, each pair's matrices in order, each subtree's
-rows in enumeration order and each leaf's requests in list order, so every
-obligation meets its (leaf, request) pairs in enumeration order.  A
+A sweep task holds one rule (see below), which walks its representative
+(fs, fo) pairs, all or one stride of them, in order, each pair's matrices
+in order, each subtree's rows in enumeration order and each leaf's
+requests in list order, so within a task every obligation meets its
+(leaf, request) pairs in enumeration order.  A
 subtree's table is listed only when some rule grants a request there.
 Every rule callable runs once per distinct value of the
 components it declares to read; the result is memoised under their ids.
@@ -66,7 +67,7 @@ verdicts on a row's leaves depend only on the row's *footprint*: the
 pair and matrix stages' granted mask and the row's ids at the components
 the leaf guards, the writes and the property read, bw given by the row's
 bw mask.
-So each check keeps the footprints whose rows it passed, per worker, and a
+So each check keeps the footprints whose rows it passed, per task, and a
 row is swept leaf by leaf only for the checks whose footprint is new, only
 its first leaf when none of them reads bw.  A footprint is recorded after
 its row passes, so first witnesses and their positions do not change.
@@ -145,36 +146,33 @@ re-validated through ``rules.apply_def`` like every reported witness.
 Each check builds one context when it starts, ``_Universe``: the option
 lists of its bounds, its reading of the *-property, the matching table of
 invariant predicates, every rule's request list, the component id tables,
-the invariant memos, the guard and effect memos and footprint sets of the
-rule swept most recently, the access-set tables and, for the exhaustive
-sweep, the group's action on (fs, fo) pairs and matrices (``_Orbits``)
-and the hypothesis tables (``_Universe.subtree``), both built on first
-use.  Only the group tables outlive the check: they
-depend on the bounds alone, and the next check of equal bounds in the
-same process, such as the next search of a mutation campaign, reads them
-instead of building them again.  The enumerator, the sweep, the random
-sampler and witness validation all read the context, and one task runner
-(``_run_tasks``) runs the work in process or on workers (forked, or
-spawned where the platform cannot fork), which receive the context, group
-tables included, once when they start:
-one rule's obligations per task in exhaustive mode (``_sweep_tasks``),
-over all representative (fs, fo) pairs, or over a range of them when the
-check selects fewer rules than there are workers, and one obligation per
-task in random mode.  Rules share no guard or effect memo entry and no
-footprint, so a process holds one rule's memos and footprint sets at a
-time: a task of another rule replaces them, and the next range of a split
-rule in the same worker starts from what its earlier ranges filled.  An
-obligation's ``elapsed_ms`` stays its rule's measured sweep time, one
-clock pair per task, memo hits included: an invariant verdict one rule
-computed is free for the rules swept after it in the same process, and
-the time of a rule split into ranges is summed over its tasks.  Bounds
-whose lists would exceed ``MAX_LIST`` entries are refused, from sizes
-computed in closed form, before anything is built.
+the invariant memos, the access-set tables and, for the exhaustive sweep,
+the group's action on (fs, fo) pairs and matrices (``_Orbits``) and the
+hypothesis tables (``_Universe.subtree``), both built on first use.  Only
+the group tables outlive the check: they depend on the bounds alone, and
+the next check of equal bounds in the same process, such as the next
+search of a mutation campaign, reads them instead of building them again.
+The enumerator, the sweep, the random sampler and witness validation all
+read the context, and one task runner (``_run_tasks``) runs the work in
+process or on workers (forked, or spawned where the platform cannot
+fork), which receive the context, group tables included, once when they
+start: one rule's obligations per task in exhaustive mode
+(``_sweep_tasks``), over all representative (fs, fo) pairs, or over one
+stride of them when the check selects fewer rules than there are
+workers, and one obligation per task in random mode.  A sweep task makes
+its own guard memos, effect memo and footprint sets, and drops them when
+it returns, so tasks share nothing but the context, and the merge keeps
+each obligation's first failure in enumeration order whatever the order
+of the tasks.  An obligation's ``elapsed_ms`` stays its rule's measured
+sweep time, one clock pair per task, memo hits included: an invariant
+verdict one rule computed is free for the rules swept after it in the
+same process, and the time of a rule split into strides is summed over
+its tasks.  Bounds whose lists would exceed ``MAX_LIST`` entries are
+refused, from sizes computed in closed form, before anything is built.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -525,13 +523,9 @@ class _Universe:
     bounded by the distinct after-state projections, not by effect entries
     times states.
     ``request_indices`` holds the bit positions of every granted-request
-    bitset met so far, for all rules.  ``swept_rule`` holds the rule
-    definition swept most recently, with its guard-conjunct memos, its
-    effect memo and its passed row footprints by property: a plan of the
-    same definition reuses them, so a split rule's next range in a pool
-    worker starts from the entries its earlier ranges filled, and a plan
-    of any other rule replaces them, so a process holds one rule's at a
-    time.
+    bitset met so far, for all rules.  Nothing here belongs to one rule:
+    each sweep task's plan (``_RulePlan``) makes its own guard memos,
+    effect memo and footprint sets.
     The keys are sound only under the conditions on ``rule_defs`` in the
     module docstring.
     """
@@ -544,7 +538,7 @@ class _Universe:
         self.fs_options = self._class_maps(self.subjects)
         self.fo_options = self._class_maps(self.objects)
         # (fs, fo) pair number i is fs option f and fo option o for
-        # f, o = divmod(i, len(fo_options)); sweep workers split this range
+        # f, o = divmod(i, len(fo_options))
         self.n_combos = len(self.fs_options) * len(self.fo_options)
         # (subject, object) pairs; an access-set mask has bit i for pairs[i]
         self.pairs = tuple(sorted((s, o) for s in self.subjects for o in self.objects))
@@ -582,11 +576,6 @@ class _Universe:
         # Per property, its verdicts keyed by the ids of the components it
         # reads (core.PROPERTY_READS), shared by every rule of the sweep.
         self.prop_memo: dict[str, dict] = {prop: {} for prop in self.props}
-        # The rule definition swept most recently, with its guard-conjunct
-        # memos, its effect memo and, per property or None for the frame,
-        # its passed row footprints (see ``_RulePlan``): the next range of
-        # the same rule starts from them, and any other rule replaces them.
-        self.swept_rule: tuple = (None,)
         # Per bitset of granted requests, the indices of its bits, ascending.
         self.request_indices: dict[int, tuple[int, ...]] = {}
         self._pair_masks: dict[int, tuple[int, int, dict]] = {}
@@ -1032,14 +1021,11 @@ class _RulePlan:
     ``after_ids`` picks the after state's five ids out of it for
     ``u.state``.
 
-    The conjunct memos, the effect memo and the footprint sets sit in
-    the universe's slot for the rule swept most recently
-    (``_Universe.swept_rule``): a plan of that same definition reuses
-    them, so a pool worker's later ranges of a rule start from what its
-    earlier ones filled, and a plan of any other rule replaces them.  The
-    table of a granted bitset's request indices is the universe's too, and
-    all rules share it (``_Universe.request_indices``).  The obligations'
-    bookkeeping stays per plan.
+    The conjunct memos, the effect memo and the footprint sets are the
+    plan's own, made empty here and dropped with the plan when its task
+    returns, so no task depends on what another filled.  The table of a
+    granted bitset's request indices is the universe's, and all rules
+    share it (``_Universe.request_indices``).
 
     When a rule's guards, writes and checked properties leave out the
     matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
@@ -1071,9 +1057,7 @@ class _RulePlan:
     already.  A footprint that tells every row apart keeps no set; when
     one of those reads bw, as ``seccond`` with ``objectUnaccessed`` does
     for changeClass and deleteObject, every row needs every leaf anyway,
-    and the plan keeps no set at all (``tracks`` is None).  The sets
-    sit in the universe's slot with the memos, so a pool worker's later
-    ranges of the rule start from what its earlier ones passed.
+    and the plan keeps no set at all (``tracks`` is None).
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -1082,17 +1066,15 @@ class _RulePlan:
         self.all_requests = (1 << len(self.reqs)) - 1
         self.obs = obs
         self.universe = u
-        if u.swept_rule[0] is not rd:
-            u.swept_rule = (rd, [{} for _c in rd.conjuncts], {}, collections.defaultdict(set))
-        _rd, guard_memos, self.effects, footprints = u.swept_rule
         self.pair_guards: list = []
         self.matrix_guards: list = []
         self.leaf_guards: list = []
-        for c, memo in zip(rd.conjuncts, guard_memos):
+        for c in rd.conjuncts:
             fields = _fields_of(c.reads)
             stage = (self.leaf_guards if _BR in fields or _BW in fields
                      else self.matrix_guards if _M in fields else self.pair_guards)
-            stage.append((_projection(fields), memo, c.holds))
+            stage.append((_projection(fields), {}, c.holds))
+        self.effects: dict = {}
         self.empty = u.component_id(_BR, ())
         self.effect = rd.effect
         self.writes = _fields_of(rd.writes)
@@ -1121,7 +1103,7 @@ class _RulePlan:
             key = field_bits["mask"]
             for name in components:
                 key |= field_bits[name]
-            self.row_tracks[prop] = (key, None if apart else footprints[prop],
+            self.row_tracks[prop] = (key, None if apart else set(),
                                      "bw" in components, check_of.get(prop))
         self.live = list(self.checked)
         self._set_tracks()
@@ -1277,14 +1259,16 @@ def _sweep_range(
     u: _Universe,
     rule_defs: dict[str, RuleDef],
     obligations: Sequence[Obligation],
-    lo: int,
-    hi: int,
+    start: int,
+    step: int,
 ):
-    """Check one rule's obligations over the representative (fs, fo)
-    pairs ``u.orbits.reps[lo:hi]``: a list of obligations that spans rules
-    raises.  Returns one chunk result for ``_merge_chunks``: per-obligation
-    partial verdicts, each failure at its (pair, matrix, position), and
-    the task's sweep time.  It counts nothing: states come from the census.
+    """Check one rule's obligations over the stride of representative (fs,
+    fo) pairs ``u.orbits.reps[start::step]``: a list of obligations that
+    spans rules raises.  Returns one chunk result for ``_merge_chunks``:
+    per-obligation partial verdicts, each failure at its (pair, matrix,
+    position), and the task's sweep time.  It counts nothing: states come
+    from the census.  The task's plan, with its memos and footprint sets,
+    is dropped when it returns.
 
     The hypothesis (all invariants hold before the step) is generated by
     ``_Universe.subtree``, not filtered.  A small-scope test pins this
@@ -1307,7 +1291,7 @@ def _sweep_range(
     obs = [_ObState(ob.rule, ob.prop) for ob in obligations]
     plan = _RulePlan(rule_defs[rule_names.pop()], obs, u)
     orbits = u.orbits
-    for combo in orbits.reps[lo:hi]:
+    for combo in orbits.reps[start::step]:
         # stop once every obligation has failed (mutation runs stop fast)
         if not (plan.live or plan.framed):
             break
@@ -1359,9 +1343,9 @@ def _run_tasks(fn, context: tuple, tasks: list[tuple], n: int) -> list:
     """``fn(*context, *task)`` for every task, results in task order: in
     this process when ``n`` <= 1, otherwise on ``n`` workers that receive
     ``context`` once, when they start, and take one task at a time.  So a
-    worker's universe and its memos serve every task it runs.  Workers are
-    forked where the platform can fork, and spawned (``context`` pickled to
-    each) where it cannot."""
+    worker's universe, its tables and invariant memos serve every task it
+    runs.  Workers are forked where the platform can fork, and spawned
+    (``context`` pickled to each) where it cannot."""
     if n <= 1:
         return [fn(*context, *task) for task in tasks]
     # only pooled checks pay the import
@@ -1372,22 +1356,16 @@ def _run_tasks(fn, context: tuple, tasks: list[tuple], n: int) -> list:
         return pool.starmap(_run_in_worker, [(fn, task) for task in tasks], chunksize=1)
 
 
-def _shard_ranges(n_units: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split [0, n_units) into about eight contiguous, ordered ranges per
-    worker, so a pool handing them out one at a time stays balanced."""
-    k = min(n_units, 8 * n_workers)
-    cuts = [n_units * i // k for i in range(k + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
 def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
                  n_workers: int) -> list[tuple]:
     """The exhaustive sweep's tasks for a pool of ``n_workers``: per rule,
-    ``(its selected obligations, lo, hi)`` over the representative pairs.
-    Rules share no memo entry and no footprint, so a task holds one rule,
-    and a rule swept by one task fills them in one worker.  A rule keeps
-    the whole range when there are at least as many rules as workers, and
-    is split into ``_shard_ranges``, in order, only when there are fewer.
+    ``(its selected obligations, w, k)`` for w in range(k), task w
+    sweeping the strided representative pairs ``u.orbits.reps[w::k]``.
+    Rules share no memo entry and no footprint, so a task holds one rule.
+    k is the pool's workers per rule, ceil(n_workers / rules), at most
+    one per representative pair: 1, the whole range, when there are at
+    least as many rules as workers.  A stride takes pairs from all over
+    the range, so a split rule's tasks cost about the same.
 
     The heaviest rules go first, so that none is left to run alone at the
     end: those whose plan keeps no footprint set (``_RulePlan.tracks`` is
@@ -1403,20 +1381,21 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
         return not _tracks_in_use(footprints, [key for key in footprints if key is not None])[1]
 
     rules = sorted(by_rule, key=tracked)
-    n_reps = len(u.orbits.reps)
-    ranges = [(0, n_reps)] if len(rules) >= n_workers else _shard_ranges(n_reps, n_workers)
-    return [(by_rule[rule], lo, hi) for rule in rules for lo, hi in ranges]
+    k = min(math.ceil(n_workers / len(rules)), len(u.orbits.reps))
+    return [(by_rule[rule], w, k) for rule in rules for w in range(k)]
 
 
 def _merge_chunks(u: _Universe, obligations, chunk_results):
-    """Fold sweep chunk results, in chunk order, into sequential-equivalent
-    verdicts: first witness wins, and a rule split into pair ranges has its
-    ranges in order (``_sweep_tasks``).  States come from the census
+    """Fold sweep chunk results, in any order, into sequential-equivalent
+    verdicts: per obligation, the failure with the least ``fail_at``
+    (pair, matrix, position), which is enumeration order, wins.  Each
+    chunk's failure is the first of its strided pairs, so the least of
+    them is the first of all.  States come from the census
     (``_Universe.leaves_before``): a failing obligation's visited-state count is
     the hypothesis leaves ahead of its witness's subtree plus the witness's
     position there, and a passing one's is every hypothesis leaf.  Per-rule
     times sum over chunks: one worker's time for a rule swept whole, and
-    for a split one the ``perf_counter`` times of its tasks summed over
+    for a split one the ``perf_counter`` times of its strides summed over
     the workers that swept them, which can exceed the check's wall time.
 
     Returns ``{obligation: (failed, witness, states)}`` and the times."""
@@ -1424,8 +1403,9 @@ def _merge_chunks(u: _Universe, obligations, chunk_results):
     total_time: dict[str, float] = {}
     for entries, secs in chunk_results:
         for rule, prop, failed, witness, fail_at in entries:
-            if failed:
-                first.setdefault(Obligation(rule, prop), (witness, fail_at))
+            ob = Obligation(rule, prop)
+            if failed and (ob not in first or fail_at < first[ob][1]):
+                first[ob] = (witness, fail_at)
         rule = entries[0][0]
         total_time[rule] = total_time.get(rule, 0.0) + secs
 
@@ -1483,9 +1463,9 @@ def check_obligations(
         return ObligationReport(bounds=b, mode=MODE_RANDOM, results=tuple(results),
                                 samples=samples, seed=seed)
 
-    # one task per rule, or per rule and pair range when the check selects
-    # fewer rules than the pool has workers; a fail-fast search stops at
-    # the first failure of every obligation of its task
+    # one task per rule, or per rule and stride of pairs when the check
+    # selects fewer rules than the pool has workers; a fail-fast search
+    # stops at the first failure of every obligation of its task
     n = _pool_size(workers, len({ob.rule for ob in obligations}) * len(u.orbits.reps))
     tasks = _sweep_tasks(u, defs, obligations, n)
     chunk_results = _run_tasks(_sweep_range, (u, defs), tasks, n)

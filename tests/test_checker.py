@@ -37,7 +37,6 @@ from blpcheck.checker import (
     MODE_RANDOM,
     P0,
     _pool_size,
-    _shard_ranges,
     _sweep_tasks,
     _Universe,
     requests_for_rule,
@@ -571,15 +570,6 @@ def test_worker_parity_on_failing_obligation():
         check_obligations(SMALL, workers=2, **kw)
 
 
-def test_shard_ranges_cover_in_order():
-    for n_combo, workers in ((625, 2), (81, 2), (7, 1), (3, 2), (1, 4)):
-        ranges = _shard_ranges(n_combo, workers)
-        assert len(ranges) == min(n_combo, 8 * workers)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n_combo
-        assert all(lo < hi for lo, hi in ranges)
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-
-
 def test_random_mode_worker_parity():
     kw = dict(mode=MODE_RANDOM, samples=100, seed=5)
     seq = check_obligations(SMALL, workers=1, **kw)
@@ -989,20 +979,27 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
 
     visited = collections.Counter()
     sweep_rows = checker._RulePlan._sweep_rows
+    init = checker._RulePlan.__init__
+    sets = {}
 
     def counting(plan, mask, rows, combo, mi):
         visited[plan.rule] += len(rows)
         return sweep_rows(plan, mask, rows, combo, mi)
 
+    def with_footprints(plan, *args):
+        init(plan, *args)
+        plan.row_tracks = {prop: (key, None if seen is None else Footprints(), *rest)
+                           for prop, (key, seen, *rest) in plan.row_tracks.items()}
+        plan._set_tracks()
+        sets[plan.rule] = [track[1] for prop, track in plan.row_tracks.items()
+                           if prop is not None and track[1] is not None]
+
     monkeypatch.setattr(checker._RulePlan, "_sweep_rows", counting)
+    monkeypatch.setattr(checker._RulePlan, "__init__", with_footprints)
     u = _Universe(bounds)
-    sets = {}
-    for obligations, lo, hi in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
-        rd = RULE_DEFS[obligations[0].rule]
-        u.swept_rule = (rd, [{} for _c in rd.conjuncts], {}, collections.defaultdict(Footprints))
-        entries, _time = checker._sweep_range(u, RULE_DEFS, obligations, lo, hi)
+    for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        entries, _time = checker._sweep_range(u, RULE_DEFS, *task)
         assert not any(failed for _rule, _prop, failed, *_ in entries)
-        sets[rd.name] = [s for prop, s in u.swept_rule[3].items() if prop is not None]
     assert sorted(sets) == sorted(RULE_ORDER)
     checks = sets.__getitem__
     for rule in ("releaseRead", "releaseWrite"):
@@ -1042,87 +1039,73 @@ def test_leaf_guards_widen_the_footprint():
 @pytest.mark.parametrize("rule, conjunct", [("createObject", "objectFresh"),
                                            ("deleteObject", "objectUnaccessed")])
 def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
-    """A pool worker sweeps its ranges in turn on one universe, and its
-    footprint sets carry what the earlier ranges passed.  So each range's
-    result must be the one a fresh universe gives it, also for a mutant
-    whose checks fail in some ranges: a footprint is recorded only once
-    its row has passed, never for a row that fails."""
+    """A pool worker sweeps its tasks in turn on one universe, here the two
+    strides of representative pairs of one rule.  Each stride's result
+    must be the one a fresh universe gives it, also for a mutant whose
+    checks fail in some strides: nothing one task fills may change
+    another's result."""
     defs = {**RULE_DEFS, rule: without_conjunct(RULE_DEFS[rule], conjunct)}
     obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == rule]
     u = _Universe(SMALL)
-    ranges = checker._shard_ranges(len(u.orbits.reps), 2)
-    in_turn = [checker._sweep_range(u, defs, obligations, lo, hi)[0] for lo, hi in ranges]
-    fresh = [checker._sweep_range(_Universe(SMALL), defs, obligations, lo, hi)[0]
-             for lo, hi in ranges]
+    strides = [(0, 2), (1, 2)]
+    in_turn = [checker._sweep_range(u, defs, obligations, w, k)[0] for w, k in strides]
+    fresh = [checker._sweep_range(_Universe(SMALL), defs, obligations, w, k)[0]
+             for w, k in strides]
     assert in_turn == fresh
     failing = [[failed for _rule, _prop, failed, *_ in entries] for entries in fresh]
     assert any(map(any, failing)) and not all(map(all, failing))
 
 
-def test_a_universe_holds_the_swept_rules_memos_and_footprints_only(monkeypatch):
-    """A universe keeps the guard memos, the effect memo and the footprint
-    sets of the rule swept most recently (``_Universe.swept_rule``).  The
-    second of two ranges of one rule starts from the very objects the first
-    filled.  A plan of another rule replaces them, and the universe then
-    keeps no reference to the first rule's sets.  A sweep task holds one
-    rule: a list of obligations that spans rules, or holds none, raises."""
-    plans = []
-    sweep = checker._RulePlan.sweep
+def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
+    """A sweep task's plan makes its own guard memos, effect memo and
+    footprint sets, and the universe keeps none of them.  Two strides of
+    one rule swept in turn on one universe fill their own, and share no
+    memo and no set; once a task has returned, its plan and its sets are
+    gone.  A sweep task holds one rule: a list of obligations that spans
+    rules, or holds none, raises."""
+    made = []
+    init = checker._RulePlan.__init__
 
-    def recording(plan, combo, m_reps):
-        plans.append(plan)
-        return sweep(plan, combo, m_reps)
+    def recording(plan, *args):
+        init(plan, *args)
+        memos = [memo for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards)
+                 for _key, memo, _holds in guards]
+        sets = [track[1] for track in plan.row_tracks.values() if track[1] is not None]
+        made.append((weakref.ref(plan), [*memos, plan.effects], sets))
 
-    monkeypatch.setattr(checker._RulePlan, "sweep", recording)
+    monkeypatch.setattr(checker._RulePlan, "__init__", recording)
     u = _Universe(SMALL)
-    rd = RULE_DEFS["getRead"]
     obligations = [ob for ob in checker.ALL_OBLIGATIONS if ob.rule == "getRead"]
-    n_reps = len(u.orbits.reps)
-    checker._sweep_range(u, RULE_DEFS, obligations, 0, n_reps // 2)
-    kept, guard_memos, effects, footprints = u.swept_rule
-    assert kept is rd and all(guard_memos) and effects
-    # the three checks of getRead passed rows; its frame had no turn yet
-    assert {prop for prop, s in footprints.items() if s} == {"seccond", "starprop", "ranBrInDomM"}
-    before = [dict(memo) for memo in guard_memos], dict(effects)
-    plans.clear()
-    checker._sweep_range(u, RULE_DEFS, obligations, n_reps // 2, n_reps)
-    plan = plans[0]
-    assert all(p is plan for p in plans)
-    staged = [memo for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards)
-              for _key, memo, _holds in guards]
-    assert sorted(map(id, staged)) == sorted(map(id, guard_memos))
-    assert plan.effects is effects
-    tracked = {prop: track[1] for prop, track in plan.row_tracks.items() if track[1] is not None}
-    assert tracked.keys() == footprints.keys()
-    assert all(tracked[prop] is s for prop, s in footprints.items())
-    # the second range added to what the first filled, and kept it
-    assert all(memo.items() >= old.items() for memo, old in zip(guard_memos, before[0]))
-    assert effects.keys() >= before[1].keys()
-    assert u.swept_rule[3] is footprints
+    for w in (0, 1):
+        checker._sweep_range(u, RULE_DEFS, obligations, w, 2)
+    (ref_a, memos_a, sets_a), (ref_b, memos_b, sets_b) = made
+    # every guard memo and the effect memo were filled; the three checks of
+    # getRead passed rows, and its frame had no turn
+    assert all(memos_a) and all(memos_b)
+    assert [bool(s) for s in sets_a] == [bool(s) for s in sets_b] == [True, True, True, False]
+    assert not {id(x) for x in memos_a + sets_a} & {id(x) for x in memos_b + sets_b}
 
-    gone = [weakref.ref(s) for s in footprints.values()]
-    del plan, plans[:], staged, tracked, kept, guard_memos, effects, footprints
-    other = RULE_DEFS["getWrite"]
-    checker._RulePlan(other, [], u)
-    assert u.swept_rule[0] is other and not any(u.swept_rule[1]) and not u.swept_rule[2]
+    gone = [ref_a, ref_b, *map(weakref.ref, sets_a + sets_b)]
+    del made[:], memos_a, sets_a, memos_b, sets_b
     gc.collect()
-    assert not any(ref() for ref in gone)
+    assert all(ref() is None for ref in gone)
 
     spans_two = obligations + [checker.Obligation("getWrite", "seccond")]
     for mixed in (checker.ALL_OBLIGATIONS, spans_two, []):
         with pytest.raises(ValueError, match="one rule"):
-            checker._sweep_range(u, RULE_DEFS, mixed, 0, n_reps)
+            checker._sweep_range(u, RULE_DEFS, mixed, 0, 1)
 
 
 def test_merged_chunks_keep_the_first_witness():
     """A pool sweeps the task list of ``_sweep_tasks`` and merges the chunk
-    results in task order, first witness first (``_merge_chunks``).  For
-    every single-conjunct mutant, the tasks of a pool of 1, 2, 4 or 8
-    workers, each swept on a fresh universe, merge to the verdicts,
-    witnesses and visited-state counts of one range over all pairs per
-    rule, in rule order: for the mutated rule's obligations, split into
-    pair ranges when the pool has more than one worker, and for all sixty,
-    one task per rule, heaviest first.  The giveRW
+    results, in whatever order they come, to each obligation's first
+    witness in enumeration order (``_merge_chunks``).  For every
+    single-conjunct mutant, the tasks of a pool of 1, 2, 4 or 8 workers,
+    each swept on a fresh universe, merge, in task order and in reverse,
+    to the verdicts, witnesses and visited-state counts of one task over
+    all pairs per rule, in rule order: for the mutated rule's obligations,
+    split into strides of pairs when the pool has more than one worker,
+    and for all sixty, one task per rule, heaviest first.  The giveRW
     mutants that need a giver and a receiver that differ run at two
     subjects."""
     failures = 0
@@ -1132,17 +1115,17 @@ def test_merged_chunks_keep_the_first_witness():
             bounds = BOTH_GROUPS if (rule, conjunct.name) in NEEDS_TWO_SUBJECTS else SMALL
             defs = {**RULE_DEFS, rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
             u = _Universe(bounds)
-            n_reps = len(u.orbits.reps)
             for obligations in (own, checker.ALL_OBLIGATIONS):
                 whole, _times = checker._merge_chunks(u, obligations, [
                     checker._sweep_range(u, defs, [ob for ob in obligations if ob.rule == r],
-                                         0, n_reps)
+                                         0, 1)
                     for r in RULE_ORDER if any(ob.rule == r for ob in obligations)])
                 for workers in (1, 2, 4, 8):
                     chunks = [checker._sweep_range(_Universe(bounds), defs, *task)
                               for task in _sweep_tasks(u, defs, obligations, workers)]
-                    merged, _times = checker._merge_chunks(u, obligations, chunks)
-                    assert merged == whole, (rule, conjunct.name, len(obligations), workers)
+                    for ordered in (chunks, chunks[::-1]):
+                        merged, _times = checker._merge_chunks(u, obligations, ordered)
+                        assert merged == whole, (rule, conjunct.name, len(obligations), workers)
             failures += sum(failed for failed, _w, _states in whole.values())
     assert failures == sum(map(len, MUTATION_MATRIX.values()))
 
@@ -1151,8 +1134,9 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     """The exhaustive sweep's tasks (``_sweep_tasks``): each selected
     obligation sits in exactly one rule's tasks; a rule keeps the whole
     pair range when the check selects at least as many rules as the pool
-    has workers, and is otherwise split into ranges that cover every
-    representative pair in order.  The rules whose plan keeps no footprint
+    has workers, and is otherwise split into ceil(workers / rules) strides
+    of the representative pairs, none of them empty, that cover every
+    representative pair exactly once.  The rules whose plan keeps no footprint
     set come first, the rest follow in ``RULE_ORDER``: with all sixty
     obligations, changeClass and deleteObject lead.  No plan is built to
     find that order."""
@@ -1175,13 +1159,16 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
             for rule in rules:
                 own = [task for task in tasks if task[0][0].rule == rule]
                 assert all(list(task[0]) == selected[rule] for task in own)
-                ranges = [(lo, hi) for _obs, lo, hi in own]
-                assert (len(ranges) == 1) == (len(rules) >= workers)
-                assert ranges[0][0] == 0 and ranges[-1][1] == n_reps
-                assert all(lo < hi == next_lo for (lo, hi), (next_lo, _hi)
-                           in zip(ranges, ranges[1:]))
+                strides = [(w, k) for _obs, w, k in own]
+                k = len(strides)
+                assert k == min(math.ceil(workers / len(rules)), n_reps)
+                assert (k == 1) == (len(rules) >= workers)
+                assert strides == [(w, k) for w in range(k)]
+                covered = [combo for w, k in strides for combo in u.orbits.reps[w::k]]
+                assert sorted(covered) == list(u.orbits.reps)
+                assert all(u.orbits.reps[w::k] for w, k in strides)
             # a rule's tasks are consecutive
-            assert [task[0][0].rule for task in tasks] == [r for r in rules for _ in ranges]
+            assert [task[0][0].rule for task in tasks] == [r for r in rules for _ in strides]
         orders.append(rules)
     assert orders[0][:2] == ["changeClass", "deleteObject"]
 
@@ -1193,7 +1180,7 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     monkeypatch.setattr(checker, "_RulePlan", no_plan)
     assert [[_sweep_tasks(u, RULE_DEFS, obligations, workers) for workers in (1, 2, 16)]
             for obligations in selections] == expected
-    assert _sweep_tasks(u, RULE_DEFS, selections[2], 1) == [(selections[2], 0, n_reps)]
+    assert _sweep_tasks(u, RULE_DEFS, selections[2], 1) == [(selections[2], 0, 1)]
 
 
 # the conjuncts that read none of br, bw and m: the pair guard stage
@@ -1236,13 +1223,21 @@ def test_pair_stage_runs_once_per_pair(bounds, monkeypatch):
             lookups[(*current[-1], self.conjunct)] += 1
             return super().get(key, default)
 
+    init = checker._RulePlan.__init__
+
+    def with_memos(plan, rd, *args):
+        init(plan, rd, *args)
+        name = {c.holds: c.name for c in rd.conjuncts}
+        assert len(name) == len(rd.conjuncts)
+        for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards):
+            guards[:] = [(key, Memo(name[holds]), holds) for key, _memo, holds in guards]
+
+    monkeypatch.setattr(checker._RulePlan, "__init__", with_memos)
     u = _Universe(bounds)
     assert PAIR_STAGE == {(rule, c.name) for rule, rd in RULE_DEFS.items()
                           for c in rd.conjuncts if not c.reads & {"br", "bw", "m"}}
-    for obligations, lo, hi in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
-        rd = RULE_DEFS[obligations[0].rule]
-        u.swept_rule = (rd, [Memo(c.name) for c in rd.conjuncts], {}, collections.defaultdict(set))
-        checker._sweep_range(u, RULE_DEFS, obligations, lo, hi)
+    for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        checker._sweep_range(u, RULE_DEFS, *task)
     assert {rule for rule, _combo, _c in lookups} == set(RULE_ORDER)
     once = [n for (rule, _combo, c), n in lookups.items() if (rule, c) in PAIR_STAGE]
     assert once and max(once) == 1
@@ -1266,7 +1261,7 @@ def test_refused_pairs_fetch_no_table(monkeypatch):
     monkeypatch.setattr(_Universe, "subtree", fetching)
     u = _Universe(SMALL)
     tasks = _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1)
-    assert sorted(obligations[0].rule for obligations, _lo, _hi in tasks) == sorted(RULE_ORDER)
+    assert sorted(obligations[0].rule for obligations, _w, _k in tasks) == sorted(RULE_ORDER)
     for task in tasks:
         checker._sweep_range(u, RULE_DEFS, *task)
     # every rule fetched a table, but giveRW, which needs two subjects
