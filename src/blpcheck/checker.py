@@ -50,11 +50,12 @@ conjunct's memo maps the ids of its ``reads`` to the
 bitset of the rule's requests it grants, so a leaf's granted requests are
 an AND of bitsets, decided in three stages by the components the
 conjuncts read: those reading none of br, bw and m once per (rule, pair),
-those reading m but neither br nor bw once per matrix, the rest per leaf;
-a stage without conjuncts is skipped, and a pair or subtree whose stages
-grant nothing is left at once.  An effect runs once per (request, ids of
-``RuleDef.writes``), and its memo entry is the written components' after
-ids: a granted request's after state is the leaf's ids followed by those.
+those reading m but neither br nor bw once per matrix, the rest per leaf
+of a row with a new leaf-stage key (below); a stage without conjuncts is
+skipped, and a pair or subtree whose stages grant nothing is left at
+once.  An effect runs once per (request, ids of ``RuleDef.writes``), and
+its memo entry is the written components' after ids: a granted request's
+after state is the leaf's ids followed by those.
 An invariant runs once per after-state value of the components it reads
 (``core.PROPERTY_READS``), in one memo per property shared by all rules.
 A rule's obligations whose property reads a component the rule writes are
@@ -67,15 +68,23 @@ verdicts on a row's leaves depend only on the row's *footprint*: the
 pair and matrix stages' granted mask and the row's ids at the components
 the leaf guards, the writes and the property read, bw given by the row's
 bw mask.
-So each check keeps the footprints whose rows it passed, per task, and a
-row is swept leaf by leaf only for the checks whose footprint is new, only
-its first leaf when none of them reads bw.  A footprint is recorded after
-its row passes, so first witnesses and their positions do not change.
-At P0 one worker walks 5,525,963 leaves of the swept subtrees' rows over
-all rules and sweeps 1,310,493 of them.  Every effect call verifies that the
-components outside ``writes`` are left identical, so an undeclared write
-stops the sweep with an error instead of giving a wrong verdict, and a
-failing obligation's witness comes from a real effect call on its leaf.
+So each check keeps the footprints whose rows it passed, per task, checks
+with the same footprint fields in one set, and a row is swept only for the
+checks whose footprint is new.  A footprint is recorded after its row
+passes, so first witnesses and their positions do not change.  A row's
+leaf guards are decided once per *leaf-stage key* (the granted mask, the
+bw mask and the row's other ids that the leaf guards read), as the row's
+granted leaves, each with its *fresh* requests, those no earlier leaf of
+the row granted.  A check whose after-state key cannot read bw (its
+property reads no bw and the rule writes none) has one verdict per
+request on a row, so it is decided only at each request's fresh leaf;
+the others at every granted leaf.  At P0 one worker visits 657,712 rows
+over all rules, decides the leaf guards on 28,725 leaves of 3,532
+distinct keys, and walks 330,777 granted leaves.  Every effect call
+verifies that the components outside ``writes`` are left identical, so an
+undeclared write stops the sweep with an error instead of giving a wrong
+verdict, and a failing obligation's witness comes from a real effect call
+on its leaf.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -160,10 +169,10 @@ start: one rule's obligations per task in exhaustive mode
 (``_sweep_tasks``), over all representative (fs, fo) pairs, or over one
 stride of them when the check selects fewer rules than there are
 workers, and one obligation per task in random mode.  A sweep task makes
-its own guard memos, effect memo and footprint sets, and drops them when
-it returns, so tasks share nothing but the context, and the merge keeps
-each obligation's first failure in enumeration order whatever the order
-of the tasks.  An obligation's ``elapsed_ms`` stays its rule's measured
+its own guard memos, leaf-stage table, effect memo and footprint sets, and
+drops them when it returns, so tasks share nothing but the context, and
+the merge keeps each obligation's first failure in enumeration order
+whatever the order of the tasks.  An obligation's ``elapsed_ms`` stays its rule's measured
 sweep time, one clock pair per task, memo hits included: an invariant
 verdict one rule computed is free for the rules swept after it in the
 same process, and the time of a rule split into strides is summed over
@@ -525,7 +534,7 @@ class _Universe:
     ``request_indices`` holds the bit positions of every granted-request
     bitset met so far, for all rules.  Nothing here belongs to one rule:
     each sweep task's plan (``_RulePlan``) makes its own guard memos,
-    effect memo and footprint sets.
+    leaf-stage table, effect memo and footprint sets.
     The keys are sound only under the conditions on ``rule_defs`` in the
     module docstring.
     """
@@ -967,9 +976,13 @@ def _row_footprints(rd: RuleDef, props: Sequence[str]) -> tuple[bool, dict]:
     ``writes`` and ``core.PROPERTY_READS``.  Returns whether the rule's
     verdicts on a leaf can depend on the matrix, and per property the rule
     checks, and under None for the frame when it frames one of ``props``,
-    ``(components, apart)``: the components the footprint reads, and
-    whether they tell apart every row the rule sweeps (br, fo, fs and, when
-    the rule reads it, m)."""
+    ``(components, apart, every_leaf)``: the components the footprint
+    reads; whether they tell apart every row the rule sweeps (br, fo, fs
+    and, when the rule reads it, m); and whether the track walks every leaf
+    of a row.  A check does when its after state's key can read bw: its
+    property reads bw, or the rule writes bw, whose after value may depend
+    on the leaf's.  The frame does when the rule writes bw, since only then
+    can a row's leaves need different effect calls."""
     checked = [p for p in props if core.PROPERTY_READS[p] & rd.writes]
     reads_m = "m" in rd.writes.union(*(c.reads for c in rd.conjuncts),
                                      *(core.PROPERTY_READS[p] for p in checked))
@@ -978,18 +991,17 @@ def _row_footprints(rd: RuleDef, props: Sequence[str]) -> tuple[bool, dict]:
     reads = {p: leaf_reads | core.PROPERTY_READS[p] for p in checked}
     if len(checked) < len(props):
         reads[None] = leaf_reads
-    return reads_m, {key: (components, components >= distinct)
-                     for key, components in reads.items()}
+    return reads_m, {
+        key: (components, components >= distinct,
+              "bw" in rd.writes.union(core.PROPERTY_READS.get(key, ())))
+        for key, components in reads.items()}
 
 
-def _tracks_in_use(footprints: dict, live: Sequence[str]) -> tuple[list, bool]:
+def _tracks_in_use(footprints: dict, live: Sequence[str]) -> list:
     """The keys of ``footprints`` (``_row_footprints``) whose tracks a
     plan uses while the checks of the properties ``live`` are open: theirs,
-    or the frame's when none is open and the rule frames a property.  Also
-    whether one of those tells every row apart and reads bw: every row then
-    needs every leaf for it anyway, so no track keeps a set."""
-    keys = list(live) or ([None] if None in footprints else [])
-    return keys, any(footprints[key][1] and "bw" in footprints[key][0] for key in keys)
+    or the frame's when none is open and the rule frames a property."""
+    return list(live) or ([None] if None in footprints else [])
 
 
 class _RulePlan:
@@ -1000,8 +1012,8 @@ class _RulePlan:
     ``pair_guards`` read none of br, bw and m and are decided once per
     (fs, fo) pair, ``matrix_guards`` read m but neither br nor bw and are
     decided once per matrix, and ``leaf_guards`` read br or bw and are
-    decided once per leaf.  Each is a ``(key, memo, holds)`` triple,
-    looked up in its own memo under the ids of the components it reads
+    decided per leaf.  Each is a ``(key, memo, holds)`` triple, looked up
+    in its own memo under the ids of the components it reads
     (``_granted``); a miss builds the state and runs the conjunct on every
     request of the rule.  So a leaf's granted requests are an AND of
     bitsets.  The effect runs once per (ids of the written components,
@@ -1012,6 +1024,16 @@ class _RulePlan:
     component's after id sits at its place in ``writes`` past the leaf's
     five, every other one at its own field.
 
+    The leaf stage is decided once per row, not per leaf, and only on a
+    row whose *leaf-stage key* is new: the row (packed by
+    ``_Universe.row_layout``) ANDed with ``leaf_key``, the bits of the
+    granted mask, the bw mask (which fixes the row's bw options) and the
+    other components the leaf guards read.  ``leaf_stage`` maps the key to
+    the row's granted leaves, each ``(position in the row, granted,
+    fresh)``, where ``fresh`` holds the requests no earlier leaf of the
+    row granted.  A rule without leaf guards keeps no such table: each of
+    a row's leaves is granted the whole mask, fresh at its first leaf.
+
     An obligation is *checked* when its property reads a component the rule
     writes, and *framed* otherwise: the property reads only components the
     effect leaves as they were, so it holds after the step because it held
@@ -1019,13 +1041,18 @@ class _RulePlan:
     memo of the property, under the after state's ids of the components the
     property reads, read at their places in ``ids + entry``; on a miss,
     ``after_ids`` picks the after state's five ids out of it for
-    ``u.state``.
+    ``u.state``.  When that key cannot read bw (the property reads no bw
+    and the rule writes none), a request's verdict is the same on every
+    leaf of a row that grants it, so the check is *bw-blind*: it is decided
+    only at each request's fresh leaf, in (leaf, request) order, which
+    finds its first failing pair of the row.  Every other check is decided
+    on every granted (leaf, request) pair.
 
-    The conjunct memos, the effect memo and the footprint sets are the
-    plan's own, made empty here and dropped with the plan when its task
-    returns, so no task depends on what another filled.  The table of a
-    granted bitset's request indices is the universe's, and all rules
-    share it (``_Universe.request_indices``).
+    The conjunct memos, the leaf-stage table, the effect memo and the
+    footprint sets are the plan's own, made empty here and dropped with
+    the plan when its task returns, so no task depends on what another
+    filled.  The table of a granted bitset's request indices is the
+    universe's, and all rules share it (``_Universe.request_indices``).
 
     When a rule's guards, writes and checked properties leave out the
     matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
@@ -1035,29 +1062,20 @@ class _RulePlan:
     Every leaf first appears in the first subtree of some known mask, so
     first witnesses and their positions do not change.
 
-    ``sweep`` decides the rule on one (fs, fo) pair, all its matrices, in
-    one call: ``_sweep_range`` makes it once per representative pair of
-    its task and times the task, so a rule's ``elapsed-ms`` covers its
-    guard stages, the rows it walks, skipped ones included, and the
-    building of every hypothesis table it is the first to fetch.  Rules
-    share those tables, so the first rule a process sweeps whose stages
-    grant a request on a subtree builds its table.
-
-    ``_sweep_rows`` walks a subtree's rows.  A check's verdicts on a row's
-    leaves are a function of its row footprint: the pair and matrix
-    stages' granted mask and the row's ids at the components the leaf
-    guards, ``writes`` and the property read, with bw given by the row's
-    bw mask, which fixes the row's bw options.  Each check has a track,
-    ``(key bits, passed footprints, reads bw, check)``: a row whose
+    A check's verdicts on a row's leaves are a function of its row
+    footprint: the pair and matrix stages' granted mask and the row's ids
+    at the components the leaf guards, ``writes`` and the property read,
+    with bw given by the row's bw mask.  Each check has a track, ``(key
+    bits, passed footprints, walks every leaf, check)``: a row whose
     footprint is in the set is skipped for the check, and a footprint is
-    added once its row passed.
-    When no check is live the framed obligations have one track, whose
-    footprint is the leaf guards' and ``writes``' components: a repeated
-    row would only repeat effect calls that ran, and verified the frame,
-    already.  A footprint that tells every row apart keeps no set; when
-    one of those reads bw, as ``seccond`` with ``objectUnaccessed`` does
-    for changeClass and deleteObject, every row needs every leaf anyway,
-    and the plan keeps no set at all (``tracks`` is None).
+    added once its row passed.  Tracks with equal key bits share one set,
+    so a row looks each set up once and adds to it once.  When no check is
+    live the framed obligations have one track, whose footprint is the
+    leaf guards' and ``writes``' components: a repeated row would only
+    repeat effect calls that ran, and verified the frame, already.  It
+    shares the set of the checks with its key bits, since a row they
+    passed made every effect call it would make.  A footprint that tells
+    every row apart keeps no set.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -1069,11 +1087,17 @@ class _RulePlan:
         self.pair_guards: list = []
         self.matrix_guards: list = []
         self.leaf_guards: list = []
+        field_bits = u.row_layout[1]
+        self.leaf_key = field_bits["mask"] | field_bits["bw"]
         for c in rd.conjuncts:
             fields = _fields_of(c.reads)
             stage = (self.leaf_guards if _BR in fields or _BW in fields
                      else self.matrix_guards if _M in fields else self.pair_guards)
             stage.append((_projection(fields), {}, c.holds))
+            if stage is self.leaf_guards:
+                for name in c.reads - {"bw"}:
+                    self.leaf_key |= field_bits[name]
+        self.leaf_stage: Optional[dict] = {} if self.leaf_guards else None
         self.effects: dict = {}
         self.empty = u.component_id(_BR, ())
         self.effect = rd.effect
@@ -1092,34 +1116,38 @@ class _RulePlan:
         )
         self.framed = None in self.footprint_reads
         # Row footprints: the components a check's verdicts on a row's
-        # leaves depend on, plus the subtree mask.  A row packs into one
-        # integer (``_Universe.row_layout``), and a footprint's key is the
-        # row ANDed with the bits of its fields.  A footprint that tells
-        # apart every row the plan sweeps keeps no set.
-        field_bits = u.row_layout[1]
+        # leaves depend on, plus the subtree mask.  A footprint's key is the
+        # packed row ANDed with the bits of its fields; equal keys share a
+        # set, and a footprint that tells apart every row the plan sweeps
+        # keeps none.
         check_of = {check[0].prop: check for check in self.checked}
+        sets: dict[int, set] = {}
         self.row_tracks = {}
-        for prop, (components, apart) in self.footprint_reads.items():
+        for prop, (components, apart, every_leaf) in self.footprint_reads.items():
             key = field_bits["mask"]
             for name in components:
                 key |= field_bits[name]
-            self.row_tracks[prop] = (key, None if apart else set(),
-                                     "bw" in components, check_of.get(prop))
+            self.row_tracks[prop] = (key, None if apart else sets.setdefault(key, set()),
+                                     every_leaf, check_of.get(prop))
         self.live = list(self.checked)
         self._set_tracks()
 
     def _set_tracks(self) -> None:
-        """The row tracks of the live checks, or of the frame when no check
-        is live but the plan has framed obligations: each ``(key bits,
-        passed footprints, reads bw, check or None)``.  ``tracks`` holds
-        those with a set, ``always`` those without; ``tracks`` is None when
-        one of the latter reads bw (``_tracks_in_use``), since every row then
-        needs every leaf for it anyway."""
-        keys, every_leaf = _tracks_in_use(self.footprint_reads,
-                                          [check[0].prop for check in self.live])
-        tracks = [self.row_tracks[key] for key in keys]
-        self.always = [t for t in tracks if t[1] is None]
-        self.tracks = None if every_leaf else [t for t in tracks if t[1] is not None]
+        """Group the tracks in use (``_tracks_in_use``: the live checks',
+        or the frame's when no check is live but the plan has framed
+        obligations) by key bits, each group ``(key bits, passed footprints,
+        checks that walk every leaf, bw-blind checks, both lists in that
+        order, walks every leaf)``, in ``tracks``; a group whose footprint
+        tells every row apart has None for its set."""
+        groups: dict[int, tuple] = {}
+        for prop in _tracks_in_use(self.footprint_reads, [check[0].prop for check in self.live]):
+            bits, seen, every_leaf, check = self.row_tracks[prop]
+            _bits, _seen, every, blind, walk = groups.get(bits, (bits, seen, [], [], False))
+            if check:
+                (every if every_leaf else blind).append(check)
+            groups[bits] = (bits, seen, every, blind, walk or every_leaf)
+        self.tracks = [(bits, seen, every, blind, every + blind, walk)
+                       for bits, seen, every, blind, walk in groups.values()]
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -1139,14 +1167,43 @@ class _RulePlan:
         after = self._apply(st, j)
         return tuple(self.universe.component_id(i, after[i]) for i in self.writes)
 
+    def _leaf_stage(self, mask: int, bw_subs, br_id: int, fo_id: int, fs_id: int,
+                    mi: int) -> tuple:
+        """The granted leaves of the row of ``bw_subs`` under ``br_id``,
+        ``fo_id``, ``fs_id`` and ``mi``, each ``(position in the row,
+        granted, fresh)``: the requests in ``mask`` the leaf guards grant
+        on the leaf, and those of them that no earlier leaf of the row
+        granted."""
+        leaves = []
+        seen = 0
+        for i, (_bw, bw_id) in enumerate(bw_subs):
+            granted = _granted(self.leaf_guards, mask, (br_id, bw_id, fo_id, fs_id, mi),
+                               self.universe, self.reqs)
+            if granted:
+                leaves.append((i, granted, granted & ~seen))
+                seen |= granted
+        return tuple(leaves)
+
     def sweep(self, combo: int, m_reps) -> None:
         """Decide the rule on (fs, fo) pair number ``combo`` under the
         matrices ``m_reps``, in that order.  The pair guard stage runs
         once; when it grants a request, each matrix's stage narrows that
-        mask, and the rows of the subtree's hypothesis table are swept
-        (``_sweep_rows``) when a request is left.  A rule that does not
+        mask, and the rows of the subtree's hypothesis table are walked
+        when a request is left, in enumeration order.  A rule that does not
         read the matrix sweeps only the first matrix of each known mask.
-        Stops once no obligation of the rule is left to decide."""
+        Stops once no obligation of the rule is left to decide.
+
+        A row is skipped for every track group whose footprint already
+        passed, and swept for the rest: on every granted leaf when one of
+        them walks every leaf, on the fresh leaves alone otherwise.  Its
+        granted leaves come from ``leaf_stage``.  Each request of a walked
+        leaf gets its effect memo entry, and the checks are decided on it:
+        those that walk every leaf always, the bw-blind ones where the
+        request is fresh.  The row's footprint is then recorded in every
+        group it was swept for.  The sweep handles ids only: a state is
+        built, by ``u.state``, only for a memo miss or a witness.  Failures
+        record the first witness, its after state from a real effect call,
+        at (``combo``, the matrix, the leaf's position in the subtree)."""
         u = self.universe
         fs_id, fo_id = divmod(combo, len(u.fo_options))
         empty = self.empty
@@ -1156,6 +1213,16 @@ class _RulePlan:
                             u, self.reqs)
             if not mask:
                 return
+        reqs = self.reqs
+        effects = self.effects
+        indices = u.request_indices
+        write_key = self.write_key
+        after_ids = self.after_ids
+        stage = self.leaf_stage
+        leaf_key = self.leaf_key
+        shift = u.row_layout[0]
+        br_shift = shift["br"]
+        pair_bits = fo_id << shift["fo"] | fs_id << shift["fs"]
         met = set()  # the known masks swept so far, when the rule ignores m
         for mi in m_reps:
             if not (self.live or self.framed):
@@ -1168,64 +1235,47 @@ class _RulePlan:
                 met.add(known)
             elif self.matrix_guards:
                 granted = _granted(self.matrix_guards, mask, (empty, empty, fo_id, fs_id, mi),
-                                   u, self.reqs)
-            if granted:
-                self._sweep_rows(granted, u.subtree(combo, known)[1], combo, mi)
-
-    def _sweep_rows(self, mask: int, rows, combo: int, mi: int) -> None:
-        """Decide the rule's requests in ``mask``, the bitset its pair and
-        matrix guard stages granted, on the ``rows`` of one subtree (from
-        ``_Universe.subtree``), in enumeration order and each leaf's
-        requests in list order.  A row is skipped for every track whose
-        footprint already passed; it is swept leaf by leaf for the rest,
-        only its first leaf when none of them reads bw, and its footprint
-        is recorded for each that passed it.  The sweep handles ids only: a
-        state is built, by ``u.state``, only for a memo miss or a witness.
-        A granted request's after state is ``ids + entry``, its effect memo
-        entry appended to the leaf's ids.  Failures record the first
-        witness, its after state from a real effect call, at (``combo``,
-        ``mi``, the leaf's position in the subtree)."""
-        u = self.universe
-        reqs = self.reqs
-        leaf_guards = self.leaf_guards
-        effects = self.effects
-        indices = u.request_indices
-        write_key = self.write_key
-        after_ids = self.after_ids
-        fs_id, fo_id = divmod(combo, len(u.fo_options))
-        shift = u.row_layout[0]
-        base = (fo_id << shift["fo"] | fs_id << shift["fs"] | mi << shift["m"]
-                | mask << shift["mask"])
-        br_shift = shift["br"]
-        pos = 0
-        for br_id, bw_mask, bw_subs in rows:
+                                   u, reqs)
+            if not granted:
+                continue
+            base = pair_bits | mi << shift["m"] | granted << shift["mask"]
+            pos = 1  # the position in the subtree of the row's first leaf
             tracks = self.tracks
-            if tracks is None:
-                todo = ()
-                checks = rest = self.live
-                leaves = bw_subs
-            else:
+            for br_id, bw_mask, bw_subs in u.subtree(combo, known)[1]:
                 row = base | bw_mask | br_id << br_shift
-                todo = [t for t in tracks if (row & t[0]) not in t[1]] + self.always
-                if not todo:
+                due = [g for g in tracks if g[1] is None or row & g[0] not in g[1]]
+                if not due:
                     pos += len(bw_subs)
                     continue
-                checks = [t[3] for t in todo if t[3]]
-                rest = [t[3] for t in todo if t[2] and t[3]]
-                leaves = bw_subs if any(t[2] for t in todo) else bw_subs[:1]
-            for p, (_bw, bw_id) in enumerate(leaves, pos + 1):
-                ids = (br_id, bw_id, fo_id, fs_id, mi)
-                granted = _granted(leaf_guards, mask, ids, u, reqs) if leaf_guards else mask
-                if granted:
+                if len(due) == 1:
+                    _bits, _seen, every, _blind, both, walk = due[0]
+                else:
+                    every = [c for g in due for c in g[2]]
+                    both = every + [c for g in due for c in g[3]]
+                    walk = any(g[5] for g in due)
+                if stage is not None:
+                    leaves = stage.get(row & leaf_key)
+                    if leaves is None:
+                        leaves = stage[row & leaf_key] = self._leaf_stage(
+                            granted, bw_subs, br_id, fo_id, fs_id, mi)
+                elif walk:
+                    leaves = [(i, granted, 0 if i else granted) for i in range(len(bw_subs))]
+                else:
+                    leaves = ((0, granted, granted),)
+                for i, leaf_mask, fresh in leaves:
+                    js = leaf_mask if walk else fresh
+                    if not js:
+                        continue
+                    ids = (br_id, bw_subs[i][1], fo_id, fs_id, mi)
                     wkey = write_key(ids)
                     entries = effects.get(wkey)
                     if entries is None:
                         entries = effects[wkey] = [None] * len(reqs)
-                    js = indices.get(granted) or _bit_indices(indices, granted)
-                    for j in js:
+                    for j in indices.get(js) or _bit_indices(indices, js):
                         entry = entries[j]
                         if entry is None:
                             entry = entries[j] = self._written(u.state(ids), j)
+                        checks = both if fresh >> j & 1 else every
                         if not checks:
                             continue
                         after = ids + entry
@@ -1242,17 +1292,17 @@ class _RulePlan:
                                 st = u.state(ids)
                                 ob.failed = failed = True
                                 ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
-                                ob.fail_at = (combo, mi, p)
+                                ob.fail_at = (combo, mi, pos + i)
                         if failed:
                             self.live = [c for c in self.live if not c[0].failed]
                             self._set_tracks()
-                            checks = [c for c in checks if not c[0].failed]
-                            rest = [c for c in rest if not c[0].failed]
-                checks = rest
-            for key, seen, _bw, check in todo:
-                if seen is not None and (check is None or not check[0].failed):
-                    seen.add(row & key)
-            pos += len(bw_subs)
+                            tracks = self.tracks
+                            every = [c for c in every if not c[0].failed]
+                            both = [c for c in both if not c[0].failed]
+                for bits, seen, *_ in due:
+                    if seen is not None:
+                        seen.add(row & bits)
+                pos += len(bw_subs)
 
 
 def _sweep_range(
@@ -1368,19 +1418,22 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
     the range, so a split rule's tasks cost about the same.
 
     The heaviest rules go first, so that none is left to run alone at the
-    end: those whose plan keeps no footprint set (``_RulePlan.tracks`` is
-    None), since every row they admit needs every leaf, then the rest in
-    ``RULE_ORDER``.  That is read from the rules' declarations
-    (``_tracks_in_use``), with no plan built."""
+    end: those with a track in use whose footprint tells every row apart
+    and reads bw, so that every row they admit is swept and its leaves
+    differ (changeClass and deleteObject, whose ``objectUnaccessed`` guard
+    reads br and bw), then the rest in ``RULE_ORDER``.  That is read from
+    the rules' declarations (``_row_footprints`` and ``_tracks_in_use``),
+    with no plan built."""
     by_rule: dict[str, list[Obligation]] = {}
     for ob in obligations:
         by_rule.setdefault(ob.rule, []).append(ob)
 
-    def tracked(rule):
+    def light(rule):
         footprints = _row_footprints(rule_defs[rule], [ob.prop for ob in by_rule[rule]])[1]
-        return not _tracks_in_use(footprints, [key for key in footprints if key is not None])[1]
+        in_use = _tracks_in_use(footprints, [key for key in footprints if key is not None])
+        return not any(footprints[key][1] and "bw" in footprints[key][0] for key in in_use)
 
-    rules = sorted(by_rule, key=tracked)
+    rules = sorted(by_rule, key=light)
     k = min(math.ceil(n_workers / len(rules)), len(u.orbits.reps))
     return [(by_rule[rule], w, k) for rule in rules for w in range(k)]
 

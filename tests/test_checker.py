@@ -494,9 +494,10 @@ def test_after_ids_map_back_to_the_effect(bounds):
     picks out of that tuple map back through ``_Universe.state`` to the
     state the rule's effect returns, and each checked property's memo key
     is those ids at the property's fields.  The sweep skips rows whose
-    footprint passed already, so entries it left unfilled are filled here
-    the way it fills them (``_RulePlan._written``).  Each subtree's rows are
-    swept under the mask its pair and matrix guard stages grant."""
+    footprint passed already, and bw-blind checks visit only each
+    request's fresh leaf, so entries it left unfilled are filled here the
+    way it fills them (``_RulePlan._written``).  Each pair is swept over all
+    its matrices, in order."""
     u = _Universe(bounds)
     fields = SystemState._fields
     n_m, n_fo = len(u.m_options), len(u.fo_options)
@@ -509,8 +510,9 @@ def test_after_ids_map_back_to_the_effect(bounds):
         for i in range(u.n_combos * n_m):
             combo, mi = divmod(i, n_m)
             fs_id, fo_id = divmod(combo, n_fo)
+            if mi == 0:
+                plan.sweep(combo, range(n_m))
             rows = u.subtree(combo, u.m_options[mi][1])[1]
-            plan._sweep_rows(admitted_mask(plan, u, combo, mi), rows, combo, mi)
             for ids in [(br_id, bw_id, fo_id, fs_id, mi)
                         for br_id, _bw_mask, bw_subs in rows for _bw, bw_id in bw_subs]:
                 st = u.state(ids)
@@ -903,29 +905,33 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
     subtrees of one (fs, fo) pair with the same known mask have the same
     leaves but for the matrix, so it is swept on the first of them only.
     getRead reads the matrix, so it is swept on every subtree its pair and
-    matrix guard stages admit, repeated known masks included."""
+    matrix guard stages admit, repeated known masks included.  A rule
+    fetches a subtree's hypothesis table exactly when it walks its rows."""
     swept = []
-    sweep_rows = checker._RulePlan._sweep_rows
+    current = []
+    subtree = _Universe.subtree
 
-    def recording(plan, mask, rows, combo, mi):
-        swept.append((plan.rule, combo, mi))
-        return sweep_rows(plan, mask, rows, combo, mi)
+    def recording(u, combo, known):
+        if current:
+            swept.append((current[-1][0], combo, known))
+        return subtree(u, combo, known)
 
-    monkeypatch.setattr(checker._RulePlan, "_sweep_rows", recording)
+    _entering(monkeypatch, current)
+    monkeypatch.setattr(_Universe, "subtree", recording)
     assert check_obligations(bounds).all_pass
     u = _Universe(bounds)
-    known = lambda rule: [(combo, u.m_options[mi][1]) for r, combo, mi in swept if r == rule]
+    known = lambda rule: [(combo, known) for r, combo, known in swept if r == rule]
     assert known("changeClass")
     assert len(set(known("changeClass"))) == len(known("changeClass"))
 
     plan = checker._RulePlan(RULE_DEFS["getRead"], [], u)
     admitted = [
-        (combo, mi)
+        (combo, u.m_options[mi][1])
         for combo in u.orbits.reps
         for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]
         if admitted_mask(plan, u, combo, mi)
     ]
-    assert [(combo, mi) for r, combo, mi in swept if r == "getRead"] == admitted
+    assert known("getRead") == admitted
     assert len(set(known("getRead"))) < len(admitted)
 
 
@@ -961,10 +967,12 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
     components its leaf guards, its effect and its property read, bw by
     the row's bw mask.  So a row is swept for a check only while its
     footprint has not passed, and a footprint is recorded once, after its
-    row passed.  releaseRead and releaseWrite, whose footprints leave out
-    most of a leaf, sweep fewer rows leaf by leaf than they visit;
-    changeClass and deleteObject, where one check reads the whole leaf,
-    keep no footprints and sweep every row."""
+    row passed.  Tracks whose footprints have equal key bits share one
+    set, which a visited row looks up once and adds to at most once.
+    releaseRead and releaseWrite, whose footprints leave out most of a
+    leaf, sweep fewer rows than they visit.  In changeClass and
+    deleteObject the seccond footprint reads the whole leaf and keeps no
+    set, and the other checks and the frame share one."""
 
     class Footprints(set):
         visits = 0
@@ -978,39 +986,59 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
             super().add(key)
 
     visited = collections.Counter()
-    sweep_rows = checker._RulePlan._sweep_rows
+    current = []
+    subtree = _Universe.subtree
     init = checker._RulePlan.__init__
-    sets = {}
+    tracks = {}
 
-    def counting(plan, mask, rows, combo, mi):
-        visited[plan.rule] += len(rows)
-        return sweep_rows(plan, mask, rows, combo, mi)
+    def counting(u, combo, known):
+        table = subtree(u, combo, known)
+        if current:
+            visited[current[-1][0]] += len(table[1])
+        return table
 
     def with_footprints(plan, *args):
         init(plan, *args)
-        plan.row_tracks = {prop: (key, None if seen is None else Footprints(), *rest)
-                           for prop, (key, seen, *rest) in plan.row_tracks.items()}
+        made = {}
+        plan.row_tracks = {
+            prop: (key, None if seen is None else made.setdefault(id(seen), Footprints()), *rest)
+            for prop, (key, seen, *rest) in plan.row_tracks.items()}
         plan._set_tracks()
-        sets[plan.rule] = [track[1] for prop, track in plan.row_tracks.items()
-                           if prop is not None and track[1] is not None]
+        tracks[plan.rule] = plan.row_tracks
 
-    monkeypatch.setattr(checker._RulePlan, "_sweep_rows", counting)
+    _entering(monkeypatch, current)
+    monkeypatch.setattr(_Universe, "subtree", counting)
     monkeypatch.setattr(checker._RulePlan, "__init__", with_footprints)
     u = _Universe(bounds)
     for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
         entries, _time = checker._sweep_range(u, RULE_DEFS, *task)
         assert not any(failed for _rule, _prop, failed, *_ in entries)
-    assert sorted(sets) == sorted(RULE_ORDER)
-    checks = sets.__getitem__
+    assert sorted(tracks) == sorted(RULE_ORDER)
+    for rule, row_tracks in tracks.items():
+        # one set per key bits, and tracks with equal key bits share it
+        by_key = {}
+        for key, seen, *_ in row_tracks.values():
+            if seen is not None:
+                by_key.setdefault(key, set()).add(id(seen))
+        assert all(len(ids) == 1 for ids in by_key.values()), rule
+
+    def checks(rule):
+        return list({id(seen): seen for prop, (_key, seen, *_) in tracks[rule].items()
+                     if prop is not None and seen is not None}.values())
+
     for rule in ("releaseRead", "releaseWrite"):
         # every visited row asks each check's set once; every row swept
-        # leaf by leaf passed, so it added its footprint to some set
+        # passed, so it added its footprint to some set
         assert checks(rule)
         assert all(s.visits == visited[rule] > 0 for s in checks(rule))
         assert sum(map(len, checks(rule))) < visited[rule]
     for rule in ("changeClass", "deleteObject"):
-        assert visited[rule] > 0
-        assert not any(s.visits or s for s in checks(rule))
+        [shared] = checks(rule)
+        assert tracks[rule]["seccond"][1] is None
+        assert all(seen is shared for prop, (_key, seen, *_) in tracks[rule].items()
+                   if prop != "seccond")
+        assert None in tracks[rule]
+        assert 0 < len(shared) <= shared.visits == visited[rule]
 
 
 def _writes_something(st, _req):
@@ -1036,6 +1064,116 @@ def test_leaf_guards_widen_the_footprint():
     assert report.results[PROPERTY_ORDER.index("seccond")].status == "fail"
 
 
+def _writes_another_object(st, req):
+    return any(o != req.o for _s, o in st.bw)
+
+
+@pytest.mark.parametrize("guard", [_writes_something, _writes_another_object],
+                         ids=["something", "another-object"])
+@pytest.mark.parametrize("rule", ["changeClass", "deleteObject"])
+def test_bw_blind_checks_fail_on_a_later_leaf(rule, guard):
+    """A check is bw-blind when its property reads no bw and the rule
+    writes none: a request's verdict is then the same on every leaf of a
+    row that grants it, and the check is decided only at the request's
+    fresh leaf, the first of the row that grants it.  This mutant grants
+    only while something is written, in place of ``objectUnaccessed``, so
+    a row's first leaf, with nothing written, is refused, and seccond, a
+    bw-blind check of both rules, first fails on a later leaf of its row.
+    The second guard grants a request only while an object other than its
+    own is written, so a row's leaves grant different requests, and a
+    request's fresh leaf need not be the row's first granted leaf.
+    Verdicts, first witnesses and visited-state counts must still be those
+    of the naive sweep."""
+    rd = RULE_DEFS[rule]
+    kept = [c for c in rd.conjuncts if c.name != "objectUnaccessed"]
+    defs = {rule: dataclasses.replace(
+        rd, conjuncts=(*kept, Conjunct(guard.__name__, frozenset({"bw"}), guard)))}
+    _reads_m, footprints = checker._row_footprints(defs[rule], ["seccond"])
+    assert not footprints["seccond"][2]  # seccond does not walk every leaf
+    report = check_obligations(SMALL, rule=rule, rule_defs=defs)
+    naive, states = naive_check(SMALL, rule_defs=defs, rules=(rule,))
+    _assert_matches_naive(report, naive, states)
+    seccond = report.results[PROPERTY_ORDER.index("seccond")]
+    assert seccond.status == "fail"
+    # every row's first leaf writes nothing
+    assert seccond.witness.state.bw
+
+
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+def test_leaf_stage_is_decided_once_per_key(bounds, monkeypatch):
+    """A row's leaf-stage verdicts depend only on its leaf-stage key: the
+    granted mask, the bw mask and the row's ids at the other components
+    its leaf guards read (``_RulePlan.leaf_key``).  For every rule with
+    leaf guards, each entry of its plan's table (``leaf_stage``) equals the
+    per-leaf ``_granted`` answers, with their fresh requests, of every row
+    of the representative subtrees whose key it is.  The sweep computes
+    each entry once, calling ``_granted`` on the leaf guards once per leaf
+    of that row, so a hit calls none.  A rule without leaf guards keeps no
+    table."""
+    plans = {}
+    computed = collections.Counter()
+    leaf_calls = collections.Counter()
+    init = checker._RulePlan.__init__
+    granted = checker._granted
+    leaf_stage = checker._RulePlan._leaf_stage
+
+    def recording(plan, *args):
+        init(plan, *args)
+        plans[plan.rule] = plan
+
+    def counting(guards, *args):
+        leaf_calls.update(rule for rule, plan in plans.items() if guards is plan.leaf_guards)
+        return granted(guards, *args)
+
+    def computing(plan, mask, bw_subs, *ids):
+        computed[plan.rule] += 1
+        return leaf_stage(plan, mask, bw_subs, *ids)
+
+    monkeypatch.setattr(checker._RulePlan, "__init__", recording)
+    monkeypatch.setattr(checker, "_granted", counting)
+    monkeypatch.setattr(checker._RulePlan, "_leaf_stage", computing)
+    u = _Universe(bounds)
+    for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
+        checker._sweep_range(u, RULE_DEFS, *task)
+    monkeypatch.setattr(checker, "_granted", granted)
+
+    shift = u.row_layout[0]
+    n_fo = len(u.fo_options)
+    assert sorted(plans) == sorted(RULE_ORDER)
+    for rule, plan in plans.items():
+        if not plan.leaf_guards:
+            assert plan.leaf_stage is None and not leaf_calls[rule]
+            continue
+        assert computed[rule] == len(plan.leaf_stage) > 0
+        rows_of_keys = 0
+        leaves_of_keys = {}
+        for combo in u.orbits.reps:
+            fs_id, fo_id = divmod(combo, n_fo)
+            for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]:
+                mask = admitted_mask(plan, u, combo, mi)
+                for br_id, bw_mask, bw_subs in u.subtree(combo, u.m_options[mi][1])[1]:
+                    row = (fo_id << shift["fo"] | fs_id << shift["fs"] | mi << shift["m"]
+                           | mask << shift["mask"] | bw_mask | br_id << shift["br"])
+                    key = row & plan.leaf_key
+                    if not mask or key not in plan.leaf_stage:
+                        continue
+                    expected, before = [], 0
+                    for i, (_bw, bw_id) in enumerate(bw_subs):
+                        bits = granted(plan.leaf_guards, mask, (br_id, bw_id, fo_id, fs_id, mi),
+                                       u, plan.reqs)
+                        if bits:
+                            expected.append((i, bits, bits & ~before))
+                            before |= bits
+                    assert plan.leaf_stage[key] == tuple(expected), (rule, combo, mi, br_id)
+                    rows_of_keys += 1
+                    leaves_of_keys[key] = len(bw_subs)
+        # every key stands for a row of these subtrees, most for several;
+        # each was computed once, one _granted call per leaf of its row
+        assert set(leaves_of_keys) == set(plan.leaf_stage)
+        assert rows_of_keys > len(plan.leaf_stage)
+        assert leaf_calls[rule] == sum(leaves_of_keys.values())
+
+
 @pytest.mark.parametrize("rule, conjunct", [("createObject", "objectFresh"),
                                            ("deleteObject", "objectUnaccessed")])
 def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
@@ -1057,12 +1195,13 @@ def test_ranges_swept_in_turn_keep_their_own_results(rule, conjunct):
 
 
 def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
-    """A sweep task's plan makes its own guard memos, effect memo and
-    footprint sets, and the universe keeps none of them.  Two strides of
-    one rule swept in turn on one universe fill their own, and share no
-    memo and no set; once a task has returned, its plan and its sets are
-    gone.  A sweep task holds one rule: a list of obligations that spans
-    rules, or holds none, raises."""
+    """A sweep task's plan makes its own guard memos, leaf-stage table,
+    effect memo and footprint sets, and the universe keeps none of them.
+    Two strides of one rule swept in turn on one universe fill their own,
+    and share no memo and no set; tracks of one plan share a set when
+    their key bits are equal.  Once a task has returned, its plan and its
+    sets are gone.  A sweep task holds one rule: a list of obligations that
+    spans rules, or holds none, raises."""
     made = []
     init = checker._RulePlan.__init__
 
@@ -1070,8 +1209,10 @@ def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
         init(plan, *args)
         memos = [memo for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards)
                  for _key, memo, _holds in guards]
-        sets = [track[1] for track in plan.row_tracks.values() if track[1] is not None]
-        made.append((weakref.ref(plan), [*memos, plan.effects], sets))
+        sets = list({id(track[1]): track[1] for track in plan.row_tracks.values()
+                     if track[1] is not None}.values())
+        assert plan.row_tracks[None][1] is plan.row_tracks["starprop"][1]
+        made.append((weakref.ref(plan), [*memos, plan.leaf_stage, plan.effects], sets))
 
     monkeypatch.setattr(checker._RulePlan, "__init__", recording)
     u = _Universe(SMALL)
@@ -1079,10 +1220,11 @@ def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
     for w in (0, 1):
         checker._sweep_range(u, RULE_DEFS, obligations, w, 2)
     (ref_a, memos_a, sets_a), (ref_b, memos_b, sets_b) = made
-    # every guard memo and the effect memo were filled; the three checks of
-    # getRead passed rows, and its frame had no turn
+    # every guard memo, the leaf-stage table and the effect memo were
+    # filled; the three checks of getRead passed rows, and its frame, which
+    # shares starprop's set, had no turn
     assert all(memos_a) and all(memos_b)
-    assert [bool(s) for s in sets_a] == [bool(s) for s in sets_b] == [True, True, True, False]
+    assert [bool(s) for s in sets_a] == [bool(s) for s in sets_b] == [True, True, True]
     assert not {id(x) for x in memos_a + sets_a} & {id(x) for x in memos_b + sets_b}
 
     gone = [ref_a, ref_b, *map(weakref.ref, sets_a + sets_b)]
@@ -1136,10 +1278,12 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     pair range when the check selects at least as many rules as the pool
     has workers, and is otherwise split into ceil(workers / rules) strides
     of the representative pairs, none of them empty, that cover every
-    representative pair exactly once.  The rules whose plan keeps no footprint
-    set come first, the rest follow in ``RULE_ORDER``: with all sixty
-    obligations, changeClass and deleteObject lead.  No plan is built to
-    find that order."""
+    representative pair exactly once.  The heaviest rules come first,
+    those with a track in use that keeps no footprint set, since its key
+    tells every row apart, and whose key reads bw, since the row's leaves
+    differ; the rest follow in ``RULE_ORDER``.  With all sixty obligations
+    changeClass and deleteObject lead.  No plan is built to find that
+    order."""
     u = _Universe(SMALL)
     n_reps = len(u.orbits.reps)
     selections = [checker.ALL_OBLIGATIONS,
@@ -1150,12 +1294,17 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
         selected = {}
         for ob in obligations:
             selected.setdefault(ob.rule, []).append(ob)
-        untracked = [rule for rule in selected if checker._RulePlan(
-            RULE_DEFS[rule], [checker._ObState(*ob) for ob in selected[rule]], u).tracks is None]
+        bw_bits = u.row_layout[1]["bw"]
+        heavy = []
+        for rule in selected:
+            plan = checker._RulePlan(
+                RULE_DEFS[rule], [checker._ObState(*ob) for ob in selected[rule]], u)
+            if any(seen is None and key & bw_bits for key, seen, *_ in plan.tracks):
+                heavy.append(rule)
         for workers in (1, 2, 4, 8, 16):
             tasks = _sweep_tasks(u, RULE_DEFS, obligations, workers)
             rules = list(dict.fromkeys(task[0][0].rule for task in tasks))
-            assert rules == untracked + [r for r in RULE_ORDER if r in selected and r not in untracked]
+            assert rules == heavy + [r for r in RULE_ORDER if r in selected and r not in heavy]
             for rule in rules:
                 own = [task for task in tasks if task[0][0].rule == rule]
                 assert all(list(task[0]) == selected[rule] for task in own)
