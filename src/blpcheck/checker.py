@@ -51,11 +51,11 @@ bitset of the rule's requests it grants, so a leaf's granted requests are
 an AND of bitsets, decided in three stages by the components the
 conjuncts read: those reading none of br, bw and m once per (rule, pair),
 those reading m but neither br nor bw once per matrix, the rest per leaf
-of a row with a new leaf-stage key (below); a stage without conjuncts is
-skipped, and a pair or subtree whose stages grant nothing is left at
-once.  An effect runs once per (request, ids of ``RuleDef.writes``), and
-its memo entry is the written components' after ids: a granted request's
-after state is the leaf's ids followed by those.
+of a row with a new leaf-stage key (below); a stage without conjuncts
+grants its whole mask, and a pair or subtree whose stages grant nothing
+is left at once.  An effect runs once per (request, ids of
+``RuleDef.writes``), and its memo entry is the written components' after
+ids: a granted request's after state is the leaf's ids followed by those.
 An invariant runs once per after-state value of the components it reads
 (``core.PROPERTY_READS``), in one memo per property shared by all rules.
 A rule's obligations whose property reads a component the rule writes are
@@ -79,12 +79,17 @@ the row granted.  A check whose after-state key cannot read bw (its
 property reads no bw and the rule writes none) has one verdict per
 request on a row, so it is decided only at each request's fresh leaf;
 the others at every granted leaf.  At P0 one worker visits 657,712 rows
-over all rules, decides the leaf guards on 28,725 leaves of 3,532
-distinct keys, and walks 330,777 granted leaves.  Every effect call
-verifies that the components outside ``writes`` are left identical, so an
-undeclared write stops the sweep with an error instead of giving a wrong
-verdict, and a failing obligation's witness comes from a real effect call
-on its leaf.
+over all rules, builds leaf-stage entries for 3,814 distinct keys from
+30,303 leaves (3,532 keys and 28,725 leaves for the six rules with leaf
+guards), and walks 330,777 granted leaves.  Every effect call verifies
+that the components outside ``writes`` are left identical, and a failing
+obligation's witness comes from a real effect call on its leaf.
+Since the effect memo is keyed by ``writes``, an undeclared write stops
+the sweep with an error only when it shows on the first leaf the effect
+runs on per (ids of ``writes``, request); one that leaves that leaf's
+component as it was goes unseen on the later leaves of the key, which
+get that leaf's after ids.  The property tests of honest ``writes``
+guard the shipped rules against the rest.
 
 The memos rest on three conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
@@ -997,13 +1002,6 @@ def _row_footprints(rd: RuleDef, props: Sequence[str]) -> tuple[bool, dict]:
         for key, components in reads.items()}
 
 
-def _tracks_in_use(footprints: dict, live: Sequence[str]) -> list:
-    """The keys of ``footprints`` (``_row_footprints``) whose tracks a
-    plan uses while the checks of the properties ``live`` are open: theirs,
-    or the frame's when none is open and the rule frames a property."""
-    return list(live) or ([None] if None in footprints else [])
-
-
 class _RulePlan:
     """One rule compiled for the sweep: its guard conjuncts by stage, its
     effect's memo and frame, and its obligations.
@@ -1019,10 +1017,11 @@ class _RulePlan:
     bitsets.  The effect runs once per (ids of the written components,
     request): ``effects[key][j]`` holds the written components' after ids,
     in ``writes`` order, and every call verifies the frame (the components
-    outside ``writes``) by identity.  A granted request's after state is
-    the leaf's ids followed by that entry, ``ids + entry``: a written
-    component's after id sits at its place in ``writes`` past the leaf's
-    five, every other one at its own field.
+    outside ``writes``) by identity, so on the first leaf of each (ids of
+    ``writes``, request) only: a memo hit verifies nothing.  A granted
+    request's after state is the leaf's ids followed by that entry, ``ids
+    + entry``: a written component's after id sits at its place in
+    ``writes`` past the leaf's five, every other one at its own field.
 
     The leaf stage is decided once per row, not per leaf, and only on a
     row whose *leaf-stage key* is new: the row (packed by
@@ -1031,8 +1030,9 @@ class _RulePlan:
     other components the leaf guards read.  ``leaf_stage`` maps the key to
     the row's granted leaves, each ``(position in the row, granted,
     fresh)``, where ``fresh`` holds the requests no earlier leaf of the
-    row granted.  A rule without leaf guards keeps no such table: each of
-    a row's leaves is granted the whole mask, fresh at its first leaf.
+    row granted.  Every plan keeps the table: for a rule without leaf
+    guards an entry lists every leaf of the row with the whole mask, fresh
+    at the first leaf.
 
     An obligation is *checked* when its property reads a component the rule
     writes, and *framed* otherwise: the property reads only components the
@@ -1097,7 +1097,7 @@ class _RulePlan:
             if stage is self.leaf_guards:
                 for name in c.reads - {"bw"}:
                     self.leaf_key |= field_bits[name]
-        self.leaf_stage: Optional[dict] = {} if self.leaf_guards else None
+        self.leaf_stage: dict = {}
         self.effects: dict = {}
         self.empty = u.component_id(_BR, ())
         self.effect = rd.effect
@@ -1133,14 +1133,14 @@ class _RulePlan:
         self._set_tracks()
 
     def _set_tracks(self) -> None:
-        """Group the tracks in use (``_tracks_in_use``: the live checks',
-        or the frame's when no check is live but the plan has framed
-        obligations) by key bits, each group ``(key bits, passed footprints,
-        checks that walk every leaf, bw-blind checks, both lists in that
-        order, walks every leaf)``, in ``tracks``; a group whose footprint
-        tells every row apart has None for its set."""
+        """Group the tracks in use (the live checks', or the frame's when no
+        check is live but the plan has framed obligations) by key bits,
+        each group ``(key bits, passed footprints, checks that walk every
+        leaf, bw-blind checks, both lists in that order, walks every
+        leaf)``, in ``tracks``; a group whose footprint tells every row
+        apart has None for its set."""
         groups: dict[int, tuple] = {}
-        for prop in _tracks_in_use(self.footprint_reads, [check[0].prop for check in self.live]):
+        for prop in [check[0].prop for check in self.live] or [None] * self.framed:
             bits, seen, every_leaf, check = self.row_tracks[prop]
             _bits, _seen, every, blind, walk = groups.get(bits, (bits, seen, [], [], False))
             if check:
@@ -1207,12 +1207,10 @@ class _RulePlan:
         u = self.universe
         fs_id, fo_id = divmod(combo, len(u.fo_options))
         empty = self.empty
-        mask = self.all_requests
-        if self.pair_guards:
-            mask = _granted(self.pair_guards, mask, (empty, empty, fo_id, fs_id, m_reps[0]),
-                            u, self.reqs)
-            if not mask:
-                return
+        mask = _granted(self.pair_guards, self.all_requests,
+                        (empty, empty, fo_id, fs_id, m_reps[0]), u, self.reqs)
+        if not mask:
+            return
         reqs = self.reqs
         effects = self.effects
         indices = u.request_indices
@@ -1253,15 +1251,10 @@ class _RulePlan:
                     every = [c for g in due for c in g[2]]
                     both = every + [c for g in due for c in g[3]]
                     walk = any(g[5] for g in due)
-                if stage is not None:
-                    leaves = stage.get(row & leaf_key)
-                    if leaves is None:
-                        leaves = stage[row & leaf_key] = self._leaf_stage(
-                            granted, bw_subs, br_id, fo_id, fs_id, mi)
-                elif walk:
-                    leaves = [(i, granted, 0 if i else granted) for i in range(len(bw_subs))]
-                else:
-                    leaves = ((0, granted, granted),)
+                leaves = stage.get(row & leaf_key)
+                if leaves is None:
+                    leaves = stage[row & leaf_key] = self._leaf_stage(
+                        granted, bw_subs, br_id, fo_id, fs_id, mi)
                 for i, leaf_mask, fresh in leaves:
                     js = leaf_mask if walk else fresh
                     if not js:
@@ -1417,20 +1410,21 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
     least as many rules as workers.  A stride takes pairs from all over
     the range, so a split rule's tasks cost about the same.
 
-    The heaviest rules go first, so that none is left to run alone at the
-    end: those with a track in use whose footprint tells every row apart
-    and reads bw, so that every row they admit is swept and its leaves
-    differ (changeClass and deleteObject, whose ``objectUnaccessed`` guard
-    reads br and bw), then the rest in ``RULE_ORDER``.  That is read from
-    the rules' declarations (``_row_footprints`` and ``_tracks_in_use``),
-    with no plan built."""
+    First go the rules with a track in use (the checks', or the frame's
+    when the rule checks none) whose footprint tells every row apart and
+    reads bw, so that every row they admit is swept and its leaves differ
+    (changeClass and deleteObject, whose ``objectUnaccessed`` guard reads
+    br and bw), then the rest in ``RULE_ORDER``.  That is read from the
+    rules' declarations (``_row_footprints``), with no plan built, and is
+    not a measured cost: changeClass takes about 2% of the P0 sweep, and
+    createObject, handed out ninth, is the heaviest rule at S3O3."""
     by_rule: dict[str, list[Obligation]] = {}
     for ob in obligations:
         by_rule.setdefault(ob.rule, []).append(ob)
 
     def light(rule):
         footprints = _row_footprints(rule_defs[rule], [ob.prop for ob in by_rule[rule]])[1]
-        in_use = _tracks_in_use(footprints, [key for key in footprints if key is not None])
+        in_use = [key for key in footprints if key is not None] or list(footprints)
         return not any(footprints[key][1] and "bw" in footprints[key][0] for key in in_use)
 
     rules = sorted(by_rule, key=light)

@@ -939,25 +939,54 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
 def test_rules_without_leaf_guards_call_no_guard_per_leaf(rule, monkeypatch):
     """No guard conjunct of these rules reads br or bw, so their leaf guard
     stage is empty: a leaf's granted requests are those its pair and matrix
-    stages granted.  ``_granted`` runs on each non-empty stage and never on
-    an empty guard list, at any of the three stages; rescindRead,
-    rescindWrite and createObject have no pair stage either."""
-    plan = checker._RulePlan(RULE_DEFS[rule], [], _Universe(SMALL))
-    assert not plan.leaf_guards
-    assert bool(plan.pair_guards) == (rule == "giveRW")
-    stages = {tuple(holds for *_, holds in guards)
-              for guards in (plan.pair_guards, plan.matrix_guards) if guards}
-    calls = []
+    stages granted.  The leaf stage still builds the plan's table, from the
+    empty guard list, but every conjunct memo lookup, and so every conjunct
+    call, happens in the pair stage, once per (rule, pair), or the matrix
+    stage, at most once per matrix: none runs per leaf.  Only giveRW has a
+    pair stage conjunct."""
+    plans = []
+    stage = []
+    calls = collections.Counter()
+    lookups = collections.Counter()
+
+    class Memo(dict):
+        def get(self, key, default=None):
+            lookups[stage[-1] if stage else None] += 1
+            return super().get(key, default)
+
+    init = checker._RulePlan.__init__
+
+    def with_memos(plan, *args):
+        init(plan, *args)
+        for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards):
+            guards[:] = [(key, Memo(), holds) for key, _memo, holds in guards]
+        plans.append(plan)
+
     granted = checker._granted
 
-    def recording(guards, *args):
-        calls.append(tuple(holds for *_, holds in guards))
-        return granted(guards, *args)
+    def staged(guards, *args):
+        plan = plans[-1]
+        name = ("pair" if guards is plan.pair_guards else "matrix" if guards is plan.matrix_guards
+                else "leaf" if guards is plan.leaf_guards else None)
+        calls[name] += 1
+        stage.append(name)
+        try:
+            return granted(guards, *args)
+        finally:
+            stage.pop()
 
-    monkeypatch.setattr(checker, "_granted", recording)
+    monkeypatch.setattr(checker._RulePlan, "__init__", with_memos)
+    monkeypatch.setattr(checker, "_granted", staged)
     assert check_obligations(SMALL, rule=rule).all_pass
-    assert calls and () not in calls
-    assert set(calls) == stages
+    (plan,) = plans
+    assert not plan.leaf_guards
+    assert bool(plan.pair_guards) == (rule == "giveRW")
+    assert calls["pair"] == len(_Universe(SMALL).orbits.reps)
+    assert lookups and set(lookups) <= {"pair", "matrix"}
+    assert lookups["pair"] <= len(plan.pair_guards) * calls["pair"]
+    assert lookups["matrix"] <= len(plan.matrix_guards) * calls["matrix"]
+    # giveRW needs two subjects: at one its pair stage grants nothing
+    assert (calls["leaf"] > 0) == (rule != "giveRW")
 
 
 @pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
@@ -1103,13 +1132,15 @@ def test_bw_blind_checks_fail_on_a_later_leaf(rule, guard):
 def test_leaf_stage_is_decided_once_per_key(bounds, monkeypatch):
     """A row's leaf-stage verdicts depend only on its leaf-stage key: the
     granted mask, the bw mask and the row's ids at the other components
-    its leaf guards read (``_RulePlan.leaf_key``).  For every rule with
-    leaf guards, each entry of its plan's table (``leaf_stage``) equals the
-    per-leaf ``_granted`` answers, with their fresh requests, of every row
-    of the representative subtrees whose key it is.  The sweep computes
-    each entry once, calling ``_granted`` on the leaf guards once per leaf
-    of that row, so a hit calls none.  A rule without leaf guards keeps no
-    table."""
+    its leaf guards read (``_RulePlan.leaf_key``).  For every rule, each
+    entry of its plan's table (``leaf_stage``) equals the per-leaf
+    ``_granted`` answers, with their fresh requests, of every row of the
+    representative subtrees whose key it is.  The sweep computes each entry
+    once, calling ``_granted`` on the leaf guards once per leaf of that
+    row, so a hit calls none.  For a rule without leaf guards an entry is
+    every leaf of the row with the whole granted mask, fresh at the first
+    leaf.  Only giveRW at one subject, whose pair stage grants nothing,
+    keeps an empty table."""
     plans = {}
     computed = collections.Counter()
     leaf_calls = collections.Counter()
@@ -1141,10 +1172,10 @@ def test_leaf_stage_is_decided_once_per_key(bounds, monkeypatch):
     n_fo = len(u.fo_options)
     assert sorted(plans) == sorted(RULE_ORDER)
     for rule, plan in plans.items():
-        if not plan.leaf_guards:
-            assert plan.leaf_stage is None and not leaf_calls[rule]
+        assert computed[rule] == len(plan.leaf_stage)
+        if not plan.leaf_stage:
+            assert rule == "giveRW" and bounds.num_subjects == 1 and not leaf_calls[rule]
             continue
-        assert computed[rule] == len(plan.leaf_stage) > 0
         rows_of_keys = 0
         leaves_of_keys = {}
         for combo in u.orbits.reps:
@@ -1165,6 +1196,9 @@ def test_leaf_stage_is_decided_once_per_key(bounds, monkeypatch):
                             expected.append((i, bits, bits & ~before))
                             before |= bits
                     assert plan.leaf_stage[key] == tuple(expected), (rule, combo, mi, br_id)
+                    if not plan.leaf_guards:
+                        assert expected == [(i, mask, 0 if i else mask)
+                                            for i in range(len(bw_subs))]
                     rows_of_keys += 1
                     leaves_of_keys[key] = len(bw_subs)
         # every key stands for a row of these subtrees, most for several;
@@ -1774,6 +1808,18 @@ def test_frame_violation_is_reported():
         msg = str(exc.value)
         assert "getRead" in msg and "'br'" in msg
         assert "GetRead(" in msg and "state=SystemState(" in msg
+    # rescindWrite has no leaf guards, and writes m and bw; declaring bw
+    # alone, a check of fsFunctional, which no rule writes, leaves the
+    # frame's track alone, which walks every leaf of a row from the
+    # leaf-stage table and must still meet the undeclared m write
+    lying = dataclasses.replace(RULE_DEFS["rescindWrite"], writes=frozenset({"bw"}))
+    for bounds in (SMALL, BOTH_GROUPS):
+        with pytest.raises(RuntimeError) as exc:
+            check_obligations(bounds, rule="rescindWrite", prop="fsFunctional",
+                              rule_defs={"rescindWrite": lying})
+        msg = str(exc.value)
+        assert "rescindWrite" in msg and "'m'" in msg
+        assert "RescindWrite(" in msg and "state=SystemState(" in msg
 
 
 def test_random_evaluation_failure_identifies_the_pair():
