@@ -60,15 +60,21 @@ An invariant runs once per after-state value of the components it reads
 (``core.PROPERTY_READS``), in one memo per property shared by all rules.
 A rule's obligations whose property reads a component the rule writes are
 *checked* that way; the others are *framed* and hold because they held
-before the step.  A rule whose guards, writes and checked properties never
-read the matrix gets the same verdicts on two subtrees of one (fs, fo)
-pair with the same known mask, whose leaves differ in the matrix alone, so
-it sweeps only the first of them.  More generally, a checked obligation's
-verdicts on a row's leaves depend only on the row's *footprint*: the
-pair and matrix stages' granted mask and the row's ids at the components
-the leaf guards, the writes and the property read, bw given by the row's
-bw mask.
-So each check keeps the footprints whose rows it passed, per task, checks
+before the step.  A checked obligation's verdicts on a row's leaves
+depend only on the row's *footprint* (``_row_footprints``): the pair and
+matrix stages' granted mask, the row's ids at the components the leaf
+guards read, and what the after values the property reads follow from.
+That is a component's own value before the step, bw given by the row's
+bw mask, and for the new matrix's object set (``domM``) the row's known
+mask when the rule writes no m or declares ``RuleDef.object_set_local``,
+the matrix otherwise.  Two subtrees of one (fs, fo) pair with the same
+known mask have the same rows, so while no footprint in use and no leaf
+guard reads m, a rule gets the same verdicts on two such subtrees whose
+matrix stages grant the same requests, and walks only the first subtree
+of each (known mask, granted mask) *class*; otherwise it walks every
+matrix.  A failing leaf first appears in the first subtree of its class,
+so first witnesses and their positions do not change.
+Each check keeps the footprints whose rows it passed, per task, checks
 with the same footprint fields in one set, and a row is swept only for the
 checks whose footprint is new.  A footprint is recorded after its row
 passes, so first witnesses and their positions do not change.  A row's
@@ -78,27 +84,34 @@ granted leaves, each with its *fresh* requests, those no earlier leaf of
 the row granted.  A check whose after-state key cannot read bw (its
 property reads no bw and the rule writes none) has one verdict per
 request on a row, so it is decided only at each request's fresh leaf;
-the others at every granted leaf.  At P0 one worker visits 657,712 rows
-over all rules, builds leaf-stage entries for 3,814 distinct keys from
-30,303 leaves (3,532 keys and 28,725 leaves for the six rules with leaf
-guards), and walks 330,777 granted leaves.  Every effect call verifies
-that the components outside ``writes`` are left identical, and a failing
-obligation's witness comes from a real effect call on its leaf.
+the others at every granted leaf.  At P0 one worker walks 38,944
+(pair, class) subtrees over all rules, visits their 114,960 rows and skips
+81,857 of them for every check, builds leaf-stage entries for 3,814
+distinct keys from 30,303 leaves (3,532 keys and 28,725 leaves for the
+six rules with leaf guards), and walks 73,967 granted leaves.  Every
+effect call verifies that the components outside ``writes`` are left
+identical, and a failing obligation's witness comes from a real effect
+call on its leaf.
 Since the effect memo is keyed by ``writes``, an undeclared write stops
 the sweep with an error only when it shows on the first leaf the effect
-runs on per (ids of ``writes``, request); one that leaves that leaf's
-component as it was goes unseen on the later leaves of the key, which
-get that leaf's after ids.  The property tests of honest ``writes``
-guard the shipped rules against the rest.
+runs on per (ids of ``writes``, request) that the sweep walks; one that
+leaves that leaf's component as it was goes unseen on the later leaves
+of the key, which get that leaf's after ids, and on the subtrees a class
+walk passes over.  The property tests of honest ``writes`` guard the
+shipped rules against the rest.
 
-The memos rest on three conditions on ``rule_defs``, besides the
+The memos rest on four conditions on ``rule_defs``, besides the
 equivariance below, each pinned by a property test for the shipped rules:
-honest conjunct ``reads``; honest ``core.PROPERTY_READS``; and effect
-locality, i.e. an effect's written components depend only on the written
-components of its input and on the request.  They hold for every table
-``rules.without_conjunct`` builds.  Under them every memo answer equals
-the call it stands for, and the order of (leaf, request) pairs is that of
-a state-by-state sweep, so verdicts, counts and first witnesses are too.
+honest conjunct ``reads``; honest ``core.PROPERTY_READS``, ``domM``
+included; effect locality, i.e. each written component of an effect's
+result depends only on that component of its input and on the request;
+and honest ``object_set_local``, i.e. the new matrix's object set of a
+rule that declares it depends only on the old one and on the request.
+They hold for every table ``rules.without_conjunct`` builds.  Under them
+every memo answer equals the call it stands for, and the order of (leaf,
+request) pairs is that of a state-by-state sweep, so verdicts, counts and
+first witnesses are too.  A test widens every declaration to the whole
+state and requires the same report bytes.
 The strict reading of the *-property is one more mask: write pairs are
 drawn from classified objects only, and read pairs already are (security
 condition), so the strict and per-pair readings agree on every generated
@@ -523,7 +536,11 @@ class _Universe:
     sets.  The sweep lists them and the census (``leaves_before`` and
     ``hypothesis_states``) counts them: a subtree's count is its table's
     number of leaves, and a whole pair's the sum over ``known_groups``.
-    Random mode and the partition analyzer never build either.
+    Random mode and the partition analyzer never build either.  The sweep
+    packs a row into one integer (``row_layout``), its matrix's known mask
+    included, so that a footprint can read a matrix's object set without
+    its id, and a rule whose footprints read no m can walk one matrix per
+    known mask and matrix-stage grant.
 
     The sweep's memos are keyed by component ids (``id_tables``): an (fs,
     fo) pair's ids are ``divmod`` of its pair number by the number of fo
@@ -601,12 +618,13 @@ class _Universe:
     @cached_property
     def row_layout(self) -> tuple[dict[str, int], dict[str, int]]:
         """How the sweep packs a row of ``subtree`` into one integer: from
-        the lowest bit, its bw mask, its fo, fs and m ids, the pair and
-        matrix guard stages' granted mask (``mask``), and its br id above
-        them all.  Returns each field's shift and its bits, by name; br's bits
-        run on without end."""
-        names = ("bw", "fo", "fs", "m", "mask")
-        widths = (len(self.pairs), len(self.fo_options).bit_length(),
+        the lowest bit, its bw mask, its matrix's known mask (``known``),
+        its fo, fs and m ids, the pair and matrix guard stages' granted
+        mask (``mask``), and its br id above them all.  Returns each
+        field's shift and its bits, by name; br's bits run on without
+        end."""
+        names = ("bw", "known", "fo", "fs", "m", "mask")
+        widths = (len(self.pairs), len(self.pairs), len(self.fo_options).bit_length(),
                   len(self.fs_options).bit_length(), len(self.m_options).bit_length(),
                   max(map(len, self.requests.values())))
         shift = dict(zip((*names, "br"), itertools.accumulate(widths, initial=0)))
@@ -907,6 +925,12 @@ def _fields_of(components) -> tuple[int, ...]:
     return tuple(i for i, name in enumerate(_FIELDS) if name in components)
 
 
+def _components(reads) -> frozenset[str]:
+    """The state components behind ``reads``: m for its view of m's
+    object set, ``domM`` (see ``core.PROPERTY_READS``)."""
+    return frozenset("m" if name == "domM" else name for name in reads)
+
+
 def _projection(fields: tuple[int, ...]) -> Callable:
     """A memo key: the ids at ``fields`` of an id sequence (a bare id when
     there is one field)."""
@@ -975,31 +999,39 @@ def _bit_indices(table: dict, bits: int) -> tuple[int, ...]:
     return table.setdefault(bits, tuple(j for j in range(bits.bit_length()) if bits >> j & 1))
 
 
-def _row_footprints(rd: RuleDef, props: Sequence[str]) -> tuple[bool, dict]:
+def _row_footprints(rd: RuleDef, props: Sequence[str]) -> dict:
     """Rule ``rd``'s row footprints when it decides obligations on the
     properties ``props``, from its declarations alone: conjunct ``reads``,
-    ``writes`` and ``core.PROPERTY_READS``.  Returns whether the rule's
-    verdicts on a leaf can depend on the matrix, and per property the rule
-    checks, and under None for the frame when it frames one of ``props``,
-    ``(components, apart, every_leaf)``: the components the footprint
-    reads; whether they tell apart every row the rule sweeps (br, fo, fs
-    and, when the rule reads it, m); and whether the track walks every leaf
-    of a row.  A check does when its after state's key can read bw: its
-    property reads bw, or the rule writes bw, whose after value may depend
-    on the leaf's.  The frame does when the rule writes bw, since only then
-    can a row's leaves need different effect calls."""
-    checked = [p for p in props if core.PROPERTY_READS[p] & rd.writes]
-    reads_m = "m" in rd.writes.union(*(c.reads for c in rd.conjuncts),
-                                     *(core.PROPERTY_READS[p] for p in checked))
-    distinct = {"br", "fo", "fs"} | ({"m"} if reads_m else set())
-    leaf_reads = rd.writes.union(*(c.reads for c in rd.conjuncts if c.reads & {"br", "bw"}))
-    reads = {p: leaf_reads | core.PROPERTY_READS[p] for p in checked}
-    if len(checked) < len(props):
-        reads[None] = leaf_reads
-    return reads_m, {
-        key: (components, components >= distinct,
+    ``writes``, ``object_set_local`` and ``core.PROPERTY_READS``.  Per
+    property the rule checks, and under None for the frame when it frames
+    one of ``props``, ``(fields, apart, every_leaf)``: the row fields the
+    footprint reads; whether they tell apart every row the rule can sweep
+    (br, fo, fs and m); and whether the track walks every leaf of a row.
+
+    A check's footprint holds the components its leaf guards read, and for
+    each component the property reads, what its after value follows from.
+    An unwritten component's is its own value, and so is a written one's,
+    since each written component's new value follows from its own old
+    value and the request.  The new m's object set (``domM``) follows from
+    the old one, the row's ``known`` mask, when the rule writes no m or
+    declares ``object_set_local``, and from the whole old m otherwise.
+    The frame's footprint is the leaf guards' and the writes' components,
+    which fix the effect calls a row makes.  A check walks every leaf when
+    its after state's key can read bw: its property reads bw, or the rule
+    writes bw, whose after value may depend on the leaf's.  The frame does
+    when the rule writes bw, since only then can a row's leaves need
+    different effect calls."""
+    leaf_reads = frozenset().union(*(c.reads for c in rd.conjuncts if c.reads & {"br", "bw"}))
+    objects = "known" if "m" not in rd.writes or rd.object_set_local else "m"
+    reads = {p: leaf_reads | {objects if name == "domM" else name
+                              for name in core.PROPERTY_READS[p]}
+             for p in props if _components(core.PROPERTY_READS[p]) & rd.writes}
+    if len(reads) < len(props):
+        reads[None] = leaf_reads | rd.writes
+    return {
+        key: (fields, fields >= {"br", "fo", "fs", "m"},
               "bw" in rd.writes.union(core.PROPERTY_READS.get(key, ())))
-        for key, components in reads.items()}
+        for key, fields in reads.items()}
 
 
 class _RulePlan:
@@ -1035,9 +1067,9 @@ class _RulePlan:
     at the first leaf.
 
     An obligation is *checked* when its property reads a component the rule
-    writes, and *framed* otherwise: the property reads only components the
-    effect leaves as they were, so it holds after the step because it held
-    before.  A checked obligation looks its verdict up in the universe's
+    writes (m for the view ``domM``), and *framed* otherwise: the property
+    reads only components the effect leaves as they were, so it holds after
+    the step because it held before.  A checked obligation looks its verdict up in the universe's
     memo of the property, under the after state's ids of the components the
     property reads, read at their places in ``ids + entry``; on a miss,
     ``after_ids`` picks the after state's five ids out of it for
@@ -1054,28 +1086,33 @@ class _RulePlan:
     filled.  The table of a granted bitset's request indices is the
     universe's, and all rules share it (``_Universe.request_indices``).
 
-    When a rule's guards, writes and checked properties leave out the
-    matrix (``reads_m`` is false), its verdicts on a leaf do not depend on
-    it.  Two subtrees of one (fs, fo) pair with the same known mask then
-    have the same leaves but for the matrix, and the same verdicts on
-    them, so ``sweep`` sweeps the rule on the first of them only.
-    Every leaf first appears in the first subtree of some known mask, so
-    first witnesses and their positions do not change.
-
     A check's verdicts on a row's leaves are a function of its row
-    footprint: the pair and matrix stages' granted mask and the row's ids
-    at the components the leaf guards, ``writes`` and the property read,
-    with bw given by the row's bw mask.  Each check has a track, ``(key
-    bits, passed footprints, walks every leaf, check)``: a row whose
-    footprint is in the set is skipped for the check, and a footprint is
-    added once its row passed.  Tracks with equal key bits share one set,
-    so a row looks each set up once and adds to it once.  When no check is
+    footprint (``_row_footprints``): the pair and matrix stages' granted
+    mask and the row's values of what the leaf guards read and of what the
+    after values the property reads follow from, with bw given by the
+    row's bw mask and an object set the check reads off the row's known
+    mask (``known``) when it need not read the matrix.  Each check has a
+    track, ``(key bits, passed footprints, walks every leaf, check)``: a
+    row whose footprint is in the set is skipped for the check, and a
+    footprint is added once its row passed.  Tracks with equal key bits
+    share one set, so a row looks each set up once and adds to it once.  When no check is
     live the framed obligations have one track, whose footprint is the
     leaf guards' and ``writes``' components: a repeated row would only
     repeat effect calls that ran, and verified the frame, already.  It
     shares the set of the checks with its key bits, since a row they
     passed made every effect call it would make.  A footprint that tells
     every row apart keeps no set.
+
+    Two subtrees of one (fs, fo) pair with the same known mask have the
+    same rows, which differ in the matrix alone.  While no track in use
+    reads m (``every_matrix`` is false; a leaf guard that reads m puts m in
+    every track), two such subtrees whose matrix stages grant the same
+    requests get the same verdicts, and the same effect calls but for the
+    matrix, so ``sweep`` walks the first subtree of each (known mask,
+    granted mask) class only.  A failing leaf first appears in the first
+    subtree of its class, so first witnesses and their positions do not
+    change.  The frame's track reads ``writes``, so a rule that writes m
+    walks every matrix while its frame alone is in use.
     """
 
     def __init__(self, rd: RuleDef, obs, u: _Universe):
@@ -1108,14 +1145,15 @@ class _RulePlan:
         after = [len(_FIELDS) + self.writes.index(i) if i in self.writes else i
                  for i in range(len(_FIELDS))]
         self.after_ids = operator.itemgetter(*after)
-        self.reads_m, self.footprint_reads = _row_footprints(rd, [ob.prop for ob in obs])
+        self.footprint_reads = _row_footprints(rd, [ob.prop for ob in obs])
         self.checked = tuple(
-            (ob, _projection(tuple(after[i] for i in _fields_of(core.PROPERTY_READS[ob.prop]))),
+            (ob, _projection(tuple(
+                after[i] for i in _fields_of(_components(core.PROPERTY_READS[ob.prop])))),
              u.prop_memo[ob.prop], u.props[ob.prop])
             for ob in obs if ob.prop in self.footprint_reads
         )
         self.framed = None in self.footprint_reads
-        # Row footprints: the components a check's verdicts on a row's
+        # Row footprints: the row fields a check's verdicts on a row's
         # leaves depend on, plus the subtree mask.  A footprint's key is the
         # packed row ANDed with the bits of its fields; equal keys share a
         # set, and a footprint that tells apart every row the plan sweeps
@@ -1123,12 +1161,13 @@ class _RulePlan:
         check_of = {check[0].prop: check for check in self.checked}
         sets: dict[int, set] = {}
         self.row_tracks = {}
-        for prop, (components, apart, every_leaf) in self.footprint_reads.items():
+        for prop, (fields, apart, every_leaf) in self.footprint_reads.items():
             key = field_bits["mask"]
-            for name in components:
+            for name in fields:
                 key |= field_bits[name]
             self.row_tracks[prop] = (key, None if apart else sets.setdefault(key, set()),
                                      every_leaf, check_of.get(prop))
+        self.m_bits = field_bits["m"]
         self.live = list(self.checked)
         self._set_tracks()
 
@@ -1138,7 +1177,8 @@ class _RulePlan:
         each group ``(key bits, passed footprints, checks that walk every
         leaf, bw-blind checks, both lists in that order, walks every
         leaf)``, in ``tracks``; a group whose footprint tells every row
-        apart has None for its set."""
+        apart has None for its set.  ``every_matrix`` says whether some
+        group's footprint reads m."""
         groups: dict[int, tuple] = {}
         for prop in [check[0].prop for check in self.live] or [None] * self.framed:
             bits, seen, every_leaf, check = self.row_tracks[prop]
@@ -1148,6 +1188,7 @@ class _RulePlan:
             groups[bits] = (bits, seen, every, blind, walk or every_leaf)
         self.tracks = [(bits, seen, every, blind, every + blind, walk)
                        for bits, seen, every, blind, walk in groups.values()]
+        self.every_matrix = any(bits & self.m_bits for bits in groups)
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -1189,9 +1230,10 @@ class _RulePlan:
         matrices ``m_reps``, in that order.  The pair guard stage runs
         once; when it grants a request, each matrix's stage narrows that
         mask, and the rows of the subtree's hypothesis table are walked
-        when a request is left, in enumeration order.  A rule that does not
-        read the matrix sweeps only the first matrix of each known mask.
-        Stops once no obligation of the rule is left to decide.
+        when a request is left, in enumeration order, unless no track in
+        use reads m and an earlier matrix of the pair had the same known
+        mask and granted mask.  Stops once no obligation of the rule is
+        left to decide.
 
         A row is skipped for every track group whose footprint already
         passed, and swept for the rest: on every granted leaf when one of
@@ -1221,22 +1263,20 @@ class _RulePlan:
         shift = u.row_layout[0]
         br_shift = shift["br"]
         pair_bits = fo_id << shift["fo"] | fs_id << shift["fs"]
-        met = set()  # the known masks swept so far, when the rule ignores m
+        walked = set()  # the (known mask, granted mask) classes walked so far
         for mi in m_reps:
             if not (self.live or self.framed):
                 return
             known = u.m_options[mi][1]
             granted = mask
-            if not self.reads_m:
-                if known in met:
-                    continue
-                met.add(known)
-            elif self.matrix_guards:
+            if self.matrix_guards:
                 granted = _granted(self.matrix_guards, mask, (empty, empty, fo_id, fs_id, mi),
                                    u, reqs)
-            if not granted:
+            if not granted or ((known, granted) in walked and not self.every_matrix):
                 continue
-            base = pair_bits | mi << shift["m"] | granted << shift["mask"]
+            walked.add((known, granted))
+            base = (pair_bits | known << shift["known"] | mi << shift["m"]
+                    | granted << shift["mask"])
             pos = 1  # the position in the subtree of the row's first leaf
             tracks = self.tracks
             for br_id, bw_mask, bw_subs in u.subtree(combo, known)[1]:
@@ -1411,21 +1451,23 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
     the range, so a split rule's tasks cost about the same.
 
     First go the rules with a track in use (the checks', or the frame's
-    when the rule checks none) whose footprint tells every row apart and
-    reads bw, so that every row they admit is swept and its leaves differ
-    (changeClass and deleteObject, whose ``objectUnaccessed`` guard reads
-    br and bw), then the rest in ``RULE_ORDER``.  That is read from the
-    rules' declarations (``_row_footprints``), with no plan built, and is
-    not a measured cost: changeClass takes about 2% of the P0 sweep, and
-    createObject, handed out ninth, is the heaviest rule at S3O3."""
+    when the rule checks none) whose footprint reads m, since they walk
+    every matrix of a pair, not one per (known mask, granted mask) class:
+    rescindRead and rescindWrite, whose range checks read the object set
+    of a matrix they shrink.  The rest follow in ``RULE_ORDER``.  That is
+    read from the rules' declarations (``_row_footprints``), with no plan
+    built, not from measured costs.  With ``--timing`` the two rescind
+    rules take about 40% of the P0 sweep at 1 worker; at S3O3 with 2
+    workers getWrite, getRead and deleteObject take 18-20% each, the
+    rescind rules 15% and 10%, and createObject, handed out ninth, 5%."""
     by_rule: dict[str, list[Obligation]] = {}
     for ob in obligations:
         by_rule.setdefault(ob.rule, []).append(ob)
 
     def light(rule):
-        footprints = _row_footprints(rule_defs[rule], [ob.prop for ob in by_rule[rule]])[1]
+        footprints = _row_footprints(rule_defs[rule], [ob.prop for ob in by_rule[rule]])
         in_use = [key for key in footprints if key is not None] or list(footprints)
-        return not any(footprints[key][1] and "bw" in footprints[key][0] for key in in_use)
+        return not any("m" in footprints[key][0] for key in in_use)
 
     rules = sorted(by_rule, key=light)
     k = min(math.ceil(n_workers / len(rules)), len(u.orbits.reps))

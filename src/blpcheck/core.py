@@ -362,15 +362,18 @@ PROPERTY_FUNCS = {
 }
 
 # State components each property actually inspects; its verdict depends on
-# nothing else (a property test pins this).  The checker skips a property
-# when a transition left those components untouched (it verifies identity,
-# never assumes frame conditions), and otherwise looks its verdict up in a
-# memo keyed by their values.
+# nothing else (a property test pins this).  "domM" is a view of m, not a
+# component: m's object set (``matrix_objects``), all that the two range
+# invariants read of m, so two matrices that own triples of the same
+# objects give them the same verdict.  The checker skips a property when a
+# transition left what it reads untouched (it verifies identity, never
+# assumes frame conditions), and otherwise looks its verdict up in a memo
+# keyed by the components' values, m's for domM.
 PROPERTY_READS = {
     PROPERTY_SECCOND: frozenset({"br", "fo", "fs"}),
     PROPERTY_STARPROP: frozenset({"br", "bw", "fo"}),
     PROPERTY_FO_FUNCTIONAL: frozenset({"fo"}),
     PROPERTY_FS_FUNCTIONAL: frozenset({"fs"}),
-    PROPERTY_RAN_BR: frozenset({"br", "m"}),
-    PROPERTY_RAN_BW: frozenset({"bw", "m"}),
+    PROPERTY_RAN_BR: frozenset({"br", "domM"}),
+    PROPERTY_RAN_BW: frozenset({"bw", "domM"}),
 }

@@ -172,13 +172,19 @@ class RuleDef:
     conjuncts: tuple[Conjunct, ...]
     effect: Callable[[SystemState, Request], SystemState]
     # The components the effect may change, and the only ones its result
-    # depends on: the written components of the after state are a function
-    # of the same components before and of the request.  The checker's
+    # depends on: each written component of the after state is a function
+    # of that same component before and of the request.  The checker's
     # sweep calls the effect once per (request, written components),
     # re-tests only the obligations whose property reads one of them, and
     # verifies on every call that the effect left all other components
     # identical.
     writes: frozenset[str]
+    # Whether the new m's object set (``core.matrix_objects``) is a
+    # function of the old m's object set and of the request, as when the
+    # effect adds or drops triples of the request's object only.  False is
+    # always safe: the checker then reads the whole old m where a property
+    # reads the new object set.
+    object_set_local: bool = False
     # <name>Ok first, then <name>E1..En, one per conjunct
     clause_names: tuple[str, ...] = field(init=False)
     # (conjunct predicate, name of the clause it picks when it fails) in
@@ -415,7 +421,7 @@ RULE_DEFS: dict[str, RuleDef] = {rd.name: rd for rd in (
         _conj("giverHasMode", {"m"}, _gv_giver_has_mode),
         _conj("giverHasCtrl", {"m"}, _gv_giver_has_ctrl),
         _conj("receiverLacksMode", {"m"}, _gv_receiver_lacks_mode),
-    ), _gv_effect, frozenset({"m"})),
+    ), _gv_effect, frozenset({"m"}), object_set_local=True),
     RuleDef("rescindRead", RescindRead, (
         _conj("rescinderHasCtrl", {"m"}, _rsr_has_ctrl),
         _conj("targetHasRead", {"m"}, _rsr_target_has_read),
@@ -430,11 +436,11 @@ RULE_DEFS: dict[str, RuleDef] = {rd.name: rd for rd in (
     ), _cc_effect, frozenset({"fo"})),
     RuleDef("createObject", CreateObject, (
         _conj("objectFresh", {"fo", "m"}, _co_obj_fresh),
-    ), _co_effect, frozenset({"fo", "m"})),
+    ), _co_effect, frozenset({"fo", "m"}), object_set_local=True),
     RuleDef("deleteObject", DeleteObject, (
         _conj("ownerHasCtrl", {"m"}, _do_has_ctrl),
         _conj("objectUnaccessed", {"br", "bw"}, _cc_unaccessed),
-    ), _do_effect, frozenset({"fo", "m"})),
+    ), _do_effect, frozenset({"fo", "m"}), object_set_local=True),
 )}
 
 RULE_ORDER = tuple(RULE_DEFS)

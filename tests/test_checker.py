@@ -334,20 +334,25 @@ def test_id_tables_map_both_ways():
     """After a full sweep, each component's value-to-id table and its list
     of values by id are inverses: every entry maps back to the very same
     object, and every access-set list entry's id to that entry's set.  A
-    state built from ids is the state those ids came from."""
-    u = _Universe(SMALL)
+    state built from ids is the state those ids came from.  At two subjects
+    and two-entry matrices giveRW meets matrices that are no option: every
+    matrix where it grants a request holds the giver's mode and ctrl
+    entries already, so the first one it walks of each (known mask,
+    granted mask) class gets a third."""
+    u = _Universe(BOTH_GROUPS)
     for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
         checker._sweep_range(u, RULE_DEFS, *task)
     m = SystemState._fields.index("m")
     # after states brought matrices that are no option
     assert len(u.id_values[m]) > len(u.m_options)
+    assert max(map(len, u.id_values[m])) > BOTH_GROUPS.max_matrix
     for table, values in zip(u.id_tables, u.id_values):
         assert len(values) == len(table)
         assert all(values[cid] is value for value, cid in table.items())
     access_values = u.id_values[SystemState._fields.index("br")]
     assert all(access_values[cid] == subset
                for subsets in u._access_sets.values() for subset, cid in subsets)
-    for st in enumerate_states(SMALL):
+    for st in enumerate_states(BOTH_GROUPS):
         ids = [u.component_id(i, value) for i, value in enumerate(st)]
         assert u.state(ids) == st
 
@@ -493,7 +498,8 @@ def test_after_ids_map_back_to_the_effect(bounds):
     the hypothesis, with no orbit reduction, the five ids a rule's plan
     picks out of that tuple map back through ``_Universe.state`` to the
     state the rule's effect returns, and each checked property's memo key
-    is those ids at the property's fields.  The sweep skips rows whose
+    is those ids at the property's fields, m's for its view domM.  The
+    sweep skips rows whose
     footprint passed already, and bw-blind checks visit only each
     request's fresh leaf, so entries it left unfilled are filled here the
     way it fills them (``_RulePlan._written``).  Each pair is swept over all
@@ -527,8 +533,11 @@ def test_after_ids_map_back_to_the_effect(bounds):
                     after_ids = plan.after_ids(after)
                     assert u.state(after_ids) == rd.effect(st, req), (rule, st, req)
                     for ob, key, _memo, _pred in plan.checked:
+                        # m stands for its view domM, m's object set
+                        reads = {"m" if name == "domM" else name
+                                 for name in PROPERTY_READS[ob.prop]}
                         want = tuple(after_ids[f] for f, name in enumerate(fields)
-                                     if name in PROPERTY_READS[ob.prop])
+                                     if name in reads)
                         assert key(after) == (want[0] if len(want) == 1 else want)
         assert not any(ob.failed for ob in obs)
     assert granted_pairs > 0
@@ -819,6 +828,57 @@ def test_unmutated_rules_pass_where_mutants_fail():
     assert check_obligations(SMALL, rule="getRead", prop="seccond").all_pass
 
 
+# --- widened declarations ----------------------------------------------------
+
+EVERY_COMPONENT = frozenset(SystemState._fields)
+
+
+def widened_check(b: Bounds, rule_defs=None, **kwargs):
+    """``check_obligations`` with every declaration the sweep reads widened
+    to all five components: each conjunct's ``reads``, each rule's
+    ``writes`` and ``core.PROPERTY_READS``, and no rule's new object set
+    declared to follow from the old one.  Every guard then sits in the
+    leaf stage, every footprint tells every row apart, every rule walks
+    every matrix and every obligation is checked on every granted leaf.
+    The CI workflow holds the widened check at P0 to ``P0_REPORT_SHA256``."""
+    defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
+    wide = {
+        rule: dataclasses.replace(
+            rd, conjuncts=tuple(dataclasses.replace(c, reads=EVERY_COMPONENT)
+                                for c in rd.conjuncts),
+            writes=EVERY_COMPONENT, object_set_local=False)
+        for rule, rd in defs.items()}
+    saved = dict(PROPERTY_READS)
+    PROPERTY_READS.update(dict.fromkeys(PROPERTY_READS, EVERY_COMPONENT))
+    try:
+        return check_obligations(b, rule_defs=wide, **kwargs)
+    finally:
+        PROPERTY_READS.update(saved)
+
+
+def test_widened_declarations_give_the_same_report():
+    """The sweep's declarations only ever narrow what it decides: widening
+    them all to the whole state (``widened_check``) gives the same report
+    bytes, for the shipped rules at two subjects."""
+    b = Bounds(2, 2, 2, 0, 2, 2, 2)
+    report = format_report(check_obligations(b), "machine")
+    assert format_report(widened_check(b), "machine") == report
+    assert PROPERTY_READS["ranBrInDomM"] == frozenset({"br", "domM"})
+
+
+def test_widened_declarations_give_the_same_mutant_reports():
+    """Every single-conjunct mutant's report at ``SMALL``, failing
+    obligations, witnesses and visited-state counts included, is the same
+    under widened declarations."""
+    for rule in RULE_ORDER:
+        for conjunct in RULE_DEFS[rule].conjuncts:
+            defs = {rule: without_conjunct(RULE_DEFS[rule], conjunct.name)}
+            report = format_report(check_obligations(SMALL, rule=rule, rule_defs=defs),
+                                   "machine")
+            widened = format_report(widened_check(SMALL, rule_defs=defs, rule=rule), "machine")
+            assert widened == report, (rule, conjunct.name)
+
+
 # --- the hypothesis census ---------------------------------------------------
 
 # The sweep tests' profiles, one where Sym(categories) acts, and degenerate
@@ -899,14 +959,23 @@ def test_refused_subtrees_are_never_listed(monkeypatch):
     assert len(listed) == 1
 
 
-@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
+@pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS, Bounds(1, 2, 2, 0, 2, 2, 3)],
+                         ids=["one-subject", "two-subjects", "three-entries"])
 def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypatch):
-    """changeClass reads, writes and checks nothing of the matrix, and two
-    subtrees of one (fs, fo) pair with the same known mask have the same
-    leaves but for the matrix, so it is swept on the first of them only.
-    getRead reads the matrix, so it is swept on every subtree its pair and
-    matrix guard stages admit, repeated known masks included.  A rule
-    fetches a subtree's hypothesis table exactly when it walks its rows."""
+    """Two subtrees of one (fs, fo) pair with the same known mask have the
+    same leaves but for the matrix.  A rule none of whose footprints in use
+    reads m gets the same verdicts on two such subtrees whose matrix guard
+    stages grant the same requests, so it walks the first of each (known
+    mask, granted mask) class only.  changeClass has no matrix guards, so
+    it walks each known mask once.  getRead's matrix guard reads m, but its
+    checks read m's object set at most, so it walks one subtree per class,
+    fewer than the subtrees its pair and matrix stages admit.  rescindRead
+    checks ranBrInDomM on a matrix it shrinks, whose new object set follows
+    from the whole old matrix only, so it is swept on every subtree its
+    guard stages admit, repeated classes included; with two-entry
+    matrices every subtree it admits holds just the two triples its guards
+    ask for, so only three-entry matrices repeat a class.  A rule fetches a
+    subtree's hypothesis table exactly when it walks its rows."""
     swept = []
     current = []
     subtree = _Universe.subtree
@@ -924,15 +993,21 @@ def test_rules_that_skip_the_matrix_sweep_each_known_mask_once(bounds, monkeypat
     assert known("changeClass")
     assert len(set(known("changeClass"))) == len(known("changeClass"))
 
-    plan = checker._RulePlan(RULE_DEFS["getRead"], [], u)
-    admitted = [
-        (combo, u.m_options[mi][1])
-        for combo in u.orbits.reps
-        for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]
-        if admitted_mask(plan, u, combo, mi)
-    ]
-    assert known("getRead") == admitted
-    assert len(set(known("getRead"))) < len(admitted)
+    def admitted(rule):
+        """Per admitted subtree, in sweep order: its pair, its known mask
+        and the requests its guard stages grant."""
+        plan = checker._RulePlan(RULE_DEFS[rule], [], u)
+        return [(combo, u.m_options[mi][1], admitted_mask(plan, u, combo, mi))
+                for combo in u.orbits.reps
+                for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]
+                if admitted_mask(plan, u, combo, mi)]
+
+    classes = list(dict.fromkeys(admitted("getRead")))
+    assert known("getRead") == [(combo, known) for combo, known, _mask in classes]
+    assert len(classes) < len(admitted("getRead"))
+    every = [(combo, known) for combo, known, _mask in admitted("rescindRead")]
+    assert known("rescindRead") == every
+    assert (len(set(admitted("rescindRead"))) < len(every)) == (bounds.max_matrix > 2)
 
 
 @pytest.mark.parametrize("rule", ["giveRW", "rescindRead", "rescindWrite", "createObject"])
@@ -992,16 +1067,19 @@ def test_rules_without_leaf_guards_call_no_guard_per_leaf(rule, monkeypatch):
 @pytest.mark.parametrize("bounds", [SMALL, BOTH_GROUPS], ids=["one-subject", "two-subjects"])
 def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
     """A check's verdicts on a row's leaves depend only on its row
-    footprint: the subtree stage's granted mask and the row's ids at the
-    components its leaf guards, its effect and its property read, bw by
-    the row's bw mask.  So a row is swept for a check only while its
-    footprint has not passed, and a footprint is recorded once, after its
-    row passed.  Tracks whose footprints have equal key bits share one
-    set, which a visited row looks up once and adds to at most once.
-    releaseRead and releaseWrite, whose footprints leave out most of a
-    leaf, sweep fewer rows than they visit.  In changeClass and
-    deleteObject the seccond footprint reads the whole leaf and keeps no
-    set, and the other checks and the frame share one."""
+    footprint (``_row_footprints``): the subtree stage's granted mask and
+    the row's values of what its leaf guards read and of what the after
+    values its property reads follow from, bw by the row's bw mask and m's
+    object set by the known mask.  So a row is swept for a check only
+    while its footprint has not passed, and a footprint is recorded once,
+    after its row passed.  For every rule, the tracks whose footprints
+    read the same fields share one set and the others none, a footprint
+    that tells every row apart keeps no set, and every visited row looks
+    each check's set up once and adds to it at most once.  releaseRead and
+    releaseWrite, whose footprints leave out most of a leaf, sweep fewer
+    rows than they visit.  deleteObject's two range checks share a set
+    keyed by the known mask, since its new matrix's object set follows from
+    the old one, while its frame's set is keyed by the matrix."""
 
     class Footprints(set):
         visits = 0
@@ -1015,10 +1093,16 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
             super().add(key)
 
     visited = collections.Counter()
+    swept = collections.Counter()
     current = []
     subtree = _Universe.subtree
     init = checker._RulePlan.__init__
     tracks = {}
+
+    class LeafStage(dict):
+        def get(self, key, default=None):
+            swept[current[-1][0]] += 1  # a row is swept: its leaves are looked up
+            return super().get(key, default)
 
     def counting(u, combo, known):
         table = subtree(u, combo, known)
@@ -1033,6 +1117,7 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
             prop: (key, None if seen is None else made.setdefault(id(seen), Footprints()), *rest)
             for prop, (key, seen, *rest) in plan.row_tracks.items()}
         plan._set_tracks()
+        plan.leaf_stage = LeafStage()
         tracks[plan.rule] = plan.row_tracks
 
     _entering(monkeypatch, current)
@@ -1055,19 +1140,28 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
         return list({id(seen): seen for prop, (_key, seen, *_) in tracks[rule].items()
                      if prop is not None and seen is not None}.values())
 
+    for rule, row_tracks in tracks.items():
+        footprints = checker._row_footprints(RULE_DEFS[rule], PROPERTY_ORDER)
+        assert row_tracks.keys() == footprints.keys(), rule
+        for a, (fields_a, apart_a, _walk) in footprints.items():
+            assert (row_tracks[a][1] is None) == apart_a, (rule, a)
+            for b, (fields_b, apart_b, _walk) in footprints.items():
+                if not (apart_a or apart_b):
+                    assert (row_tracks[a][1] is row_tracks[b][1]) == (fields_a == fields_b)
+        # every visited row asks each check's set once; a row swept passed,
+        # so it added its footprint
+        assert checks(rule), rule
+        assert all(len(s) <= s.visits == visited[rule] for s in checks(rule)), rule
+        # giveRW at one subject, whose pair stage grants nothing, visits none
+        assert all(bool(s) == (visited[rule] > 0) for s in checks(rule)), rule
+        assert max(map(len, checks(rule))) <= swept[rule] <= visited[rule]
     for rule in ("releaseRead", "releaseWrite"):
-        # every visited row asks each check's set once; every row swept
-        # passed, so it added its footprint to some set
-        assert checks(rule)
-        assert all(s.visits == visited[rule] > 0 for s in checks(rule))
-        assert sum(map(len, checks(rule))) < visited[rule]
-    for rule in ("changeClass", "deleteObject"):
-        [shared] = checks(rule)
-        assert tracks[rule]["seccond"][1] is None
-        assert all(seen is shared for prop, (_key, seen, *_) in tracks[rule].items()
-                   if prop != "seccond")
-        assert None in tracks[rule]
-        assert 0 < len(shared) <= shared.visits == visited[rule]
+        assert swept[rule] < visited[rule]
+    deletes = tracks["deleteObject"]
+    assert deletes["ranBrInDomM"][1] is deletes["ranBwInDomM"][1] is not None
+    assert not deletes["ranBrInDomM"][0] & u.row_layout[1]["m"]
+    assert deletes["ranBrInDomM"][0] & u.row_layout[1]["known"]
+    assert deletes[None][0] & u.row_layout[1]["m"]
 
 
 def _writes_something(st, _req):
@@ -1117,7 +1211,7 @@ def test_bw_blind_checks_fail_on_a_later_leaf(rule, guard):
     kept = [c for c in rd.conjuncts if c.name != "objectUnaccessed"]
     defs = {rule: dataclasses.replace(
         rd, conjuncts=(*kept, Conjunct(guard.__name__, frozenset({"bw"}), guard)))}
-    _reads_m, footprints = checker._row_footprints(defs[rule], ["seccond"])
+    footprints = checker._row_footprints(defs[rule], ["seccond"])
     assert not footprints["seccond"][2]  # seccond does not walk every leaf
     report = check_obligations(SMALL, rule=rule, rule_defs=defs)
     naive, states = naive_check(SMALL, rule_defs=defs, rules=(rule,))
@@ -1182,9 +1276,11 @@ def test_leaf_stage_is_decided_once_per_key(bounds, monkeypatch):
             fs_id, fo_id = divmod(combo, n_fo)
             for mi in u.orbits.m_reps[u.orbits.stabiliser[combo]]:
                 mask = admitted_mask(plan, u, combo, mi)
-                for br_id, bw_mask, bw_subs in u.subtree(combo, u.m_options[mi][1])[1]:
+                known = u.m_options[mi][1]
+                for br_id, bw_mask, bw_subs in u.subtree(combo, known)[1]:
                     row = (fo_id << shift["fo"] | fs_id << shift["fs"] | mi << shift["m"]
-                           | mask << shift["mask"] | bw_mask | br_id << shift["br"])
+                           | known << shift["known"] | mask << shift["mask"] | bw_mask
+                           | br_id << shift["br"])
                     key = row & plan.leaf_key
                     if not mask or key not in plan.leaf_stage:
                         continue
@@ -1313,11 +1409,12 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
     has workers, and is otherwise split into ceil(workers / rules) strides
     of the representative pairs, none of them empty, that cover every
     representative pair exactly once.  The heaviest rules come first,
-    those with a track in use that keeps no footprint set, since its key
-    tells every row apart, and whose key reads bw, since the row's leaves
-    differ; the rest follow in ``RULE_ORDER``.  With all sixty obligations
-    changeClass and deleteObject lead.  No plan is built to find that
-    order."""
+    those with a track in use whose footprint reads m, since they walk
+    every matrix of a pair, not one per (known mask, granted mask) class;
+    the rest follow in ``RULE_ORDER``.  With all sixty obligations
+    rescindRead and rescindWrite lead.  With starprop alone giveRW leads:
+    it frames starprop, and its frame's footprint holds the m it writes.
+    No plan is built to find that order."""
     u = _Universe(SMALL)
     n_reps = len(u.orbits.reps)
     selections = [checker.ALL_OBLIGATIONS,
@@ -1328,13 +1425,8 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
         selected = {}
         for ob in obligations:
             selected.setdefault(ob.rule, []).append(ob)
-        bw_bits = u.row_layout[1]["bw"]
-        heavy = []
-        for rule in selected:
-            plan = checker._RulePlan(
-                RULE_DEFS[rule], [checker._ObState(*ob) for ob in selected[rule]], u)
-            if any(seen is None and key & bw_bits for key, seen, *_ in plan.tracks):
-                heavy.append(rule)
+        heavy = [rule for rule in selected if checker._RulePlan(
+            RULE_DEFS[rule], [checker._ObState(*ob) for ob in selected[rule]], u).every_matrix]
         for workers in (1, 2, 4, 8, 16):
             tasks = _sweep_tasks(u, RULE_DEFS, obligations, workers)
             rules = list(dict.fromkeys(task[0][0].rule for task in tasks))
@@ -1353,7 +1445,8 @@ def test_sweep_tasks_by_rule_heaviest_first(monkeypatch):
             # a rule's tasks are consecutive
             assert [task[0][0].rule for task in tasks] == [r for r in rules for _ in strides]
         orders.append(rules)
-    assert orders[0][:2] == ["changeClass", "deleteObject"]
+    assert orders[0][:3] == ["rescindRead", "rescindWrite", "getRead"]
+    assert orders[1] == ["giveRW"] + [r for r in RULE_ORDER if r != "giveRW"]
 
     def no_plan(*_args):
         raise AssertionError("a plan built to order the rules")

@@ -38,6 +38,7 @@ from blpcheck.core import (
     WRITE,
     class_leq,
     lookup_class,
+    matrix_objects,
 )
 from blpcheck.rules import (
     FIELD_CLASS,
@@ -341,6 +342,16 @@ def _outside(st_a, st_b, comps):
     )
 
 
+def _same_objects(st_a, st_b):
+    """``st_a`` with another matrix that owns triples of the same objects:
+    ``st_b``'s triples of ``st_a``'s matrix objects, and ``st_a``'s own
+    triples of the objects that ``st_b``'s matrix leaves out."""
+    objects = matrix_objects(st_a)
+    kept = [t for t in st_b.m if t[0] in objects]
+    missing = objects - {o for o, _s, _x in kept}
+    return st_a._replace(m=make_state(m=kept + [t for t in st_a.m if t[0] in missing]).m)
+
+
 @given(well_formed_states(), well_formed_states(), all_requests())
 def test_conjunct_reads_are_honest(st_a, st_b, req):
     """Replacing components a conjunct does not read never changes it.
@@ -356,29 +367,71 @@ def test_conjunct_reads_are_honest(st_a, st_b, req):
 @given(relational_states(), relational_states())
 def test_property_reads_are_honest(st_a, st_b):
     """Replacing the components an invariant does not read never changes
-    its verdict.  The checker keys its memo of invariant verdicts on
-    ``core.PROPERTY_READS``, and decides an obligation whose property reads
-    nothing the rule writes from the frame alone."""
+    its verdict, and neither does replacing m by a matrix with the same
+    object set when the invariant reads only that view of m (``domM``).
+    The checker keys its memo of invariant verdicts on
+    ``core.PROPERTY_READS``, decides an obligation whose property reads
+    nothing the rule writes from the frame alone, and reads a matrix's
+    known mask in place of the matrix where only ``domM`` is read."""
     preds = {**PROPERTY_FUNCS, "strict": strict_star_prop}
     reads = {**PROPERTY_READS, "strict": PROPERTY_READS[PROPERTY_STARPROP]}
     for name, pred in preds.items():
-        assert pred(st_a) == pred(_outside(st_a, st_b, reads[name])), name
+        comps = {"m" if comp == "domM" else comp for comp in reads[name]}
+        assert pred(st_a) == pred(_outside(st_a, st_b, comps)), name
+        if "m" not in reads[name]:
+            assert pred(st_a) == pred(_same_objects(st_a, st_b)), name
 
 
 @settings(deadline=None)  # each example runs every request
 @given(st.one_of(relational_states(), well_formed_states()),
        st.one_of(relational_states(), well_formed_states()))
 def test_effects_depend_only_on_their_writes(st_a, st_b):
-    """A rule's effect computes the components it writes from those same
-    components and the request alone.  The checker calls each effect once
+    """A rule's effect computes each component it writes from that same
+    component and the request alone.  The checker calls each effect once
     per (request, written components) and reuses the result on every state
-    that shares them."""
+    that shares them, and a check's footprint reads a written component's
+    old value for its new one."""
     for req in EVERY_REQUEST:
         rd = RULE_DEFS[RULE_OF_REQUEST[type(req)]]
         after = rd.effect(st_a, req)
-        merged_after = rd.effect(_outside(st_a, st_b, rd.writes), req)
         for comp in rd.writes:
+            merged_after = rd.effect(_outside(st_a, st_b, {comp}), req)
             assert getattr(merged_after, comp) == getattr(after, comp), (comp, req)
+
+
+@settings(deadline=None)  # each example runs every request
+@given(st.one_of(relational_states(), well_formed_states()),
+       st.one_of(relational_states(), well_formed_states()))
+def test_new_object_sets_follow_from_the_old(st_a, st_b):
+    """A rule that declares ``object_set_local`` computes its new matrix's
+    object set from the old matrix's object set and the request alone: a
+    matrix with the same objects gives the same new object set.  The
+    checker then keys the footprint of a check that reads the new object
+    set by the old matrix's known mask, not by the matrix."""
+    same = _same_objects(st_a, st_b)
+    assert matrix_objects(same) == matrix_objects(st_a)
+    for req in EVERY_REQUEST:
+        rd = RULE_DEFS[RULE_OF_REQUEST[type(req)]]
+        if rd.object_set_local:
+            assert (matrix_objects(rd.effect(same, req))
+                    == matrix_objects(rd.effect(st_a, req))), req
+
+
+def test_rescinds_keep_no_object_set_local():
+    """Only giveRW, createObject and deleteObject declare
+    ``object_set_local``.  A rescind drops one triple, which takes its
+    object out of the object set only when the object owns no other
+    triple, so its new object set needs the whole old matrix."""
+    assert {rd.name for rd in RULE_DEFS.values() if rd.object_set_local} == {
+        "giveRW", "createObject", "deleteObject"}
+    for req, mode in ((RescindRead("s1", "s1", "o1"), READ),
+                      (RescindWrite("s1", "s1", "o1"), WRITE)):
+        rd = RULE_DEFS[RULE_OF_REQUEST[type(req)]]
+        alone = make_state(m=[("o1", "s1", mode)])
+        with_ctrl = make_state(m=[("o1", "s1", mode), ("o1", "s1", CTRL)])
+        assert matrix_objects(alone) == matrix_objects(with_ctrl)
+        assert not matrix_objects(rd.effect(alone, req))
+        assert matrix_objects(rd.effect(with_ctrl, req)) == {"o1"}
 
 
 @settings(deadline=None)  # each example runs every request
