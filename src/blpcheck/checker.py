@@ -74,24 +74,22 @@ matrix stages grant the same requests, and walks only the first subtree
 of each (known mask, granted mask) *class*; otherwise it walks every
 matrix.  A failing leaf first appears in the first subtree of its class,
 so first witnesses and their positions do not change.
-Each check keeps the footprints whose rows it passed, per task, checks
-with the same footprint fields in one set, and a row is swept only for the
-checks whose footprint is new.  A footprint is recorded after its row
-passes, so first witnesses and their positions do not change.  A row's
+The checks whose footprints read the same fields make one *track group*,
+which keeps the footprints of the rows it passed in one set, per task.  A
+row is tested against each group in turn, and walked for a group only
+when its footprint there is new; the footprint is recorded after that
+walk, so first witnesses and their positions do not change.  A row's
 leaf guards are decided once per *leaf-stage key* (the granted mask, the
 bw mask and the row's other ids that the leaf guards read), as the row's
 granted leaves, each with its *fresh* requests, those no earlier leaf of
 the row granted.  A check whose after-state key cannot read bw (its
 property reads no bw and the rule writes none) has one verdict per
 request on a row, so it is decided only at each request's fresh leaf;
-the others at every granted leaf.  At P0 one worker walks 38,944
-(pair, class) subtrees over all rules, visits their 114,960 rows and skips
-81,857 of them for every check, builds leaf-stage entries for 3,814
-distinct keys from 30,303 leaves (3,532 keys and 28,725 leaves for the
-six rules with leaf guards), and walks 73,967 granted leaves.  Every
-effect call verifies that the components outside ``writes`` are left
-identical, and a failing obligation's witness comes from a real effect
-call on its leaf.
+the others at every granted leaf.  README gives the measured counts of
+subtrees, rows and leaves at the default profile.  Every effect call
+verifies that the components outside ``writes`` are left identical, and
+a failing obligation's witness comes from a real effect call on its
+leaf.
 Since the effect memo is keyed by ``writes``, an undeclared write stops
 the sweep with an error only when it shows on the first leaf the effect
 runs on per (ids of ``writes``, request) that the sweep walks; one that
@@ -1004,9 +1002,10 @@ def _row_footprints(rd: RuleDef, props: Sequence[str]) -> dict:
     properties ``props``, from its declarations alone: conjunct ``reads``,
     ``writes``, ``object_set_local`` and ``core.PROPERTY_READS``.  Per
     property the rule checks, and under None for the frame when it frames
-    one of ``props``, ``(fields, apart, every_leaf)``: the row fields the
-    footprint reads; whether they tell apart every row the rule can sweep
-    (br, fo, fs and m); and whether the track walks every leaf of a row.
+    one of ``props``, ``(fields, every_leaf)``: the row fields the
+    footprint reads, and whether the track walks every leaf of a row.
+    Tracks with equal fields make one group of the sweep
+    (``_RulePlan._set_tracks``).
 
     A check's footprint holds the components its leaf guards read, and for
     each component the property reads, what its after value follows from.
@@ -1028,10 +1027,8 @@ def _row_footprints(rd: RuleDef, props: Sequence[str]) -> dict:
              for p in props if _components(core.PROPERTY_READS[p]) & rd.writes}
     if len(reads) < len(props):
         reads[None] = leaf_reads | rd.writes
-    return {
-        key: (fields, fields >= {"br", "fo", "fs", "m"},
-              "bw" in rd.writes.union(core.PROPERTY_READS.get(key, ())))
-        for key, fields in reads.items()}
+    return {key: (fields, "bw" in rd.writes.union(core.PROPERTY_READS.get(key, ())))
+            for key, fields in reads.items()}
 
 
 class _RulePlan:
@@ -1091,17 +1088,17 @@ class _RulePlan:
     mask and the row's values of what the leaf guards read and of what the
     after values the property reads follow from, with bw given by the
     row's bw mask and an object set the check reads off the row's known
-    mask (``known``) when it need not read the matrix.  Each check has a
-    track, ``(key bits, passed footprints, walks every leaf, check)``: a
-    row whose footprint is in the set is skipped for the check, and a
-    footprint is added once its row passed.  Tracks with equal key bits
-    share one set, so a row looks each set up once and adds to it once.  When no check is
-    live the framed obligations have one track, whose footprint is the
-    leaf guards' and ``writes``' components: a repeated row would only
-    repeat effect calls that ran, and verified the frame, already.  It
-    shares the set of the checks with its key bits, since a row they
-    passed made every effect call it would make.  A footprint that tells
-    every row apart keeps no set.
+    mask (``known``) when it need not read the matrix.  The checks whose
+    footprints read the same fields make one track group (``_set_tracks``),
+    with one set of the footprints whose rows it passed: a row whose
+    footprint is in the set is not walked for the group, and a footprint
+    is added once its row was walked for the group.  When no check is live
+    the framed obligations make the one group, whose footprint is the leaf
+    guards' and ``writes``' components: a repeated row would only repeat
+    effect calls that ran, and verified the frame, already.  ``passed``
+    keeps one set per key bits, so the frame's group takes the set of the
+    checks with its key bits, since a row they passed made every effect
+    call it would make.
 
     Two subtrees of one (fs, fo) pair with the same known mask have the
     same rows, which differ in the matrix alone.  While no track in use
@@ -1153,42 +1150,33 @@ class _RulePlan:
             for ob in obs if ob.prop in self.footprint_reads
         )
         self.framed = None in self.footprint_reads
-        # Row footprints: the row fields a check's verdicts on a row's
-        # leaves depend on, plus the subtree mask.  A footprint's key is the
-        # packed row ANDed with the bits of its fields; equal keys share a
-        # set, and a footprint that tells apart every row the plan sweeps
-        # keeps none.
-        check_of = {check[0].prop: check for check in self.checked}
-        sets: dict[int, set] = {}
-        self.row_tracks = {}
-        for prop, (fields, apart, every_leaf) in self.footprint_reads.items():
-            key = field_bits["mask"]
-            for name in fields:
-                key |= field_bits[name]
-            self.row_tracks[prop] = (key, None if apart else sets.setdefault(key, set()),
-                                     every_leaf, check_of.get(prop))
-        self.m_bits = field_bits["m"]
+        self.passed: dict[int, set] = {}  # passed footprints, per key bits
         self.live = list(self.checked)
         self._set_tracks()
 
     def _set_tracks(self) -> None:
-        """Group the tracks in use (the live checks', or the frame's when no
-        check is live but the plan has framed obligations) by key bits,
-        each group ``(key bits, passed footprints, checks that walk every
-        leaf, bw-blind checks, both lists in that order, walks every
-        leaf)``, in ``tracks``; a group whose footprint tells every row
-        apart has None for its set.  ``every_matrix`` says whether some
-        group's footprint reads m."""
+        """Group the tracks in use, the live checks' or, when no check is
+        live but the plan has framed obligations, the frame's, by the key
+        bits of their footprint fields (``_row_footprints``) and the subtree
+        mask, as ``tracks``: per group ``(key bits, passed footprints,
+        checks that walk every leaf, those followed by the bw-blind checks,
+        walks every leaf)``.  A group's set is the one ``passed`` keeps for
+        its key bits, so a regrouping keeps the footprints that passed.
+        ``every_matrix`` says whether some group's footprint reads m."""
+        field_bits = self.universe.row_layout[1]
         groups: dict[int, tuple] = {}
-        for prop in [check[0].prop for check in self.live] or [None] * self.framed:
-            bits, seen, every_leaf, check = self.row_tracks[prop]
-            _bits, _seen, every, blind, walk = groups.get(bits, (bits, seen, [], [], False))
+        for check in self.live or [None] * self.framed:
+            fields, every_leaf = self.footprint_reads[check[0].prop if check else None]
+            bits = field_bits["mask"]
+            for name in fields:
+                bits |= field_bits[name]
+            every, blind, walk = groups.get(bits, ([], [], False))
             if check:
                 (every if every_leaf else blind).append(check)
-            groups[bits] = (bits, seen, every, blind, walk or every_leaf)
-        self.tracks = [(bits, seen, every, blind, every + blind, walk)
-                       for bits, seen, every, blind, walk in groups.values()]
-        self.every_matrix = any(bits & self.m_bits for bits in groups)
+            groups[bits] = (every, blind, walk or every_leaf)
+        self.tracks = [(bits, self.passed.setdefault(bits, set()), every, every + blind, walk)
+                       for bits, (every, blind, walk) in groups.items()]
+        self.every_matrix = any(bits & field_bits["m"] for bits in groups)
 
     def _apply(self, st: SystemState, j: int) -> SystemState:
         """The effect of request ``j`` on ``st``, its frame verified."""
@@ -1235,14 +1223,17 @@ class _RulePlan:
         mask and granted mask.  Stops once no obligation of the rule is
         left to decide.
 
-        A row is skipped for every track group whose footprint already
-        passed, and swept for the rest: on every granted leaf when one of
-        them walks every leaf, on the fresh leaves alone otherwise.  Its
-        granted leaves come from ``leaf_stage``.  Each request of a walked
-        leaf gets its effect memo entry, and the checks are decided on it:
-        those that walk every leaf always, the bw-blind ones where the
-        request is fresh.  The row's footprint is then recorded in every
-        group it was swept for.  The sweep handles ids only: a state is
+        Each row is tested against each track group in turn.  A group
+        whose footprint of the row already passed skips it; for any other
+        the row's granted leaves, which come from ``leaf_stage`` at the
+        first group that walks the row, are walked for the group: every
+        granted leaf when one of its tracks walks every leaf
+        (``_row_footprints``), the fresh leaves alone otherwise.  Each request of a walked leaf gets its
+        effect memo entry, and the group's checks are decided on it: those
+        that walk every leaf always, the bw-blind ones where the request is
+        fresh.  The row's footprint is then added to the group's set.  A
+        failed check leaves its group's lists at once, and the groups are
+        rebuilt for the next row.  The sweep handles ids only: a state is
         built, by ``u.state``, only for a memo miss or a witness.  Failures
         record the first witness, its after state from a real effect call,
         at (``combo``, the matrix, the leaf's position in the subtree)."""
@@ -1281,60 +1272,56 @@ class _RulePlan:
             tracks = self.tracks
             for br_id, bw_mask, bw_subs in u.subtree(combo, known)[1]:
                 row = base | bw_mask | br_id << br_shift
-                due = [g for g in tracks if g[1] is None or row & g[0] not in g[1]]
-                if not due:
-                    pos += len(bw_subs)
-                    continue
-                if len(due) == 1:
-                    _bits, _seen, every, _blind, both, walk = due[0]
-                else:
-                    every = [c for g in due for c in g[2]]
-                    both = every + [c for g in due for c in g[3]]
-                    walk = any(g[5] for g in due)
-                leaves = stage.get(row & leaf_key)
-                if leaves is None:
-                    leaves = stage[row & leaf_key] = self._leaf_stage(
-                        granted, bw_subs, br_id, fo_id, fs_id, mi)
-                for i, leaf_mask, fresh in leaves:
-                    js = leaf_mask if walk else fresh
-                    if not js:
+                leaves = None
+                # a failure regroups ``tracks`` for the next row; this row
+                # keeps the groups it started with
+                for bits, seen, every, both, walk in tracks:
+                    footprint = row & bits
+                    if footprint in seen:
                         continue
-                    ids = (br_id, bw_subs[i][1], fo_id, fs_id, mi)
-                    wkey = write_key(ids)
-                    entries = effects.get(wkey)
-                    if entries is None:
-                        entries = effects[wkey] = [None] * len(reqs)
-                    for j in indices.get(js) or _bit_indices(indices, js):
-                        entry = entries[j]
-                        if entry is None:
-                            entry = entries[j] = self._written(u.state(ids), j)
-                        checks = both if fresh >> j & 1 else every
-                        if not checks:
+                    if leaves is None:
+                        leaves = stage.get(row & leaf_key)
+                        if leaves is None:
+                            leaves = stage[row & leaf_key] = self._leaf_stage(
+                                granted, bw_subs, br_id, fo_id, fs_id, mi)
+                    for i, leaf_mask, fresh in leaves:
+                        js = leaf_mask if walk else fresh
+                        if not js:
                             continue
-                        after = ids + entry
-                        failed = False
-                        for ob, key, memo, pred in checks:
-                            k = key(after)
-                            ok = memo.get(k)
-                            if ok is None:
-                                try:
-                                    ok = memo[k] = bool(pred(u.state(after_ids(after))))
-                                except Exception as e:
-                                    raise _evaluation_failure(u.state(ids), reqs[j]) from e
-                            if not ok:
-                                st = u.state(ids)
-                                ob.failed = failed = True
-                                ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
-                                ob.fail_at = (combo, mi, pos + i)
-                        if failed:
-                            self.live = [c for c in self.live if not c[0].failed]
-                            self._set_tracks()
-                            tracks = self.tracks
-                            every = [c for c in every if not c[0].failed]
-                            both = [c for c in both if not c[0].failed]
-                for bits, seen, *_ in due:
-                    if seen is not None:
-                        seen.add(row & bits)
+                        ids = (br_id, bw_subs[i][1], fo_id, fs_id, mi)
+                        wkey = write_key(ids)
+                        entries = effects.get(wkey)
+                        if entries is None:
+                            entries = effects[wkey] = [None] * len(reqs)
+                        for j in indices.get(js) or _bit_indices(indices, js):
+                            entry = entries[j]
+                            if entry is None:
+                                entry = entries[j] = self._written(u.state(ids), j)
+                            checks = both if fresh >> j & 1 else every
+                            if not checks:
+                                continue
+                            after = ids + entry
+                            failed = False
+                            for ob, key, memo, pred in checks:
+                                k = key(after)
+                                ok = memo.get(k)
+                                if ok is None:
+                                    try:
+                                        ok = memo[k] = bool(pred(u.state(after_ids(after))))
+                                    except Exception as e:
+                                        raise _evaluation_failure(u.state(ids), reqs[j]) from e
+                                if not ok:
+                                    st = u.state(ids)
+                                    ob.failed = failed = True
+                                    ob.witness = Witness(st, reqs[j], self._apply(st, j), ob.prop)
+                                    ob.fail_at = (combo, mi, pos + i)
+                            if failed:
+                                self.live = [c for c in self.live if not c[0].failed]
+                                self._set_tracks()
+                                tracks = self.tracks
+                                every = [c for c in every if not c[0].failed]
+                                both = [c for c in both if not c[0].failed]
+                    seen.add(footprint)
                 pos += len(bw_subs)
 
 
@@ -1456,10 +1443,7 @@ def _sweep_tasks(u: _Universe, rule_defs: dict[str, RuleDef], obligations,
     rescindRead and rescindWrite, whose range checks read the object set
     of a matrix they shrink.  The rest follow in ``RULE_ORDER``.  That is
     read from the rules' declarations (``_row_footprints``), with no plan
-    built, not from measured costs.  With ``--timing`` the two rescind
-    rules take about 40% of the P0 sweep at 1 worker; at S3O3 with 2
-    workers getWrite, getRead and deleteObject take 18-20% each, the
-    rescind rules 15% and 10%, and createObject, handed out ninth, 5%."""
+    built, not from measured costs; README gives the measured shares."""
     by_rule: dict[str, list[Obligation]] = {}
     for ob in obligations:
         by_rule.setdefault(ob.rule, []).append(ob)

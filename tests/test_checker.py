@@ -838,8 +838,10 @@ def widened_check(b: Bounds, rule_defs=None, **kwargs):
     to all five components: each conjunct's ``reads``, each rule's
     ``writes`` and ``core.PROPERTY_READS``, and no rule's new object set
     declared to follow from the old one.  Every guard then sits in the
-    leaf stage, every footprint tells every row apart, every rule walks
-    every matrix and every obligation is checked on every granted leaf.
+    leaf stage, every footprint reads every row field, so all of a rule's
+    checks make one track group whose set keeps every walked row's key,
+    every rule walks every matrix and every obligation is checked on
+    every granted leaf.
     The CI workflow holds the widened check at P0 to ``P0_REPORT_SHA256``."""
     defs = dict(RULE_DEFS) if rule_defs is None else {**RULE_DEFS, **rule_defs}
     wide = {
@@ -1070,26 +1072,33 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
     footprint (``_row_footprints``): the subtree stage's granted mask and
     the row's values of what its leaf guards read and of what the after
     values its property reads follow from, bw by the row's bw mask and m's
-    object set by the known mask.  So a row is swept for a check only
-    while its footprint has not passed, and a footprint is recorded once,
-    after its row passed.  For every rule, the tracks whose footprints
-    read the same fields share one set and the others none, a footprint
-    that tells every row apart keeps no set, and every visited row looks
-    each check's set up once and adds to it at most once.  releaseRead and
-    releaseWrite, whose footprints leave out most of a leaf, sweep fewer
-    rows than they visit.  deleteObject's two range checks share a set
+    object set by the known mask.  So a row is walked for a track group
+    only while the group's footprint of it has not passed, and that
+    footprint is recorded once, after the row was walked for the group.
+    For every rule, the checks whose footprints read the same fields make
+    one group with one set, the plan's set for those key bits; every
+    visited row looks each group's set up once, and a set gets only the
+    footprint of a row just found new to it.  A row's leaves are looked up
+    once if it is new to some group, so the rows walked number at least
+    the largest set and at most the sets' sum.  releaseRead and
+    releaseWrite, whose footprints leave out most of a leaf, walk fewer
+    rows than they visit.  deleteObject's two range checks share a group
     keyed by the known mask, since its new matrix's object set follows from
-    the old one, while its frame's set is keyed by the matrix."""
+    the old one, while its frame's footprint reads the matrix."""
 
     class Footprints(set):
         visits = 0
+        missed = None
 
         def __contains__(self, key):
             self.visits += 1
-            return super().__contains__(key)
+            found = super().__contains__(key)
+            self.missed = None if found else key
+            return found
 
         def add(self, key):
-            assert not super().__contains__(key), key
+            assert key == self.missed and not super().__contains__(key), key
+            self.missed = None
             super().add(key)
 
     visited = collections.Counter()
@@ -1097,11 +1106,11 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
     current = []
     subtree = _Universe.subtree
     init = checker._RulePlan.__init__
-    tracks = {}
+    plans = {}
 
     class LeafStage(dict):
         def get(self, key, default=None):
-            swept[current[-1][0]] += 1  # a row is swept: its leaves are looked up
+            swept[current[-1][0]] += 1  # a row is walked: its leaves are looked up
             return super().get(key, default)
 
     def counting(u, combo, known):
@@ -1112,13 +1121,10 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
 
     def with_footprints(plan, *args):
         init(plan, *args)
-        made = {}
-        plan.row_tracks = {
-            prop: (key, None if seen is None else made.setdefault(id(seen), Footprints()), *rest)
-            for prop, (key, seen, *rest) in plan.row_tracks.items()}
+        plan.passed = {bits: Footprints() for bits in plan.passed}
         plan._set_tracks()
         plan.leaf_stage = LeafStage()
-        tracks[plan.rule] = plan.row_tracks
+        plans[plan.rule] = plan
 
     _entering(monkeypatch, current)
     monkeypatch.setattr(_Universe, "subtree", counting)
@@ -1127,41 +1133,41 @@ def test_no_check_sweeps_a_footprint_it_has_passed(bounds, monkeypatch):
     for task in _sweep_tasks(u, RULE_DEFS, checker.ALL_OBLIGATIONS, 1):
         entries, _time = checker._sweep_range(u, RULE_DEFS, *task)
         assert not any(failed for _rule, _prop, failed, *_ in entries)
-    assert sorted(tracks) == sorted(RULE_ORDER)
-    for rule, row_tracks in tracks.items():
-        # one set per key bits, and tracks with equal key bits share it
-        by_key = {}
-        for key, seen, *_ in row_tracks.values():
-            if seen is not None:
-                by_key.setdefault(key, set()).add(id(seen))
-        assert all(len(ids) == 1 for ids in by_key.values()), rule
+    assert sorted(plans) == sorted(RULE_ORDER)
+    field_bits = u.row_layout[1]
 
-    def checks(rule):
-        return list({id(seen): seen for prop, (_key, seen, *_) in tracks[rule].items()
-                     if prop is not None and seen is not None}.values())
+    def key_bits(fields):
+        bits = field_bits["mask"]
+        for name in fields:
+            bits |= field_bits[name]
+        return bits
 
-    for rule, row_tracks in tracks.items():
+    for rule, plan in plans.items():
+        # one group per distinct footprint fields of the checks
         footprints = checker._row_footprints(RULE_DEFS[rule], PROPERTY_ORDER)
-        assert row_tracks.keys() == footprints.keys(), rule
-        for a, (fields_a, apart_a, _walk) in footprints.items():
-            assert (row_tracks[a][1] is None) == apart_a, (rule, a)
-            for b, (fields_b, apart_b, _walk) in footprints.items():
-                if not (apart_a or apart_b):
-                    assert (row_tracks[a][1] is row_tracks[b][1]) == (fields_a == fields_b)
-        # every visited row asks each check's set once; a row swept passed,
-        # so it added its footprint
-        assert checks(rule), rule
-        assert all(len(s) <= s.visits == visited[rule] for s in checks(rule)), rule
+        groups = {}
+        for prop, (fields, _every_leaf) in footprints.items():
+            if prop is not None:
+                groups.setdefault(key_bits(fields), set()).add(prop)
+        assert groups, rule
+        assert {bits: {check[0].prop for check in both}
+                for bits, _seen, _every, both, _walk in plan.tracks} == groups, rule
+        sets = [seen for _bits, seen, *_ in plan.tracks]
+        assert sets == list(plan.passed.values()), rule
+        assert all(plan.passed[bits] is seen for bits, seen, *_ in plan.tracks), rule
+        # every visited row asks each group's set once
+        assert all(s.visits == visited[rule] for s in sets), rule
         # giveRW at one subject, whose pair stage grants nothing, visits none
-        assert all(bool(s) == (visited[rule] > 0) for s in checks(rule)), rule
-        assert max(map(len, checks(rule))) <= swept[rule] <= visited[rule]
+        assert all(bool(s) == (visited[rule] > 0) for s in sets), rule
+        assert max(map(len, sets)) <= swept[rule] <= min(sum(map(len, sets)), visited[rule])
     for rule in ("releaseRead", "releaseWrite"):
         assert swept[rule] < visited[rule]
-    deletes = tracks["deleteObject"]
-    assert deletes["ranBrInDomM"][1] is deletes["ranBwInDomM"][1] is not None
-    assert not deletes["ranBrInDomM"][0] & u.row_layout[1]["m"]
-    assert deletes["ranBrInDomM"][0] & u.row_layout[1]["known"]
-    assert deletes[None][0] & u.row_layout[1]["m"]
+    (ranges,) = [bits for bits, _seen, _every, both, _walk in plans["deleteObject"].tracks
+                 if {check[0].prop for check in both} >= {"ranBrInDomM", "ranBwInDomM"}]
+    assert not ranges & field_bits["m"]
+    assert ranges & field_bits["known"]
+    frame = checker._row_footprints(RULE_DEFS["deleteObject"], PROPERTY_ORDER)[None][0]
+    assert key_bits(frame) & field_bits["m"]
 
 
 def _writes_something(st, _req):
@@ -1212,7 +1218,7 @@ def test_bw_blind_checks_fail_on_a_later_leaf(rule, guard):
     defs = {rule: dataclasses.replace(
         rd, conjuncts=(*kept, Conjunct(guard.__name__, frozenset({"bw"}), guard)))}
     footprints = checker._row_footprints(defs[rule], ["seccond"])
-    assert not footprints["seccond"][2]  # seccond does not walk every leaf
+    assert not footprints["seccond"][1]  # seccond does not walk every leaf
     report = check_obligations(SMALL, rule=rule, rule_defs=defs)
     naive, states = naive_check(SMALL, rule_defs=defs, rules=(rule,))
     _assert_matches_naive(report, naive, states)
@@ -1328,8 +1334,8 @@ def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
     """A sweep task's plan makes its own guard memos, leaf-stage table,
     effect memo and footprint sets, and the universe keeps none of them.
     Two strides of one rule swept in turn on one universe fill their own,
-    and share no memo and no set; tracks of one plan share a set when
-    their key bits are equal.  Once a task has returned, its plan and its
+    and share no memo and no set; a plan keeps one set per key bits, so
+    getRead's frame, once no check is live, takes starprop's.  Once a task has returned, its plan and its
     sets are gone.  A sweep task holds one rule: a list of obligations that
     spans rules, or holds none, raises."""
     made = []
@@ -1339,9 +1345,16 @@ def test_sweep_tasks_share_no_memo_or_footprint(monkeypatch):
         init(plan, *args)
         memos = [memo for guards in (plan.pair_guards, plan.matrix_guards, plan.leaf_guards)
                  for _key, memo, _holds in guards]
-        sets = list({id(track[1]): track[1] for track in plan.row_tracks.values()
-                     if track[1] is not None}.values())
-        assert plan.row_tracks[None][1] is plan.row_tracks["starprop"][1]
+        sets = list(plan.passed.values())
+        # with no check live, the frame's group takes starprop's set
+        (starprop,) = [seen for _bits, seen, _every, both, _walk in plan.tracks
+                       if "starprop" in [check[0].prop for check in both]]
+        live, plan.live = plan.live, []
+        plan._set_tracks()
+        assert [seen for _bits, seen, *_ in plan.tracks] == [starprop]
+        assert plan.tracks[0][1] is starprop and len(plan.passed) == len(sets)
+        plan.live = live
+        plan._set_tracks()
         made.append((weakref.ref(plan), [*memos, plan.leaf_stage, plan.effects], sets))
 
     monkeypatch.setattr(checker._RulePlan, "__init__", recording)
